@@ -25,6 +25,10 @@ class NonPositiveScale(ValueError):
     """Dilation parameter t must be strictly positive."""
 
 
+class NonFiniteInput(ValueError):
+    """A point has a NaN or infinite coordinate."""
+
+
 _SYMMETRY_TOL = 1e-10
 _RESIDUAL_TOL = 1e-12
 _MAX_BISECT = 200
@@ -96,15 +100,13 @@ class DilationGroup:
     # -- quasi-norm --------------------------------------------------------
 
     def quasi_norm(self, xi) -> np.ndarray | float:
-        """|xi|_A for one point or an (m, d) array; total function, 0 at 0."""
+        """|xi|_A for one point or an (m, d) array of finite points; 0 at 0."""
         xi = np.asarray(xi, dtype=float)
         single = xi.ndim == 1
-        pts = np.atleast_2d(xi)
-        c2 = (pts @ self.eigenvectors) ** 2
-        out = self._solve(c2)
+        out = self._solve(np.atleast_2d(xi))
         return float(out[0]) if single else out
 
-    def _solve(self, c2: np.ndarray) -> np.ndarray:
+    def _solve(self, pts: np.ndarray) -> np.ndarray:
         """Bisection on log t for sigma * sum(c2 * t^(-2 lam)) = 1.
 
         The defining function is strictly decreasing in t, and the envelope
@@ -112,11 +114,17 @@ class DilationGroup:
         """
         sigma = self.p_scale
         lam2 = 2.0 * self.eigenvalues
+        c2 = (pts @ self.eigenvectors) ** 2
         u2 = sigma * c2.sum(axis=1)
         out = np.zeros(len(u2))
-        active = u2 > 0.0
-        if not np.any(active):
+        # the largest u2 is NaN or inf only if a coordinate is or c2
+        # overflows, so finite input pays no separate scan of pts
+        top = u2.max(initial=0.0)
+        if not top < np.inf and not np.isfinite(pts).all():
+            raise NonFiniteInput("quasi_norm needs finite coordinates")
+        if top == 0.0:
             return out
+        active = u2 > 0.0
         u = np.sqrt(u2[active])
         ca = c2[active]
         e1, e2 = u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2)

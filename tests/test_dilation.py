@@ -3,6 +3,7 @@ import pytest
 
 from anisoweights.dilation import (
     DilationGroup,
+    NonFiniteInput,
     NonPositiveScale,
     NonPositiveSpectrum,
     NonSymmetric,
@@ -104,6 +105,17 @@ class TestQuasiNorm:
     def test_zero(self):
         G = coupled_group()
         assert G.quasi_norm(np.zeros(2)) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
+    def test_non_finite_input_raises(self):
+        # a NaN point must not land inside every ball as |nan|_A = 0
+        G = coupled_group()
+        for bad in ([np.nan, 0.0], [np.inf, 1.0], [[1.0, 2.0], [0.0, -np.inf]]):
+            with pytest.raises(NonFiniteInput):
+                G.quasi_norm(bad)
+        # finite coordinates whose squares overflow are not rejected
+        G.quasi_norm([0.0, 1e200])
 
     def test_defining_residual(self):
         G = coupled_group()

@@ -23,9 +23,10 @@ from anisoweights.muckenhoupt import (
     weighted_tail_bound,
     PowerWeight,
     _matrix_quantity_at_nodes,
+    _pair_norms,
     _scalar_quantity_at_nodes,
 )
-from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
+from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, hermitian_power
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +60,96 @@ def sqrt_matrix_weight():
     )
 
 
+def lapack_norms(M):
+    N = M.shape[-1]
+    flat = np.linalg.svd(M.reshape(-1, N, N), compute_uv=False)[:, 0]
+    return flat.reshape(M.shape[:-2])
+
+
+def assert_matches_lapack(M, rtol=1e-13):
+    ours, ref = spectral_norms(M), lapack_norms(M)
+    assert ours.shape == ref.shape
+    assert np.all(np.abs(ours - ref) <= rtol * ref)
+
+
+def random_unitaries(rng, k, n):
+    Z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
+def with_singular_values(rng, s):
+    """Random complex matrices U diag(s) V^H, one per row of s."""
+    k, n = s.shape
+    U, V = random_unitaries(rng, k, n), random_unitaries(rng, k, n)
+    return np.einsum("kij,kj,klj->kil", U, s, V.conj())
+
+
+def random_hermitian_pd(rng, k, n):
+    A = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return A @ A.conj().transpose(0, 2, 1) + 0.1 * np.eye(n)
+
+
 class TestSpectralNorms:
     def test_matches_lapack(self):
         rng = np.random.default_rng(2)
-        for n in (1, 2, 3):
-            M = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
-            ours = spectral_norms(M)
-            ref = np.linalg.svd(M, compute_uv=False)[:, 0]
-            assert np.max(np.abs(ours - ref)) < 1e-10
+        for n in (1, 2, 3, 4):
+            M = rng.standard_normal((6, 7, n, n)) + 1j * rng.standard_normal((6, 7, n, n))
+            assert_matches_lapack(M)
+            assert_matches_lapack(M.real.copy())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_products_of_hermitian_powers(self, n):
+        # the A_p ladder's stack: W^(1/p)(x_a) W^(-1/p)(t_b) for every pair
+        rng = np.random.default_rng(3)
+        Px = hermitian_power(random_hermitian_pd(rng, 9, n), 0.5)
+        Mt = hermitian_power(random_hermitian_pd(rng, 11, n), -0.5)
+        assert_matches_lapack(np.einsum("aij,bjk->abik", Px, Mt))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_one_and_scalar(self, n):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+        v = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+        assert_matches_lapack(np.einsum("ki,kj->kij", u, v.conj()))
+        c = np.array([3.0, -0.5, 2 - 3j, 1e-3j])
+        ours = spectral_norms(c[:, None, None] * np.eye(n))
+        assert np.all(np.abs(ours - np.abs(c)) <= 1e-15 * np.abs(c))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_repeated_and_nearly_repeated_singular_values(self, n):
+        rng = np.random.default_rng(5)
+        assert_matches_lapack(np.diag([1.0] * (n - 1) + [1 - 1e-9])[None])
+        for second in (1.0, 1 - 1e-12, 1 - 1e-7, 1 - 1e-3):
+            s = np.full((200, n), 0.5)
+            s[:, 0], s[:, 1] = 1.0, second
+            assert_matches_lapack(with_singular_values(rng, s))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_matrix(self, n):
+        assert spectral_norms(np.zeros((1, n, n), dtype=complex))[0] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e160])
+    def test_extreme_scales(self, n, scale):
+        # entries whose squares under- or overflow
+        assert spectral_norms(scale * np.eye(n)[None])[0] == pytest.approx(scale, rel=1e-15)
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+        ours = spectral_norms(scale * M)
+        assert np.all(np.abs(ours / scale - lapack_norms(M)) <= 1e-13 * lapack_norms(M))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_non_finite_entry_gives_nan(self, n):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        M[1, 0, n - 1] = np.nan
+        M[2, n - 1, 0] = np.inf
+        M[3, 1, 1] = -np.inf * 1j
+        ours = spectral_norms(M)
+        assert np.isnan(ours[1:]).all()
+        assert ours[0] == pytest.approx(lapack_norms(M[:1])[0], rel=1e-13)
 
 
 class TestScalarQuantity:
@@ -150,6 +233,24 @@ class TestMatrixQuantity:
         assert _matrix_quantity_at_nodes(Px, Mt, p) == pytest.approx(
             _scalar_quantity_at_nodes(w, 1.0), rel=1e-12
         )
+
+    def test_pairwise_loop_oracle(self):
+        # one np.linalg.norm(P @ M, 2) per node pair, averaged by plain loops
+        rng = np.random.default_rng(8)
+        Hx, Ht = random_hermitian_pd(rng, 7, 3), random_hermitian_pd(rng, 5, 3)
+        for p in (2.0, 1.0):
+            Px, Mt = hermitian_power(Hx, 1.0 / p), hermitian_power(Ht, -1.0 / p)
+            norms = np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])
+            # budget 2 * len(Mt) takes two rows of pairs per chunk: 4 chunks
+            chunked = _pair_norms(Px, Mt, budget=2 * len(Mt))
+            assert np.all(np.abs(chunked - norms) <= 1e-13 * norms)
+            if p > 1:
+                pp = p / (p - 1)
+                inner = [np.mean(row ** pp) ** (p / pp) for row in norms]
+                oracle = np.mean(inner) ** (1 / p)
+            else:
+                oracle = max(np.mean(norms[:, b] ** p) for b in range(len(Mt)))
+            assert _matrix_quantity_at_nodes(Px, Mt, p) == pytest.approx(oracle, rel=1e-13)
 
     def test_matrix_vs_scalar_whole_op(self, G1, grid1):
         W = MatrixWeightSpec.diagonal([sqrt_weight()])
