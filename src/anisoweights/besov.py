@@ -21,11 +21,12 @@ import numpy as np
 
 from .dilation import DilationGroup
 from .geometry import AnisoBall, StructuredCovering, ball_volume, compute_r0
-from .muckenhoupt import safe_power_values, safe_scalar_values
+from .muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
 from .spectral import (
     BandLimitedField,
     FourierGrid,
     TruncationInsufficient,
+    _riemann_norm,
     poly_plateau,
     smooth_plateau,
 )
@@ -235,27 +236,6 @@ def _patch_scale(bapu: Bapu, k: int, params: BesovParams) -> float:
     return float(bapu.t[k]) ** params.s
 
 
-def _weight_root_cache(W, grid: FourierGrid, p: float):
-    pts = grid.spatial_points()
-    if W is None:
-        return None
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    if hasattr(W, "power_values"):
-        return safe_power_values(W, pts, 1.0 / p, scale)
-    return safe_scalar_values(W, pts, scale) ** (1.0 / p)
-
-
-def _weighted_norm_from_cache(grid, Wroot, vec, p) -> float:
-    """vec is (N, m) node values; Wroot the cached weight root (or None)."""
-    if Wroot is None:
-        mags = np.linalg.norm(vec, axis=0)
-    elif Wroot.ndim == 3:
-        mags = np.linalg.norm(np.einsum("mij,jm->im", Wroot, vec), axis=0)
-    else:
-        mags = Wroot * np.linalg.norm(vec, axis=0)
-    return float((grid.h ** grid.d * np.sum(mags ** p)) ** (1.0 / p))
-
-
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
                tail_limit: float = 1e-6) -> float:
     """(sum_j scale_j^q ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf."""
@@ -271,15 +251,15 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
         raise TruncationInsufficient(
             f"spectral mass {outside:.2e} beyond the last patch"
         )
-    Wroot = _weight_root_cache(W, grid, params.p)
+    pts = grid.spatial_points()
+    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
     terms = []
     for k in range(len(bapu)):
         spec_k = np.zeros_like(flat_spec)
         spec_k[:, bapu.supports[k]] = flat_spec[:, bapu.supports[k]] * bapu.values[k]
         piece = grid.inverse(spec_k.reshape(f.spectrum.shape))
-        norm_k = _weighted_norm_from_cache(
-            grid, Wroot, piece.reshape(f.N, -1), params.p
-        )
+        mags = weighted_magnitudes(root, piece.reshape(f.N, -1).T)
+        norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
         terms.append(_patch_scale(bapu, k, params) * norm_k)
     terms = np.asarray(terms)
     if np.isinf(params.q):
@@ -505,8 +485,8 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
     """(sum_k [t_k^s || sum_l |U|^(-1/2) c_(k,l) 1_U ||_(L^p(W))]^q)^(1/q)."""
     grid = grid or coeffs.grid
     group = coeffs.group
-    Wroot = _weight_root_cache(W, grid, params.p)
     pts = grid.spatial_points()
+    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
     terms = []
     for k in sorted(coeffs.patches):
         ls, coef = coeffs.patches[k]
@@ -525,7 +505,8 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
             inside = group.quasi_norm(pts[near] - centers[i]) < rho
             cells = near[inside]
             field_k[:, cells] += (coef[i] / vol_root)[:, None]
-        norm_k = _weighted_norm_from_cache(grid, Wroot, field_k, params.p)
+        mags = weighted_magnitudes(root, field_k.T)
+        norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
         terms.append(float(t_k) ** params.s * norm_k)
     if not terms:
         return 0.0

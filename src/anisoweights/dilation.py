@@ -166,18 +166,6 @@ def new_dilation_group(A, p_scale: float = 1.0) -> DilationGroup:
     return DilationGroup(A, p_scale=p_scale)
 
 
-def dilate(G: DilationGroup, t: float, xi):
-    return G.dilate(t, xi)
-
-
-def quasi_norm(G: DilationGroup, xi):
-    return G.quasi_norm(xi)
-
-
-def bracket(G: DilationGroup, xi):
-    return G.bracket(xi)
-
-
 def triangle_constant_estimate(G: DilationGroup, n_samples: int, seed: int) -> float:
     """Sampled lower bound for the quasi-triangle constant.
 

@@ -105,12 +105,18 @@ def _halton(n: int, d: int) -> np.ndarray:
     return eng.random(n)
 
 
-def _sphere_directions(n: int, d: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit vectors."""
-    if d == 1:
-        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
-    u = _halton(n, d)
+def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
+    """Unit vectors from uniform coordinates u of shape (n, k).
+
+    Each row goes through the normal quantile and is normalised; a row that
+    maps to the zero vector becomes e_1.  In one dimension the result is
+    the sign of u - 1/2, with +1 at u = 1/2.  With complex_ the two halves
+    of a row are the real and imaginary parts of a k/2-vector.
+    """
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    if complex_:
+        half = g.shape[1] // 2
+        g = g[:, :half] + 1j * g[:, half:]
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     degenerate = norms[:, 0] == 0.0
     g[degenerate, 0] = 1.0
@@ -121,12 +127,7 @@ def _sphere_directions(n: int, d: int) -> np.ndarray:
 def _unit_ball_reference_nodes(n: int, d: int, sigma: float, boundary_bias=False) -> np.ndarray:
     """Low-discrepancy nodes in the reference ball B_A(0,1) = {|x| < 1/sqrt(sigma)}."""
     u = _halton(n, d + 1)
-    g = ndtri(np.clip(u[:, :d], 1e-12, 1 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    degenerate = norms[:, 0] == 0.0
-    g[degenerate, 0] = 1.0
-    norms[degenerate] = 1.0
-    g = g / norms
+    g = _normal_directions(u[:, :d])
     radii = u[:, d] ** (1.0 / d)
     if boundary_bias:
         radii = radii ** 0.25
@@ -254,11 +255,7 @@ def _dilate_each(G: DilationGroup, s: np.ndarray, pts: np.ndarray) -> np.ndarray
 
 def _quasi_polar(G: DilationGroup, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Points delta_s(dir) with |dir|_A = 1, so |result|_A = s exactly."""
-    if G.d == 1:
-        dirs = np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
-    else:
-        dirs = ndtri(np.clip(u[:, : G.d], 1e-12, 1 - 1e-12))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _normal_directions(u[:, : G.d])
     return _dilate_each(G, s, dirs / np.sqrt(G.p_scale))
 
 

@@ -10,16 +10,21 @@ convention is the spectral norm throughout.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .dilation import DilationGroup
-from .geometry import AffineMap, AnisoBall, ball_volume, compute_r0, map_ball
+from .geometry import (
+    AffineMap,
+    AnisoBall,
+    _halton,
+    _normal_directions,
+    ball_volume,
+    compute_r0,
+    map_ball,
+)
 from .weights import SingularWeight
 
 NORM_CONVENTION = "spectral"
@@ -256,7 +261,18 @@ def safe_scalar_values(spec, pts: np.ndarray, scale: float) -> np.ndarray:
     return vals
 
 
-def safe_power_values(spec, pts: np.ndarray, a: float, scale: float) -> np.ndarray:
+def safe_power_values(spec, pts: np.ndarray, a: float, scale: float):
+    """The weight root W^a at the (m, d) nodes, nudged off the singular set.
+
+    This is the one place that tells the kinds of weight apart.  No weight
+    (None) gives None, a scalar weight w gives w^a with shape (m,), and a
+    matrix weight gives the Hermitian power W^a with shape (m, N, N).
+    `weighted_magnitudes` turns any of the three into |W^a(x) v|.
+    """
+    if spec is None:
+        return None
+    if not _is_matrix(spec):
+        return safe_scalar_values(spec, pts, scale) ** a
     for attempt in range(4):
         try:
             return spec.power_values(pts, a)
@@ -268,6 +284,24 @@ def safe_power_values(spec, pts: np.ndarray, a: float, scale: float) -> np.ndarr
                 raise
             pts = _perturb(pts, bad, scale, attempt)
     raise SingularWeight("could not move nodes off the singular set")
+
+
+def weighted_magnitudes(root, v) -> np.ndarray:
+    """|W^a(x) v| at every node, for a root returned by `safe_power_values`.
+
+    v is one vector per node, shape (m, N), or one vector shared by all
+    nodes, shape (N,).  A scalar root w^a gives w^a |v| and a matrix root
+    the Euclidean norm of the product, shape (m,) either way.  Without a
+    weight (root None) the result is |v|: shape (m,) for per-node vectors
+    and a single number for a shared one.
+    """
+    v = np.asarray(v)
+    if root is None:
+        return np.linalg.norm(v, axis=-1)
+    if root.ndim == 1:
+        return root * np.linalg.norm(v, axis=-1)
+    return np.linalg.norm(np.einsum("mij,mj->mi" if v.ndim == 2 else "mij,j->mi",
+                                    root, v), axis=1)
 
 
 # -- per-ball quantities ---------------------------------------------------------
@@ -362,20 +396,12 @@ def family_descriptor(family: list[AnisoBall]) -> str:
 
 
 def estimate_ap_constant(W, p: float, family: list[AnisoBall],
-                         quad: BallQuadrature, G: DilationGroup,
-                         jobs: int = 1) -> ApReport:
+                         quad: BallQuadrature, G: DilationGroup) -> ApReport:
     """Max per-ball quantity over the family; a lower bound of the supremum."""
     if not family:
         raise ValueError("family must be nonempty")
-
-    def one(i):
-        return ap_ball_quantity_ladder(W, family[i], p, quad, G, task=i)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            ladders = list(ex.map(one, range(len(family))))
-    else:
-        ladders = [one(i) for i in range(len(family))]
+    ladders = [ap_ball_quantity_ladder(W, B, p, quad, G, task=i)
+               for i, B in enumerate(family)]
     values = np.array([l.value for l in ladders])
     errors = np.array([l.error for l in ladders])
     label = getattr(W, "label", "weight")
@@ -403,9 +429,8 @@ def averaging_operator_check(W, B: AnisoBall, p: float, quad: BallQuadrature,
         vals = np.asarray(f(nodes))
         if vals.ndim == 1:
             vals = vals[:, None]
-        mean = vals.mean(axis=0)
-        num = np.mean(np.linalg.norm(np.einsum("mij,j->mi", Wp, mean), axis=1) ** p)
-        den = np.mean(np.linalg.norm(np.einsum("mij,mj->mi", Wp, vals), axis=1) ** p)
+        num = np.mean(weighted_magnitudes(Wp, vals.mean(axis=0)) ** p)
+        den = np.mean(weighted_magnitudes(Wp, vals) ** p)
         if den > 0:
             best = max(best, (num / den) ** (1.0 / p))
     return float(best)
@@ -429,8 +454,8 @@ class SliceWeight:
 
     def values(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        Wp = safe_power_values(self.W, pts, 1.0 / self.p, _local_scale(pts))
-        return np.linalg.norm(np.einsum("mij,j->mi", Wp, self.v), axis=1) ** self.p
+        root = safe_power_values(self.W, pts, 1.0 / self.p, _local_scale(pts))
+        return weighted_magnitudes(root, self.v) ** self.p
 
 
 @dataclass(frozen=True)
@@ -630,15 +655,7 @@ class ReducingPair:
 
 
 def _directions(N: int, n: int, complex_: bool) -> np.ndarray:
-    eng = qmc.Halton(2 * N if complex_ else N, scramble=False)
-    eng.fast_forward(1)
-    u = eng.random(n)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    if complex_:
-        g = g[:, :N] + 1j * g[:, N:]
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    dirs = g / norms
+    dirs = _normal_directions(_halton(n, 2 * N if complex_ else N), complex_)
     # make sure the coordinate axes are represented
     dirs[:N] = np.eye(N)
     return dirs
@@ -780,9 +797,7 @@ def invariance_report(W, p: float, T: AffineMap, family: list[AnisoBall],
                       quad_a: BallQuadrature, quad_b: BallQuadrature,
                       G: DilationGroup) -> list[InvarianceRow]:
     """Quantity of W∘T on B against the quantity of W on T(B), per ball."""
-    from .weights import compose_affine
-
-    WT = compose_affine(W, T)
+    WT = W.compose(T)
     rows = []
     for i, B in enumerate(family):
         la = ap_ball_quantity_ladder(WT, B, p, quad_a, G, task=i)

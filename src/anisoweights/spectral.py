@@ -20,9 +20,9 @@ from .geometry import AnisoBall, ball_volume, compute_r0
 from .muckenhoupt import (
     BallQuadrature,
     _LEVELS,
+    _local_scale,
     safe_power_values,
-    safe_scalar_values,
-    spectral_norms,
+    weighted_magnitudes,
 )
 
 _TAIL_FACTOR = 1.05
@@ -129,15 +129,6 @@ class FourierGrid:
         phases = np.exp(1j * pts @ xi.T)
         coef = (np.pi / self.L) ** self.d / (2 * np.pi) ** (self.d / 2)
         return coef * np.einsum("...c,pc->...p", flat[..., cols], phases)
-
-
-def transform(grid: FourierGrid, values, direction: str) -> np.ndarray:
-    """Forward or inverse transform of grid samples."""
-    if direction == "forward":
-        return grid.forward(values)
-    if direction == "inverse":
-        return grid.inverse(values)
-    raise ValueError("direction must be 'forward' or 'inverse'")
 
 
 # -- band-limited fields -----------------------------------------------------------
@@ -266,33 +257,36 @@ def decay_certificate(phi: MultiplierSpec, M: float) -> float:
 # -- weighted norms -------------------------------------------------------------------
 
 
-def _pointwise_weighted_mags(field: BandLimitedField, W, p: float) -> np.ndarray:
-    pts = field.grid.spatial_points()
-    vec = field.values.reshape(field.N, -1).T  # (m, N)
-    if W is None:
-        return np.linalg.norm(vec, axis=1)
-    scale = 1.0 + float(np.max(np.abs(pts)))
-    if hasattr(W, "power_values"):
-        Wp = safe_power_values(W, pts, 1.0 / p, scale)
-        return np.linalg.norm(np.einsum("mij,mj->mi", Wp, vec), axis=1)
-    w = safe_scalar_values(W, pts, scale)
-    return w ** (1.0 / p) * np.linalg.norm(vec, axis=1)
+def _grid_root(grid: FourierGrid, W, p: float):
+    """W^(1/p) at the spatial grid points, as `safe_power_values` returns it."""
+    if p <= 0:
+        raise ValueError("p must be positive")
+    pts = grid.spatial_points()
+    return safe_power_values(W, pts, 1.0 / p, _local_scale(pts))
+
+
+def _riemann_norm(mags: np.ndarray, p: float, cell: float) -> float:
+    """(cell * sum mags^p)^(1/p): an L^p norm from magnitudes on a grid."""
+    return float((cell * np.sum(mags ** p)) ** (1.0 / p))
 
 
 def weighted_lp_norm(f: BandLimitedField, W, p: float) -> float:
     """Grid Riemann sum of |W^(1/p) f|^p over the period box, p-th root."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    mags = _pointwise_weighted_mags(f, W, p)
-    return float((f.grid.h ** f.grid.d * np.sum(mags ** p)) ** (1.0 / p))
+    return _audited_norm(f, _grid_root(f.grid, W, p), p)[0]
 
 
 def weighted_lp_norm_with_audit(f: BandLimitedField, W, p: float) -> tuple[float, float]:
     """Norm plus an error estimate from comparing with the half-resolution sum."""
-    value = weighted_lp_norm(f, W, p)
-    mags = _pointwise_weighted_mags(f, W, p).reshape(f.grid.shape)
-    sub = mags[::2] if f.grid.d == 1 else mags[::2, ::2]
-    coarse = float(((2 * f.grid.h) ** f.grid.d * np.sum(sub ** p)) ** (1.0 / p))
+    return _audited_norm(f, _grid_root(f.grid, W, p), p)
+
+
+def _audited_norm(f: BandLimitedField, root, p: float) -> tuple[float, float]:
+    grid = f.grid
+    mags = weighted_magnitudes(root, f.values.reshape(f.N, -1).T)
+    value = _riemann_norm(mags, p, grid.h ** grid.d)
+    mags = mags.reshape(grid.shape)
+    sub = mags[::2] if grid.d == 1 else mags[::2, ::2]
+    coarse = _riemann_norm(sub, p, (2 * grid.h) ** grid.d)
     return value, abs(value - coarse)
 
 
@@ -406,7 +400,8 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
 
     The profile is certified once at the unit scale with decay order above
     the theoretical threshold; each (R, c) then transports the symbol and
-    the test ensemble by the same affine map.
+    the test ensemble by the same affine map.  Every field lives on
+    `grid`, so the weight root is evaluated once for all rows.
     """
     M_req = required_decay_order(group, p) + certify_margin
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
@@ -414,14 +409,15 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     K = decay_certificate(phi0, M_req)
     if not np.isfinite(K):
         raise ValueError("profile failed its decay certificate")
+    root = _grid_root(grid, W, p)
     rows = []
     for R in R_set:
         for c in c_set:
             ball = AnisoBall(np.asarray(c, dtype=float), float(R))
             phi = MultiplierSpec.from_profile(grid, group, profile, ball)
             for f in standard_ensemble(grid, group, ball, N=N, seed=ensemble_seed):
-                num, err_n = weighted_lp_norm_with_audit(apply_multiplier(phi, f), W, p)
-                den, err_d = weighted_lp_norm_with_audit(f, W, p)
+                num, err_n = _audited_norm(apply_multiplier(phi, f), root, p)
+                den, err_d = _audited_norm(f, root, p)
                 ratio = num / den
                 err = ratio * ((err_n / max(num, 1e-300)) + (err_d / max(den, 1e-300)))
                 rows.append(ExperimentRow(float(R), tuple(np.ravel(c)), f.field_id,
@@ -632,15 +628,8 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
         for idx in range(len(centers)):
             cell = AnisoBall(centers[idx], cell_radius)
             nodes = quad.ball_nodes(G, cell, _LEVELS - 1, task=idx)
-            v = samples[:, idx]
-            if W is None:
-                m = np.full(len(nodes), np.linalg.norm(v))
-            elif hasattr(W, "power_values"):
-                Wp = safe_power_values(W, nodes, 1.0 / p, 1.0 + np.abs(nodes).max())
-                m = np.linalg.norm(np.einsum("mij,j->mi", Wp, v), axis=1)
-            else:
-                w = safe_scalar_values(W, nodes, 1.0 + np.abs(nodes).max())
-                m = w ** (1.0 / p) * np.linalg.norm(v)
+            root = safe_power_values(W, nodes, 1.0 / p, _local_scale(nodes))
+            m = weighted_magnitudes(root, samples[:, idx])
             lhs += vol * float(np.mean(m ** p))
         den, err = weighted_lp_norm_with_audit(g, W, p)
         ratio = lhs / den ** p if den > 0 else 0.0

@@ -28,6 +28,18 @@ def _as_points(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def _polynomial(coeffs: dict, pts: np.ndarray) -> np.ndarray:
+    """P(x) at (m, d) points for a multi-index coefficient table."""
+    p = np.zeros(len(pts))
+    for alpha, c in coeffs.items():
+        term = np.full(len(pts), c)
+        for i, a in enumerate(alpha):
+            if a:
+                term = term * pts[:, i] ** a
+        p += term
+    return p
+
+
 # -- scalar weights ------------------------------------------------------------
 
 
@@ -105,14 +117,7 @@ class ScalarWeightSpec:
         if self.kind == "radial_power":
             return np.linalg.norm(pts, axis=1) ** self.gamma
         if self.kind == "poly_abs_power":
-            p = np.zeros(len(pts))
-            for alpha, c in self.coeffs.items():
-                term = np.full(len(pts), c)
-                for i, a in enumerate(alpha):
-                    if a:
-                        term = term * pts[:, i] ** a
-                p += term
-            return np.abs(p) ** self.beta
+            return np.abs(_polynomial(self.coeffs, pts)) ** self.beta
         prod = np.ones(len(pts))
         for f in self.factors:
             prod *= f._values(pts)
@@ -137,9 +142,7 @@ class ComposedScalarWeight:
         return f"{self.base.label}∘T({self.T.scale:g})"
 
     def values(self, x):
-        pts, single = _as_points(x)
-        out = self.base.values(self.T.apply(pts))
-        return out if not single else out
+        return self.base.values(self.T.apply(x))
 
     def _values(self, pts):
         return self.base.values(self.T.apply(pts))
@@ -252,25 +255,13 @@ class MatrixWeightSpec:
         C = np.zeros((m, N, N))
         bound = 1.0 / max(1, N - 1)
         for (i, j), poly in self.offdiag.items():
-            q = poly._values(pts) * np.sign(self._poly_signed(poly, pts))
+            q = _polynomial(poly.coeffs, pts)
             c = bound * q / (1.0 + np.abs(q))
             C[:, i, j] = c
             C[:, j, i] = c
         root = np.sqrt(diag)
         core = np.eye(N)[None, :, :] + self.eps * C
         return (root[:, :, None] * core * root[:, None, :]).astype(complex)
-
-    @staticmethod
-    def _poly_signed(poly: ScalarWeightSpec, pts: np.ndarray) -> np.ndarray:
-        p = np.zeros(len(pts))
-        for alpha, c in poly.coeffs.items():
-            term = np.full(len(pts), c)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * pts[:, i] ** a
-            p += term
-        # avoid sign(0) wiping the entry scale
-        return np.where(p == 0.0, 1.0, p)
 
     def power_values(self, x, a: float) -> np.ndarray:
         pts, single = _as_points(x)
@@ -311,22 +302,13 @@ class ComposedMatrixWeight:
         return f"{self.base.label}∘T({self.T.scale:g})"
 
     def values(self, x):
-        pts, single = _as_points(x)
-        out = self.base.values(self.T.apply(pts))
-        return out
+        return self.base.values(self.T.apply(x))
 
     def power_values(self, x, a):
-        pts, single = _as_points(x)
-        out = self.base.power_values(self.T.apply(pts), a)
-        return out
+        return self.base.power_values(self.T.apply(x), a)
 
     def compose(self, T):
         return ComposedMatrixWeight(self, T)
-
-
-def compose_affine(spec, T):
-    """Weight x -> spec(delta_t x + c); works for scalar and matrix specs."""
-    return spec.compose(T)
 
 
 @dataclass

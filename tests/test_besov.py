@@ -59,8 +59,8 @@ def both_norms(f, c, W, bapu):
 
 
 def two_members(ensemble, coefficients):
-    # the centred gaussian and the random smooth member; discrete_b_norm
-    # costs ~0.1 s per call at this size
+    # the centred gaussian and the random smooth member: discrete_b_norm is
+    # the slow step of this module, and two members cover both field shapes
     return [(ensemble[i], coefficients[i]) for i in (0, 3)]
 
 

@@ -293,13 +293,17 @@ class TestFamilyEstimate:
         c_big = estimate_ap_constant(w, 2.0, big, grid1, G1).constant
         assert c_big >= c_small
 
-    def test_jobs_bitwise_agreement(self, G1, mc1):
+    def test_family_matches_per_ball_ladders_bitwise(self, G1, mc1):
+        # Monte-Carlo streams are keyed by the ball index, so each report
+        # value is the ball's own ladder whatever else the family holds
         w = sqrt_weight()
         fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
-        a = estimate_ap_constant(w, 2.0, fam, mc1, G1, jobs=1)
-        b = estimate_ap_constant(w, 2.0, fam, mc1, G1, jobs=2)
-        assert np.array_equal(a.values, b.values)
-        assert a.constant == b.constant
+        rep = estimate_ap_constant(w, 2.0, fam, mc1, G1)
+        for i in reversed(range(len(fam))):
+            one = ap_ball_quantity_ladder(w, fam[i], 2.0, mc1, G1, task=i)
+            assert rep.values[i] == one.value
+            assert rep.errors[i] == one.error
+        assert rep.constant == rep.values.max()
 
 
 class TestAveraging:
@@ -338,6 +342,16 @@ class TestAveraging:
         ]
         ratio = averaging_operator_check(W, B, 2.0, grid1, G1, fields)
         assert np.isfinite(ratio) and 0 < ratio <= 4 * max(q, 1.0)
+
+    def test_scalar_weight_matches_one_by_one_matrix(self, G1, grid1):
+        w = sqrt_weight()
+        B = AnisoBall([0.25], 1.0)
+        fields = [lambda x: np.sign(x[:, :1]), lambda x: np.cos(4 * x[:, 0])]
+        scalar = averaging_operator_check(w, B, 2.0, grid1, G1, fields)
+        matrix = averaging_operator_check(MatrixWeightSpec.diagonal([w]), B, 2.0,
+                                          grid1, G1, fields)
+        assert np.isfinite(scalar) and scalar > 0
+        assert scalar == pytest.approx(matrix, rel=1e-12)
 
 
 class TestSlices:

@@ -8,7 +8,6 @@ from anisoweights.weights import (
     ScalarWeightSpec,
     SingularWeight,
     WeightSample,
-    compose_affine,
     eval_matrix_power,
     eval_scalar,
     matrix_norm_equivalence_check,
@@ -168,9 +167,11 @@ class TestCompose:
         G = new_dilation_group(np.diag([1.0, 2.0]))
         T = AffineMap(G, 2.0, np.array([1.0, 0.0]))
         w = ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5)
-        wt = compose_affine(w, T)
+        wt = w.compose(T)
         x = np.array([3.0, 1.0])
         assert wt.values(x) == pytest.approx(w.values(T.apply(x)))
+        assert np.shape(wt.values(x)) == np.shape(w.values(x)) == ()
+        assert wt.compose(T).values(x) == pytest.approx(w.values(T.apply(T.apply(x))))
 
     def test_matrix_composition(self):
         G = new_dilation_group(np.diag([1.0, 2.0]))
@@ -179,9 +180,13 @@ class TestCompose:
             [ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
              ScalarWeightSpec.constant(1.0)]
         )
-        WT = compose_affine(W, T)
+        WT = W.compose(T)
         x = np.array([[1.5, 2.0]])
         assert np.allclose(WT.values(x), W.values(T.apply(x)))
         assert np.allclose(
             WT.power_values(x, 0.5), W.power_values(T.apply(x), 0.5)
         )
+        single = x[0]
+        assert WT.values(single).shape == W.values(single).shape == (2, 2)
+        assert WT.power_values(single, 0.5).shape == W.power_values(single, 0.5).shape
+        assert np.allclose(WT.values(single), W.values(T.apply(single)))
