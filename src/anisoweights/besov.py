@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilation import DilationGroup
-from .geometry import AnisoBall, StructuredCovering, ball_volume, compute_r0
+from .geometry import AnisoBall, StructuredCovering, ball_pairs, ball_volume, compute_r0
 from .muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
 from .spectral import (
     BandLimitedField,
@@ -261,10 +261,13 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
         mags = weighted_magnitudes(root, piece.reshape(f.N, -1).T)
         norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
         terms.append(_patch_scale(bapu, k, params) * norm_k)
+    return _lq_sum(terms, params.q)
+
+
+def _lq_sum(terms, q: float) -> float:
+    """(sum terms^q)^(1/q), or the max of the terms when q = inf."""
     terms = np.asarray(terms)
-    if np.isinf(params.q):
-        return float(terms.max())
-    return float((terms ** params.q).sum() ** (1.0 / params.q))
+    return float(terms.max() if np.isinf(q) else (terms ** q).sum() ** (1.0 / q))
 
 
 # -- frame atoms and coefficient arrays --------------------------------------------------
@@ -370,14 +373,15 @@ def frame_atom(k: int, l, sqrt_bapu: Bapu) -> BandLimitedField:
 
 def frame_atom_direct(k: int, l, sqrt_bapu: Bapu, eta_points: int = 512,
                       wrap_images: int = None) -> np.ndarray:
-    """The same atom from the direct-space formula, on the spatial grid.
+    """The atom of `frame_atom` by the direct-space formula, approximately.
 
     omega(x) = N_k t_k^nu mu_k(delta_(t_k)(x - x_(k,l))) e^(i x.xi_k) with
     mu_k the inverse transform of eta -> psi_k(T_k eta), quadratured on an
-    independent uniform eta-grid; an honest second route.  The lattice
-    atom is the 2L-periodization, so wrap images are summed explicitly
-    when the atom scale makes them visible, and the eta-grid is refined
-    until its alias period clears the evaluated range.
+    independent uniform eta-grid that is alias-free on the evaluated range;
+    wrap images of the 2L-periodization are summed when they are visible.
+    The routes differ by up to 6e-3 of the atom's sup on a 128-point 4pi
+    grid, 3e-5 on 512 points and 16pi, and by O(1) once the patch crosses
+    the frequency box, where the lattice atom is clipped.
     """
     grid, group = sqrt_bapu.grid, sqrt_bapu.group
     t_k = float(sqrt_bapu.t[k])
@@ -493,27 +497,13 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
         t_k = float(coeffs.t[k])
         rho = coeffs.r0 / t_k
         vol_root = np.sqrt(ball_volume(group, rho))
+        cells, at = ball_pairs(group, coeffs.positions(k, ls), rho, pts)
         field_k = np.zeros((coef.shape[1], len(pts)), dtype=complex)
-        reach = group.euclidean_radius_bound(rho)
-        centers = coeffs.positions(k, ls)
-        for i in range(len(ls)):
-            near = np.flatnonzero(
-                np.max(np.abs(pts - centers[i]), axis=1) <= reach
-            )
-            if len(near) == 0:
-                continue
-            inside = group.quasi_norm(pts[near] - centers[i]) < rho
-            cells = near[inside]
-            field_k[:, cells] += (coef[i] / vol_root)[:, None]
+        np.add.at(field_k, (slice(None), at), (coef[cells] / vol_root).T)
         mags = weighted_magnitudes(root, field_k.T)
         norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
         terms.append(float(t_k) ** params.s * norm_k)
-    if not terms:
-        return 0.0
-    terms = np.asarray(terms)
-    if np.isinf(params.q):
-        return float(terms.max())
-    return float((terms ** params.q).sum() ** (1.0 / params.q))
+    return _lq_sum(terms, params.q) if terms else 0.0
 
 
 # -- experiments ------------------------------------------------------------------------------

@@ -111,6 +111,8 @@ class DilationGroup:
 
         The defining function is strictly decreasing in t, and the envelope
         bounds give an exact initial bracket, so convergence is guaranteed.
+        Every point iterates until the whole batch has converged, so a
+        point's result depends on its batch, by up to ~1e-12 relative.
         """
         sigma = self.p_scale
         lam2 = 2.0 * self.eigenvalues

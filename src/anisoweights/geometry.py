@@ -95,6 +95,40 @@ def map_ball(G: DilationGroup, T: AffineMap, B: AnisoBall) -> AnisoBall:
     return AnisoBall(T.apply(B.center), B.radius * T.scale)
 
 
+_PAIR_CHUNK = 2 ** 13  # candidate (ball, point) pairs per quasi-norm call
+
+
+def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np.ndarray]:
+    """Ball and point indices (i, j) of |points[j] - centers[i]|_A < radii[i].
+
+    Pairs come ordered by ball, then by point: a sum over them adds each
+    point's balls in the order of a loop over the balls, bitwise the same.
+    Candidates are the points in each ball's Euclidean box (radii may be a
+    scalar); one quasi-norm call decides up to _PAIR_CHUNK of them.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), len(centers))
+    reach = np.maximum(radii ** G.alpha1, radii ** G.alpha2) / np.sqrt(G.p_scale)
+    order = np.argsort(points[:, 0], kind="stable")
+    start = np.searchsorted(points[order, 0], centers[:, 0] - reach, "left")
+    sizes = np.searchsorted(points[order, 0], centers[:, 0] + reach, "right") - start
+    ends = np.cumsum(sizes)
+    keys, first = [np.empty(0, dtype=int)], 0
+    while first < len(centers):
+        base = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
+        b = np.repeat(np.arange(first, last), sizes[first:last])
+        j = order[np.arange(base, ends[last - 1]) + (start - ends + sizes)[b]]
+        near = np.abs(points[j, 1:] - centers[b, 1:]).max(axis=1, initial=0.0) <= reach[b]
+        b, j = b[near], j[near]
+        inside = G.quasi_norm(points[j] - centers[b]) < radii[b]
+        keys.append(np.sort(b[inside] * len(points) + j[inside]))
+        first = last
+    keys = np.concatenate(keys)  # frees the per-batch pieces before the split
+    return np.divmod(keys, len(points))
+
+
 # -- low-discrepancy helpers -------------------------------------------------
 
 
@@ -150,15 +184,12 @@ class UnitCovering:
 
     def cover_count(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        G = self.group
-        reach = G.euclidean_radius_bound(self.r0)
+        reach = self.group.euclidean_radius_bound(self.r0)
         lo = np.floor(pts.min(axis=0) - reach).astype(int)
         hi = np.ceil(pts.max(axis=0) + reach).astype(int)
-        counts = np.zeros(len(pts), dtype=int)
-        for k in np.ndindex(*(hi - lo + 1)):
-            kk = np.asarray(k) + lo
-            counts += G.quasi_norm(pts - kk) < self.r0
-        return counts
+        cells = np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
+        _, hits = ball_pairs(self.group, cells, self.r0, pts)
+        return np.bincount(hits, minlength=len(pts))
 
 
 def _cube_boundary_grid(d: int, half: float, res: int = 9) -> np.ndarray:
@@ -230,21 +261,10 @@ class StructuredCovering:
     def affine_map(self, j: int) -> AffineMap:
         return AffineMap(self.group, float(self.t[j]), self.centers[j])
 
-    def balls(self):
-        return [self.ball(j) for j in range(len(self))]
-
     def cover_count(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        counts = np.zeros(len(pts), dtype=int)
-        for j in range(len(self)):
-            counts += self.ball(j).contains(self.group, pts)
-        return counts
-
-    def to_records(self) -> list[tuple]:
-        return [
-            (j, self.centers[j].tolist(), float(self.radii[j]), float(self.t[j]))
-            for j in range(len(self))
-        ]
+        _, hits = ball_pairs(self.group, self.centers, self.radii, pts)
+        return np.bincount(hits, minlength=len(pts))
 
 
 def _dilate_each(G: DilationGroup, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -372,21 +392,11 @@ def _validated_shrink_factor(cov: StructuredCovering, witnesses: int = 128) -> f
 
 
 def _shrunk_disjoint(cov: StructuredCovering, factor: float, nodes: np.ndarray) -> bool:
-    G = cov.group
-    centers, t = cov.centers, cov.t
-    rad = factor * t
-    for i in range(len(centers)):
-        # witnesses inside shrunk ball i
-        pts = G.dilate(rad[i], nodes) + centers[i]
-        dist = np.linalg.norm(centers - centers[i], axis=1)
-        reach = G.euclidean_radius_bound(cov.triangle_estimate * float(rad[i] + rad.max())) * 1.1
-        near = np.flatnonzero((dist <= reach))
-        for j in near:
-            if j == i:
-                continue
-            if np.any(G.quasi_norm(pts - centers[j]) < rad[j]):
-                return False
-    return True
+    """True when no shrunk ball holds a witness of another shrunk ball."""
+    rad = factor * cov.t
+    witnesses = np.concatenate([cov.group.dilate(r, nodes) + c for c, r in zip(cov.centers, rad)])
+    balls, hits = ball_pairs(cov.group, cov.centers, rad, witnesses)
+    return bool(np.all(balls == hits // len(nodes)))
 
 
 def covering_intersection_stats(

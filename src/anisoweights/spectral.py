@@ -143,12 +143,16 @@ class BandLimitedField:
     values: np.ndarray       # (N,) + grid.shape
     spectrum: np.ndarray     # (N,) + grid.shape
     ball: AnisoBall
-    tail: float
     field_id: str = "field"
 
     @property
     def N(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def tail(self) -> float:
+        """Spectral mass fraction outside the ball widened by _TAIL_FACTOR."""
+        return _spectral_tail(self.grid, self.group, self.spectrum, self.ball)
 
     @classmethod
     def from_spectrum(cls, grid, group, spectrum, ball, field_id="field",
@@ -164,17 +168,14 @@ class BandLimitedField:
             if peak > 0:
                 values = values / peak
                 spectrum = spectrum / peak
-        tail = _spectral_tail(grid, group, spectrum, ball)
-        return cls(grid, group, values, spectrum, ball, tail, field_id)
+        return cls(grid, group, values, spectrum, ball, field_id)
 
     @classmethod
     def from_values(cls, grid, group, values, ball, field_id="field"):
         values = np.asarray(values, dtype=complex)
         if values.ndim == grid.d:
             values = values[None]
-        spectrum = grid.forward(values)
-        tail = _spectral_tail(grid, group, spectrum, ball)
-        return cls(grid, group, values, spectrum, ball, tail, field_id)
+        return cls(grid, group, values, grid.forward(values), ball, field_id)
 
     def is_band_limited(self, limit: float = _TAIL_LIMIT) -> bool:
         return self.tail <= limit
@@ -513,10 +514,7 @@ class InterpolationKernel:
         self._ramp = _shift_poly(_smootherstep_coeffs(), self.a, self.b)
 
     def spectrum_axis(self, z) -> np.ndarray:
-        z = np.abs(np.asarray(z, dtype=float))
-        t = np.clip((self.b - z) / (self.b - self.a), 0.0, 1.0)
-        s = np.polyval(_smootherstep_coeffs()[::-1], t)
-        return np.where(z <= self.a, 1.0, np.where(z >= self.b, 0.0, s))
+        return poly_plateau(np.abs(np.asarray(z, dtype=float)), self.a, self.b)
 
     def axis_values(self, x) -> np.ndarray:
         """(2pi)^(-1/2) integral of the axis spectrum times e^(ixz)."""

@@ -5,15 +5,23 @@ from anisoweights.besov import (
     BesovParams,
     DenominatorVanishes,
     analyze,
+    bapu_independence_check,
     besov_norm,
     build_bapu,
     build_sqrt_bapu,
     discrete_b_norm,
+    mollifier_bump,
     synthesize,
 )
 from anisoweights.dilation import new_dilation_group
-from anisoweights.geometry import AnisoBall, build_structured_covering
-from anisoweights.spectral import FourierGrid, TruncationInsufficient, standard_ensemble
+from anisoweights.geometry import AnisoBall, ball_volume, build_structured_covering
+from anisoweights.muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
+from anisoweights.spectral import (
+    FourierGrid,
+    TruncationInsufficient,
+    _riemann_norm,
+    standard_ensemble,
+)
 from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
 
 PARAMS = BesovParams(0.5, 2, 2)
@@ -58,9 +66,39 @@ def both_norms(f, c, W, bapu):
     return besov_norm(f, W, PARAMS, bapu), discrete_b_norm(c, W, PARAMS)
 
 
+def sqrt_weight():
+    """diag(|x|^1/2, 1)."""
+    return MatrixWeightSpec.diagonal([ScalarWeightSpec.radial_power(0.5),
+                                      ScalarWeightSpec.constant(1.0)])
+
+
+def per_coefficient_terms(coeffs, W, params):
+    """Per-patch terms of discrete_b_norm, one quasi-norm call per coefficient cell."""
+    grid, group = coeffs.grid, coeffs.group
+    pts = grid.spatial_points()
+    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
+    terms = []
+    for k in sorted(coeffs.patches):
+        ls, coef = coeffs.patches[k]
+        t_k = float(coeffs.t[k])
+        rho = coeffs.r0 / t_k
+        vol_root = np.sqrt(ball_volume(group, rho))
+        field_k = np.zeros((coef.shape[1], len(pts)), dtype=complex)
+        reach = group.euclidean_radius_bound(rho)
+        centers = coeffs.positions(k, ls)
+        for i in range(len(ls)):
+            near = np.flatnonzero(np.max(np.abs(pts - centers[i]), axis=1) <= reach)
+            cells = near[group.quasi_norm(pts[near] - centers[i]) < rho]
+            field_k[:, cells] += (coef[i] / vol_root)[:, None]
+        mags = weighted_magnitudes(root, field_k.T)
+        terms.append(t_k ** params.s * _riemann_norm(mags, params.p, grid.h ** grid.d))
+    return np.asarray(terms)
+
+
 def two_members(ensemble, coefficients):
-    # the centred gaussian and the random smooth member: discrete_b_norm is
-    # the slow step of this module, and two members cover both field shapes
+    # the centred gaussian and the random smooth member: the per-coefficient
+    # reference is the slow step of this module, and two members cover both
+    # field shapes
     return [(ensemble[i], coefficients[i]) for i in (0, 3)]
 
 
@@ -103,3 +141,26 @@ class TestBesovNorms:
         narrow = build_structured_covering(G1, 0.5, 2.0, seed=0, candidates_per_shell=256)
         with pytest.raises(TruncationInsufficient):
             besov_norm(ensemble[0], None, PARAMS, build_bapu(grid, narrow))
+
+    def test_discrete_norm_matches_per_coefficient_loop(self, ensemble, coefficients):
+        sup = BesovParams(0.5, 2, np.inf)
+        for W in (None, sqrt_weight()):
+            for _, c in two_members(ensemble, coefficients):
+                terms = per_coefficient_terms(c, W, PARAMS)
+                assert discrete_b_norm(c, W, PARAMS) == float((terms ** 2).sum() ** 0.5)
+                assert discrete_b_norm(c, W, sup) == float(terms.max())
+
+    def test_norm_ratio_band(self, ensemble, coefficients, bapu):
+        # measured 3.138..3.330 over the four fields and both weights
+        for W in (None, sqrt_weight()):
+            for f, c in zip(ensemble, coefficients):
+                ratio = discrete_b_norm(c, W, PARAMS) / besov_norm(f, W, PARAMS, bapu)
+                assert 3.1 <= ratio <= 3.35
+
+    def test_partition_independence(self, grid, covering, ensemble, bapu):
+        # measured deviation at most 5.1e-4
+        other = build_bapu(grid, covering, bump=mollifier_bump(covering.c))
+        for W in (None, sqrt_weight()):
+            for f in ensemble:
+                ratio = bapu_independence_check(f, W, PARAMS, bapu, other)
+                assert abs(ratio - 1.0) <= 1e-3

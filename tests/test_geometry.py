@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from anisoweights import geometry
 from anisoweights.dilation import new_dilation_group
 from anisoweights.geometry import (
     AffineMap,
     AnisoBall,
     NonPositiveRadius,
+    ball_pairs,
     ball_volume,
     build_structured_covering,
     compute_r0,
@@ -106,6 +108,45 @@ class TestAffine:
         assert np.max(np.abs(back - x)) < 1e-12
 
 
+def brute_pairs(G, centers, radii, points):
+    """All (ball, point) pairs by one quasi-norm call per ball, no prefilter."""
+    balls, hits = [], []
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        inside = np.flatnonzero(G.quasi_norm(points - c) < r)
+        balls += [i] * len(inside)
+        hits += inside.tolist()
+    return np.array(balls, dtype=int), np.array(hits, dtype=int)
+
+
+class TestBallPairs:
+    @pytest.mark.parametrize("A", [[[1.0]], np.eye(2), np.diag([1.0, 2.0]),
+                                   [[1.0, 0.4], [0.4, 1.5]]])
+    @pytest.mark.parametrize("chunk", [2 ** 14, 37])
+    def test_matches_brute_force(self, A, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        G = new_dilation_group(A)
+        rng = np.random.default_rng(8)
+        centers = rng.uniform(-3, 3, size=(40, G.d))
+        radii = rng.uniform(0.05, 1.5, size=40)
+        points = rng.uniform(-4, 4, size=(600, G.d))
+        balls, hits = ball_pairs(G, centers, radii, points)
+        want_balls, want_hits = brute_pairs(G, centers, radii, points)
+        assert len(want_balls) > 100
+        assert np.array_equal(balls, want_balls)
+        assert np.array_equal(hits, want_hits)
+
+    def test_scalar_radius_and_empty_inputs(self, Gani):
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(-2, 2, size=(12, 2))
+        points = rng.uniform(-2, 2, size=(300, 2))
+        one = ball_pairs(Gani, centers, 0.7, points)
+        each = ball_pairs(Gani, centers, np.full(12, 0.7), points)
+        assert all(np.array_equal(a, b) for a, b in zip(one, each))
+        for balls, hits in (ball_pairs(Gani, centers, 0.7, np.empty((0, 2))),
+                            ball_pairs(Gani, np.empty((0, 2)), 0.7, points)):
+            assert balls.size == 0 and hits.size == 0
+
+
 class TestComputeR0:
     def test_one_dimensional(self, G1):
         assert compute_r0(G1, 0.01) == pytest.approx(0.505)
@@ -140,10 +181,38 @@ class TestUnitCovering:
         in_0_shifted = cov.cell(np.zeros(2)).contains(Gani, z - k)
         assert np.array_equal(in_k, in_0_shifted)
 
+    def test_cover_count_matches_cell_loop(self, Gani):
+        cov = unit_covering(Gani, compute_r0(Gani, 0.01))
+        z = np.random.default_rng(5).uniform(-2.5, 2.5, size=(400, 2))
+        # cells beyond |k_i| = 4 are farther than r0's Euclidean reach
+        cells = [np.array(k) - 4 for k in np.ndindex(9, 9)]
+        want = sum(cov.cell(k).contains(Gani, z).astype(int) for k in cells)
+        assert np.array_equal(cov.cover_count(z), want)
+
 
 @pytest.fixture(scope="module")
 def cov8(G1):
     return build_structured_covering(G1, c=0.5, max_norm=8.0, seed=11)
+
+
+@pytest.fixture(scope="module")
+def cov2d(Gani):
+    return build_structured_covering(Gani, c=0.5, max_norm=2.0, seed=5,
+                                     candidates_per_shell=256, validation_samples=256)
+
+
+def pairwise_disjoint(cov, factor, nodes):
+    """Shrunk balls tested pair by pair, skipping pairs too far apart to meet."""
+    G = cov.group
+    rad = factor * cov.t
+    reach = np.array([G.euclidean_radius_bound(r) for r in rad])
+    for i in range(len(cov)):
+        pts = G.dilate(rad[i], nodes) + cov.centers[i]
+        for j in range(len(cov)):
+            far = np.linalg.norm(cov.centers[i] - cov.centers[j]) > reach[i] + reach[j]
+            if j != i and not far and np.any(G.quasi_norm(pts - cov.centers[j]) < rad[j]):
+                return False
+    return True
 
 
 class TestStructuredCovering:
@@ -175,6 +244,20 @@ class TestStructuredCovering:
         order = np.argsort(lo)
         lo, hi = lo[order], hi[order]
         assert np.all(lo[1:] >= hi[:-1] - 1e-12)
+
+    def test_cover_count_matches_per_ball_sum(self, cov8, cov2d):
+        rng = np.random.default_rng(6)
+        for cov, half in ((cov8, 9.0), (cov2d, 2.5)):
+            z = rng.uniform(-half, half, size=(500, cov.group.d))
+            want = sum(cov.ball(j).contains(cov.group, z).astype(int) for j in range(len(cov)))
+            assert np.array_equal(cov.cover_count(z), want)
+
+    def test_shrunk_disjoint_matches_pairwise_loop(self, cov2d):
+        G = cov2d.group
+        nodes = geometry._unit_ball_reference_nodes(128, G.d, G.p_scale, boundary_bias=True)
+        for factor, disjoint in ((cov2d.shrink_factor, True), (2 * cov2d.shrink_factor, False)):
+            assert geometry._shrunk_disjoint(cov2d, factor, nodes) is disjoint
+            assert pairwise_disjoint(cov2d, factor, nodes) is disjoint
 
     def test_geometric_shell_structure(self, cov8):
         # dyadic shells keep a bounded number of balls each

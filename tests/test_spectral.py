@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisoweights.dilation import new_dilation_group
+from anisoweights.dilation import DilationGroup, new_dilation_group
 from anisoweights.geometry import AffineMap, AnisoBall
 from anisoweights.muckenhoupt import BallQuadrature
 from anisoweights.spectral import (
@@ -12,6 +12,8 @@ from anisoweights.spectral import (
     MultiplierSpec,
     SizeMismatch,
     SupportViolation,
+    _smootherstep_coeffs,
+    _spectral_tail,
     apply_multiplier,
     decay_certificate,
     interpolation_kernel,
@@ -128,6 +130,21 @@ class TestBandLimitedField:
         [f] = [x for x in standard_ensemble(grid1, G1, ball) if x.field_id == "gauss"]
         assert f.tail <= 1e-12
         assert f.is_band_limited()
+
+    def test_tail_computed_on_read(self, grid1, G1, monkeypatch):
+        calls = []
+        solve = DilationGroup.quasi_norm
+        monkeypatch.setattr(DilationGroup, "quasi_norm",
+                            lambda self, xi: calls.append(1) or solve(self, xi))
+        ball = AnisoBall([0.5], 1.5)
+        spec = np.exp(-grid1.xi_axis ** 2)
+        fields = [BandLimitedField.from_spectrum(grid1, G1, spec, ball),
+                  BandLimitedField.from_values(grid1, G1, grid1.inverse(spec), ball)]
+        assert calls == []
+        for f in fields:
+            tail = f.tail
+            assert tail == _spectral_tail(grid1, G1, f.spectrum, ball)
+            assert 0.0 < tail < 1.0
 
     def test_spectral_point_evaluation(self, grid1, G1):
         ball = AnisoBall([0.0], 1.0)
@@ -329,6 +346,16 @@ class TestSamplingRepresentation:
         sym = kernel.spectrum_axis(grid1.xi_axis).astype(complex)
         conv = grid1.inverse(sym[None] * f.spectrum)
         assert np.max(np.abs(conv - f.values)) < 1e-10
+
+    def test_kernel_spectrum_is_smootherstep_ramp(self):
+        kernel = InterpolationKernel(a=1.0, b=2.5)
+        z = np.linspace(-3.0, 3.0, 601)
+        spec = kernel.spectrum_axis(z)
+        plateau, off = np.abs(z) <= 1.0, np.abs(z) >= 2.5
+        assert np.all(spec[plateau] == 1.0) and np.all(spec[off] == 0.0)
+        t = (2.5 - np.abs(z)) / 1.5
+        ramp = np.polyval(_smootherstep_coeffs()[::-1], t)
+        assert np.max(np.abs(spec - ramp)[~plateau & ~off]) <= 1e-15
 
     def test_kernel_invalid(self, grid1, G1):
         bad = InterpolationKernel(a=0.8, d=1)
