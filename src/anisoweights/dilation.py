@@ -32,6 +32,23 @@ class NonFiniteInput(ValueError):
 _SYMMETRY_TOL = 1e-10
 _RESIDUAL_TOL = 1e-12
 _MAX_BISECT = 200
+# Tie band of the sign rule |x|_A < r <=> f(r) < 1, in units of
+# alpha2 / alpha1.  L(s) = log f(e^s) has slope in [-2 alpha2, -2 alpha1].
+# The solve stops with |f(mid) - 1| <= _RESIDUAL_TOL for every point, or
+# with a ~1 ulp bracket whose computed signs can be wrong only within
+# e_f / (2 alpha1) of the root, so that |L(mid)| <= alpha2/alpha1 * e_f.
+# On the safe range below, every exponent 2 lam s near a root stays under
+# 600 in magnitude: the evaluation error e_f of f (600 * 2^-53 from the
+# rounded exponent, plus a few ulps) and the rounding of log r and of
+# exp(mid) (2 alpha2 |s| 2^-53 <= 600 * 2^-53 each, in L) stay below
+# alpha2/alpha1 * 3e-13 together.  L is monotone, so f(r) - 1 beyond
+# alpha2/alpha1 * (_RESIDUAL_TOL + 3e-13) already has the sign of
+# quasi_norm(x) - r in any batch; the band leaves a factor 3 over that.
+_TIE_BAND = 4.0 * _RESIDUAL_TOL
+# |log sigma |c|^2| below _SAFE_LOG_U2 * alpha1 / alpha2 keeps the solve's
+# bracket, and with it every exponent the solve meets, within +-600.
+_SAFE_LOG_U2 = 600.0
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 class DilationGroup:
@@ -73,6 +90,9 @@ class DilationGroup:
         self.alpha1 = float(lam.min())
         self.alpha2 = float(lam.max())
         self.p_scale = float(p_scale)
+        self._neg_lam2 = -(2.0 * lam)
+        cap = _SAFE_LOG_U2 * self.alpha1 / self.alpha2
+        self._safe_u2 = (np.exp(-cap), np.exp(cap))
 
     def __repr__(self):
         return (f"DilationGroup(d={self.d}, nu={self.nu:.6g}, "
@@ -106,6 +126,20 @@ class DilationGroup:
         out = self._solve(np.atleast_2d(xi))
         return float(out[0]) if single else out
 
+    def _squares(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared eigenbasis coordinates c2 and sigma * |c|^2 of each point."""
+        c2 = (pts @ self.eigenvectors) ** 2
+        u2 = self.p_scale * c2.sum(axis=1)
+        # the largest u2 is NaN or inf only if a coordinate is or c2
+        # overflows, so finite input pays no separate scan of pts
+        if not u2.max(initial=0.0) < np.inf and not np.isfinite(pts).all():
+            raise NonFiniteInput("quasi_norm needs finite coordinates")
+        return c2, u2
+
+    def _level(self, c2: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The defining function f = sigma * sum(c2 * t^(-2 lam)) at t = e^s."""
+        return self.p_scale * np.einsum("ij,ij->i", c2, np.exp(np.outer(s, self._neg_lam2)))
+
     def _solve(self, pts: np.ndarray) -> np.ndarray:
         """Bisection on log t for sigma * sum(c2 * t^(-2 lam)) = 1.
 
@@ -113,20 +147,16 @@ class DilationGroup:
         bounds give an exact initial bracket, so convergence is guaranteed.
         Every point iterates until the whole batch has converged, so a
         point's result depends on its batch, by up to ~1e-12 relative.
+        A membership test |x|_A < r needs no solve: f is decreasing, so it
+        holds exactly when f(r) < 1.  _side decides it by that sign wherever
+        |f(r) - 1| exceeds the tie band alpha2/alpha1 * _TIE_BAND (4e-12
+        alpha2/alpha1), and _below solves only a call that holds a tie.
         """
-        sigma = self.p_scale
-        lam2 = 2.0 * self.eigenvalues
-        c2 = (pts @ self.eigenvectors) ** 2
-        u2 = sigma * c2.sum(axis=1)
+        c2, u2 = self._squares(pts)
         out = np.zeros(len(u2))
-        # the largest u2 is NaN or inf only if a coordinate is or c2
-        # overflows, so finite input pays no separate scan of pts
-        top = u2.max(initial=0.0)
-        if not top < np.inf and not np.isfinite(pts).all():
-            raise NonFiniteInput("quasi_norm needs finite coordinates")
-        if top == 0.0:
-            return out
         active = u2 > 0.0
+        if not active.any():
+            return out
         u = np.sqrt(u2[active])
         ca = c2[active]
         e1, e2 = u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2)
@@ -134,8 +164,7 @@ class DilationGroup:
         hi = np.log(np.maximum(e1, e2))
         mid = 0.5 * (lo + hi)
         for _ in range(_MAX_BISECT):
-            f = sigma * np.einsum("ij,ij->i", ca, np.exp(np.outer(mid, -lam2)))
-            resid = f - 1.0
+            resid = self._level(ca, mid) - 1.0
             if np.all(np.abs(resid) <= _RESIDUAL_TOL):
                 break
             above = resid > 0.0  # f decreasing: root lies above mid
@@ -146,6 +175,34 @@ class DilationGroup:
             mid = 0.5 * (lo + hi)
         out[active] = np.exp(mid)
         return out
+
+    def _side(self, pts: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+        """|pts|_A < r by the sign of f(r) - 1, with the undecided points.
+
+        Returns (inside, tie): where tie is False, inside equals
+        quasi_norm(pts) < r bitwise, for any batch the solve runs on.  Ties
+        are the points with f(r) within alpha2/alpha1 * _TIE_BAND of 1, a
+        level f(r) that is NaN, overflows or underflows, and points whose
+        solve bracket leaves the safe range.  A point at the centre is
+        inside exactly when r > 0, as the solve returns 0 there.
+        """
+        c2, u2 = self._squares(pts)
+        with np.errstate(all="ignore"):
+            level = self._level(c2, np.log(np.broadcast_to(r, len(u2))))
+        band = _TIE_BAND * self.alpha2 / self.alpha1
+        lo, hi = self._safe_u2
+        decided = ((u2 > lo) & (u2 < hi) & (np.abs(level - 1.0) > band)
+                   & (level >= _TINY) & (level <= _HUGE))
+        centre = u2 == 0.0
+        inside = np.where(centre, 0.0 < np.asarray(r), level < 1.0)
+        return inside, ~(decided | centre)
+
+    def _below(self, pts: np.ndarray, r) -> np.ndarray:
+        """quasi_norm(pts) < r, bitwise, solving the whole call on a tie."""
+        inside, tie = self._side(pts, r)
+        if tie.any():
+            return self.quasi_norm(pts) < r
+        return inside
 
     def bracket(self, xi) -> np.ndarray | float:
         """Bracket function 1 + |xi|_A."""

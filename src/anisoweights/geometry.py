@@ -46,7 +46,7 @@ class AnisoBall:
 
     def contains(self, G: DilationGroup, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return G.quasi_norm(pts - self.center) < self.radius
+        return G._below(pts - self.center, self.radius)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,39 @@ def map_ball(G: DilationGroup, T: AffineMap, B: AnisoBall) -> AnisoBall:
     return AnisoBall(T.apply(B.center), B.radius * T.scale)
 
 
-_PAIR_CHUNK = 2 ** 13  # candidate (ball, point) pairs per quasi-norm call
+_PAIR_CHUNK = 2 ** 13  # candidate (ball, point) pairs per batch
+
+
+def _box_reach(G: DilationGroup, r) -> np.ndarray:
+    """Euclidean radius of B_A(0, r) for an array of radii r."""
+    return np.maximum(r ** G.alpha1, r ** G.alpha2) / np.sqrt(G.p_scale)
+
+
+def _box_pairs(centers: np.ndarray, reach: np.ndarray, points: np.ndarray, skip=None):
+    """Batches (i, j) of the points j in the box |points[j] - centers[i]|_inf <= reach[i].
+
+    Points sorted on the first coordinate give each ball a strip by
+    searchsorted, and the box thins it; skip[i] drops the first skip[i]
+    points of that order from ball i's strip.  A batch holds whole strips,
+    ordered by ball and then by first coordinate, of at most _PAIR_CHUNK
+    pairs unless a single strip is longer.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    start = np.searchsorted(points[order, 0], centers[:, 0] - reach, "left")
+    if skip is not None:
+        start = np.maximum(start, skip)
+    sizes = np.searchsorted(points[order, 0], centers[:, 0] + reach, "right") - start
+    sizes = np.maximum(sizes, 0)
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < len(centers):
+        base = ends[first] - sizes[first]
+        last = max(first + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
+        b = np.repeat(np.arange(first, last), sizes[first:last])
+        j = order[np.arange(base, ends[last - 1]) + (start - ends + sizes)[b]]
+        near = np.abs(points[j, 1:] - centers[b, 1:]).max(axis=1, initial=0.0) <= reach[b]
+        yield b[near], j[near]
+        first = last
 
 
 def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np.ndarray]:
@@ -104,27 +136,18 @@ def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np
     Pairs come ordered by ball, then by point: a sum over them adds each
     point's balls in the order of a loop over the balls, bitwise the same.
     Candidates are the points in each ball's Euclidean box (radii may be a
-    scalar); one quasi-norm call decides up to _PAIR_CHUNK of them.
+    scalar).  Each batch of them is decided by the sign of the defining
+    function at the radius (DilationGroup._side), with no solve; a batch
+    holding a pair within the tie band is solved by one quasi-norm call, so
+    the pairs equal those of quasi_norm(batch) < radii bitwise.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     radii = np.broadcast_to(np.asarray(radii, dtype=float), len(centers))
-    reach = np.maximum(radii ** G.alpha1, radii ** G.alpha2) / np.sqrt(G.p_scale)
-    order = np.argsort(points[:, 0], kind="stable")
-    start = np.searchsorted(points[order, 0], centers[:, 0] - reach, "left")
-    sizes = np.searchsorted(points[order, 0], centers[:, 0] + reach, "right") - start
-    ends = np.cumsum(sizes)
-    keys, first = [np.empty(0, dtype=int)], 0
-    while first < len(centers):
-        base = ends[first] - sizes[first]
-        last = max(first + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
-        b = np.repeat(np.arange(first, last), sizes[first:last])
-        j = order[np.arange(base, ends[last - 1]) + (start - ends + sizes)[b]]
-        near = np.abs(points[j, 1:] - centers[b, 1:]).max(axis=1, initial=0.0) <= reach[b]
-        b, j = b[near], j[near]
-        inside = G.quasi_norm(points[j] - centers[b]) < radii[b]
+    keys = [np.empty(0, dtype=int)]
+    for b, j in _box_pairs(centers, _box_reach(G, radii), points):
+        inside = G._below(points[j] - centers[b], radii[b])
         keys.append(np.sort(b[inside] * len(points) + j[inside]))
-        first = last
     keys = np.concatenate(keys)  # frees the per-batch pieces before the split
     return np.divmod(keys, len(points))
 
@@ -308,6 +331,14 @@ def build_structured_covering(
     a maximal subset of deterministic candidates is kept whose pairwise
     quasi-distances exceed sep * min(<zeta_i>, <zeta_j>), where
     sep = c / (4 * C_est) and C_est is the sampled triangle constant.
+    Candidates are taken in order, each against the previous shell's
+    selections and the candidates kept before it.  Every such pair in a
+    Euclidean box is decided without a solve by the sign rule
+    |x|_A <= thresh <=> f(thresh) <= 1 (DilationGroup._side).  Only a
+    candidate whose sole conflicts with kept partners lie within the tie
+    band, |f - 1| <= 4e-12 alpha2/alpha1, is decided by one quasi-norm solve
+    over its window, as a loop of such solves would, so the net is that
+    loop's net bitwise.
     """
     if not 0 < c <= 1:
         raise ValueError("require 0 < c <= 1")
@@ -321,38 +352,21 @@ def build_structured_covering(
     if candidates_per_shell is None:
         candidates_per_shell = int(min(12000, max(256, 6 * (2.0 / sep) ** G.nu)))
 
-    sel_pts = np.empty((0, G.d))
-    sel_br = np.empty(0)
-    shell_slices = []
-    offset = 0
-    prev_start = 0
-    sqrt_sigma = np.sqrt(G.p_scale)
+    sel_pts, sel_br, shell_slices = [np.empty((0, G.d))], [np.empty(0)], []
+    offset = start = 0
     for lo, hi in shells:
         cands = _shell_candidates(G, max(lo, 1e-6), hi, candidates_per_shell, offset)
         offset += 17  # decorrelate the Halton streams between shells
         br = G.bracket(cands)
-        start = len(sel_pts)
-        for i in range(len(cands)):
-            z, bz = cands[i], br[i]
-            ok = True
-            # points two or more shells below cannot conflict at this sep
-            window = slice(prev_start, len(sel_pts))
-            pts_w, br_w = sel_pts[window], sel_br[window]
-            if len(pts_w):
-                thresh = sep * np.minimum(br_w, bz)
-                reach = np.maximum(thresh ** G.alpha1, thresh ** G.alpha2) / sqrt_sigma
-                near = np.flatnonzero(np.abs(pts_w - z).max(axis=1) <= reach)
-                if near.size:
-                    qd = G.quasi_norm(pts_w[near] - z)
-                    ok = bool(np.all(qd > thresh[near]))
-            if ok:
-                sel_pts = np.vstack([sel_pts, z[None, :]])
-                sel_br = np.append(sel_br, bz)
-        shell_slices.append((start, len(sel_pts)))
-        prev_start = start
+        # points two or more shells below cannot conflict at this sep
+        keep = _shell_net(G, sep, cands, br, sel_pts[-1], sel_br[-1])
+        shell_slices.append((start, start + len(keep)))
+        start += len(keep)
+        sel_pts.append(cands[keep])
+        sel_br.append(br[keep])
 
-    centers = sel_pts
-    t = sel_br
+    centers = np.concatenate(sel_pts)
+    t = np.concatenate(sel_br)
     radii = c * t
 
     cov = StructuredCovering(
@@ -377,6 +391,76 @@ def build_structured_covering(
 
     cov.shrink_factor = _validated_shrink_factor(cov)
     return cov
+
+
+def _window_ok(G: DilationGroup, sep: float, pts_w, br_w, z, bz) -> bool:
+    """No point of the window within sep * min(<w>, <z>) of z: one solve."""
+    thresh = sep * np.minimum(br_w, bz)
+    near = np.flatnonzero(np.abs(pts_w - z).max(axis=1) <= _box_reach(G, thresh))
+    return not near.size or bool(np.all(G.quasi_norm(pts_w[near] - z) > thresh[near]))
+
+
+def _conflicts(G: DilationGroup, sep: float, cands, br, partners, partner_br, same: bool):
+    """Candidate-partner pairs (i, k) that conflict or tie, with the tie flags.
+
+    A pair counts when the partner lies in the box of the window test
+    (_window_ok) and |partners[k] - cands[i]|_A <= thresh; the sign rule
+    decides it or flags a tie.  With same, partners are the candidates
+    themselves and each pair comes once, with k < i.  Pairs come ordered
+    by candidate.
+    """
+    reach = _box_reach(G, sep * br)  # thresh <= sep * br[i]
+    # widen the strip past the rounding of its ends, so it holds every pair
+    # the exact per-pair box test below keeps
+    reach += 1e-9 * (reach + np.abs(cands[:, 0]))
+    skip = None
+    if same:  # search each pair once, from the candidate sorted first
+        skip = np.empty(len(cands), dtype=int)
+        skip[np.argsort(cands[:, 0], kind="stable")] = np.arange(1, len(cands) + 1)
+    found = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=bool),)]
+    for i, k in _box_pairs(cands, reach, partners, skip):
+        if same:
+            i, k = np.maximum(i, k), np.minimum(i, k)
+        thresh = sep * np.minimum(partner_br[k], br[i])
+        diff = partners[k] - cands[i]
+        inside, tie = G._side(diff, thresh)
+        hit = np.flatnonzero(inside | tie)
+        hit = hit[np.abs(diff[hit]).max(axis=1) <= _box_reach(G, thresh[hit])]
+        found.append((i[hit], k[hit], tie[hit]))
+    i, k, tie = [np.concatenate(part) for part in zip(*found)]
+    order = np.argsort(i, kind="stable")
+    return i[order], k[order], tie[order]
+
+
+def _shell_net(G: DilationGroup, sep: float, cands, br, prev, prev_br) -> np.ndarray:
+    """Indices of the candidates a greedy pass in order keeps.
+
+    A candidate is kept when no partner in its window -- the previous
+    shell's selections and the candidates kept before it -- lies within
+    sep * min(<zeta_i>, <zeta_j>).  Every candidate-partner pair is first
+    decided by the sign rule in a few batches; a candidate whose only
+    conflicts with live partners are ties gets the per-candidate window
+    test (_window_ok) on the window it would have had, so the net is
+    bitwise the one of that test alone.
+    """
+    pi, _, p_tie = _conflicts(G, sep, cands, br, prev, prev_br, same=False)
+    si, sk, s_tie = _conflicts(G, sep, cands, br, cands, br, same=True)
+    keep = np.ones(len(cands), dtype=bool)
+    keep[pi[~p_tie]] = False
+    unsure = np.zeros(len(cands), dtype=bool)
+    unsure[pi[p_tie]] = True
+    bounds = np.searchsorted(si, np.arange(len(cands) + 1))
+    todo = keep & (unsure | (np.diff(bounds) > 0))
+    for i in np.flatnonzero(todo):
+        live = keep[sk[bounds[i]:bounds[i + 1]]]
+        ties = s_tie[bounds[i]:bounds[i + 1]]
+        if np.any(live & ~ties):
+            keep[i] = False
+        elif unsure[i] or np.any(live & ties):
+            window = np.concatenate([prev, cands[:i][keep[:i]]])
+            window_br = np.concatenate([prev_br, br[:i][keep[:i]]])
+            keep[i] = _window_ok(G, sep, window, window_br, cands[i], br[i])
+    return np.flatnonzero(keep)
 
 
 def _validated_shrink_factor(cov: StructuredCovering, witnesses: int = 128) -> float:
@@ -425,10 +509,10 @@ def covering_intersection_stats(
         br_i = G.bracket(pts)
         count = 0
         for j in possible:
-            inside = G.quasi_norm(pts - C2.centers[j]) < C2.radii[j]
+            inside = G._below(pts - C2.centers[j], C2.radii[j])
             if not np.any(inside):
                 dpts = G.dilate(ri, dense) + ci
-                inside = G.quasi_norm(dpts - C2.centers[j]) < C2.radii[j]
+                inside = G._below(dpts - C2.centers[j], C2.radii[j])
                 if not np.any(inside):
                     continue
             count += 1

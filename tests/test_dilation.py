@@ -204,6 +204,75 @@ class TestQuasiNorm:
         assert diffs[-1] / diffs[-2] < 0.85
 
 
+class TestSignRule:
+    """_side decides |x|_A < r by the sign of f(r) - 1, _below falls back."""
+
+    @pytest.mark.parametrize("A", [[[1.0]], np.diag([0.5, 1.0]), np.diag([1.0, 2.0]),
+                                   [[1.0, 0.3], [0.3, 1.5]], np.diag([0.3, 1.0, 3.0])])
+    def test_decisions_match_every_batching(self, A):
+        G = new_dilation_group(A)
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((300, G.d)) * 2.0 ** rng.uniform(-20, 20, (300, 1))
+        x[:30, 0] = 0.0
+        q = G.quasi_norm(x)
+        q_small = np.concatenate([G.quasi_norm(x[i:i + 3]) for i in range(0, len(x), 3)])
+        for rel in (0.0, 1e-14, -1e-14, 2e-12, -2e-12, 1e-11, -1e-11, 1e-9, -1e-9, 0.5, -0.5):
+            r = q * (1.0 + rel)
+            inside, tie = G._side(x, r)
+            assert not tie.any() or abs(rel) < 1e-9
+            for solved in (q, q_small):
+                assert np.array_equal(inside[~tie], (solved < r)[~tie])
+            assert np.array_equal(G._below(x, r), q < r)
+
+    def test_exact_ties_fall_back(self):
+        # (+-2, 0) and (0, +-4) lie exactly on |c|_A = 2 for diag(1, 2)
+        G = new_dilation_group(np.diag([1.0, 2.0]))
+        pts = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 4.0], [0.0, -4.0], [1.0, 1.0], [3.0, 1.0]])
+        inside, tie = G._side(pts, 2.0)
+        assert tie.tolist() == [True] * 4 + [False] * 2
+        assert inside[4:].tolist() == [True, False]
+        assert np.array_equal(G._below(pts, 2.0), G.quasi_norm(pts) < 2.0)
+
+    def test_centre_is_inside_positive_radii(self):
+        G = coupled_group()
+        inside, tie = G._side(np.zeros((2, 2)), np.array([1e-300, 0.0]))
+        assert inside.tolist() == [True, False] and not tie.any()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                                "ignore:overflow:RuntimeWarning")
+    def test_non_finite_input_raises(self):
+        G = coupled_group()
+        for bad in ([[np.nan, 0.0]], [[np.inf, 1.0]], [[1.0, 2.0], [0.0, -np.inf]]):
+            with pytest.raises(NonFiniteInput):
+                G._side(np.array(bad), 1.0)
+            with pytest.raises(NonFiniteInput):
+                G._below(np.array(bad), 1.0)
+
+    def test_overflowing_and_underflowing_levels_are_ties(self):
+        # r = 1e-200 on diag(0.3, 3): t^(-6) overflows, and on the first
+        # axis the level is 0 * inf = NaN, which must not read as outside
+        G = new_dilation_group(np.diag([0.3, 3.0]))
+        axes = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with np.errstate(all="raise"):
+            inside, tie = G._side(axes, 1e-200)
+        assert tie.all()
+        assert np.array_equal(G._below(axes, 1e-200), G.quasi_norm(axes) < 1e-200)
+        # r = 1e200 on diag(1, 2): every term of the level underflows to 0
+        G = new_dilation_group(np.diag([1.0, 2.0]))
+        inside, tie = G._side(np.array([[1.0, 1.0]]), 1e200)
+        assert tie.all() and G._below(np.array([[1.0, 1.0]]), 1e200).all()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_points_outside_the_safe_range_are_ties(self):
+        G = new_dilation_group(np.diag([1.0, 2.0]))
+        pts = np.array([[1e-150, 0.0], [1e150, 1e150]])
+        r = np.array([1e-150, 1e100])
+        inside, tie = G._side(pts, r)
+        assert tie.all()
+        assert np.array_equal(G._below(pts, r), G.quasi_norm(pts) < r)
+
+
 class TestBracket:
     def test_values(self):
         G1 = new_dilation_group(np.eye(2))

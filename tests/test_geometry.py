@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisoweights import geometry
+from anisoweights import dilation, geometry
 from anisoweights.dilation import new_dilation_group
 from anisoweights.geometry import (
     AffineMap,
@@ -135,6 +135,28 @@ class TestBallPairs:
         assert np.array_equal(balls, want_balls)
         assert np.array_equal(hits, want_hits)
 
+    def test_exact_ties_match_one_solve_of_the_batch(self, Gani):
+        # (+-2, 0) and (0, +-4) lie exactly on |c|_A = 2 for diag(1, 2)
+        points = np.array([[0.0, 4.0], [2.0, 0.0], [0.5, -1.0], [-2.0, 0.0],
+                           [0.0, -4.0], [1.9, 0.3], [-0.2, 0.1]])
+        balls, hits = ball_pairs(Gani, np.zeros((1, 2)), 2.0, points)
+        # every point lies in the ball's box, so the batch is in strip order
+        order = np.argsort(points[:, 0], kind="stable")
+        want = np.sort(order[Gani.quasi_norm(points[order]) < 2.0])
+        assert np.array_equal(hits, want) and np.all(balls == 0)
+        _, tie = Gani._side(points, 2.0)
+        assert tie.tolist() == [True, True, False, True, True, False, False]
+
+    def test_forced_solves_match(self, Gani, monkeypatch):
+        rng = np.random.default_rng(10)
+        centers = rng.uniform(-3, 3, size=(30, 2))
+        radii = rng.uniform(0.05, 1.5, size=30)
+        points = rng.uniform(-4, 4, size=(500, 2))
+        want = ball_pairs(Gani, centers, radii, points)
+        monkeypatch.setattr(dilation, "_TIE_BAND", np.inf)
+        got = ball_pairs(Gani, centers, radii, points)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_scalar_radius_and_empty_inputs(self, Gani):
         rng = np.random.default_rng(9)
         centers = rng.uniform(-2, 2, size=(12, 2))
@@ -213,6 +235,101 @@ def pairwise_disjoint(cov, factor, nodes):
             if j != i and not far and np.any(G.quasi_norm(pts - cov.centers[j]) < rad[j]):
                 return False
     return True
+
+
+def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
+                       validation_samples=2048):
+    """build_structured_covering with the per-candidate greedy loop: one
+    quasi-norm call per candidate on its window, grown by np.vstack."""
+    c_est = max(1.0, geometry.triangle_constant_estimate(G, 2000, seed))
+    sep = c / (4.0 * c_est)
+    n_shells = max(1, int(np.ceil(np.log2(max_norm))))
+    shells = [(0.0, 1.0)] + [(2.0 ** m, 2.0 ** (m + 1)) for m in range(n_shells)]
+    if candidates_per_shell is None:
+        candidates_per_shell = int(min(12000, max(256, 6 * (2.0 / sep) ** G.nu)))
+    sel_pts, sel_br = np.empty((0, G.d)), np.empty(0)
+    shell_slices, offset, prev_start = [], 0, 0
+    sqrt_sigma = np.sqrt(G.p_scale)
+    for lo, hi in shells:
+        cands = geometry._shell_candidates(G, max(lo, 1e-6), hi, candidates_per_shell, offset)
+        offset += 17
+        br = G.bracket(cands)
+        start = len(sel_pts)
+        for i in range(len(cands)):
+            z, bz = cands[i], br[i]
+            ok = True
+            window = slice(prev_start, len(sel_pts))
+            pts_w, br_w = sel_pts[window], sel_br[window]
+            if len(pts_w):
+                thresh = sep * np.minimum(br_w, bz)
+                reach = np.maximum(thresh ** G.alpha1, thresh ** G.alpha2) / sqrt_sigma
+                near = np.flatnonzero(np.abs(pts_w - z).max(axis=1) <= reach)
+                if near.size:
+                    qd = G.quasi_norm(pts_w[near] - z)
+                    ok = bool(np.all(qd > thresh[near]))
+            if ok:
+                sel_pts = np.vstack([sel_pts, z[None, :]])
+                sel_br = np.append(sel_br, bz)
+        shell_slices.append((start, len(sel_pts)))
+        prev_start = start
+    cov = geometry.StructuredCovering(
+        group=G, c=c, centers=sel_pts, t=sel_br, radii=c * sel_br, max_norm=max_norm,
+        separation_factor=sep, shrink_factor=sep, height=0,
+        triangle_estimate=c_est, shells=shell_slices)
+    cov.height = int(cov.cover_count(
+        geometry._region_samples(G, max_norm, validation_samples)).max())
+    cov.shrink_factor = geometry._validated_shrink_factor(cov)
+    return cov
+
+
+def assert_same_covering(got, want):
+    for name in ("centers", "t", "radii"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.shells == want.shells
+    assert got.height == want.height
+    assert got.shrink_factor == want.shrink_factor
+
+
+# (A, c, max_norm, seed, candidates_per_shell, validation_samples)
+GREEDY_CASES = [
+    ([[1.0]], 0.5, 8.0, 11, None, 2048),
+    ([[1.0]], 0.5, 24.0, 0, 256, 2048),
+    (np.diag([0.5, 1.0]), 0.5, 4.0, 7, 256, 512),
+    (np.diag([1.0, 2.0]), 0.5, 2.0, 5, 256, 256),
+    ([[1.0, 0.3], [0.3, 1.5]], 0.5, 4.0, 3, 256, 512),
+]
+
+
+class TestGreedyNet:
+    @pytest.mark.parametrize("case", GREEDY_CASES)
+    def test_matches_per_candidate_loop(self, case):
+        A, c, max_norm, seed, n, m = case
+        G = new_dilation_group(A)
+        got = build_structured_covering(G, c, max_norm, seed=seed,
+                                        candidates_per_shell=n, validation_samples=m)
+        assert_same_covering(got, reference_covering(G, c, max_norm, seed, n, m))
+
+    @pytest.mark.parametrize("case", GREEDY_CASES[1:3])
+    def test_forced_solves_match(self, case, monkeypatch):
+        A, c, max_norm, seed, n, m = case
+        G = new_dilation_group(A)
+        want = build_structured_covering(G, c, max_norm, seed=seed,
+                                         candidates_per_shell=n, validation_samples=m)
+        # every pair is a tie: each candidate with a live partner in its box
+        # gets the per-candidate window solve, and every batch a solve
+        monkeypatch.setattr(dilation, "_TIE_BAND", np.inf)
+        window_ok, solves = geometry._window_ok, []
+
+        def counted(*args):
+            solves.append(args)
+            return window_ok(*args)
+
+        monkeypatch.setattr(geometry, "_window_ok", counted)
+        got = build_structured_covering(G, c, max_norm, seed=seed,
+                                        candidates_per_shell=n, validation_samples=m)
+        assert len(solves) > len(got) // 2
+        assert_same_covering(got, want)
 
 
 class TestStructuredCovering:
