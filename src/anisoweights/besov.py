@@ -4,9 +4,12 @@ A structured covering with parameter c0 supplies centers xi_j and scales
 t_j = <xi_j>_A; the patches P_j carry radius c1 = 2 c0.  The partition
 phi_j = g(T_j^-1 xi) / sum_k g(T_k^-1 xi) and its square-root variant are
 tabulated on the frequency lattice, where the partition identities hold
-exactly.  Frame coefficients are exact lattice inner products computed
-patch by patch, indexed so that coefficient (k, l) pairs with the cell
+exactly.  Frame coefficients are exact lattice inner products, indexed so
+that coefficient (k, l) pairs with the cell
 U(k, l) = B_A(delta_{t_k}^{-1} l, r0 / t_k) around the atom's location.
+Each patch's sample lattice is rounded so that its modulations are a
+discrete Fourier basis, so `analyze` and `synthesize` take one FFT per
+patch on the support folded modulo the per-axis sample counts.
 
 Truncation policy: patches cover {|xi|_A <= max_norm} of the covering,
 coefficient lattices cover the measured spatial extent of the analyzed
@@ -120,45 +123,6 @@ class Bapu:
         xi = self.grid.frequency_points()
         region = self.group.quasi_norm(xi) <= self.max_norm
         return float(np.max(np.abs(total[region] - 1.0)))
-
-    def decay_certificate(self, k: int, M: float) -> float:
-        """C with |F^-1 phi_k(x)| <= C t_k^nu (1 + t_k |x|_A)^(-M) on the grid."""
-        spec = np.zeros(np.prod(self.grid.shape), dtype=complex)
-        spec[self.supports[k]] = self.values[k]
-        inv = self.grid.inverse(spec.reshape(self.grid.shape))
-        pts = self.grid.spatial_points()
-        qn = self.group.quasi_norm(pts).reshape(self.grid.shape)
-        t = self.t[k]
-        return float(np.max(np.abs(inv) * (1 + t * qn) ** M) / t ** self.group.nu)
-
-    def eval_at(self, k: int, xi_points: np.ndarray) -> np.ndarray:
-        """phi_k (or psi_k) at arbitrary frequency points, off the lattice."""
-        pts = np.atleast_2d(np.asarray(xi_points, dtype=float))
-        G = self.group
-        gk = None
-        denom = np.zeros(len(pts))
-        for j in range(len(self)):
-            tj, cj = self.t[j], self.centers[j]
-            eta = G.dilate(1.0 / tj, pts - cj)
-            reach = G.euclidean_radius_bound(2 * self.c0)
-            near = np.max(np.abs(eta), axis=1) <= reach
-            if not near.any() and j != k:
-                continue
-            gj = np.zeros(len(pts))
-            if near.any():
-                gj[near] = self.bump(G.quasi_norm(eta[near]))
-            denom += gj ** 2 if self.kind == "sqrt" else gj
-            if j == k:
-                gk = gj
-        if gk is None:
-            gk = np.zeros(len(pts))
-        good = denom > 0
-        out = np.zeros(len(pts))
-        if self.kind == "sqrt":
-            out[good] = gk[good] / np.sqrt(denom[good])
-        else:
-            out[good] = gk[good] / denom[good]
-        return out
 
 
 def _build_partition(grid, group, covering, bump, c0, kind) -> Bapu:
@@ -274,13 +238,20 @@ def _lq_sum(terms, q: float) -> float:
 
 
 def _patch_counts(group: DilationGroup, t_k: float, L: float) -> np.ndarray:
-    """Per-axis sampling counts, rounded so the lattice closes the torus.
+    """Per-axis sampling counts m_k, rounded so the lattice closes the torus.
 
     The continuum theory samples at delta_t^(-1) Z^d with per-axis density
     ~ t^(lambda_i); on the period box the count 2 L t^(lambda_i) is rounded
-    to an integer, which makes the per-patch modulation system an exact
-    discrete Fourier basis.  The sample positions move by at most half a
-    spacing relative to the continuum lattice.
+    to an integer m, and the sample positions are pos_l = l * 2L / m per
+    axis.  They move by at most half a spacing relative to the continuum
+    lattice.  On the frequency lattice xi_j = j * pi / L, so
+
+        pos_l . xi_j = 2 pi l . j / m     (per axis, summed),
+
+    and e^(i pos_l . xi_j) depends on j only through j mod m: the patch's
+    modulation system is an exact DFT basis of size prod(m).  A support
+    whose integer frequencies span at most m per axis folds onto distinct
+    residues, so the modulations are orthonormal on it.
     """
     rows = np.abs(group.dilation_matrix(t_k)) @ np.ones(group.d)
     return np.maximum(4, np.rint(2 * L * rows)).astype(int)
@@ -309,9 +280,6 @@ class CoefficientArray:
     def n_coefficients(self) -> int:
         return sum(len(ls) for ls, _ in self.patches.values())
 
-    def total_square_sum(self) -> float:
-        return float(sum(np.sum(np.abs(c) ** 2) for _, c in self.patches.values()))
-
     def scaled(self, factor: complex) -> "CoefficientArray":
         out = CoefficientArray(self.group, self.grid, self.t, self.r0,
                                dict(self.counts))
@@ -326,25 +294,16 @@ class CoefficientArray:
             ls = self.patches[k][0]
         return np.asarray(ls, dtype=float) * self.spacing(k)
 
-    def cell(self, k: int, l) -> AnisoBall:
-        center = np.asarray(l, dtype=float) * self.spacing(k)
-        return AnisoBall(center, self.r0 / self.t[k])
-
-    def cell_volume(self, k: int) -> float:
-        return ball_volume(self.group, self.r0 / self.t[k])
-
-    def rows(self):
-        for k in sorted(self.patches):
-            ls, coef = self.patches[k]
-            for i in range(len(ls)):
-                for comp in range(coef.shape[1]):
-                    yield (k, tuple(int(v) for v in ls[i]), comp,
-                           float(coef[i, comp].real), float(coef[i, comp].imag))
-
 
 def _full_window(counts: np.ndarray) -> np.ndarray:
     axes = [np.arange(-(m // 2), m - m // 2) for m in counts]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(counts))
+
+
+def _frequency_indices(grid: FourierGrid) -> np.ndarray:
+    """Integer j with xi = j * pi / L, one row per flat lattice index."""
+    flat = np.arange(np.prod(grid.shape))
+    return np.stack(np.unravel_index(flat, grid.shape), axis=1) - grid.n // 2
 
 
 def frame_atom(k: int, l, sqrt_bapu: Bapu) -> BandLimitedField:
@@ -371,60 +330,16 @@ def frame_atom(k: int, l, sqrt_bapu: Bapu) -> BandLimitedField:
     )
 
 
-def frame_atom_direct(k: int, l, sqrt_bapu: Bapu, eta_points: int = 512,
-                      wrap_images: int = None) -> np.ndarray:
-    """The atom of `frame_atom` by the direct-space formula, approximately.
-
-    omega(x) = N_k t_k^nu mu_k(delta_(t_k)(x - x_(k,l))) e^(i x.xi_k) with
-    mu_k the inverse transform of eta -> psi_k(T_k eta), quadratured on an
-    independent uniform eta-grid that is alias-free on the evaluated range;
-    wrap images of the 2L-periodization are summed when they are visible.
-    The routes differ by up to 6e-3 of the atom's sup on a 128-point 4pi
-    grid, 3e-5 on 512 points and 16pi, and by O(1) once the patch crosses
-    the frequency box, where the lattice atom is clipped.
-    """
-    grid, group = sqrt_bapu.grid, sqrt_bapu.group
-    t_k = float(sqrt_bapu.t[k])
-    c_k = sqrt_bapu.centers[k]
-    counts = _patch_counts(group, t_k, grid.L)
-    pos = np.asarray(l, dtype=float) * (2 * grid.L / counts)
-    d = group.d
-    if wrap_images is None:
-        wrap_images = 1 if t_k < 4.0 else 0
-    row = float((np.abs(group.dilation_matrix(t_k)) @ np.ones(d)).max())
-    z_range = row * (2 * wrap_images + 2) * grid.L
-    m = int(max(eta_points, np.ceil(z_range + 700)))
-    ax = (np.arange(m) - m // 2) * (2 * np.pi / m)
-    if d == 1:
-        etas = ax[:, None]
-    else:
-        E1, E2 = np.meshgrid(ax, ax, indexing="ij")
-        etas = np.stack([E1.ravel(), E2.ravel()], axis=1)
-    mu_hat = sqrt_bapu.eval_at(k, group.dilate(t_k, etas) + c_k)
-    live = np.flatnonzero(np.abs(mu_hat) > 1e-15)
-    dvol = (2 * np.pi / m) ** d
-    x0 = grid.spatial_points()
-    total = np.zeros(len(x0), dtype=complex)
-    shifts = [np.zeros(d)] if wrap_images == 0 else [
-        np.asarray(s, dtype=float) * 2 * grid.L
-        for s in np.stack(np.meshgrid(
-            *([np.arange(-wrap_images, wrap_images + 1)] * d), indexing="ij"
-        ), axis=-1).reshape(-1, d)
-    ]
-    prefactor = _patch_normalizer(grid, counts) * t_k ** group.nu
-    for shift in shifts:
-        x = x0 + shift
-        z = group.dilate(t_k, x - pos)
-        phases = np.exp(1j * z @ etas[live].T)
-        mu = (2 * np.pi) ** (-d / 2) * dvol * phases @ mu_hat[live]
-        carrier = np.exp(1j * x @ c_k)
-        total += prefactor * mu * carrier
-    return total.reshape(grid.shape)
-
-
 def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
             coef_floor: float = 1e-12) -> CoefficientArray:
-    """Frame coefficients <f, omega_(k,l)> via exact per-patch lattice sums.
+    """Frame coefficients <f, omega_(k,l)> as exact lattice sums, one DFT per patch.
+
+    Coefficient (k, l) is the lattice sum over the support of psi_k of
+    e^(i pos_l . (xi_j - xi_k)) psi_k(xi_j) fhat(xi_j).  Since
+    pos_l . xi_j = 2 pi l . j / m_k (see _patch_counts), folding the
+    weighted spectrum onto the residues j mod m_k and taking one unscaled
+    inverse DFT gives the sum for every l of the period at once, exactly;
+    the phase e^(-i pos_l . xi_k) follows.
 
     l runs over the full rounded period per patch; entries below
     coef_floor * ||f||_2 are dropped and the policy recorded.
@@ -436,18 +351,19 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
     norm2 = f.l2_norm()
     out = CoefficientArray(group, grid, sqrt_bapu.t, r0)
     lattice_measure = (np.pi / grid.L) ** grid.d
+    freq = _frequency_indices(grid)
+    axes = tuple(range(1, grid.d + 1))
     for k in range(len(sqrt_bapu)):
-        t_k = float(sqrt_bapu.t[k])
-        c_k = sqrt_bapu.centers[k]
-        counts = _patch_counts(group, t_k, grid.L)
+        counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
         out.counts[k] = counts
         idx = sqrt_bapu.supports[k]
-        weighted = flat_spec[:, idx] * sqrt_bapu.values[k]
-        xi = grid.frequency_points()[idx]
+        folded = np.zeros((f.N, *counts), dtype=complex)
+        np.add.at(folded, (slice(None), *(freq[idx] % counts).T),
+                  flat_spec[:, idx] * sqrt_bapu.values[k])
         ls = _full_window(counts)
-        pos = ls.astype(float) * (2 * grid.L / counts)
-        E = np.exp(1j * pos @ (xi - c_k).T)
-        coef = lattice_measure * _patch_normalizer(grid, counts) * (E @ weighted.T)
+        sums = np.fft.ifftn(folded, axes=axes, norm="forward")[(slice(None), *(ls % counts).T)]
+        phase = np.exp(-1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
+        coef = lattice_measure * _patch_normalizer(grid, counts) * phase[:, None] * sums.T
         keep = np.linalg.norm(coef, axis=1) > coef_floor * max(norm2, 1e-300)
         if keep.any():
             out.patches[k] = (ls[keep], coef[keep])
@@ -455,26 +371,32 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
 
 
 def synthesize(coeffs: CoefficientArray, sqrt_bapu: Bapu) -> BandLimitedField:
-    """sum over (k, l) of c_(k,l) omega_(k,l), accumulated in frequency."""
+    """sum over (k, l) of c_(k,l) omega_(k,l), accumulated in frequency.
+
+    The adjoint of `analyze`, one DFT per patch: c_(k,l) e^(i pos_l . xi_k)
+    is placed at the residue l mod m_k, and one forward DFT read at
+    j mod m_k gives sum_l c_(k,l) e^(-i pos_l . (xi_j - xi_k)) on the
+    support, exactly, since pos_l . xi_j = 2 pi l . j / m_k.
+    """
     grid, group = coeffs.grid, sqrt_bapu.group
     N = next(iter(coeffs.patches.values()))[1].shape[1] if coeffs.patches else 1
     spec = np.zeros((N, np.prod(grid.shape)), dtype=complex)
-    max_q = 0.0
+    freq = _frequency_indices(grid)
+    axes = tuple(range(1, grid.d + 1))
+    touched = np.zeros(spec.shape[1], dtype=bool)
     for k in sorted(coeffs.patches):
         ls, coef = coeffs.patches[k]
-        t_k = float(sqrt_bapu.t[k])
-        c_k = sqrt_bapu.centers[k]
         counts = coeffs.counts.get(k)
         if counts is None:
-            counts = _patch_counts(group, t_k, grid.L)
+            counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
         idx = sqrt_bapu.supports[k]
-        xi = grid.frequency_points()[idx]
-        pos = ls.astype(float) * (2 * grid.L / counts)
-        E = np.exp(-1j * (xi - c_k) @ pos.T)
-        patch_spec = (_patch_normalizer(grid, counts)
-                      * sqrt_bapu.values[k] * (E @ coef).T)
-        spec[:, idx] += patch_spec
-        max_q = max(max_q, float(group.quasi_norm(xi).max()))
+        phase = np.exp(1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
+        placed = np.zeros((N, *counts), dtype=complex)
+        np.add.at(placed, (slice(None), *(ls % counts).T), (phase[:, None] * coef).T)
+        sums = np.fft.fftn(placed, axes=axes)[(slice(None), *(freq[idx] % counts).T)]
+        spec[:, idx] += _patch_normalizer(grid, counts) * sqrt_bapu.values[k] * sums
+        touched[idx] = True
+    max_q = group.quasi_norm(grid.frequency_points())[touched].max(initial=0.0)
     ball = AnisoBall(np.zeros(group.d), max(max_q, 1e-6) * 1.001)
     return BandLimitedField.from_spectrum(
         grid, group, spec.reshape((N,) + grid.shape), ball, field_id="synthesis"
