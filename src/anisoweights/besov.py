@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilation import DilationGroup
-from .geometry import AnisoBall, StructuredCovering, ball_pairs, ball_volume, compute_r0
+from .geometry import AnisoBall, StructuredCovering, _lattice, ball_pairs, ball_volume, compute_r0
 from .muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
 from .spectral import (
     BandLimitedField,
@@ -84,14 +84,9 @@ class Bapu:
     grid: FourierGrid
     group: DilationGroup
     covering: StructuredCovering
-    c0: float
     c1: float
-    bump: object
     supports: list          # flat lattice indices per patch
     values: list            # phi_j on the support
-    g_values: list          # raw bump values on the support
-    denominator: np.ndarray
-    height: int
     max_norm: float
     kind: str = "plain"
 
@@ -127,9 +122,8 @@ class Bapu:
 
 def _build_partition(grid, group, covering, bump, c0, kind) -> Bapu:
     xi = grid.frequency_points()
-    nlat = len(xi)
     supports, g_values = [], []
-    denom = np.zeros(nlat)
+    denom = np.zeros(len(xi))
     for j in range(len(covering)):
         t, c = covering.t[j], covering.centers[j]
         # Euclidean box prefilter around the patch
@@ -151,17 +145,10 @@ def _build_partition(grid, group, covering, bump, c0, kind) -> Bapu:
         raise DenominatorVanishes(
             f"partition denominator drops to {worst:.3g} inside the truncation"
         )
-    values = []
-    counts = np.zeros(nlat, dtype=int)
-    for idx, gv in zip(supports, g_values):
-        if kind == "sqrt":
-            values.append(gv / np.sqrt(denom[idx]))
-        else:
-            values.append(gv / denom[idx])
-        counts[idx] += 1
-    height = int(counts[region].max()) if region.any() else 0
-    return Bapu(grid, group, covering, c0, 2 * c0, bump, supports, values,
-                g_values, denom, height, covering.max_norm, kind=kind)
+    norm = np.sqrt(denom) if kind == "sqrt" else denom
+    values = [gv / norm[idx] for idx, gv in zip(supports, g_values)]
+    return Bapu(grid, group, covering, 2 * c0, supports, values,
+                covering.max_norm, kind=kind)
 
 
 def build_bapu(grid: FourierGrid, covering: StructuredCovering,
@@ -296,8 +283,7 @@ class CoefficientArray:
 
 
 def _full_window(counts: np.ndarray) -> np.ndarray:
-    axes = [np.arange(-(m // 2), m - m // 2) for m in counts]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(counts))
+    return _lattice([np.arange(-(m // 2), m - m // 2) for m in counts])
 
 
 def _frequency_indices(grid: FourierGrid) -> np.ndarray:

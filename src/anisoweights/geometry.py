@@ -215,10 +215,14 @@ class UnitCovering:
         return np.bincount(hits, minlength=len(pts))
 
 
+def _lattice(axes) -> np.ndarray:
+    """The product of the 1-D axes as (m, len(axes)) points, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _cube_boundary_grid(d: int, half: float, res: int = 9) -> np.ndarray:
     """Grid on the boundary of [-half, half]^d."""
-    axes = [np.linspace(-half, half, res) for _ in range(d)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = _lattice([np.linspace(-half, half, res) for _ in range(d)])
     on_boundary = np.any(np.isclose(np.abs(pts), half), axis=1)
     return pts[on_boundary]
 
@@ -280,9 +284,6 @@ class StructuredCovering:
 
     def ball(self, j: int) -> AnisoBall:
         return AnisoBall(self.centers[j], self.radii[j])
-
-    def affine_map(self, j: int) -> AffineMap:
-        return AffineMap(self.group, float(self.t[j]), self.centers[j])
 
     def cover_count(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -10,7 +10,8 @@ convention is the spectral norm throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -20,6 +21,7 @@ from .geometry import (
     AffineMap,
     AnisoBall,
     _halton,
+    _lattice,
     _normal_directions,
     ball_volume,
     compute_r0,
@@ -181,8 +183,7 @@ class BallQuadrature:
         m = int(np.ceil(n ** (1.0 / d)))
         m += m % 2  # even counts keep the origin off the lattice
         shift = 0.25 * (task % 2) * 2.0 / m  # offset stream for double integrals
-        axes = [_midpoint_axis(m) + shift for _ in range(d)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        pts = _lattice([_midpoint_axis(m) + shift for _ in range(d)])
         pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
         return pts / np.sqrt(sigma)
 
@@ -229,6 +230,12 @@ def ladder_estimate(levels, stochastic: bool) -> LadderValue:
         value = v3
         error = max(abs(d2), abs(d1) / 2, 1e-12 * scale)
     return LadderValue(value, error, (v1, v2, v3))
+
+
+def _ladder(quad: BallQuadrature, stat) -> LadderValue:
+    """`ladder_estimate` of stat(level) over the levels of `quad`."""
+    return ladder_estimate([stat(level) for level in range(_LEVELS)],
+                           stochastic=quad.rule == "monte_carlo")
 
 
 # -- singular-set safe evaluation ----------------------------------------------
@@ -338,19 +345,18 @@ def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
     if p <= 0:
         raise ValueError("p must be positive")
     scale = G.euclidean_radius_bound(B.radius)
-    levels = []
-    for level in range(_LEVELS):
-        if _is_matrix(W):
+    if _is_matrix(W):
+        def stat(level):
             xs = quad.ball_nodes(G, B, level, task=2 * task, pair=True)
             ts = quad.ball_nodes(G, B, level, task=2 * task + 1, pair=True)
             Px = safe_power_values(W, xs, 1.0 / p, scale)
             Mt = safe_power_values(W, ts, -1.0 / p, scale)
-            levels.append(_matrix_quantity_at_nodes(Px, Mt, p))
-        else:
+            return _matrix_quantity_at_nodes(Px, Mt, p)
+    else:
+        def stat(level):
             nodes = quad.ball_nodes(G, B, level, task=task)
-            w = safe_scalar_values(W, nodes, scale)
-            levels.append(_scalar_quantity_at_nodes(w, p))
-    return ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
+            return _scalar_quantity_at_nodes(safe_scalar_values(W, nodes, scale), p)
+    return _ladder(quad, stat)
 
 
 def ap_ball_quantity(W, B: AnisoBall, p: float, quad: BallQuadrature,
@@ -384,8 +390,7 @@ def default_ball_family(G: DilationGroup, max_center_norm: float = 8.0,
     if radii is None:
         radii = [2.0 ** m for m in range(-3, 4)]
     reach = G.euclidean_radius_bound(max_center_norm)
-    axes = [np.arange(-np.floor(reach), np.floor(reach) + 1, step)] * G.d
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, G.d)
+    pts = _lattice([np.arange(-np.floor(reach), np.floor(reach) + 1, step)] * G.d)
     pts = pts[G.quasi_norm(pts) <= max_center_norm]
     return [AnisoBall(c, r) for c in pts for r in radii]
 
@@ -520,9 +525,6 @@ class DoublingReport:
     rows: list  # (ball index, component, lambda, ratio)
     fitted_beta: dict
 
-    def max_ratio(self):
-        return max(r[3] for r in self.rows)
-
     def bound_satisfied(self, slack: float = 1e-9) -> bool:
         return all(
             ratio <= self.bound_constant * lam ** (self.nu * max(1.0, self.p)) * (1 + slack)
@@ -534,17 +536,16 @@ def _mass_ladder(w, B: AnisoBall, quad: BallQuadrature, G: DilationGroup,
                  task: int = 0) -> LadderValue:
     scale = G.euclidean_radius_bound(B.radius)
     vol = ball_volume(G, B.radius)
-    levels = []
-    for level in range(_LEVELS):
-        nodes = quad.ball_nodes(G, B, level, task=task)
-        levels.append(vol * np.mean(safe_scalar_values(w, nodes, scale)))
-    return ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
+    return _ladder(quad, lambda level: vol * np.mean(safe_scalar_values(
+        w, quad.ball_nodes(G, B, level, task=task), scale)))
 
 
 def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
                    quad: BallQuadrature, G: DilationGroup, v=None,
                    bound_constant: float | None = None) -> DoublingReport:
     """Mass ratios w(lambda B) / w(B) for the weight and its scalar shadows."""
+    if not len(family) or not len(lambdas):
+        raise ValueError("family and lambdas must be nonempty")
     if any(lam < 1 for lam in lambdas):
         raise ValueError("lambdas must be >= 1")
     if _is_matrix(W):
@@ -606,35 +607,37 @@ class PowerWeight:
 
 def reverse_holder_search(w, p: float, family: list[AnisoBall], r_grid,
                           quad: BallQuadrature, G: DilationGroup) -> ReverseHolderResult:
-    """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family."""
-    # the weight itself must be integrable before any r > 1 makes sense
+    """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family.
+
+    w is evaluated once per ball and level, and every r reuses those values.
+    The avg w ladder also checks that w itself is integrable, which must
+    hold before any r > 1 makes sense: it raises `NonIntegrable` if not.
+    """
+    if not family:
+        raise ValueError("family must be nonempty")
+    r_grid = sorted(r_grid)
+    worst = [0.0] * len(r_grid)  # None once r diverges on some ball
     for i, B in enumerate(family):
-        _mass_ladder(w, B, quad, G, task=i)  # raises NonIntegrable if not
-    table = []
-    best = None
-    for r in sorted(r_grid):
-        try:
-            worst = 0.0
-            for i, B in enumerate(family):
-                scale = G.euclidean_radius_bound(B.radius)
-                levels_hi, levels_lo = [], []
-                for level in range(_LEVELS):
-                    nodes = quad.ball_nodes(G, B, level, task=i)
-                    vals = safe_scalar_values(w, nodes, scale)
-                    levels_hi.append(np.mean(vals ** r) ** (1.0 / r))
-                    levels_lo.append(np.mean(vals))
-                stoch = quad.rule == "monte_carlo"
-                hi = ladder_estimate(levels_hi, stochastic=stoch).value
-                lo = ladder_estimate(levels_lo, stochastic=stoch).value
-                worst = max(worst, hi / lo)
-            table.append((float(r), float(worst)))
-            if best is None or r > best[0]:
-                best = (float(r), float(worst))
-        except NonIntegrable:
-            table.append((float(r), None))
-    if best is None:
+        scale = G.euclidean_radius_bound(B.radius)
+
+        @cache
+        def vals(level):
+            return safe_scalar_values(w, quad.ball_nodes(G, B, level, task=i), scale)
+
+        lo = _ladder(quad, lambda level: np.mean(vals(level))).value
+        for k, r in enumerate(r_grid):
+            if worst[k] is None:
+                continue
+            try:
+                hi = _ladder(quad, lambda level: np.mean(vals(level) ** r) ** (1.0 / r))
+                worst[k] = max(worst[k], hi.value / lo)
+            except NonIntegrable:
+                worst[k] = None
+    table = [(float(r), None if v is None else float(v)) for r, v in zip(r_grid, worst)]
+    passed = [row for row in table if row[1] is not None]
+    if not passed:
         return ReverseHolderResult(None, float("inf"), table)
-    return ReverseHolderResult(best[0], best[1], table)
+    return ReverseHolderResult(*passed[-1], table)
 
 
 # -- reducing operators ---------------------------------------------------------------
@@ -752,29 +755,29 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
         A_sharp, sharp_distortion, product_norm = None, None, None
 
     q_values, largest_q = {}, None
-    if p > 1 and A_sharp is not None:
+    if p > 1:
         if q_grid is None:
             q_grid = [p + 0.25, p + 0.5, p + 0.75, p + 1.0]
+
+        # the per-level norms are shared by every q
+        @cache
+        def left(level):  # |W^(1/p)(x) A_B^#|
+            Wp = safe_power_values(W, quad.ball_nodes(G, B, level), 1.0 / p, scale)
+            return spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp))
+
+        @cache
+        def right(level):  # |A_B W^(-1/p)(t)|
+            Wm = safe_power_values(W, quad.ball_nodes(G, B, level, task=1), -1.0 / p, scale)
+            return spectral_norms(np.einsum("ij,mjk->mik", A_B, Wm))
+
         for q in q_grid:
             try:
-                levels = []
-                for level in range(_LEVELS):
-                    nds = quad.ball_nodes(G, B, level)
-                    Wp = safe_power_values(W, nds, 1.0 / p, scale)
-                    vals = spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp))
-                    levels.append(np.mean(vals ** q))
-                lv = ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
-                levels2 = []
-                for level in range(_LEVELS):
-                    nds = quad.ball_nodes(G, B, level, task=1)
-                    Wm = safe_power_values(W, nds, -1.0 / p, scale)
-                    vals = spectral_norms(np.einsum("ij,mjk->mik", A_B, Wm))
-                    levels2.append(np.mean(vals ** q))
-                lv2 = ladder_estimate(levels2, stochastic=quad.rule == "monte_carlo")
-                q_values[float(q)] = (lv.value, lv2.value)
-                largest_q = float(q)
+                lv = _ladder(quad, lambda level: np.mean(left(level) ** q))
+                lv2 = _ladder(quad, lambda level: np.mean(right(level) ** q))
             except NonIntegrable:
                 break
+            q_values[float(q)] = (lv.value, lv2.value)
+            largest_q = float(q)
 
     degenerate = distortion > np.sqrt(N) * (1 + fit_tol)
     return ReducingPair(B, p, A_B, A_sharp, distortion, sharp_distortion,

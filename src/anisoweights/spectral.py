@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilation import DilationGroup
-from .geometry import AnisoBall, ball_volume, compute_r0
+from .geometry import AnisoBall, _lattice, ball_volume, compute_r0
 from .muckenhoupt import (
     BallQuadrature,
     _LEVELS,
@@ -72,16 +72,10 @@ class FourierGrid:
         return f"FourierGrid(d={self.d}, n={self.n}, L={self.L / np.pi:g}*pi)"
 
     def spatial_points(self) -> np.ndarray:
-        if self.d == 1:
-            return self.x_axis[:, None]
-        X, Y = np.meshgrid(self.x_axis, self.x_axis, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=1)
+        return _lattice([self.x_axis] * self.d)
 
     def frequency_points(self) -> np.ndarray:
-        if self.d == 1:
-            return self.xi_axis[:, None]
-        X, Y = np.meshgrid(self.xi_axis, self.xi_axis, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=1)
+        return _lattice([self.xi_axis] * self.d)
 
     @property
     def xi_max(self) -> float:
@@ -126,7 +120,7 @@ class FourierGrid:
         cols = np.flatnonzero(mags > 1e-15 * max(mags.max(), 1e-300))
         xi = self.frequency_points()[cols]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phases = np.exp(1j * pts @ xi.T)
+        phases = np.exp(1j * (pts @ xi.T))
         coef = (np.pi / self.L) ** self.d / (2 * np.pi) ** (self.d / 2)
         return coef * np.einsum("...c,pc->...p", flat[..., cols], phases)
 
@@ -221,9 +215,6 @@ class MultiplierSpec:
         inside = group.quasi_norm(eta) < 1.0
         vals = np.where(inside, vals, 0.0)
         return cls(grid, group, vals.reshape(grid.shape), ball)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.symbol).max())
 
 
 def apply_multiplier(phi: MultiplierSpec, f: BandLimitedField) -> BandLimitedField:
@@ -565,11 +556,7 @@ def sampling_representation(f: BandLimitedField, kernel: InterpolationKernel,
         raise SupportViolation("sampling representation needs supp in B_A(0,1)")
     kernel.validate(grid, group, AnisoBall(np.zeros(group.d), 1.0))
     u = np.asarray(u, dtype=float)
-    rng = np.arange(-truncation, truncation + 1)
-    if group.d == 1:
-        ls = rng[:, None].astype(float)
-    else:
-        ls = np.stack(np.meshgrid(rng, rng, indexing="ij"), axis=-1).reshape(-1, 2).astype(float)
+    ls = _lattice([np.arange(-truncation, truncation + 1)] * group.d).astype(float)
     samples = f.at(ls + u)  # (N, m)
     if group.d == 1:
         eval_pts = grid.spatial_points()
@@ -579,8 +566,7 @@ def sampling_representation(f: BandLimitedField, kernel: InterpolationKernel,
         sl = slice(None, None, step)
         mesh = f.values[:, sl, sl]
         truth = mesh.reshape(f.N, -1)
-        X, Y = np.meshgrid(grid.x_axis[sl], grid.x_axis[sl], indexing="ij")
-        eval_pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+        eval_pts = _lattice([grid.x_axis[sl]] * 2)
     recon = np.zeros_like(truth)
     for i, l in enumerate(ls):
         g = kernel.values(eval_pts - u - l)
@@ -611,8 +597,7 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
         grid = g.grid
         # cells whose centers delta_R^-1 l fall inside the period box
         reach = np.abs(G.dilation_matrix(R)) @ np.full(G.d, grid.L)
-        axes = [np.arange(-np.floor(h), np.floor(h) + 1) for h in reach]
-        ls = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, G.d)
+        ls = _lattice([np.arange(-np.floor(h), np.floor(h) + 1) for h in reach])
         centers = G.dilate(1.0 / R, ls)
         keep = np.max(np.abs(centers), axis=1) < grid.L
         centers = centers[keep]

@@ -4,7 +4,9 @@ from scipy.integrate import quad as spquad
 
 from anisoweights.dilation import new_dilation_group
 from anisoweights.geometry import AffineMap, AnisoBall, compute_r0
+from anisoweights import muckenhoupt
 from anisoweights.muckenhoupt import (
+    _LEVELS,
     BallQuadrature,
     NonIntegrable,
     ap_ball_quantity,
@@ -13,6 +15,7 @@ from anisoweights.muckenhoupt import (
     default_ball_family,
     doubling_check,
     estimate_ap_constant,
+    ladder_estimate,
     invariance_check,
     invariance_report,
     polynomial_ap_validity,
@@ -22,9 +25,12 @@ from anisoweights.muckenhoupt import (
     spectral_norms,
     weighted_tail_bound,
     PowerWeight,
+    _mass_ladder,
     _matrix_quantity_at_nodes,
     _pair_norms,
     _scalar_quantity_at_nodes,
+    safe_power_values,
+    safe_scalar_values,
 )
 from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, hermitian_power
 
@@ -412,6 +418,15 @@ class TestDoubling:
         assert all(r[3] >= 1.0 for r in rep.rows)
         assert rep.bound_satisfied(slack=0.05)
 
+    def test_empty_family_rejected(self, G1, grid1):
+        with pytest.raises(ValueError):
+            doubling_check(sqrt_weight(), 2.0, [], [2.0], grid1, G1, bound_constant=2.0)
+
+    def test_empty_lambdas_rejected(self, G1, grid1):
+        fam = [AnisoBall([0.0], 1.0)]
+        with pytest.raises(ValueError):
+            doubling_check(sqrt_weight(), 2.0, fam, [], grid1, G1, bound_constant=2.0)
+
 
 class TestReverseHolder:
     def test_constant_passes_everything(self, G1, grid1):
@@ -450,6 +465,10 @@ class TestReverseHolder:
                                     [1.5, 4.0], grid1, G1)
         assert res.r_best == 1.5
         assert res.table[-1][1] is None
+
+    def test_empty_family_rejected(self, G1, grid1):
+        with pytest.raises(ValueError):
+            reverse_holder_search(sqrt_weight(), 2.0, [], [1.5, 2.0], grid1, G1)
 
 
 class TestReducing:
@@ -569,6 +588,168 @@ class TestTailBound:
                                   beta=1.5)
         assert np.isfinite(res.ratio)
         assert res.ratio <= res.bound
+
+
+# The hand-written ladder loops that `_ladder` replaced, kept as oracles: each
+# statistic is recomputed from fresh node evaluations on every level and for
+# every exponent.
+
+
+def loop_ap_ladder(W, B, p, quad, G, task=0):
+    scale = G.euclidean_radius_bound(B.radius)
+    levels = []
+    for level in range(_LEVELS):
+        if hasattr(W, "power_values"):
+            xs = quad.ball_nodes(G, B, level, task=2 * task, pair=True)
+            ts = quad.ball_nodes(G, B, level, task=2 * task + 1, pair=True)
+            Px = safe_power_values(W, xs, 1.0 / p, scale)
+            Mt = safe_power_values(W, ts, -1.0 / p, scale)
+            levels.append(_matrix_quantity_at_nodes(Px, Mt, p))
+        else:
+            nodes = quad.ball_nodes(G, B, level, task=task)
+            w = safe_scalar_values(W, nodes, scale)
+            levels.append(_scalar_quantity_at_nodes(w, p))
+    return ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
+
+
+def loop_reverse_holder(w, family, r_grid, quad, G):
+    for i, B in enumerate(family):
+        _mass_ladder(w, B, quad, G, task=i)
+    table = []
+    best = None
+    for r in sorted(r_grid):
+        try:
+            worst = 0.0
+            for i, B in enumerate(family):
+                scale = G.euclidean_radius_bound(B.radius)
+                levels_hi, levels_lo = [], []
+                for level in range(_LEVELS):
+                    nodes = quad.ball_nodes(G, B, level, task=i)
+                    vals = safe_scalar_values(w, nodes, scale)
+                    levels_hi.append(np.mean(vals ** r) ** (1.0 / r))
+                    levels_lo.append(np.mean(vals))
+                stoch = quad.rule == "monte_carlo"
+                hi = ladder_estimate(levels_hi, stochastic=stoch).value
+                lo = ladder_estimate(levels_lo, stochastic=stoch).value
+                worst = max(worst, hi / lo)
+            table.append((float(r), float(worst)))
+            if best is None or r > best[0]:
+                best = (float(r), float(worst))
+        except NonIntegrable:
+            table.append((float(r), None))
+    if best is None:
+        return None, float("inf"), table
+    return best[0], best[1], table
+
+
+def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid):
+    scale = G.euclidean_radius_bound(B.radius)
+    q_values, largest_q = {}, None
+    for q in q_grid:
+        try:
+            levels = []
+            for level in range(_LEVELS):
+                nds = quad.ball_nodes(G, B, level)
+                Wp = safe_power_values(W, nds, 1.0 / p, scale)
+                vals = spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp))
+                levels.append(np.mean(vals ** q))
+            lv = ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
+            levels2 = []
+            for level in range(_LEVELS):
+                nds = quad.ball_nodes(G, B, level, task=1)
+                Wm = safe_power_values(W, nds, -1.0 / p, scale)
+                vals = spectral_norms(np.einsum("ij,mjk->mik", A_B, Wm))
+                levels2.append(np.mean(vals ** q))
+            lv2 = ladder_estimate(levels2, stochastic=quad.rule == "monte_carlo")
+            q_values[float(q)] = (lv.value, lv2.value)
+            largest_q = float(q)
+        except NonIntegrable:
+            break
+    return q_values, largest_q
+
+
+def conjugated_weight():
+    th = 0.4
+    U = np.array([[np.cos(th), 1j * np.sin(th)], [1j * np.sin(th), np.cos(th)]])
+    return MatrixWeightSpec.conjugated(
+        U, [ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
+            ScalarWeightSpec.radial_power(-0.3)])
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.fixture(params=["mapped_grid", "monte_carlo"])
+def any_quad(request):
+    return BallQuadrature(request.param, 256, seed=3)
+
+
+class TestOneLadder:
+    @pytest.mark.parametrize("p", [0.7, 1.5, 2.0, 3.0])
+    def test_ap_ladder_matches_loop(self, G1, G2, any_quad, p):
+        cases = [(sqrt_weight(), AnisoBall([0.3], 1.0), G1),
+                 (ScalarWeightSpec.radial_power(-0.3), AnisoBall([0.5], 2.0), G1),
+                 (sqrt_matrix_weight(), AnisoBall([0.2], 0.5), G1),
+                 (conjugated_weight(), AnisoBall([0.2, -0.1], 0.7), G2)]
+        for task, (W, B, G) in enumerate(cases):
+            try:
+                want = loop_ap_ladder(W, B, p, any_quad, G, task=task)
+            except NonIntegrable:
+                with pytest.raises(NonIntegrable):
+                    ap_ball_quantity_ladder(W, B, p, any_quad, G, task=task)
+                continue
+            got = ap_ball_quantity_ladder(W, B, p, any_quad, G, task=task)
+            assert (got.value, got.error, got.levels) == (want.value, want.error, want.levels)
+
+    @pytest.mark.parametrize("gamma, r_grid", [(0.5, [1.2, 2.0, 1.5]),
+                                               (-0.5, [1.5, 4.0]),
+                                               (-0.9, [1.5, 2.0])])
+    def test_reverse_holder_matches_loop(self, G1, any_quad, gamma, r_grid):
+        # gamma = -0.5 diverges at r = 4, and gamma = -0.9 at every r >= 1.5
+        # (its Monte-Carlo ladder already flags w itself as divergent)
+        w = ScalarWeightSpec.radial_power(gamma)
+        fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
+        try:
+            want = loop_reverse_holder(w, fam, r_grid, any_quad, G1)
+        except NonIntegrable:
+            with pytest.raises(NonIntegrable):
+                reverse_holder_search(w, 2.0, fam, r_grid, any_quad, G1)
+            return
+        res = reverse_holder_search(w, 2.0, fam, r_grid, any_quad, G1)
+        assert (res.r_best, res.c1, res.table) == want
+
+    @pytest.mark.parametrize("p", [0.7, 1.5, 2.0, 3.0])
+    def test_q_sweep_matches_loop(self, G1, G2, any_quad, p):
+        for W, B, G in ((sqrt_matrix_weight(), AnisoBall([0.3], 1.0), G1),
+                        (conjugated_weight(), AnisoBall([0.2, -0.1], 0.7), G2)):
+            q_grid = [p + 0.5, p + 1.0, p + 8.0]
+            pair = reducing_operators(W, B, p, any_quad, G, q_grid=q_grid)
+            if p <= 1:
+                assert (pair.q_values, pair.largest_q) == ({}, None)
+                continue
+            assert (pair.q_values, pair.largest_q) == loop_q_sweep(
+                W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp, q_grid)
+
+    def test_reverse_holder_evaluates_each_level_once(self, G1, grid1, monkeypatch):
+        fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
+        calls = count_calls(monkeypatch, BallQuadrature, "ball_nodes")
+        reverse_holder_search(sqrt_weight(), 2.0, fam, [1.2, 1.5, 2.0], grid1, G1)
+        assert len(calls) == len(fam) * _LEVELS
+
+    def test_q_sweep_evaluates_each_level_once(self, G1, grid1, monkeypatch):
+        calls = count_calls(monkeypatch, muckenhoupt, "spectral_norms")
+        pair = reducing_operators(sqrt_matrix_weight(), AnisoBall([0.3], 1.0), 1.5, grid1, G1)
+        assert len(pair.q_values) == 4
+        assert len(calls) == 2 * _LEVELS
 
 
 class TestCalderon:
