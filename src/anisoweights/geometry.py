@@ -41,7 +41,7 @@ class AnisoBall:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise NonPositiveRadius(f"radius must be > 0, got {self.radius}")
 
     def contains(self, G: DilationGroup, points) -> np.ndarray:
@@ -84,7 +84,7 @@ def euclidean_ball_volume(d: int) -> float:
 
 def ball_volume(G: DilationGroup, r: float) -> float:
     """|B_A(xi, r)| = r^nu * omega_d^A, valid for the P = sigma*Id calibration."""
-    if r <= 0:
+    if not r > 0:
         raise NonPositiveRadius(f"radius must be > 0, got {r}")
     omega = euclidean_ball_volume(G.d) * G.p_scale ** (-0.5 * G.d)
     return r ** G.nu * omega
@@ -233,8 +233,8 @@ def compute_r0(G: DilationGroup, margin: float) -> float:
     Uses the exact quasi-norm envelope for the Euclidean radius sqrt(d)/2
     of the cube, then verifies on a corner-and-face grid.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
+    if not margin > 0:
+        raise ValueError(f"margin must be > 0, got {margin}")
     r0 = (1.0 + margin) * G.quasi_radius_bound(np.sqrt(G.d) / 2.0)
     grid = _cube_boundary_grid(G.d, 0.5)
     qn = G.quasi_norm(grid)
@@ -476,10 +476,15 @@ def _validated_shrink_factor(cov: StructuredCovering, witnesses: int = 128) -> f
     raise VerificationFailed("no disjoint shrink factor found")
 
 
+def _witness_sets(G: DilationGroup, centers, radii, nodes: np.ndarray) -> np.ndarray:
+    """Reference nodes carried onto each ball, as (balls, nodes, d): delta_r(nodes) + c."""
+    return np.stack([G.dilate(r, nodes) + c for c, r in zip(centers, radii)])
+
+
 def _shrunk_disjoint(cov: StructuredCovering, factor: float, nodes: np.ndarray) -> bool:
     """True when no shrunk ball holds a witness of another shrunk ball."""
     rad = factor * cov.t
-    witnesses = np.concatenate([cov.group.dilate(r, nodes) + c for c, r in zip(cov.centers, rad)])
+    witnesses = _witness_sets(cov.group, cov.centers, rad, nodes).reshape(-1, cov.group.d)
     balls, hits = ball_pairs(cov.group, cov.centers, rad, witnesses)
     return bool(np.all(balls == hits // len(nodes)))
 
@@ -492,34 +497,42 @@ def covering_intersection_stats(
 ) -> tuple[int, float]:
     """Max neighbor count of C1-balls in C2 and the bracket ratio bound.
 
-    Intersection is decided conservatively: pairs whose center distance
-    exceeds C_est*(r1+r2)*(1+slack) are declared empty, a sampled witness
-    declares nonempty, ambiguous pairs get a denser boundary-biased sample.
+    A pair of balls (i, j) meets when it passes three steps in turn.  The
+    quasi-distance filter first declares every pair empty whose center
+    distance exceeds C_est*(r1+r2)*(1+slack).  A witness of ball i inside
+    ball j then declares a candidate pair nonempty: each ball carries
+    `witnesses` reference nodes, and one ball_pairs search decides all C1
+    witnesses against the C2 balls.  Only candidates with no witness hit
+    get a denser boundary-biased sample of ball i, one ball_pairs search per
+    C1 ball.  The ratio bound is the largest max(br_i.max() / br_j.min(),
+    br_j.max() / br_i.min()) over meeting pairs, where br holds the bracket
+    <x>_A of a ball's witnesses; these extremes are solved once per ball.
     """
     G = C1.group
     c_est = max(C1.triangle_estimate, C2.triangle_estimate)
     nodes = _unit_ball_reference_nodes(witnesses, G.d, G.p_scale)
     dense = _unit_ball_reference_nodes(8 * witnesses, G.d, G.p_scale, boundary_bias=True)
-    max_neighbors = 0
-    ratio_bound = 1.0
-    for i in range(len(C1)):
-        ci, ri = C1.centers[i], C1.radii[i]
-        qd = G.quasi_norm(C2.centers - ci)
-        possible = np.flatnonzero(qd <= c_est * (ri + C2.radii) * (1.0 + slack))
-        pts = G.dilate(ri, nodes) + ci
-        br_i = G.bracket(pts)
-        count = 0
-        for j in possible:
-            inside = G._below(pts - C2.centers[j], C2.radii[j])
-            if not np.any(inside):
-                dpts = G.dilate(ri, dense) + ci
-                inside = G._below(dpts - C2.centers[j], C2.radii[j])
-                if not np.any(inside):
-                    continue
-            count += 1
-            pts_j = G.dilate(C2.radii[j], nodes) + C2.centers[j]
-            br_j = G.bracket(pts_j)
-            r = max(br_i.max() / br_j.min(), br_j.max() / br_i.min())
-            ratio_bound = max(ratio_bound, float(r))
-        max_neighbors = max(max_neighbors, count)
-    return max_neighbors, ratio_bound
+
+    def extremes(sets):
+        br = np.array([G.bracket(w) for w in sets])  # each ball's set is one batch
+        return br.min(axis=1), br.max(axis=1)
+
+    sets1 = _witness_sets(G, C1.centers, C1.radii, nodes)
+    lo1, hi1 = extremes(sets1)
+    lo2, hi2 = (lo1, hi1) if C2 is C1 else extremes(
+        _witness_sets(G, C2.centers, C2.radii, nodes))
+
+    near = np.array([G.quasi_norm(C2.centers - ci) <= c_est * (ri + C2.radii) * (1.0 + slack)
+                     for ci, ri in zip(C1.centers, C1.radii)])
+    hit = np.zeros_like(near)
+    balls, pts = ball_pairs(G, C2.centers, C2.radii, sets1.reshape(-1, G.d))
+    hit[pts // len(nodes), balls] = True
+    meets, unsure = near & hit, near & ~hit
+    for i in np.flatnonzero(unsure.any(axis=1)):
+        js = np.flatnonzero(unsure[i])
+        inside, _ = ball_pairs(G, C2.centers[js], C2.radii[js],
+                               G.dilate(C1.radii[i], dense) + C1.centers[i])
+        meets[i, js[inside]] = True
+    i, j = np.nonzero(meets)
+    ratio = np.maximum(hi1[i] / lo2[j], hi2[j] / lo1[i])
+    return int(meets.sum(axis=1).max(initial=0)), float(ratio.max(initial=1.0))

@@ -359,11 +359,6 @@ def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
     return _ladder(quad, stat)
 
 
-def ap_ball_quantity(W, B: AnisoBall, p: float, quad: BallQuadrature,
-                     G: DilationGroup) -> float:
-    return ap_ball_quantity_ladder(W, B, p, quad, G).value
-
-
 # -- family reports ---------------------------------------------------------------
 
 
@@ -605,7 +600,7 @@ class PowerWeight:
         return np.asarray(self.base.values(pts), dtype=float) ** self.exponent
 
 
-def reverse_holder_search(w, p: float, family: list[AnisoBall], r_grid,
+def reverse_holder_search(w, family: list[AnisoBall], r_grid,
                           quad: BallQuadrature, G: DilationGroup) -> ReverseHolderResult:
     """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family.
 
@@ -808,13 +803,6 @@ def invariance_report(W, p: float, T: AffineMap, family: list[AnisoBall],
         rows.append(InvarianceRow(B, la.value, lb.value,
                                   abs(la.value - lb.value), la.error + lb.error))
     return rows
-
-
-def invariance_check(W, p: float, T: AffineMap, family: list[AnisoBall],
-                     quad_a: BallQuadrature, quad_b: BallQuadrature,
-                     G: DilationGroup) -> float:
-    rows = invariance_report(W, p, T, family, quad_a, quad_b, G)
-    return max(r.discrepancy for r in rows)
 
 
 # -- polynomial admissibility ------------------------------------------------------------

@@ -56,6 +56,8 @@ class FourierGrid:
             raise ValueError("d must be 1 or 2")
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError("n must be a power of two, at least 4")
+        if not (np.isfinite(L) and L > 0):
+            raise ValueError(f"L must be finite and > 0, got {L}")
         k = L / np.pi
         if abs(k - round(k)) > 1e-12:
             raise ValueError("L must be a multiple of pi")
@@ -536,10 +538,6 @@ class InterpolationKernel:
             spec *= self.spectrum_axis(xi[:, i])
         if np.max(np.abs(spec[inside] - 1.0)) > 1e-12:
             raise KernelInvalid("kernel spectrum is not 1 on the ball lattice")
-
-
-def interpolation_kernel(group: DilationGroup, a: float = 1.0) -> InterpolationKernel:
-    return InterpolationKernel(a=a, d=group.d)
 
 
 def sampling_representation(f: BandLimitedField, kernel: InterpolationKernel,

@@ -332,17 +332,7 @@ class WeightSample:
                      max(np.linalg.norm(self.value, 2), HARD_FLOOR))
 
 
-# -- spec-level single point operations ---------------------------------------
-
-
-def eval_scalar(w: ScalarWeightSpec, x) -> float:
-    """Pointwise value of a scalar weight."""
-    return float(w.values(np.asarray(x, dtype=float)))
-
-
-def eval_matrix_power(W: MatrixWeightSpec, x, a: float) -> np.ndarray:
-    """Hermitian power W^a(x) at a single point."""
-    return W.power_values(np.asarray(x, dtype=float), a)
+# -- matrix norm equivalence ---------------------------------------------------
 
 
 def matrix_norm_equivalence_check(M, r: float) -> bool:

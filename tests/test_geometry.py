@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ class TestBallVolume:
     def test_rejects_nonpositive_radius(self, Giso):
         with pytest.raises(NonPositiveRadius):
             ball_volume(Giso, 0.0)
+
+    def test_rejects_nan_radius(self, Giso):
+        with pytest.raises(NonPositiveRadius):
+            ball_volume(Giso, np.nan)
+        with pytest.raises(NonPositiveRadius):
+            AnisoBall([0.0], np.nan)
 
 
 class TestAffine:
@@ -179,6 +187,10 @@ class TestComputeR0:
     def test_margin_strict(self, Gani):
         r0 = compute_r0(Gani, 0.01)
         assert r0 > Gani.quasi_radius_bound(np.sqrt(2) / 2)
+
+    def test_rejects_nan_margin(self, G1):
+        with pytest.raises(ValueError, match="margin"):
+            compute_r0(G1, np.nan)
 
 
 class TestUnitCovering:
@@ -408,3 +420,84 @@ class TestStructuredCovering:
         )
         assert len(cov) >= 3
         assert cov.height >= 1
+
+
+def loop_intersection_stats(C1, C2, witnesses=128, slack=0.05):
+    """covering_intersection_stats as a loop over the pairs of balls, with a
+    bracket solve per meeting pair, and the number of dense samples it ran."""
+    G = C1.group
+    c_est = max(C1.triangle_estimate, C2.triangle_estimate)
+    nodes = geometry._unit_ball_reference_nodes(witnesses, G.d, G.p_scale)
+    dense = geometry._unit_ball_reference_nodes(8 * witnesses, G.d, G.p_scale,
+                                                boundary_bias=True)
+    max_neighbors, ratio_bound, dense_runs = 0, 1.0, 0
+    for i in range(len(C1)):
+        ci, ri = C1.centers[i], C1.radii[i]
+        qd = G.quasi_norm(C2.centers - ci)
+        possible = np.flatnonzero(qd <= c_est * (ri + C2.radii) * (1.0 + slack))
+        pts = G.dilate(ri, nodes) + ci
+        br_i = G.bracket(pts)
+        count = 0
+        for j in possible:
+            inside = G._below(pts - C2.centers[j], C2.radii[j])
+            if not np.any(inside):
+                dense_runs += 1
+                dpts = G.dilate(ri, dense) + ci
+                inside = G._below(dpts - C2.centers[j], C2.radii[j])
+                if not np.any(inside):
+                    continue
+            count += 1
+            pts_j = G.dilate(C2.radii[j], nodes) + C2.centers[j]
+            br_j = G.bracket(pts_j)
+            r = max(br_i.max() / br_j.min(), br_j.max() / br_i.min())
+            ratio_bound = max(ratio_bound, float(r))
+        max_neighbors = max(max_neighbors, count)
+    return (max_neighbors, ratio_bound), dense_runs
+
+
+def some_balls(cov, sl):
+    """The covering cut to the balls cov.centers[sl]."""
+    return dataclasses.replace(cov, centers=cov.centers[sl], t=cov.t[sl], radii=cov.radii[sl])
+
+
+class TestIntersectionStats:
+    # the loop costs a bracket solve per meeting pair, and in these 2-D
+    # coverings nearly every pair meets, so C1 keeps a few balls
+    @pytest.fixture(scope="class")
+    def coverings(self, G1, cov8, cov2d):
+        wide = build_structured_covering(cov2d.group, 0.9, 2.0, seed=5, candidates_per_shell=256,
+                                         validation_samples=256)
+        coupled = build_structured_covering(new_dilation_group([[1.0, 0.3], [0.3, 1.5]]), 0.9,
+                                            2.0, seed=3, candidates_per_shell=256,
+                                            validation_samples=256)
+        outer = cov2d.shells[-1][0]
+        return {
+            "1d": (cov8, cov8),
+            "1d-cross": (cov8, build_structured_covering(G1, c=0.8, max_norm=8.0, seed=13)),
+            "diag-self": (some_balls(cov2d, slice(outer, outer + 2)), cov2d),
+            "coupled-self": (some_balls(coupled, slice(None, None, 25)), coupled),
+            "diag-cross": (some_balls(cov2d, slice(-2, None)), wide),
+        }
+
+    @pytest.mark.parametrize("case", ["1d", "1d-cross", "diag-self", "coupled-self",
+                                      "diag-cross"])
+    def test_matches_pairwise_loop(self, coverings, case):
+        C1, C2 = coverings[case]
+        want, dense_runs = loop_intersection_stats(C1, C2)
+        assert covering_intersection_stats(C1, C2) == want
+        if case == "diag-self":
+            # both results move if the dense fallback is skipped
+            assert dense_runs > 0
+
+    def test_quasi_norm_calls(self, coverings, monkeypatch):
+        C1, C2 = coverings["1d-cross"]
+        want = covering_intersection_stats(C1, C2)
+        calls, quasi_norm = [], dilation.DilationGroup.quasi_norm
+
+        def counted(self, xi):
+            calls.append(xi)
+            return quasi_norm(self, xi)
+
+        monkeypatch.setattr(dilation.DilationGroup, "quasi_norm", counted)
+        assert covering_intersection_stats(C1, C2) == want
+        assert 0 < len(calls) <= 2 * len(C1) + len(C2)

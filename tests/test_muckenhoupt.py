@@ -9,14 +9,12 @@ from anisoweights.muckenhoupt import (
     _LEVELS,
     BallQuadrature,
     NonIntegrable,
-    ap_ball_quantity,
     ap_ball_quantity_ladder,
     averaging_operator_check,
     default_ball_family,
     doubling_check,
     estimate_ap_constant,
     ladder_estimate,
-    invariance_check,
     invariance_report,
     polynomial_ap_validity,
     reducing_operators,
@@ -162,7 +160,7 @@ class TestScalarQuantity:
     def test_constant_weight_is_one(self, G1, grid1):
         w = ScalarWeightSpec.constant(1.0)
         for r in (0.5, 1.0, 4.0):
-            q = ap_ball_quantity(w, AnisoBall([0.0], r), 2.0, grid1, G1)
+            q = ap_ball_quantity_ladder(w, AnisoBall([0.0], r), 2.0, grid1, G1).value
             assert q == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt_weight_centered_oracle(self, G1, grid1):
@@ -170,7 +168,7 @@ class TestScalarQuantity:
         w = sqrt_weight()
         for m in range(-3, 4):
             B = AnisoBall([0.0], 2.0 ** m)
-            q = ap_ball_quantity(w, B, 2.0, grid1, G1)
+            q = ap_ball_quantity_ladder(w, B, 2.0, grid1, G1).value
             assert abs(q - 4.0 / 3.0) <= 1e-4
 
     def test_offcenter_against_quad_oracle(self, G1, grid1):
@@ -189,7 +187,7 @@ class TestScalarQuantity:
         # essential sup of 1/w on the ball is r^(1/4), so A_1 gives 4/3
         w = ScalarWeightSpec.radial_power(-0.25)
         for r in (0.5, 1.0, 2.0):
-            q = ap_ball_quantity(w, AnisoBall([0.0], r), 1.0, grid1, G1)
+            q = ap_ball_quantity_ladder(w, AnisoBall([0.0], r), 1.0, grid1, G1).value
             assert q == pytest.approx(4.0 / 3.0, abs=1e-3)
 
     def test_a1_detects_unbounded_inverse(self, G1, grid1):
@@ -197,27 +195,27 @@ class TestScalarQuantity:
         # the true A_1 constant is infinite and the ladder flags it
         w = sqrt_weight()
         with pytest.raises(NonIntegrable):
-            ap_ball_quantity(w, AnisoBall([0.0], 1.0), 1.0, grid1, G1)
+            ap_ball_quantity_ladder(w, AnisoBall([0.0], 1.0), 1.0, grid1, G1).value
 
     def test_jensen_lower_bound(self, G1, G2, grid1):
         w1 = sqrt_weight()
         for B in (AnisoBall([0.3], 0.7), AnisoBall([2.0], 2.0)):
-            assert ap_ball_quantity(w1, B, 2.0, grid1, G1) >= 1 - 1e-9
+            assert ap_ball_quantity_ladder(w1, B, 2.0, grid1, G1).value >= 1 - 1e-9
         w2 = ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5)
         for B in (AnisoBall([0.0, 0.0], 1.0), AnisoBall([1.0, 2.0], 0.5)):
-            assert ap_ball_quantity(w2, B, 1.5, grid1, G2) >= 1 - 1e-9
+            assert ap_ball_quantity_ladder(w2, B, 1.5, grid1, G2).value >= 1 - 1e-9
 
     def test_nonintegrable_detected(self, G1, grid1):
         w = ScalarWeightSpec.radial_power(-2.0)
         with pytest.raises(NonIntegrable):
-            ap_ball_quantity(w, AnisoBall([0.0], 1.0), 2.0, grid1, G1)
+            ap_ball_quantity_ladder(w, AnisoBall([0.0], 1.0), 2.0, grid1, G1).value
 
 
 class TestMatrixQuantity:
     def test_identity_weight(self, G2, grid1):
         W = MatrixWeightSpec.identity(2)
         for p in (0.7, 2.0):
-            q = ap_ball_quantity(W, AnisoBall([0.0, 0.0], 1.0), p, grid1, G2)
+            q = ap_ball_quantity_ladder(W, AnisoBall([0.0, 0.0], 1.0), p, grid1, G2).value
             assert q == pytest.approx(1.0, abs=1e-10)
 
     def test_scalar_reduction_shared_nodes(self, G1):
@@ -262,8 +260,8 @@ class TestMatrixQuantity:
         W = MatrixWeightSpec.diagonal([sqrt_weight()])
         w = sqrt_weight()
         B = AnisoBall([0.0], 1.0)
-        mq = ap_ball_quantity(W, B, 2.0, grid1, G1)
-        sq = ap_ball_quantity(w, B, 2.0, grid1, G1)
+        mq = ap_ball_quantity_ladder(W, B, 2.0, grid1, G1).value
+        sq = ap_ball_quantity_ladder(w, B, 2.0, grid1, G1).value
         assert mq == pytest.approx(sq ** 0.5, rel=2e-3)
 
     def test_duality_relation(self, G1, grid1):
@@ -273,8 +271,8 @@ class TestMatrixQuantity:
         pp = p / (p - 1)
         dual = PowerWeight(w, -pp / p, label="w^-p'/p")
         B = AnisoBall([0.4], 1.3)
-        q1 = ap_ball_quantity(w, B, p, grid1, G1)
-        q2 = ap_ball_quantity(dual, B, pp, grid1, G1)
+        q1 = ap_ball_quantity_ladder(w, B, p, grid1, G1).value
+        q2 = ap_ball_quantity_ladder(dual, B, pp, grid1, G1).value
         assert q1 == pytest.approx(q2 ** (p - 1), rel=1e-9)
 
 
@@ -340,7 +338,7 @@ class TestAveraging:
     def test_weighted_between_one_and_bound(self, G1, grid1):
         W = MatrixWeightSpec.diagonal([sqrt_weight()])
         B = AnisoBall([0.0], 1.0)
-        q = ap_ball_quantity(W, B, 2.0, grid1, G1)
+        q = ap_ball_quantity_ladder(W, B, 2.0, grid1, G1).value
         fields = [
             lambda x: np.sign(x[:, :1]),
             lambda x: np.cos(4 * x[:, :1]),
@@ -431,7 +429,7 @@ class TestDoubling:
 class TestReverseHolder:
     def test_constant_passes_everything(self, G1, grid1):
         fam = [AnisoBall([0.0], 1.0), AnisoBall([2.0], 0.5)]
-        res = reverse_holder_search(ScalarWeightSpec.constant(1.0), 2.0, fam,
+        res = reverse_holder_search(ScalarWeightSpec.constant(1.0), fam,
                                     [1.2, 1.5, 2.0], grid1, G1)
         assert res.r_best == 2.0
         assert res.c1 == pytest.approx(1.0, abs=1e-9)
@@ -439,14 +437,14 @@ class TestReverseHolder:
     def test_sqrt_weight_centered_oracle(self, G1, grid1):
         # closed form at r = 1.5 on centered balls: (4/7)^(2/3) * 3/2
         fam = [AnisoBall([0.0], 2.0 ** m) for m in (-1, 0, 1)]
-        res = reverse_holder_search(sqrt_weight(), 2.0, fam, [1.2, 1.5], grid1, G1)
+        res = reverse_holder_search(sqrt_weight(), fam, [1.2, 1.5], grid1, G1)
         assert res.r_best == 1.5
         oracle = (4.0 / 7.0) ** (2.0 / 3.0) * 1.5
         assert res.c1 == pytest.approx(oracle, abs=2e-3)
 
     def test_default_family_criterion(self, G1, grid1):
         fam = default_ball_family(G1)
-        res = reverse_holder_search(sqrt_weight(), 2.0, fam,
+        res = reverse_holder_search(sqrt_weight(), fam,
                                     [1.2, 1.5, 2.0], grid1, G1)
         assert res.r_best is not None and res.r_best >= 1.2
         assert res.c1 <= 1.2
@@ -454,21 +452,21 @@ class TestReverseHolder:
     def test_nonintegrable_weight_raises(self, G1, grid1):
         fam = [AnisoBall([0.0], 1.0)]
         with pytest.raises(NonIntegrable):
-            reverse_holder_search(ScalarWeightSpec.radial_power(-2.0), 2.0, fam,
+            reverse_holder_search(ScalarWeightSpec.radial_power(-2.0), fam,
                                   [1.5], grid1, G1)
 
     def test_divergent_power_skipped(self, G1, grid1):
         # w = |x|^(-1/2) is fine, but w^4 = |x|^(-2) diverges; the search
         # must settle on the smaller exponent
         fam = [AnisoBall([0.0], 1.0)]
-        res = reverse_holder_search(ScalarWeightSpec.radial_power(-0.5), 2.0, fam,
+        res = reverse_holder_search(ScalarWeightSpec.radial_power(-0.5), fam,
                                     [1.5, 4.0], grid1, G1)
         assert res.r_best == 1.5
         assert res.table[-1][1] is None
 
     def test_empty_family_rejected(self, G1, grid1):
         with pytest.raises(ValueError):
-            reverse_holder_search(sqrt_weight(), 2.0, [], [1.5, 2.0], grid1, G1)
+            reverse_holder_search(sqrt_weight(), [], [1.5, 2.0], grid1, G1)
 
 
 class TestReducing:
@@ -535,7 +533,8 @@ class TestInvariance:
         W = sqrt_weight()
         T = AffineMap(G1, 1.0, np.zeros(1))
         fam = [AnisoBall([0.0], 1.0), AnisoBall([1.0], 0.5)]
-        assert invariance_check(W, 2.0, T, fam, grid1, grid1, G1) == 0.0
+        rows = invariance_report(W, 2.0, T, fam, grid1, grid1, G1)
+        assert max(r.discrepancy for r in rows) == 0.0
 
     def test_scale_map_closed_form(self, G1, grid1, mc1):
         # w = |x|^(1/2), T = 2x, B = (-1, 1): both sides average to 4/3
@@ -722,9 +721,9 @@ class TestOneLadder:
             want = loop_reverse_holder(w, fam, r_grid, any_quad, G1)
         except NonIntegrable:
             with pytest.raises(NonIntegrable):
-                reverse_holder_search(w, 2.0, fam, r_grid, any_quad, G1)
+                reverse_holder_search(w, fam, r_grid, any_quad, G1)
             return
-        res = reverse_holder_search(w, 2.0, fam, r_grid, any_quad, G1)
+        res = reverse_holder_search(w, fam, r_grid, any_quad, G1)
         assert (res.r_best, res.c1, res.table) == want
 
     @pytest.mark.parametrize("p", [0.7, 1.5, 2.0, 3.0])
@@ -742,7 +741,7 @@ class TestOneLadder:
     def test_reverse_holder_evaluates_each_level_once(self, G1, grid1, monkeypatch):
         fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
         calls = count_calls(monkeypatch, BallQuadrature, "ball_nodes")
-        reverse_holder_search(sqrt_weight(), 2.0, fam, [1.2, 1.5, 2.0], grid1, G1)
+        reverse_holder_search(sqrt_weight(), fam, [1.2, 1.5, 2.0], grid1, G1)
         assert len(calls) == len(fam) * _LEVELS
 
     def test_q_sweep_evaluates_each_level_once(self, G1, grid1, monkeypatch):

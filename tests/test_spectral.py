@@ -16,7 +16,6 @@ from anisoweights.spectral import (
     _spectral_tail,
     apply_multiplier,
     decay_certificate,
-    interpolation_kernel,
     load_field,
     multiplier_bound_experiment,
     required_decay_order,
@@ -93,6 +92,11 @@ class TestTransforms:
         fh = grid2.forward(f)
         XI, ET = np.meshgrid(grid2.xi_axis, grid2.xi_axis, indexing="ij")
         assert np.max(np.abs(fh - np.exp(-(XI ** 2 + ET ** 2) / 2))) < 1e-8
+
+    @pytest.mark.parametrize("L", [0.0, -np.pi, np.nan, np.inf])
+    def test_rejects_bad_length(self, L):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FourierGrid(1, 64, L)
 
     def test_impulse_flat_spectrum(self):
         grid = FourierGrid(1, 64, 4 * np.pi)
@@ -325,14 +329,14 @@ class TestSamplingRepresentation:
     def test_atom_reconstruction(self, G1):
         grid = FourierGrid(1, 1024, 16 * np.pi)
         f = standard_ensemble(grid, G1, AnisoBall([0.0], 1.0))[0]
-        kernel = interpolation_kernel(G1)
+        kernel = InterpolationKernel(a=1.0, d=G1.d)
         err = sampling_representation(f, kernel, np.zeros(1), truncation=32)
         assert err <= 1e-6
 
     def test_shift_uniformity(self, G1):
         grid = FourierGrid(1, 512, 16 * np.pi)
         f = standard_ensemble(grid, G1, AnisoBall([0.0], 1.0))[0]
-        kernel = interpolation_kernel(G1)
+        kernel = InterpolationKernel(a=1.0, d=G1.d)
         errs = [sampling_representation(f, kernel, np.array([u]), truncation=24)
                 for u in (0.0, 0.3, 0.7)]
         assert max(errs) <= 2.0 * max(min(errs), 1e-12)
@@ -340,7 +344,7 @@ class TestSamplingRepresentation:
     def test_kernel_bandwidth_fixed_point(self, grid1, G1):
         # a field with spectrum inside the plateau box is reproduced exactly
         # by the kernel as a multiplier
-        kernel = interpolation_kernel(G1)
+        kernel = InterpolationKernel(a=1.0, d=G1.d)
         ball = AnisoBall([0.0], 0.9)
         f = standard_ensemble(grid1, G1, ball)[0]
         sym = kernel.spectrum_axis(grid1.xi_axis).astype(complex)
@@ -368,7 +372,7 @@ class TestSamplingRepresentation:
     def test_requires_unit_ball_support(self, grid1, G1):
         f = standard_ensemble(grid1, G1, AnisoBall([0.0], 2.0))[0]
         with pytest.raises(SupportViolation):
-            sampling_representation(f, interpolation_kernel(G1), np.zeros(1), 8)
+            sampling_representation(f, InterpolationKernel(a=1.0, d=G1.d), np.zeros(1), 8)
 
 
 class TestSamplingInequality:
