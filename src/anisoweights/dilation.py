@@ -75,8 +75,8 @@ class DilationGroup:
         scale = max(1.0, np.max(np.abs(A))) if A.size else 1.0
         if defect > _SYMMETRY_TOL * scale:
             raise NonSymmetric(f"symmetry defect {defect:.3e} above tolerance")
-        if p_scale <= 0:
-            raise NonPositiveScale("p_scale must be > 0")
+        if not 0 < p_scale < np.inf:
+            raise NonPositiveScale(f"p_scale must be finite and > 0, got {p_scale}")
         # tolerate text-format round-trips
         A = 0.5 * (A + A.T)
         lam, Q = np.linalg.eigh(A)
@@ -102,15 +102,15 @@ class DilationGroup:
 
     def dilation_matrix(self, t: float) -> np.ndarray:
         """Matrix of delta_t = exp(A log t)."""
-        if t <= 0:
-            raise NonPositiveScale(f"t must be > 0, got {t}")
+        if not 0 < t < np.inf:
+            raise NonPositiveScale(f"t must be finite and > 0, got {t}")
         Q, lam = self.eigenvectors, self.eigenvalues
         return (Q * t ** lam) @ Q.T
 
     def dilate(self, t: float, xi) -> np.ndarray:
         """Apply delta_t to one point or to an (m, d) array of points."""
-        if t <= 0:
-            raise NonPositiveScale(f"t must be > 0, got {t}")
+        if not 0 < t < np.inf:
+            raise NonPositiveScale(f"t must be finite and > 0, got {t}")
         xi = np.asarray(xi, dtype=float)
         if t == 1.0:
             return xi.copy()

@@ -59,8 +59,8 @@ class AffineMap:
 
     def __post_init__(self):
         object.__setattr__(self, "shift", np.asarray(self.shift, dtype=float).ravel())
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     def apply(self, points):
         return self.group.dilate(self.scale, points) + self.shift

@@ -44,7 +44,8 @@ class TruncationNotConverged(RuntimeError):
 # -- spectral norms of stacked matrices ---------------------------------------
 
 
-# matrices per kernel call; bounds the closed form's temporaries to ~0.6 MB each
+# matrices (node pairs) per kernel call: one plane is 32 kB, and at N = 3 the
+# planes of one call take 0.3 MB (real) or 0.6 MB (complex)
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -55,79 +56,111 @@ _NEAR_DOUBLE_TOP = 1e-3
 def spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., N, N) stack.
 
-    N = 1 is |M|.  N = 2 and N = 3 use a closed form: each matrix is
-    scaled by its largest |Re| or |Im| entry, the largest eigenvalue of the
-    Hermitian Gram matrix S^H S is taken from the quadratic formula (N = 2)
-    or the trigonometric formula of Smith (1961) (N = 3), and the norm is
-    scale * sqrt(lambda_max).  The scaling keeps entries from 1e-300 to
-    1e300 in range.  For N = 3 the few matrices whose two largest singular
-    values nearly coincide, where the trigonometric formula is
-    ill-conditioned, are handed to LAPACK.  Against LAPACK SVD the relative
-    error is below 1e-14.  A matrix with a non-finite entry gives NaN for
-    N <= 3 (which `ladder_estimate` reports as `NonIntegrable`); N >= 4
-    uses LAPACK SVD throughout and raises `LinAlgError` on such input.
+    Each chunk of `_CHUNK` matrices is viewed as planes S[i, j] (entry (i, j)
+    of every matrix) and handed to one planar kernel, `_plane_norms`, which
+    `_pair_norms` feeds directly from its batched matmul.  N = 1 is |M|.
+    N = 2 and N = 3 use a closed form: each matrix is scaled by its largest
+    |Re| or |Im| entry, the largest eigenvalue of the Hermitian Gram matrix
+    S^H S is taken from the quadratic formula (N = 2) or the trigonometric
+    formula of Smith (1961) (N = 3), and the norm is scale * sqrt(lambda_max).
+    A stack whose imaginary part is zero takes the real path, which has no
+    imaginary plane and gives the same values.  The scaling keeps entries
+    from 1e-300 to 1e300 in range.  For N = 3 the few matrices whose two
+    largest singular values nearly coincide, where the trigonometric formula
+    is ill-conditioned, are gathered back from the planes and handed to
+    LAPACK.  Against LAPACK SVD the relative error is below 1e-14.  A matrix
+    with a non-finite entry gives NaN for N <= 3 (which `ladder_estimate`
+    reports as `NonIntegrable`); N >= 4 uses LAPACK SVD throughout and
+    raises `LinAlgError` on such input.
     """
     N = M.shape[-1]
-    if N == 1:
-        return np.abs(M[..., 0, 0])
-    kernel = _gram_norms if N <= 3 else _svd_norms
-    flat = M.reshape(-1, N, N)
+    flat = _real_if_exact(M).reshape(-1, N, N)
     out = np.empty(len(flat))
     for i in range(0, len(flat), _CHUNK):
-        out[i:i + _CHUNK] = kernel(flat[i:i + _CHUNK])
+        out[i:i + _CHUNK] = _plane_norms(flat[i:i + _CHUNK].transpose(1, 2, 0))
     return out.reshape(M.shape[:-2])
+
+
+def _real_if_exact(M: np.ndarray) -> np.ndarray:
+    """The real part of M when its imaginary part is zero, else M."""
+    return M.real if np.iscomplexobj(M) and not M.imag.any() else M
 
 
 def _svd_norms(flat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(flat, compute_uv=False)[:, 0]
 
 
-@np.errstate(invalid="ignore")
-def _gram_norms(flat: np.ndarray) -> np.ndarray:
-    """Closed-form spectral norms of an (m, N, N) stack, N = 2 or 3."""
-    m, N = flat.shape[:2]
-    # planar (re/im, entry, matrix) layout: every step below is an
-    # elementwise operation on contiguous rows of length m
-    R = np.empty((2, N * N, m))
-    R[0] = flat.real.reshape(m, N * N).T
-    R[1] = flat.imag.reshape(m, N * N).T
-    scale = np.abs(R).max(axis=(0, 1))
-    R /= np.where(scale > 0, scale, 1.0)
-    X, Y = R.reshape(2, N, N, m)  # S_ij = X[i, j] + i Y[i, j]
-    diag = (X * X + Y * Y).sum(axis=0)  # G_jj
+def _plane_norms(S: np.ndarray) -> np.ndarray:
+    """Spectral norms of the matrices with entries S[i, j], shape S.shape[2:].
 
-    def gram(j, k):  # Re and Im of G_jk = sum_i conj(S_ij) S_ik
+    S has shape (N, N, ...) and each plane S[i, j] holds entry (i, j) of
+    every matrix.
+    """
+    N = len(S)
+    if N == 1:
+        return np.abs(S[0, 0])
+    if N <= 3:
+        return _gram_norms(S)
+    return _svd_norms(_gather(S, ...)).reshape(S.shape[2:])
+
+
+def _gather(S: np.ndarray, where) -> np.ndarray:
+    """The (k, N, N) stack of the matrices S[:, :, where] of planes S."""
+    return np.moveaxis(S[:, :, where], (0, 1), (-2, -1)).reshape(-1, *S.shape[:2])
+
+
+@np.errstate(invalid="ignore")
+def _gram_norms(S: np.ndarray) -> np.ndarray:
+    """Closed-form spectral norms of the planes S[i, j, ...], N = 2 or 3."""
+    N = len(S)
+    # every step below is an elementwise operation on whole planes
+    X, Y = S.real, S.imag if np.iscomplexobj(S) else None  # S_ij = X[i, j] + i Y[i, j]
+    scale = np.abs(X).max(axis=(0, 1))
+    if Y is not None:
+        scale = np.maximum(scale, np.abs(Y).max(axis=(0, 1)))
+    safe = np.where(scale > 0, scale, 1.0)
+    X, Y = X / safe, None if Y is None else Y / safe
+    diag = (X * X if Y is None else X * X + Y * Y).sum(axis=0)  # G_jj
+
+    def gram(j, k):  # Re and Im (None for real S) of G_jk = sum_i conj(S_ij) S_ik
+        if Y is None:
+            return (X[:, j] * X[:, k]).sum(axis=0), None
         return ((X[:, j] * X[:, k] + Y[:, j] * Y[:, k]).sum(axis=0),
                 (X[:, j] * Y[:, k] - Y[:, j] * X[:, k]).sum(axis=0))
 
+    def abs2(g):
+        re, im = g
+        return re * re if im is None else re * re + im * im
+
     if N == 2:
         re, im = gram(0, 1)
-        lam = 0.5 * (diag[0] + diag[1]
-                     + np.hypot(diag[0] - diag[1], 2.0 * np.hypot(re, im)))
+        off = np.abs(re) if im is None else np.hypot(re, im)
+        lam = 0.5 * (diag[0] + diag[1] + np.hypot(diag[0] - diag[1], 2.0 * off))
         return scale * np.sqrt(lam)
 
     # Smith: lambda_max = q + 2 p cos(acos(r) / 3) with q = tr G / 3,
     # p = |G - q I|_F / sqrt(6) and r = det((G - q I) / p) / 2
     q = diag.sum(axis=0) / 3.0
     e0, e1, e2 = diag - q
-    (r01, i01), (r02, i02), (r12, i12) = gram(0, 1), gram(0, 2), gram(1, 2)
+    g01, g02, g12 = gram(0, 1), gram(0, 2), gram(1, 2)
     p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2
-                 + 2.0 * (r01 * r01 + i01 * i01 + r02 * r02 + i02 * i02
-                          + r12 * r12 + i12 * i12)) / 6.0)
+                 + 2.0 * (abs2(g01) + abs2(g02) + abs2(g12))) / 6.0)
     # normalize before the cubic terms, which could underflow otherwise
     inv = 1.0 / np.where(p > 0, p, 1.0)
-    e0, e1, e2, r01, i01, r02, i02, r12, i12 = (
-        v * inv for v in (e0, e1, e2, r01, i01, r02, i02, r12, i12))
-    det = (e0 * e1 * e2
-           - e0 * (r12 * r12 + i12 * i12)
-           - e1 * (r02 * r02 + i02 * i02)
-           - e2 * (r01 * r01 + i01 * i01)
-           + 2.0 * ((r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02))
+    e0, e1, e2 = e0 * inv, e1 * inv, e2 * inv
+    g01, g02, g12 = (tuple(None if v is None else v * inv for v in g)
+                     for g in (g01, g02, g12))
+    (r01, i01), (r02, i02), (r12, i12) = g01, g02, g12
+    if i01 is None:  # Re(G_01 G_12 G_20)
+        cycle = r01 * r12 * r02
+    else:
+        cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02
+    det = e0 * e1 * e2 - e0 * abs2(g12) - e1 * abs2(g02) - e2 * abs2(g01) + 2.0 * cycle
     r = np.clip(0.5 * det, -1.0, 1.0)
     out = scale * np.sqrt(q + 2.0 * p * np.cos(np.arccos(r) / 3.0))
     near = r < _NEAR_DOUBLE_TOP - 1.0
     if near.any():
-        out[near] = _svd_norms(flat[near])
+        out[near] = _svd_norms(_gather(S, near))
     return out
 
 
@@ -329,13 +362,24 @@ def _matrix_quantity_at_nodes(Px: np.ndarray, Mt: np.ndarray, p: float) -> float
     return float(np.max(np.mean(norms ** p, axis=0)))
 
 
-def _pair_norms(Px: np.ndarray, Mt: np.ndarray, budget: int = 1 << 21) -> np.ndarray:
+def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
+    """Spectral norms of every product Px[a] @ Mt[b], shape (n1, n2).
+
+    Each block of at most `_CHUNK` pairs comes from one batched matmul that
+    writes the products as planes, S[i, k] = Px[rows, i, :] @ Mt[cols, :, k].T,
+    and goes straight to `_plane_norms`.
+    """
+    Px, Mt = _real_if_exact(Px), _real_if_exact(Mt)
     n1, n2 = len(Px), len(Mt)
     out = np.empty((n1, n2))
-    rows = max(1, budget // max(n2, 1))
-    for i in range(0, n1, rows):
-        prod = np.einsum("aij,bjk->abik", Px[i:i + rows], Mt)
-        out[i:i + rows] = spectral_norms(prod)
+    cols = max(1, min(n2, _CHUNK))
+    rows = max(1, _CHUNK // cols)
+    left = Px.transpose(1, 0, 2)[:, None]  # (i, 1, a, j)
+    for b in range(0, n2, cols):
+        right = np.ascontiguousarray(Mt[b:b + cols].transpose(2, 1, 0))[None]  # (1, k, j, b)
+        for a in range(0, n1, rows):
+            out[a:a + rows, b:b + cols] = _plane_norms(
+                np.matmul(left[:, :, a:a + rows], right))
     return out
 
 

@@ -56,6 +56,11 @@ class TestConstruction:
         G = new_dilation_group(A)
         assert np.allclose(G.A, G.A.T)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_group_rejects_non_finite_p_scale(self, sigma):
+        with pytest.raises(NonPositiveScale):
+            DilationGroup(np.diag([1.0, 2.0]), p_scale=sigma)
+
 
 class TestDilate:
     def test_identity_generator(self):
@@ -86,6 +91,16 @@ class TestDilate:
             G.dilate(0.0, [1.0, 0.0])
         with pytest.raises(NonPositiveScale):
             G.dilate(-1.0, [1.0, 0.0])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_dilate_rejects_non_finite_scale(self, t):
+        with pytest.raises(NonPositiveScale):
+            coupled_group().dilate(t, [1.0, 0.0])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_dilation_matrix_rejects_non_finite_scale(self, t):
+        with pytest.raises(NonPositiveScale):
+            coupled_group().dilation_matrix(t)
 
 
 class TestQuasiNorm:

@@ -115,6 +115,11 @@ class TestAffine:
         back = T.inverse().apply(T.apply(x))
         assert np.max(np.abs(back - x)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_rejects_non_finite_scale(self, Gani, scale):
+        with pytest.raises(ValueError):
+            AffineMap(Gani, scale, np.zeros(2))
+
 
 def brute_pairs(G, centers, radii, points):
     """All (ball, point) pairs by one quasi-norm call per ball, no prefilter."""

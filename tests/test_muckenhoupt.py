@@ -156,6 +156,110 @@ class TestSpectralNorms:
         assert ours[0] == pytest.approx(lapack_norms(M[:1])[0], rel=1e-13)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_stack_matches_complex_cast(self, n):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((300, n, n))
+        real, cast = spectral_norms(M), spectral_norms(M.astype(complex))
+        assert np.all(np.abs(real - cast) <= 1e-15 * cast)
+
+
+def loop_pair_norms(Px, Mt):
+    return np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])
+
+
+def random_orthogonal(rng, k, n, kind):
+    if kind == "complex":
+        return random_unitaries(rng, k, n)
+    return np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+
+
+def pair_factors(rng, n1, n2, n, kind, p=2.0):
+    """W^(1/p)(x_a) and W^(-1/p)(t_b) of random real or complex weights."""
+    Hx, Ht = random_hermitian_pd(rng, n1, n), random_hermitian_pd(rng, n2, n)
+    if kind == "real":  # the real part of a Hermitian PD matrix is symmetric PD
+        Hx, Ht = Hx.real, Ht.real
+    return hermitian_power(Hx, 1.0 / p), hermitian_power(Ht, -1.0 / p)
+
+
+class TestPairNorms:
+    @pytest.mark.parametrize("chunk", [3, 11, None])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_loop(self, monkeypatch, n, kind, chunk):
+        # 7 x 5 pairs: _CHUNK 3 splits the columns 3 + 2 and takes one row
+        # per block, 11 takes two rows per block, the default one block
+        if chunk is not None:
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
+        Px, Mt = pair_factors(np.random.default_rng(10 + n), 7, 5, n, kind)
+        assert np.iscomplexobj(Px) == (kind == "complex")
+        ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+        assert ours.shape == ref.shape and ours.dtype == np.float64
+        assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_repeated_top_singular_value_goes_to_lapack(self, monkeypatch, kind):
+        # U diag(2, 2, 1) U^H times a multiple of the identity has its two
+        # largest singular values equal, where the closed form is handed off
+        rng = np.random.default_rng(11)
+        U = random_orthogonal(rng, 9, 3, kind)
+        Px = np.einsum("kij,j,klj->kil", U, [2.0, 2.0, 1.0], U.conj())
+        Mt = pair_factors(rng, 1, 5, 3, kind)[1]
+        Mt[::2] = np.array([0.5, 1.0, 3.0])[:, None, None] * np.eye(3)
+        calls = count_calls(monkeypatch, muckenhoupt, "_svd_norms")
+        monkeypatch.setattr(muckenhoupt, "_CHUNK", 10)
+        ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+        assert len(calls) > 0
+        assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_extreme_scales(self, n, scale):
+        # product entries near 1e+-150, whose squares over- or underflow
+        Px, Mt = pair_factors(np.random.default_rng(12), 5, 3, n, "complex")
+        ours, ref = _pair_norms(scale * Px, Mt), loop_pair_norms(Px, Mt)
+        assert np.all(np.abs(ours / scale - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nan_entry_gives_nan(self, n, kind):
+        Px, Mt = pair_factors(np.random.default_rng(13), 5, 3, n, kind)
+        Px[2, 0, n - 1] = np.nan
+        ours = _pair_norms(Px, Mt)
+        assert np.isnan(ours[2]).all() and np.isfinite(np.delete(ours, 2, axis=0)).all()
+
+    @pytest.mark.parametrize("chunk, n1, n2", [(4, 7, 5), (None, 129, 131)])
+    def test_kernel_sees_at_most_chunk_pairs(self, monkeypatch, chunk, n1, n2):
+        if chunk is not None:
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
+        sizes = []
+        kernel = muckenhoupt._plane_norms
+
+        def counted(S):
+            sizes.append(S[0, 0].size)
+            return kernel(S)
+
+        monkeypatch.setattr(muckenhoupt, "_plane_norms", counted)
+        _pair_norms(*pair_factors(np.random.default_rng(14), n1, n2, 3, "real"))
+        assert max(sizes) <= muckenhoupt._CHUNK
+        assert sum(sizes) == n1 * n2
+
+    def test_zero_imaginary_part_takes_real_planes(self, monkeypatch):
+        # complex-typed weights with real values, as `MatrixWeightSpec` gives
+        planes = []
+        kernel = muckenhoupt._plane_norms
+
+        def recorded(S):
+            planes.append(S)
+            return kernel(S)
+
+        monkeypatch.setattr(muckenhoupt, "_plane_norms", recorded)
+        Px, Mt = pair_factors(np.random.default_rng(15), 5, 3, 3, "real")
+        cast = _pair_norms(Px.astype(complex), Mt.astype(complex))
+        assert not any(np.iscomplexobj(S) for S in planes)
+        assert np.array_equal(cast, _pair_norms(Px, Mt))
+
+
 class TestScalarQuantity:
     def test_constant_weight_is_one(self, G1, grid1):
         w = ScalarWeightSpec.constant(1.0)
@@ -238,15 +342,16 @@ class TestMatrixQuantity:
             _scalar_quantity_at_nodes(w, 1.0), rel=1e-12
         )
 
-    def test_pairwise_loop_oracle(self):
+    def test_pairwise_loop_oracle(self, monkeypatch):
         # one np.linalg.norm(P @ M, 2) per node pair, averaged by plain loops
         rng = np.random.default_rng(8)
         Hx, Ht = random_hermitian_pd(rng, 7, 3), random_hermitian_pd(rng, 5, 3)
         for p in (2.0, 1.0):
             Px, Mt = hermitian_power(Hx, 1.0 / p), hermitian_power(Ht, -1.0 / p)
             norms = np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])
-            # budget 2 * len(Mt) takes two rows of pairs per chunk: 4 chunks
-            chunked = _pair_norms(Px, Mt, budget=2 * len(Mt))
+            # a _CHUNK of 2 * len(Mt) takes two rows of pairs per chunk: 4 chunks
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", 2 * len(Mt))
+            chunked = _pair_norms(Px, Mt)
             assert np.all(np.abs(chunked - norms) <= 1e-13 * norms)
             if p > 1:
                 pp = p / (p - 1)
