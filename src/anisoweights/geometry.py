@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtri
-from scipy.stats import qmc
 
 from .dilation import DilationGroup, triangle_constant_estimate
 
@@ -79,7 +77,16 @@ class AffineMap:
 
 
 def euclidean_ball_volume(d: int) -> float:
-    return float(np.exp(0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1)))
+    """Volume of the Euclidean unit ball in R^d.
+
+    The recurrence omega_d = omega_(d-2) * (2 pi / d) from omega_0 = 1 and
+    omega_1 = 2 is exact in d = 1 and 2 and equals the gamma-function form
+    bitwise for d = 4 and 8 (within 2 ulp for d <= 10).
+    """
+    omega = 2.0 if d % 2 else 1.0
+    for k in range(2 + d % 2, d + 1, 2):
+        omega *= 2.0 * np.pi / k
+    return omega
 
 
 def ball_volume(G: DilationGroup, r: float) -> float:
@@ -155,11 +162,36 @@ def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np
 # -- low-discrepancy helpers -------------------------------------------------
 
 
+def _first_primes(d: int) -> list[int]:
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def _halton(n: int, d: int) -> np.ndarray:
-    # skip the degenerate first point (0.5, 1/3, ...) of the unscrambled stream
-    eng = qmc.Halton(d, scramble=False)
-    eng.fast_forward(1)
-    return eng.random(n)
+    """Points 1..n of the unscrambled Halton stream in [0, 1)^d, shape (n, d).
+
+    Column k is the radical inverse of the index in the k-th prime base.
+    Index 0, the degenerate origin, is skipped.  The digits are summed in
+    the order of scipy's van der Corput kernel (add digit * base^-j, then
+    divide the weight by the base), so the points equal those of
+    ``qmc.Halton(d, scramble=False)`` after ``fast_forward(1)`` bitwise,
+    with the same column-major layout; ``_halton(n + k, d)[k:]`` is the
+    stream from index k + 1 on.
+    """
+    out = np.zeros((d, n))
+    for col, base in zip(out, _first_primes(d)):
+        q = np.arange(1, n + 1)
+        weight = 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            col += digit * weight
+            weight /= base
+    return out.T
 
 
 def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
@@ -167,9 +199,14 @@ def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
 
     Each row goes through the normal quantile and is normalised; a row that
     maps to the zero vector becomes e_1.  In one dimension the result is
-    the sign of u - 1/2, with +1 at u = 1/2.  With complex_ the two halves
-    of a row are the real and imaginary parts of a k/2-vector.
+    the sign of u - 1/2, with +1 at u = 1/2, and needs no normal quantile.
+    With complex_ the two halves of a row are the real and imaginary parts
+    of a k/2-vector.
     """
+    if u.shape[1] == 1 and not complex_:
+        return np.where(u < 0.5, -1.0, 1.0)
+    from scipy.special import ndtri  # imported on first use: scipy loads slowly
+
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     if complex_:
         half = g.shape[1] // 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dilation import DilationGroup
 from .geometry import (
@@ -45,7 +44,11 @@ class TruncationNotConverged(RuntimeError):
 
 
 # matrices (node pairs) per kernel call: one plane is 32 kB, and at N = 3 the
-# planes of one call take 0.3 MB (real) or 0.6 MB (complex)
+# planes of one call take 0.3 MB (real) or 0.6 MB (complex).  The kernel
+# scales its planes in place.  With a fresh temporary of that size per step
+# and a small heap (no scipy imported), an ap-matrix-2d pass took about
+# 30,100 minor page faults; in place it takes 0-25.  Half this chunk avoids
+# the faults too, but its passes ran 6-10% slower on a 2-core x86 box.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -56,9 +59,10 @@ _NEAR_DOUBLE_TOP = 1e-3
 def spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., N, N) stack.
 
-    Each chunk of `_CHUNK` matrices is viewed as planes S[i, j] (entry (i, j)
-    of every matrix) and handed to one planar kernel, `_plane_norms`, which
-    `_pair_norms` feeds directly from its batched matmul.  N = 1 is |M|.
+    Each chunk of `_CHUNK` matrices is copied into planes S[i, j] (entry
+    (i, j) of every matrix) and handed to one planar kernel, `_plane_norms`,
+    which `_pair_norms` feeds directly from its batched matmul; the kernel
+    scales its planes in place, and M is left unchanged.  N = 1 is |M|.
     N = 2 and N = 3 use a closed form: each matrix is scaled by its largest
     |Re| or |Im| entry, the largest eigenvalue of the Hermitian Gram matrix
     S^H S is taken from the quadratic formula (N = 2) or the trigonometric
@@ -77,7 +81,7 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     flat = _real_if_exact(M).reshape(-1, N, N)
     out = np.empty(len(flat))
     for i in range(0, len(flat), _CHUNK):
-        out[i:i + _CHUNK] = _plane_norms(flat[i:i + _CHUNK].transpose(1, 2, 0))
+        out[i:i + _CHUNK] = _plane_norms(flat[i:i + _CHUNK].transpose(1, 2, 0).copy())
     return out.reshape(M.shape[:-2])
 
 
@@ -94,7 +98,7 @@ def _plane_norms(S: np.ndarray) -> np.ndarray:
     """Spectral norms of the matrices with entries S[i, j], shape S.shape[2:].
 
     S has shape (N, N, ...) and each plane S[i, j] holds entry (i, j) of
-    every matrix.
+    every matrix.  The kernel owns S: for N = 2 and 3 it scales S in place.
     """
     N = len(S)
     if N == 1:
@@ -111,7 +115,11 @@ def _gather(S: np.ndarray, where) -> np.ndarray:
 
 @np.errstate(invalid="ignore")
 def _gram_norms(S: np.ndarray) -> np.ndarray:
-    """Closed-form spectral norms of the planes S[i, j, ...], N = 2 or 3."""
+    """Closed-form spectral norms of the planes S[i, j, ...], N = 2 or 3.
+
+    S is scaled in place (see `_CHUNK`), and the LAPACK hand-off scales the
+    norms of the scaled matrices back.
+    """
     N = len(S)
     # every step below is an elementwise operation on whole planes
     X, Y = S.real, S.imag if np.iscomplexobj(S) else None  # S_ij = X[i, j] + i Y[i, j]
@@ -119,8 +127,11 @@ def _gram_norms(S: np.ndarray) -> np.ndarray:
     if Y is not None:
         scale = np.maximum(scale, np.abs(Y).max(axis=(0, 1)))
     safe = np.where(scale > 0, scale, 1.0)
-    X, Y = X / safe, None if Y is None else Y / safe
-    diag = (X * X if Y is None else X * X + Y * Y).sum(axis=0)  # G_jj
+    np.divide(X, safe, out=X)
+    diag = np.einsum("ij...,ij...->j...", X, X)  # G_jj
+    if Y is not None:
+        np.divide(Y, safe, out=Y)
+        diag += np.einsum("ij...,ij...->j...", Y, Y)
 
     def gram(j, k):  # Re and Im (None for real S) of G_jk = sum_i conj(S_ij) S_ik
         if Y is None:
@@ -159,8 +170,8 @@ def _gram_norms(S: np.ndarray) -> np.ndarray:
     r = np.clip(0.5 * det, -1.0, 1.0)
     out = scale * np.sqrt(q + 2.0 * p * np.cos(np.arccos(r) / 3.0))
     near = r < _NEAR_DOUBLE_TOP - 1.0
-    if near.any():
-        out[near] = _svd_norms(_gather(S, near))
+    if near.any():  # S now holds the scaled matrices
+        out[near] = scale[near] * _svd_norms(_gather(S, near))
     return out
 
 
@@ -340,6 +351,8 @@ def weighted_magnitudes(root, v) -> np.ndarray:
         return np.linalg.norm(v, axis=-1)
     if root.ndim == 1:
         return root * np.linalg.norm(v, axis=-1)
+    if np.iscomplexobj(v) and not np.iscomplexobj(root):
+        root = root.astype(v.dtype)  # einsum on mixed real and complex runs 2-3x slower
     return np.linalg.norm(np.einsum("mij,mj->mi" if v.ndim == 2 else "mij,j->mi",
                                     root, v), axis=1)
 
@@ -747,6 +760,8 @@ def _fit_log_ellipsoid(dirs: np.ndarray, eta: np.ndarray, S0: np.ndarray,
         S = (V * np.exp(lam)) @ V.conj().T
         mags = np.linalg.norm(dirs @ S.conj().T, axis=1)
         return np.log(np.maximum(mags, 1e-150)) - target
+
+    from scipy.optimize import least_squares  # imported on first use: scipy loads slowly
 
     sol = least_squares(resid, pack(H0), method="lm", max_nfev=400)
     H = unpack(sol.x)

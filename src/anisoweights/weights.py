@@ -261,7 +261,7 @@ class MatrixWeightSpec:
             C[:, j, i] = c
         root = np.sqrt(diag)
         core = np.eye(N)[None, :, :] + self.eps * C
-        return (root[:, :, None] * core * root[:, None, :]).astype(complex)
+        return root[:, :, None] * core * root[:, None, :]
 
     def power_values(self, x, a: float) -> np.ndarray:
         pts, single = _as_points(x)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, ndtri
+from scipy.stats import qmc
 
 from anisoweights import dilation, geometry
 from anisoweights.dilation import new_dilation_group
@@ -14,6 +16,7 @@ from anisoweights.geometry import (
     build_structured_covering,
     compute_r0,
     covering_intersection_stats,
+    euclidean_ball_volume,
     map_ball,
     unit_covering,
 )
@@ -80,6 +83,66 @@ class TestBallVolume:
             ball_volume(Giso, np.nan)
         with pytest.raises(NonPositiveRadius):
             AnisoBall([0.0], np.nan)
+
+    def test_euclidean_exact_on_line_and_plane(self):
+        assert euclidean_ball_volume(1) == 2.0
+        assert euclidean_ball_volume(2) == np.pi
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_euclidean_matches_gamma_form(self, d):
+        want = np.exp(0.5 * d * np.log(np.pi) - gammaln(0.5 * d + 1))
+        assert abs(euclidean_ball_volume(d) - want) <= 2 * np.spacing(want)
+
+
+def scipy_halton(n, d, skip=1):
+    engine = qmc.Halton(d, scramble=False)
+    engine.fast_forward(skip)
+    return engine.random(n)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 7, 1000, 70000])
+    def test_matches_scipy_bitwise(self, n, d):
+        got, want = geometry._halton(n, d), scipy_halton(n, d)
+        assert got.shape == want.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("offset", [0, 17, 51])
+    def test_offset_stream_of_shell_candidates(self, Gani, offset):
+        # _shell_candidates takes rows offset.. of the stream: points offset + 1 on
+        n, d = 300, Gani.d + 1
+        u = geometry._halton(n + offset, d)[offset:]
+        assert u.tobytes() == scipy_halton(n, d, skip=offset + 1).tobytes()
+        lo, hi = 2.0, 4.0
+        cands = geometry._shell_candidates(Gani, lo, hi, n, offset)
+        assert np.allclose(Gani.quasi_norm(cands), lo + (hi - lo) * u[:, Gani.d], rtol=1e-10)
+
+
+def ndtri_directions(u):
+    """The normal-quantile path of _normal_directions, in any dimension."""
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    degenerate = norms[:, 0] == 0.0
+    g[degenerate, 0] = 1.0
+    norms[degenerate] = 1.0
+    return g / norms
+
+
+class TestNormalDirections:
+    def test_one_dimension_matches_ndtri_bitwise(self):
+        u = np.concatenate([geometry._halton(1000, 1),
+                            [[0.0], [0.5], [1.0], [1e-300], [0.5 - 2.0 ** -54], [0.5 + 2.0 ** -53]]])
+        got = geometry._normal_directions(u)
+        assert got.tobytes() == ndtri_directions(u).tobytes()
+        assert got[1001, 0] == 1.0 and got[1000, 0] == -1.0
+
+    def test_two_dimensions_are_unit_ndtri_directions(self):
+        u = geometry._halton(500, 2)
+        got = geometry._normal_directions(u)
+        assert got.tobytes() == ndtri_directions(u).tobytes()
+        assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=1e-15)
 
 
 class TestAffine:

@@ -163,6 +163,22 @@ class TestSpectralNorms:
         real, cast = spectral_norms(M), spectral_norms(M.astype(complex))
         assert np.all(np.abs(real - cast) <= 1e-15 * cast)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
+    def test_leaves_the_callers_stack_unchanged(self, monkeypatch, n, kind):
+        # the kernel scales its planes in place, so it must get a copy
+        monkeypatch.setattr(muckenhoupt, "_CHUNK", 64)  # several chunks
+        rng = np.random.default_rng(10)
+        M = rng.standard_normal((3, 50, n, n))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal(M.shape)
+        elif kind == "complex-typed real":
+            M = M.astype(complex)
+        M[0, :10] = np.eye(n)  # a repeated top singular value: the LAPACK hand-off
+        before = M.copy()
+        spectral_norms(M)
+        assert M.tobytes() == before.tobytes()
+
 
 def loop_pair_norms(Px, Mt):
     return np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])

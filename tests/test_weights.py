@@ -8,6 +8,7 @@ from anisoweights.weights import (
     ScalarWeightSpec,
     SingularWeight,
     WeightSample,
+    hermitian_power,
     matrix_norm_equivalence_check,
 )
 
@@ -126,6 +127,22 @@ class TestMatrix:
         assert np.allclose(vals, np.conj(np.swapaxes(vals, 1, 2)))
         eig = np.linalg.eigvalsh(vals)
         assert np.all(eig > 0)
+
+    def test_diag_dominant_values_are_real(self):
+        S = ScalarWeightSpec
+        W = MatrixWeightSpec.diag_dominant(
+            [S.poly_abs_power({(1, 0): 1.0}, 0.5), S.radial_power(0.5), S.constant(2.0)],
+            {(0, 1): {(0, 1): 1.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}},
+            eps=0.5,
+        )
+        pts = np.random.default_rng(18).uniform(-3, 3, size=(300, 2))
+        vals = W.values(pts)
+        assert vals.dtype == np.float64
+        for a in (0.5, -0.5, 1.0 / 3.0):
+            got = W.power_values(pts, a)
+            want = hermitian_power(vals.astype(complex), a)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_diag_dominant_rejects_large_eps(self):
         with pytest.raises(ValueError):
