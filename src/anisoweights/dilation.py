@@ -127,52 +127,109 @@ class DilationGroup:
         return float(out[0]) if single else out
 
     def _squares(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared eigenbasis coordinates c2 and sigma * |c|^2 of each point."""
-        c2 = (pts @ self.eigenvectors) ** 2
-        u2 = self.p_scale * c2.sum(axis=1)
+        """Squared eigenbasis coordinates c2 as (d, m) rows, and sigma * |c|^2.
+
+        Row i holds the squared coordinates along eigenvector i for every
+        point, contiguously, so the level is built one row at a time.
+        """
+        c2 = np.square((pts @ self.eigenvectors).T, order="C")
+        u2 = self.p_scale * c2.sum(axis=0)
         # the largest u2 is NaN or inf only if a coordinate is or c2
         # overflows, so finite input pays no separate scan of pts
         if not u2.max(initial=0.0) < np.inf and not np.isfinite(pts).all():
             raise NonFiniteInput("quasi_norm needs finite coordinates")
         return c2, u2
 
-    def _level(self, c2: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The defining function f = sigma * sum(c2 * t^(-2 lam)) at t = e^s."""
-        return self.p_scale * np.einsum("ij,ij->i", c2, np.exp(np.outer(s, self._neg_lam2)))
+    def _level(self, c2: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
+               term: np.ndarray | None = None) -> np.ndarray:
+        """The defining function f = sigma * sum(c2 * t^(-2 lam)) at t = e^s.
+
+        c2 holds (d, m) rows as _squares gives them.  f is summed into out
+        row by row in eigenvalue order, each term exp(s * (-2 lam_i)) * c2_i
+        built in the scratch row term, and scaled by sigma at the end; a
+        caller that passes out and term allocates nothing.  For d <= 2 f is
+        bitwise the einsum "ij,ij->i" over (m, d) arrays; for d >= 3 einsum
+        adds the terms in another order ((a + c) + b at d = 3), so f can
+        differ from it in the last bit (1 ulp at d = 3).
+        """
+        out = np.empty(len(s)) if out is None else out
+        term = np.empty(len(s)) if term is None else term
+        for i, (row, neg_lam2) in enumerate(zip(c2, self._neg_lam2)):
+            acc = term if i else out
+            np.multiply(s, neg_lam2, out=acc)
+            np.exp(acc, out=acc)
+            acc *= row
+            if i:
+                out += term
+        out *= self.p_scale
+        return out
 
     def _solve(self, pts: np.ndarray) -> np.ndarray:
         """Bisection on log t for sigma * sum(c2 * t^(-2 lam)) = 1.
 
         The defining function is strictly decreasing in t, and the envelope
         bounds give an exact initial bracket, so convergence is guaranteed.
+        Points whose envelope u^(1/alpha) over- or underflows although u^2
+        does not take the same bracket ends in log form, log(u^2) / (2 alpha).
         Every point iterates until the whole batch has converged, so a
         point's result depends on its batch, by up to ~1e-12 relative.
         A membership test |x|_A < r needs no solve: f is decreasing, so it
         holds exactly when f(r) < 1.  _side decides it by that sign wherever
         |f(r) - 1| exceeds the tie band alpha2/alpha1 * _TIE_BAND (4e-12
         alpha2/alpha1), and _below solves only a call that holds a tie.
+
+        The loop allocates nothing: f, one scratch row and one int64 mask
+        are made once per call, the level reads the (d, m) rows of
+        _squares, and lo and hi take mid's bits where the mask selects them
+        (lo ^= (lo ^ mid) & mask on int64 views), an exact copy.  For
+        d <= 2 the result is bitwise that of the same bisection written with
+        einsum and np.where (the oracle in the tests); for d >= 3 the level
+        can differ from it in the last bit (see _level).
         """
         c2, u2 = self._squares(pts)
         out = np.zeros(len(u2))
         active = u2 > 0.0
         if not active.any():
             return out
-        u = np.sqrt(u2[active])
-        ca = c2[active]
-        e1, e2 = u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2)
-        lo = np.log(np.minimum(e1, e2))
-        hi = np.log(np.maximum(e1, e2))
-        mid = 0.5 * (lo + hi)
-        for _ in range(_MAX_BISECT):
-            resid = self._level(ca, mid) - 1.0
-            if np.all(np.abs(resid) <= _RESIDUAL_TOL):
-                break
-            above = resid > 0.0  # f decreasing: root lies above mid
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if np.max(hi - lo) < 1e-16:
-                break
+        u2 = u2[active]
+        ca = np.compress(active, c2, axis=1)
+        u = np.sqrt(u2)
+        # an end u^(1/alpha) that over- or underflows is replaced from log
+        # u^2, and a level that overflows only says the root lies above mid
+        with np.errstate(over="ignore", divide="ignore"):
+            e1, e2 = u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2)
+            lo = np.log(np.minimum(e1, e2))
+            hi = np.log(np.maximum(e1, e2))
+            edge = (lo == -np.inf) | (hi == np.inf)
+            if edge.any():
+                half_log = 0.5 * np.log(u2[edge])
+                b1, b2 = half_log / self.alpha1, half_log / self.alpha2
+                lo[edge] = np.minimum(b1, b2)
+                hi[edge] = np.maximum(b1, b2)
             mid = 0.5 * (lo + hi)
+            f, term = np.empty_like(mid), np.empty_like(mid)
+            mask = np.empty(len(mid), dtype=np.int64)
+            lo_bits, hi_bits, mid_bits, term_bits = (a.view(np.int64) for a in (lo, hi, mid, term))
+            for _ in range(_MAX_BISECT):
+                resid = self._level(ca, mid, f, term)
+                resid -= 1.0
+                if np.abs(resid, out=term).max() <= _RESIDUAL_TOL:
+                    break
+                # f decreasing: the root lies above mid where resid > 0, and
+                # there the mask is all ones and lo takes mid; elsewhere hi does
+                np.greater(resid, 0.0, out=mask)
+                np.negative(mask, out=mask)
+                np.bitwise_xor(lo_bits, mid_bits, out=term_bits)
+                term_bits &= mask
+                lo_bits ^= term_bits
+                np.invert(mask, out=mask)
+                np.bitwise_xor(hi_bits, mid_bits, out=term_bits)
+                term_bits &= mask
+                hi_bits ^= term_bits
+                if np.subtract(hi, lo, out=term).max() < 1e-16:
+                    break
+                np.add(lo, hi, out=mid)
+                mid *= 0.5
         out[active] = np.exp(mid)
         return out
 

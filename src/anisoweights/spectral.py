@@ -394,8 +394,9 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
 
     The profile is certified once at the unit scale with decay order above
     the theoretical threshold; each (R, c) then transports the symbol and
-    the test ensemble by the same affine map.  Every field lives on
-    `grid`, so the weight root is evaluated once for all rows.
+    the test ensemble by the same affine map; the row (1, 0) reuses the
+    certified symbol.  Every field lives on `grid`, so the weight root is
+    evaluated once for all rows.
     """
     M_req = required_decay_order(group, p) + certify_margin
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
@@ -408,7 +409,10 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     for R in R_set:
         for c in c_set:
             ball = AnisoBall(np.asarray(c, dtype=float), float(R))
-            phi = MultiplierSpec.from_profile(grid, group, profile, ball)
+            if ball.radius == 1.0 and not ball.center.any():
+                phi = phi0  # the same symbol, bitwise: delta_1 is the identity
+            else:
+                phi = MultiplierSpec.from_profile(grid, group, profile, ball)
             for f in standard_ensemble(grid, group, ball, N=N, seed=ensemble_seed):
                 num, err_n = _audited_norm(apply_multiplier(phi, f), root, p)
                 den, err_d = _audited_norm(f, root, p)

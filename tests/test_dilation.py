@@ -10,10 +10,53 @@ from anisoweights.dilation import (
     new_dilation_group,
     triangle_constant_estimate,
 )
+from anisoweights.spectral import FourierGrid
 
 
 def coupled_group():
     return new_dilation_group([[1.5, 0.5], [0.5, 1.5]])
+
+
+def reference_solve(G, pts):
+    """The bisection as an einsum over (m, d) arrays with np.where updates.
+
+    Same bracket, midpoint and stopping rules as DilationGroup._solve; kept
+    as the oracle that the planar in-place loop must match.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    c2 = (pts @ G.eigenvectors) ** 2
+    u2 = G.p_scale * c2.sum(axis=1)
+    out = np.zeros(len(u2))
+    active = u2 > 0.0
+    if not active.any():
+        return out
+    u = np.sqrt(u2[active])
+    ca = c2[active]
+    e1, e2 = u ** (1.0 / G.alpha1), u ** (1.0 / G.alpha2)
+    lo = np.log(np.minimum(e1, e2))
+    hi = np.log(np.maximum(e1, e2))
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        level = G.p_scale * np.einsum(
+            "ij,ij->i", ca, np.exp(np.outer(mid, -(2.0 * G.eigenvalues))))
+        resid = level - 1.0
+        if np.all(np.abs(resid) <= 1e-12):
+            break
+        above = resid > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if np.max(hi - lo) < 1e-16:
+            break
+        mid = 0.5 * (lo + hi)
+    out[active] = np.exp(mid)
+    return out
+
+
+def scaled_points(rng, n, d):
+    """Gaussian points at scales 2^-20..2^20; a quarter have first coordinate 0."""
+    x = rng.standard_normal((n, d)) * 2.0 ** rng.uniform(-20, 20, (n, 1))
+    x[: n // 4, 0] = 0.0
+    return x
 
 
 class TestConstruction:
@@ -132,6 +175,20 @@ class TestQuasiNorm:
         # finite coordinates whose squares overflow are not rejected
         G.quasi_norm([0.0, 1e200])
 
+    def test_overflowing_envelope_bracket(self):
+        # u^(1/alpha1) overflows (1e500) and u^(1/alpha2) underflows
+        # (1e-500) for u = 1e150 and 1e-150 on diag(0.3, 3), although u^2
+        # does not; the bracket then comes from log u^2
+        G = new_dilation_group(np.diag([0.3, 3.0]))
+        pts = np.array([[0.0, 1e150], [0.0, 1e-150]])
+        want = np.array([1e50, 1e-50])
+        got = G.quasi_norm(pts)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert np.array_equal(got, [G.quasi_norm(x) for x in pts])
+        assert np.array_equal(G._below(pts, want), got < want)
+        assert G._below(pts, want * (1 + 1e-6)).all()
+        assert not G._below(pts, want * (1 - 1e-6)).any()
+
     def test_defining_residual(self):
         G = coupled_group()
         rng = np.random.default_rng(11)
@@ -217,6 +274,49 @@ class TestQuasiNorm:
         assert np.all(diffs > 0)
         assert np.all(diffs[1:] < 0.95 * diffs[:-1])
         assert diffs[-1] / diffs[-2] < 0.85
+
+
+class TestBitwiseOracle:
+    """The planar in-place bisection against the einsum/np.where loop."""
+
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_multiplier_grids(self, R):
+        # the 128x128 frequency grid of the multiplier experiment, transported
+        # to B_A(0, R), and the shifts of the ensemble's off-centre members
+        G = new_dilation_group(np.diag([1.0, 2.0]))
+        eta = G.dilate(1.0 / R, FourierGrid(2, 128, 8 * np.pi).frequency_points())
+        for shift in (0.0, -0.45, -0.4, 0.5):
+            pts = eta + np.array([shift, 0.0])
+            assert np.array_equal(G.quasi_norm(pts), reference_solve(G, pts))
+
+    @pytest.mark.parametrize("A", [[[1.0]], [[2.0]], np.diag([1.0, 2.0]), np.diag([0.5, 1.0]),
+                                   [[1.5, 0.5], [0.5, 1.5]], np.diag([0.3, 3.0])])
+    def test_random_batches(self, A):
+        G = new_dilation_group(A)
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 4, 5, 6, 7, 300, 20_000):
+            pts = scaled_points(rng, n, G.d)
+            pts[n // 2::97] = 0.0
+            assert np.array_equal(G.quasi_norm(pts), reference_solve(G, pts))
+
+    @pytest.mark.parametrize("A", [np.diag([0.3, 1.0, 3.0]),
+                                   [[1.0, 0.2, 0.0], [0.2, 1.5, 0.1], [0.0, 0.1, 2.0]]])
+    def test_three_dimensional_within_level_rounding(self, A):
+        # einsum adds three terms as (a + c) + b, the planar level as
+        # (a + b) + c: f differs by 1 ulp.  Small batches agree to 1e-15;
+        # in larger ones the 1-ulp level can pick another sign change of
+        # the rounded f near the root, which moves a few points by up to
+        # the batch-dependence level of the solve
+        G = new_dilation_group(A)
+        rng = np.random.default_rng(29)
+        for n in range(1, 8):
+            pts = scaled_points(rng, n, 3)
+            want = reference_solve(G, pts)
+            got = G.quasi_norm(pts)
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+        pts = scaled_points(rng, 5000, 3)
+        want = reference_solve(G, pts)
+        assert np.all(np.abs(G.quasi_norm(pts) - want) <= 1e-12 * want)
 
 
 class TestSignRule:

@@ -418,6 +418,20 @@ class TestFamilyEstimate:
         c_big = estimate_ap_constant(w, 2.0, big, grid1, G1).constant
         assert c_big >= c_small
 
+    def test_benchmark_family_pins_solver_round_off(self):
+        # (+-2, 0) and (0, +-4) lie exactly on |c|_A = 2 for diag(1, 2); the
+        # bisection on the lattice batch keeps the first pair and drops the
+        # second, which gives the 92 balls of the A_p benchmark family.  A
+        # solver change that moves these values changes the family
+        G = new_dilation_group(np.diag([1.0, 2.0]))
+        fam = default_ball_family(G, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        assert len(fam) == 92
+        axis = np.arange(-4.0, 5.0)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        q = dict(zip(map(tuple, pts), G.quasi_norm(pts)))
+        assert q[(2.0, 0.0)] == q[(-2.0, 0.0)] == 1.9999999999998426
+        assert q[(0.0, 4.0)] == q[(0.0, -4.0)] == 2.000000000000315
+
     def test_family_matches_per_ball_ladders_bitwise(self, G1, mc1):
         # Monte-Carlo streams are keyed by the ball index, so each report
         # value is the ball's own ladder whatever else the family holds
