@@ -104,9 +104,6 @@ class Bapu:
     def patch_ball(self, k: int) -> AnisoBall:
         return AnisoBall(self.centers[k], self.c1 * self.t[k])
 
-    def patch_volume(self, k: int) -> float:
-        return ball_volume(self.group, self.c1 * self.t[k])
-
     def partition_defect(self) -> float:
         """Max |sum_j phi_j - 1| over covered lattice points."""
         total = np.zeros(np.prod(self.grid.shape))
@@ -174,22 +171,15 @@ class BesovParams:
     s: float
     p: float
     q: float              # np.inf allowed
-    volume_scale: bool = False   # use |P_j|^(s/nu) instead of t_j^s
 
     def __post_init__(self):
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be positive")
 
 
-def _patch_scale(bapu: Bapu, k: int, params: BesovParams) -> float:
-    if params.volume_scale:
-        return bapu.patch_volume(k) ** (params.s / bapu.group.nu)
-    return float(bapu.t[k]) ** params.s
-
-
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
                tail_limit: float = 1e-6) -> float:
-    """(sum_j scale_j^q ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf."""
+    """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf."""
     grid, group = f.grid, f.group
     flat_spec = f.spectrum.reshape(f.N, -1)
     covered = np.zeros(flat_spec.shape[1], dtype=bool)
@@ -211,7 +201,7 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
         piece = grid.inverse(spec_k.reshape(f.spectrum.shape))
         mags = weighted_magnitudes(root, piece.reshape(f.N, -1).T)
         norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
-        terms.append(_patch_scale(bapu, k, params) * norm_k)
+        terms.append(float(bapu.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 
 

@@ -277,11 +277,6 @@ class DilationGroup:
         return max(u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2))
 
 
-def new_dilation_group(A, p_scale: float = 1.0) -> DilationGroup:
-    """Construct a dilation group from a real symmetric matrix."""
-    return DilationGroup(A, p_scale=p_scale)
-
-
 def triangle_constant_estimate(G: DilationGroup, n_samples: int, seed: int) -> float:
     """Sampled lower bound for the quasi-triangle constant.
 

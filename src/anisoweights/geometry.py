@@ -7,6 +7,7 @@ disjointness of shrunk cores are validated by sampling rather than proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +195,55 @@ def _halton(n: int, d: int) -> np.ndarray:
     return out.T
 
 
+# Cephes' ndtri (S. L. Moshier), the normal quantile that scipy.special ships:
+# a rational function of y - 1/2 for e^-2 < y < 1 - e^-2 (P0/Q0), and of
+# 1/x with x = sqrt(-2 log y) out to y = e^-32 (P1/Q1).  Cephes' far-tail
+# branch (P2/Q2, y < e^-32 = 1.3e-14) is left out: `_normal_directions`
+# clips its input to [1e-12, 1 - 1e-12].  The Q tuples carry Cephes'
+# implicit leading 1.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+# libm's log, as scipy's ndtri takes it: numpy's SIMD log can differ in the last bit
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Horner's rule in Cephes' order, highest coefficient first."""
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Normal quantile of y in [1e-12, 1 - 1e-12], bitwise `scipy.special.ndtri`."""
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _S2PI
+    x = np.sqrt(-2.0 * _libm_log(y[~mid]).astype(float))
+    z = 1.0 / x
+    tail = x - _libm_log(x).astype(float) / x - z * _polevl(z, _P1) / _polevl(z, _Q1)
+    out[~mid] = np.where(upper[~mid], tail, -tail)
+    return out
+
+
 def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
     """Unit vectors from uniform coordinates u of shape (n, k).
 
@@ -205,9 +255,7 @@ def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
     """
     if u.shape[1] == 1 and not complex_:
         return np.where(u < 0.5, -1.0, 1.0)
-    from scipy.special import ndtri  # imported on first use: scipy loads slowly
-
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    g = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     if complex_:
         half = g.shape[1] // 2
         g = g[:, :half] + 1j * g[:, half:]

@@ -716,57 +716,34 @@ def _directions(N: int, n: int, complex_: bool) -> np.ndarray:
     return dirs
 
 
-def _eta_values(W, nodes: np.ndarray, dirs: np.ndarray, power: float,
-                exponent: float, scale: float) -> np.ndarray:
-    """(avg |W^power(t) u|^exponent)^(1/exponent) for each direction u."""
-    Wp = safe_power_values(W, nodes, power, scale)
+def _fit_reducing(root: np.ndarray, dirs: np.ndarray, exponent: float):
+    """Fit |A u| to eta(u) = (avg |W^a(t) u|^exponent)^(1/exponent), root = W^a.
+
+    Returns the Hermitian A, its distortion max/min of |A u| / eta(u) over
+    the directions, and whether M = A^H A came out positive definite.
+    |A u|^2 = u^H M u is linear in the entries of M, so each pass is one
+    `lstsq` on the rows conj(u) u^T weighted by 1 / (previous fit), with
+    log(eta^2) linearised at the previous fit: a Gauss-Newton step for the
+    sum of log(|A u| / eta(u))^2.  Four passes reach the minimum that a
+    Levenberg-Marquardt fit over A = expm(H) finds, to about 1e-9 in the
+    distortion.  If eta^2 is a quadratic form (p = 2 and the Gram
+    identity), the first pass recovers it.
+    """
     # (m, N, N) @ (K, N) -> (m, K, N)
-    prod = np.einsum("mij,kj->mki", Wp, dirs)
-    mags = np.linalg.norm(prod, axis=2)
-    return np.mean(mags ** exponent, axis=0) ** (1.0 / exponent)
-
-
-def _fit_log_ellipsoid(dirs: np.ndarray, eta: np.ndarray, S0: np.ndarray,
-                       complex_: bool) -> np.ndarray:
-    """Least squares of log|S u| on log eta over S = expm(H), H Hermitian."""
-    N = S0.shape[0]
-    lam0, V0 = np.linalg.eigh(S0)
-    H0 = (V0 * np.log(np.maximum(lam0, 1e-150))) @ V0.conj().T
-
-    iu = np.triu_indices(N, k=1)
-
-    def pack(H):
-        parts = [np.real(np.diag(H)), np.real(H[iu])]
-        if complex_:
-            parts.append(np.imag(H[iu]))
-        return np.concatenate(parts)
-
-    def unpack(x):
-        H = np.zeros((N, N), dtype=complex)
-        H[np.diag_indices(N)] = x[:N]
-        k = N + len(iu[0])
-        off = x[N:k]
-        if complex_:
-            off = off + 1j * x[k:]
-        H[iu] = off
-        H[(iu[1], iu[0])] = np.conj(off)
-        return H
-
-    target = np.log(eta)
-
-    def resid(x):
-        H = unpack(x)
-        lam, V = np.linalg.eigh(H)
-        S = (V * np.exp(lam)) @ V.conj().T
-        mags = np.linalg.norm(dirs @ S.conj().T, axis=1)
-        return np.log(np.maximum(mags, 1e-150)) - target
-
-    from scipy.optimize import least_squares  # imported on first use: scipy loads slowly
-
-    sol = least_squares(resid, pack(H0), method="lm", max_nfev=400)
-    H = unpack(sol.x)
-    lam, V = np.linalg.eigh(H)
-    return (V * np.exp(lam)) @ V.conj().T
+    mags = np.linalg.norm(np.einsum("mij,kj->mki", root, dirs), axis=2)
+    eta = np.mean(mags ** exponent, axis=0) ** (1.0 / exponent)
+    rows = (dirs.conj()[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
+    target = eta ** 2
+    fit = target
+    for _ in range(4):
+        M = np.linalg.lstsq(rows / fit[:, None], 1.0 + np.log(target / fit), rcond=None)[0]
+        fit = np.abs(rows @ M)
+    N = dirs.shape[1]
+    M = M.reshape(N, N)
+    lam, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+    A = (V * np.sqrt(np.maximum(lam, 1e-150))) @ V.conj().T
+    ratios = np.linalg.norm(dirs @ A.T, axis=1) / eta  # rows A u
+    return A, float(ratios.max() / ratios.min()), bool(lam[0] > 0)
 
 
 def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
@@ -774,36 +751,24 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
                        q_grid=None, fit_tol: float = 0.05) -> ReducingPair:
     """Fit positive definite A_B with |A_B u| ~ (avg_B |W^(1/p) u|^p)^(1/p).
 
-    At p = 2 the Gram identity gives A_B = (avg_B W)^(1/2) exactly; other
-    exponents start from the Gram proxy and refine by log least squares.
-    The companion A_B^# uses the dual exponent and W^(-1/p) (p > 1 only).
+    M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`);
+    at p = 2 this is the Gram identity A_B = (avg_B W)^(1/2).  Directions
+    are complex when the root W^(1/p) at the nodes is.  The companion A_B^#
+    uses the dual exponent and W^(-1/p) (p > 1 only).
     """
     N = W.N
     if n_directions is None:
         n_directions = max(2 * N * N, 8)
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)
-    sample = W.values(B.center[None, :])[0]
-    complex_ = bool(np.max(np.abs(np.imag(sample))) > 1e-14)
+    root = safe_power_values(W, nodes, 1.0 / p, scale)
+    complex_ = bool(np.max(np.abs(root.imag)) > 1e-14 * np.max(np.abs(root)))
     dirs = _directions(N, n_directions, complex_)
-
-    def fit(power, exponent):
-        eta = _eta_values(W, nodes, dirs, power, exponent, scale)
-        gram = safe_power_values(W, nodes, 2 * power, scale).mean(axis=0)
-        lam, V = np.linalg.eigh(gram)
-        S0 = (V * np.sqrt(np.maximum(lam, 1e-150))) @ V.conj().T
-        if abs(exponent - 2.0) < 1e-12:
-            S = S0
-        else:
-            S = _fit_log_ellipsoid(dirs, eta, S0, complex_)
-        mags = np.linalg.norm(dirs @ S.conj().T, axis=1)
-        ratios = mags / eta
-        return S, float(ratios.max() / ratios.min())
-
-    A_B, distortion = fit(1.0 / p, p)
+    A_B, distortion, positive = _fit_reducing(root, dirs, p)
     if p > 1:
-        pp = p / (p - 1.0)
-        A_sharp, sharp_distortion = fit(-1.0 / p, pp)
+        A_sharp, sharp_distortion, sharp_positive = _fit_reducing(
+            safe_power_values(W, nodes, -1.0 / p, scale), dirs, p / (p - 1.0))
+        positive &= sharp_positive
         product_norm = float(np.linalg.norm(A_B @ A_sharp, 2))
     else:
         A_sharp, sharp_distortion, product_norm = None, None, None
@@ -833,7 +798,7 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
             q_values[float(q)] = (lv.value, lv2.value)
             largest_q = float(q)
 
-    degenerate = distortion > np.sqrt(N) * (1 + fit_tol)
+    degenerate = distortion > np.sqrt(N) * (1 + fit_tol) or not positive
     return ReducingPair(B, p, A_B, A_sharp, distortion, sharp_distortion,
                         product_norm, q_values, largest_q, degenerate)
 

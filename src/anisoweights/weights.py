@@ -244,7 +244,7 @@ class MatrixWeightSpec:
         m, N = len(pts), self.N
         diag = np.stack([s._values(pts) for s in self.scalars], axis=1)
         if self.mode == "diagonal":
-            W = np.zeros((m, N, N), dtype=complex)
+            W = np.zeros((m, N, N))
             idx = np.arange(N)
             W[:, idx, idx] = diag
             return W
@@ -272,7 +272,7 @@ class MatrixWeightSpec:
                 raise SingularWeight("diagonal entry vanished at a node")
             floors = EIGEN_FLOOR_SCALE * diag.sum(axis=1, keepdims=True) / self.N
             diag = np.maximum(diag, floors)
-            out = np.zeros((len(pts), self.N, self.N), dtype=complex)
+            out = np.zeros((len(pts), self.N, self.N))
             idx = np.arange(self.N)
             out[:, idx, idx] = diag ** a
         else:

@@ -18,7 +18,7 @@ from anisoweights.besov import (
     mollifier_bump,
     synthesize,
 )
-from anisoweights.dilation import new_dilation_group
+from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import (
     AnisoBall,
     ball_volume,
@@ -40,7 +40,7 @@ PARAMS = BesovParams(0.5, 2, 2)
 
 @pytest.fixture(scope="module")
 def G1():
-    return new_dilation_group([[1.0]])
+    return DilationGroup([[1.0]])
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ def coefficients(ensemble, sqrt_bapu):
 
 @pytest.fixture(scope="module")
 def G2():
-    return new_dilation_group(np.diag([1.0, 2.0]))
+    return DilationGroup(np.diag([1.0, 2.0]))
 
 
 @pytest.fixture(scope="module")

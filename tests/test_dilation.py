@@ -7,14 +7,13 @@ from anisoweights.dilation import (
     NonPositiveScale,
     NonPositiveSpectrum,
     NonSymmetric,
-    new_dilation_group,
     triangle_constant_estimate,
 )
 from anisoweights.spectral import FourierGrid
 
 
 def coupled_group():
-    return new_dilation_group([[1.5, 0.5], [0.5, 1.5]])
+    return DilationGroup([[1.5, 0.5], [0.5, 1.5]])
 
 
 def reference_solve(G, pts):
@@ -61,13 +60,13 @@ def scaled_points(rng, n, d):
 
 class TestConstruction:
     def test_identity(self):
-        G = new_dilation_group(np.eye(2))
+        G = DilationGroup(np.eye(2))
         assert G.nu == pytest.approx(2.0)
         assert G.alpha1 == pytest.approx(1.0)
         assert G.alpha2 == pytest.approx(1.0)
 
     def test_diagonal(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         assert G.nu == pytest.approx(3.0)
         assert G.alpha1 == pytest.approx(1.0)
         assert G.alpha2 == pytest.approx(2.0)
@@ -78,7 +77,7 @@ class TestConstruction:
         tr, det = A.trace(), np.linalg.det(A)
         disc = np.sqrt(tr ** 2 - 4 * det)
         expected = sorted([(tr - disc) / 2, (tr + disc) / 2])
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         assert G.eigenvalues == pytest.approx(expected)
         assert G.nu == pytest.approx(3.0)
         QtQ = G.eigenvectors.T @ G.eigenvectors
@@ -86,17 +85,17 @@ class TestConstruction:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetric):
-            new_dilation_group([[1.0, 2.0], [0.0, 1.0]])
+            DilationGroup([[1.0, 2.0], [0.0, 1.0]])
 
     def test_rejects_nonpositive_spectrum(self):
         with pytest.raises(NonPositiveSpectrum):
-            new_dilation_group(np.diag([1.0, -1.0]))
+            DilationGroup(np.diag([1.0, -1.0]))
         with pytest.raises(NonPositiveSpectrum):
-            new_dilation_group(np.zeros((2, 2)))
+            DilationGroup(np.zeros((2, 2)))
 
     def test_symmetrizes_roundoff(self):
         A = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         assert np.allclose(G.A, G.A.T)
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf])
@@ -107,11 +106,11 @@ class TestConstruction:
 
 class TestDilate:
     def test_identity_generator(self):
-        G = new_dilation_group(np.eye(2))
+        G = DilationGroup(np.eye(2))
         assert G.dilate(2.0, [1.0, 0.0]) == pytest.approx([2.0, 0.0])
 
     def test_diagonal_closed_form(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         assert G.dilate(3.0, [1.0, 1.0]) == pytest.approx([3.0, 9.0])
 
     def test_group_law(self):
@@ -148,16 +147,16 @@ class TestDilate:
 
 class TestQuasiNorm:
     def test_euclidean_reduction(self):
-        G = new_dilation_group(np.eye(2))
+        G = DilationGroup(np.eye(2))
         assert abs(G.quasi_norm([3.0, 4.0]) - 5.0) < 1e-12
 
     def test_diagonal_closed_form(self):
         # t^(-4) * 81 = 1 gives t = 3
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         assert G.quasi_norm([0.0, 9.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_one_dimensional_power(self):
-        G = new_dilation_group([[2.0]])
+        G = DilationGroup([[2.0]])
         assert G.quasi_norm([9.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_zero(self):
@@ -179,7 +178,7 @@ class TestQuasiNorm:
         # u^(1/alpha1) overflows (1e500) and u^(1/alpha2) underflows
         # (1e-500) for u = 1e150 and 1e-150 on diag(0.3, 3), although u^2
         # does not; the bracket then comes from log u^2
-        G = new_dilation_group(np.diag([0.3, 3.0]))
+        G = DilationGroup(np.diag([0.3, 3.0]))
         pts = np.array([[0.0, 1e150], [0.0, 1e-150]])
         want = np.array([1e50, 1e-50])
         got = G.quasi_norm(pts)
@@ -201,7 +200,7 @@ class TestQuasiNorm:
         assert np.max(np.abs(resid)) <= 1e-11
 
     def test_homogeneity(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         rng = np.random.default_rng(3)
         xi = rng.standard_normal((500, 2))
         lhs = G.quasi_norm(G.dilate(2.0, xi))
@@ -220,7 +219,7 @@ class TestQuasiNorm:
         assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-9
 
     def test_envelope_bounds(self):
-        G = new_dilation_group(np.diag([0.5, 2.0]))
+        G = DilationGroup(np.diag([0.5, 2.0]))
         rng = np.random.default_rng(13)
         n = 10_000
         xi = rng.standard_normal((n, 2)) * 2.0 ** rng.uniform(-8, 8, (n, 1))
@@ -243,7 +242,7 @@ class TestQuasiNorm:
 
     def test_summability_1d(self):
         # Riemann sums of <x>^(-nu-1/2) over expanding boxes stay bounded
-        G = new_dilation_group([[2.0]])
+        G = DilationGroup([[2.0]])
         h = 1.0 / 8
         sums = []
         for k in range(1, 8):
@@ -261,7 +260,7 @@ class TestQuasiNorm:
     def test_summability_2d(self):
         # boxes expanded along the dilations capture whole quasi-shells, and
         # a fixed lattice makes the sums nested partial sums of one series
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         h = 0.5
         sums = []
         for k in range(2, 6):
@@ -283,7 +282,7 @@ class TestBitwiseOracle:
     def test_multiplier_grids(self, R):
         # the 128x128 frequency grid of the multiplier experiment, transported
         # to B_A(0, R), and the shifts of the ensemble's off-centre members
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         eta = G.dilate(1.0 / R, FourierGrid(2, 128, 8 * np.pi).frequency_points())
         for shift in (0.0, -0.45, -0.4, 0.5):
             pts = eta + np.array([shift, 0.0])
@@ -292,7 +291,7 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("A", [[[1.0]], [[2.0]], np.diag([1.0, 2.0]), np.diag([0.5, 1.0]),
                                    [[1.5, 0.5], [0.5, 1.5]], np.diag([0.3, 3.0])])
     def test_random_batches(self, A):
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         rng = np.random.default_rng(23)
         for n in (1, 2, 3, 4, 5, 6, 7, 300, 20_000):
             pts = scaled_points(rng, n, G.d)
@@ -307,7 +306,7 @@ class TestBitwiseOracle:
         # in larger ones the 1-ulp level can pick another sign change of
         # the rounded f near the root, which moves a few points by up to
         # the batch-dependence level of the solve
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         rng = np.random.default_rng(29)
         for n in range(1, 8):
             pts = scaled_points(rng, n, 3)
@@ -325,7 +324,7 @@ class TestSignRule:
     @pytest.mark.parametrize("A", [[[1.0]], np.diag([0.5, 1.0]), np.diag([1.0, 2.0]),
                                    [[1.0, 0.3], [0.3, 1.5]], np.diag([0.3, 1.0, 3.0])])
     def test_decisions_match_every_batching(self, A):
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         rng = np.random.default_rng(17)
         x = rng.standard_normal((300, G.d)) * 2.0 ** rng.uniform(-20, 20, (300, 1))
         x[:30, 0] = 0.0
@@ -341,7 +340,7 @@ class TestSignRule:
 
     def test_exact_ties_fall_back(self):
         # (+-2, 0) and (0, +-4) lie exactly on |c|_A = 2 for diag(1, 2)
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         pts = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 4.0], [0.0, -4.0], [1.0, 1.0], [3.0, 1.0]])
         inside, tie = G._side(pts, 2.0)
         assert tie.tolist() == [True] * 4 + [False] * 2
@@ -366,21 +365,21 @@ class TestSignRule:
     def test_overflowing_and_underflowing_levels_are_ties(self):
         # r = 1e-200 on diag(0.3, 3): t^(-6) overflows, and on the first
         # axis the level is 0 * inf = NaN, which must not read as outside
-        G = new_dilation_group(np.diag([0.3, 3.0]))
+        G = DilationGroup(np.diag([0.3, 3.0]))
         axes = np.array([[1.0, 0.0], [0.0, 1.0]])
         with np.errstate(all="raise"):
             inside, tie = G._side(axes, 1e-200)
         assert tie.all()
         assert np.array_equal(G._below(axes, 1e-200), G.quasi_norm(axes) < 1e-200)
         # r = 1e200 on diag(1, 2): every term of the level underflows to 0
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         inside, tie = G._side(np.array([[1.0, 1.0]]), 1e200)
         assert tie.all() and G._below(np.array([[1.0, 1.0]]), 1e200).all()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_points_outside_the_safe_range_are_ties(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         pts = np.array([[1e-150, 0.0], [1e150, 1e150]])
         r = np.array([1e-150, 1e100])
         inside, tie = G._side(pts, r)
@@ -390,26 +389,26 @@ class TestSignRule:
 
 class TestBracket:
     def test_values(self):
-        G1 = new_dilation_group(np.eye(2))
+        G1 = DilationGroup(np.eye(2))
         assert G1.bracket(np.zeros(2)) == pytest.approx(1.0)
         assert G1.bracket([3.0, 4.0]) == pytest.approx(6.0, abs=1e-12)
-        G2 = new_dilation_group(np.diag([1.0, 2.0]))
+        G2 = DilationGroup(np.diag([1.0, 2.0]))
         assert G2.bracket([0.0, 9.0]) == pytest.approx(4.0, abs=1e-12)
 
 
 class TestTriangleConstant:
     def test_euclidean(self):
-        G = new_dilation_group(np.eye(2))
+        G = DilationGroup(np.eye(2))
         est = triangle_constant_estimate(G, 2000, seed=1)
         assert est <= 1.0 + 1e-10
 
     def test_monotone_in_samples(self):
-        G = new_dilation_group(np.diag([0.5, 1.0]))
+        G = DilationGroup(np.diag([0.5, 1.0]))
         estimates = [triangle_constant_estimate(G, n, seed=9) for n in (100, 1000, 4000)]
         assert estimates[0] <= estimates[1] <= estimates[2]
 
     def test_deterministic(self):
-        G = new_dilation_group(np.diag([0.5, 1.0]))
+        G = DilationGroup(np.diag([0.5, 1.0]))
         a = triangle_constant_estimate(G, 500, seed=4)
         b = triangle_constant_estimate(G, 500, seed=4)
         assert a == b
@@ -417,14 +416,14 @@ class TestTriangleConstant:
     def test_exceeds_one_for_small_eigenvalue(self):
         # lam < 1 makes |2x|_A = 2^(1/lam) |x|_A along that axis, which
         # beats |x|_A + |x|_A, so the sampled estimate must exceed 1.
-        G = new_dilation_group(np.diag([0.5, 1.0]))
+        G = DilationGroup(np.diag([0.5, 1.0]))
         assert triangle_constant_estimate(G, 4000, seed=2) > 1.0
 
     def test_triangle_holds_with_unit_ball_calibration(self):
         # With all eigenvalues >= 1 and the Euclidean unit ball as the
         # anisotropic unit ball, |xi+zeta|_A <= |xi|_A + |zeta|_A exactly:
         # |delta_s u| <= s^alpha1 <= s for s <= 1 and unit vectors u.
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         est = triangle_constant_estimate(G, 4000, seed=2)
         assert est <= 1.0 + 1e-10
         # the pair (0,1), (0,1) shows ratios strictly below 1 here

@@ -6,7 +6,7 @@ from scipy.special import gammaln, ndtri
 from scipy.stats import qmc
 
 from anisoweights import dilation, geometry
-from anisoweights.dilation import new_dilation_group
+from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import (
     AffineMap,
     AnisoBall,
@@ -24,17 +24,17 @@ from anisoweights.geometry import (
 
 @pytest.fixture(scope="module")
 def G1():
-    return new_dilation_group([[1.0]])
+    return DilationGroup([[1.0]])
 
 
 @pytest.fixture(scope="module")
 def Giso():
-    return new_dilation_group(np.eye(2))
+    return DilationGroup(np.eye(2))
 
 
 @pytest.fixture(scope="module")
 def Gani():
-    return new_dilation_group(np.diag([1.0, 2.0]))
+    return DilationGroup(np.diag([1.0, 2.0]))
 
 
 def mc_volume(G, r, n=2 ** 16, seed=0):
@@ -130,6 +130,20 @@ def ndtri_directions(u):
     return g / norms
 
 
+class TestNdtri:
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(12)
+        log_uniform = 10.0 ** rng.uniform(-12, 0, 250_000)
+        e2 = np.exp(-2.0)
+        edges = [e2, 1 - e2, 1e-12, 1 - 1e-12, 0.5]
+        edges += [np.nextafter(x, t) for x in edges[:2] for t in (0.0, 1.0)]
+        y = np.concatenate([rng.random(600_000), geometry._halton(50_000, 6).ravel(),
+                            log_uniform, 1.0 - log_uniform, edges])
+        y = np.clip(y, 1e-12, 1 - 1e-12)
+        assert len(y) > 1_000_000
+        assert geometry._ndtri(y).tobytes() == ndtri(y).tobytes()
+
+
 class TestNormalDirections:
     def test_one_dimension_matches_ndtri_bitwise(self):
         u = np.concatenate([geometry._halton(1000, 1),
@@ -200,7 +214,7 @@ class TestBallPairs:
     @pytest.mark.parametrize("chunk", [2 ** 14, 37])
     def test_matches_brute_force(self, A, chunk, monkeypatch):
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         rng = np.random.default_rng(8)
         centers = rng.uniform(-3, 3, size=(40, G.d))
         radii = rng.uniform(0.05, 1.5, size=40)
@@ -385,7 +399,7 @@ class TestGreedyNet:
     @pytest.mark.parametrize("case", GREEDY_CASES)
     def test_matches_per_candidate_loop(self, case):
         A, c, max_norm, seed, n, m = case
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         got = build_structured_covering(G, c, max_norm, seed=seed,
                                         candidates_per_shell=n, validation_samples=m)
         assert_same_covering(got, reference_covering(G, c, max_norm, seed, n, m))
@@ -393,7 +407,7 @@ class TestGreedyNet:
     @pytest.mark.parametrize("case", GREEDY_CASES[1:3])
     def test_forced_solves_match(self, case, monkeypatch):
         A, c, max_norm, seed, n, m = case
-        G = new_dilation_group(A)
+        G = DilationGroup(A)
         want = build_structured_covering(G, c, max_norm, seed=seed,
                                          candidates_per_shell=n, validation_samples=m)
         # every pair is a tie: each candidate with a live partner in its box
@@ -535,7 +549,7 @@ class TestIntersectionStats:
     def coverings(self, G1, cov8, cov2d):
         wide = build_structured_covering(cov2d.group, 0.9, 2.0, seed=5, candidates_per_shell=256,
                                          validation_samples=256)
-        coupled = build_structured_covering(new_dilation_group([[1.0, 0.3], [0.3, 1.5]]), 0.9,
+        coupled = build_structured_covering(DilationGroup([[1.0, 0.3], [0.3, 1.5]]), 0.9,
                                             2.0, seed=3, candidates_per_shell=256,
                                             validation_samples=256)
         outer = cov2d.shells[-1][0]

@@ -1,10 +1,10 @@
-"""Import cost: the package and its scipy-free paths load no scipy.
+"""Import cost: the package loads no scipy on any path.
 
 scipy takes about a second to import, more than a short experiment takes
-to run.  Only the normal quantile of directions in two or more dimensions
-(`geometry._normal_directions`) and the least-squares fit of reducing
-operators at p != 2 (`muckenhoupt._fit_log_ellipsoid`) import it, on first
-use.
+to run.  numpy is the only runtime dependency: the normal quantile of
+directions (`geometry._ndtri`) and the fit of reducing operators
+(`muckenhoupt._fit_reducing`) are in-house.  The child process below runs
+both, in a 2-D covering and a complex reducing-operator fit.
 """
 
 import json
@@ -37,9 +37,17 @@ W = weights.MatrixWeightSpec.diag_dominant(
     0.5,
 )
 G2 = dilation.DilationGroup(np.diag([1.0, 2.0]))
-muckenhoupt.ap_ball_quantity_ladder(
-    W, geometry.AnisoBall([0.5, -0.5], 1.0), 2.0,
-    muckenhoupt.BallQuadrature("mapped_grid", 256), G2)
+quad = muckenhoupt.BallQuadrature("mapped_grid", 256)
+muckenhoupt.ap_ball_quantity_ladder(W, geometry.AnisoBall([0.5, -0.5], 1.0), 2.0, quad, G2)
+
+geometry.build_structured_covering(dilation.DilationGroup(np.diag([0.5, 1.0])), 0.5, 4.0,
+                                   seed=0, candidates_per_shell=128)
+th = 0.4
+U = np.array([[np.cos(th), 1j * np.sin(th)], [1j * np.sin(th), np.cos(th)]])
+Wc = weights.MatrixWeightSpec.conjugated(U, [S.poly_abs_power({(1, 0): 1.0}, 0.5),
+                                             S.radial_power(-0.3)])
+pair = muckenhoupt.reducing_operators(Wc, geometry.AnisoBall([0.2, -0.1], 0.7), 1.5, quad, G2)
+assert np.iscomplexobj(pair.A_B) and pair.A_B.imag.any()
 
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as spquad
 
-from anisoweights.dilation import new_dilation_group
+from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import AffineMap, AnisoBall, compute_r0
 from anisoweights import muckenhoupt
 from anisoweights.muckenhoupt import (
@@ -35,12 +37,12 @@ from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, hermitian_p
 
 @pytest.fixture(scope="module")
 def G1():
-    return new_dilation_group([[1.0]])
+    return DilationGroup([[1.0]])
 
 
 @pytest.fixture(scope="module")
 def G2():
-    return new_dilation_group(np.diag([1.0, 2.0]))
+    return DilationGroup(np.diag([1.0, 2.0]))
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +425,7 @@ class TestFamilyEstimate:
         # bisection on the lattice batch keeps the first pair and drops the
         # second, which gives the 92 balls of the A_p benchmark family.  A
         # solver change that moves these values changes the family
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         fam = default_ball_family(G, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         assert len(fam) == 92
         axis = np.arange(-4.0, 5.0)
@@ -636,20 +638,19 @@ class TestReducing:
         assert not pair.fit_degenerate
 
     def test_optimizer_recovers_gram_at_p2(self, G1, grid1):
-        # feed the log-least-squares path the p = 2 data; it must land on
+        # feed the reweighted least squares the p = 2 data; it must land on
         # the Gram square root, which represents eta exactly
-        from anisoweights.muckenhoupt import _directions, _eta_values, _fit_log_ellipsoid
+        from anisoweights.muckenhoupt import _directions, _fit_reducing
 
         W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
         B = AnisoBall([0.5], 1.0)
         nodes = grid1.ball_nodes(G1, B, 2)
         dirs = _directions(2, 8, False)
-        eta = _eta_values(W, nodes, dirs, 0.5, 2.0, 1.0)
         gram = W.values(nodes).mean(axis=0)
         lam, V = np.linalg.eigh(gram)
         root = (V * np.sqrt(lam)) @ V.conj().T
-        start = root + 0.3 * np.array([[0.2, 0.1], [0.1, -0.1]])
-        fitted = _fit_log_ellipsoid(dirs, eta, start, False)
+        fitted, _, positive = _fit_reducing(safe_power_values(W, nodes, 0.5, 1.0), dirs, 2.0)
+        assert positive
         assert np.max(np.abs(fitted - root)) <= 1e-6
 
     def test_p_not_two_fit(self, G1, grid1):
@@ -810,6 +811,82 @@ def conjugated_weight():
             ScalarWeightSpec.radial_power(-0.3)])
 
 
+def ap_matrix_weight():
+    """The 3x3 weight of the ap-matrix-2d benchmark (variant 0)."""
+    S = ScalarWeightSpec
+    return MatrixWeightSpec.diag_dominant(
+        [S.poly_abs_power({(1, 0): 1.0}, 0.5), S.radial_power(0.5), S.constant(2.0)],
+        {(0, 1): {(0, 1): 1.0, (0, 0): 0.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}},
+        0.5,
+    )
+
+
+def lm_reducing_fit(dirs, eta, S0):
+    """Oracle: least squares of log|S u| on log eta over S = expm(H), H Hermitian.
+
+    Levenberg-Marquardt from the start S0; the rows S u are dirs @ S.T.
+    """
+    from scipy.optimize import least_squares
+
+    N, complex_ = S0.shape[0], np.iscomplexobj(dirs)
+    iu = np.triu_indices(N, k=1)
+
+    def expm(H):
+        lam, V = np.linalg.eigh(H)
+        return (V * np.exp(lam)) @ V.conj().T
+
+    def unpack(x):
+        H = np.zeros((N, N), dtype=complex)
+        H[np.diag_indices(N)] = x[:N]
+        off = x[N:N + len(iu[0])]
+        if complex_:
+            off = off + 1j * x[N + len(iu[0]):]
+        H[iu] = off
+        H[(iu[1], iu[0])] = np.conj(off)
+        return H
+
+    lam0, V0 = np.linalg.eigh(S0)
+    H0 = (V0 * np.log(np.maximum(lam0, 1e-150))) @ V0.conj().T
+    x0 = [np.real(np.diag(H0)), np.real(H0[iu])] + ([np.imag(H0[iu])] if complex_ else [])
+
+    def resid(x):
+        mags = np.linalg.norm(dirs @ expm(unpack(x)).T, axis=1)
+        return np.log(np.maximum(mags, 1e-150)) - np.log(eta)
+
+    sol = least_squares(resid, np.concatenate(x0), method="lm", max_nfev=400)
+    return expm(unpack(sol.x))
+
+
+def eta_values(root, dirs, exponent):
+    """(avg |W^a(t) u|^exponent)^(1/exponent) per direction u, root = W^a."""
+    mags = np.linalg.norm(np.einsum("mij,kj->mki", root, dirs), axis=2)
+    return np.mean(mags ** exponent, axis=0) ** (1.0 / exponent)
+
+
+def oracle_distortions(W, B, p, quad, G, monkeypatch):
+    """reducing_operators' pair, and the LM oracle's distortion on the same
+    directions and eta for A_B and A_B^#, each started from the Gram proxy
+    (avg_B W^(2a))^(1/2) of its root W^a."""
+    fits = []
+    inner = muckenhoupt._fit_reducing
+
+    def recorded(root, dirs, exponent):
+        fits.append((dirs, eta_values(root, dirs, exponent)))
+        return inner(root, dirs, exponent)
+
+    monkeypatch.setattr(muckenhoupt, "_fit_reducing", recorded)
+    pair = reducing_operators(W, B, p, quad, G, q_grid=[])
+    nodes = quad.ball_nodes(G, B, _LEVELS - 1)
+    scale = G.euclidean_radius_bound(B.radius)
+    want = []
+    for (dirs, eta), a in zip(fits, (1.0 / p, -1.0 / p)):
+        gram = safe_power_values(W, nodes, 2 * a, scale).mean(axis=0)
+        S = lm_reducing_fit(dirs, eta, hermitian_power(gram, 0.5))
+        ratios = np.linalg.norm(dirs @ S.T, axis=1) / eta
+        want.append(ratios.max() / ratios.min())
+    return pair, want
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -825,6 +902,53 @@ def count_calls(monkeypatch, owner, name):
 @pytest.fixture(params=["mapped_grid", "monte_carlo"])
 def any_quad(request):
     return BallQuadrature(request.param, 256, seed=3)
+
+
+class TestReducingFit:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("weight", [ap_matrix_weight, conjugated_weight])
+    def test_no_worse_than_lm_oracle(self, G2, grid1, monkeypatch, weight, p):
+        for B in (AnisoBall([0.2, -0.1], 0.7), AnisoBall([0.5, -0.5], 1.0),
+                  AnisoBall([-1.0, 2.0], 0.5)):
+            pair, (want, want_sharp) = oracle_distortions(weight(), B, p, grid1, G2, monkeypatch)
+            assert pair.distortion <= want * (1 + 1e-5)
+            assert pair.sharp_distortion <= want_sharp * (1 + 1e-5)
+
+    def test_complex_weight_convention(self, G2, grid1):
+        # the rows A u are dirs @ A.T; measuring |conj(A) u| instead makes
+        # the exact p = 2 Gram root of a complex weight look distorted
+        # (1.67) and degenerate
+        W, B = conjugated_weight(), AnisoBall([0.2, -0.1], 0.7)
+        pair = reducing_operators(W, B, 2.0, grid1, G2)
+        assert pair.distortion == pytest.approx(1.0, abs=1e-9)
+        assert pair.sharp_distortion == pytest.approx(1.0, abs=1e-9)
+        assert not pair.fit_degenerate
+
+        p = 1.5
+        pair = reducing_operators(W, B, p, grid1, G2)
+        nodes = grid1.ball_nodes(G2, B, _LEVELS - 1)
+        root = safe_power_values(W, nodes, 1.0 / p, G2.euclidean_radius_bound(B.radius))
+        dirs = muckenhoupt._directions(2, 8, True)
+        ratios = np.linalg.norm(dirs @ pair.A_B.T, axis=1) / eta_values(root, dirs, p)
+        assert ratios.max() / ratios.min() <= 1.01
+
+    def test_singular_centre_gets_complex_directions(self, G2, grid1, monkeypatch):
+        # W is infinite at the centre 0; complexness comes from the nodes
+        calls = []
+        inner = muckenhoupt._directions
+
+        def recorded(N, n, complex_):
+            calls.append(complex_)
+            return inner(N, n, complex_)
+
+        monkeypatch.setattr(muckenhoupt, "_directions", recorded)
+        B = AnisoBall([0.0, 0.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair, (want, _) = oracle_distortions(conjugated_weight(), B, 1.5, grid1, G2,
+                                                 monkeypatch)
+        assert calls == [True]
+        assert pair.distortion == pytest.approx(want, rel=1e-5)
 
 
 class TestOneLadder:

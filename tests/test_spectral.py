@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisoweights.dilation import DilationGroup, new_dilation_group
+from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import AffineMap, AnisoBall
 from anisoweights.muckenhoupt import BallQuadrature
 from anisoweights.spectral import (
@@ -32,12 +32,12 @@ from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
 
 @pytest.fixture(scope="module")
 def G1():
-    return new_dilation_group([[1.0]])
+    return DilationGroup([[1.0]])
 
 
 @pytest.fixture(scope="module")
 def G2():
-    return new_dilation_group(np.diag([1.0, 2.0]))
+    return DilationGroup(np.diag([1.0, 2.0]))
 
 
 @pytest.fixture(scope="module")

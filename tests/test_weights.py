@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anisoweights.dilation import new_dilation_group
+from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import AffineMap
 from anisoweights.weights import (
     MatrixWeightSpec,
@@ -101,6 +101,14 @@ class TestMatrix:
         assert np.max(np.abs(vals[:, 1, 1] - 1.0)) < 1e-12
         assert np.max(np.abs(vals[:, 0, 1])) == 0.0
 
+    def test_diagonal_values_are_real(self):
+        pts = np.array([[0.3, 1.0], [5.0, -2.0]])
+        assert self.W.values(pts).dtype == np.float64
+        for a in (0.5, -0.5):
+            got = self.W.power_values(pts, a)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - hermitian_power(self.W.values(pts), a))) <= 1e-14
+
     def test_conjugated(self):
         theta = 0.3
         U = np.array(
@@ -179,7 +187,7 @@ class TestNormEquivalence:
 
 class TestCompose:
     def test_scalar_composition(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         T = AffineMap(G, 2.0, np.array([1.0, 0.0]))
         w = ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5)
         wt = w.compose(T)
@@ -189,7 +197,7 @@ class TestCompose:
         assert wt.compose(T).values(x) == pytest.approx(w.values(T.apply(T.apply(x))))
 
     def test_matrix_composition(self):
-        G = new_dilation_group(np.diag([1.0, 2.0]))
+        G = DilationGroup(np.diag([1.0, 2.0]))
         T = AffineMap(G, 0.5, np.array([0.0, 1.0]))
         W = MatrixWeightSpec.diagonal(
             [ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
