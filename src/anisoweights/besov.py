@@ -24,55 +24,51 @@ import numpy as np
 
 from .dilation import DilationGroup
 from .geometry import AnisoBall, StructuredCovering, _lattice, ball_pairs, ball_volume, compute_r0
-from .muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
+# besov.safe_power_values stays bound for perfbench, whose tracer self-test wraps it here
+from .muckenhoupt import safe_power_values, weighted_magnitudes  # noqa: F401
 from .spectral import (
     BandLimitedField,
     FourierGrid,
     TruncationInsufficient,
+    _grid_root,
     _riemann_norm,
     poly_plateau,
     smooth_plateau,
 )
 
 
+# relative size, against ||f||_2, below which `analyze` drops a coefficient
+_COEF_FLOOR = 1e-12
+
+
 class DenominatorVanishes(RuntimeError):
     """A lattice point inside the truncation is uncovered by the bumps."""
 
 
-def default_bump(c0: float, ramp_end: float = None):
-    """Profile equal to 1 on B_A(0, c0) and 0 off B_A(0, ramp_end).
+def default_bump(c0: float):
+    """Profile equal to 1 on B_A(0, c0) and 0 off B_A(0, 1.5 c0).
 
     A degree-7 polynomial ramp composed with the quasi-norm: the atoms
     then decay like z^(-5) with small constants, which keeps the frame
     identities at their target tolerances on desk-size grids.  Only the
     lattice values of the profile enter; smoothness shows up through the
-    measured decay certificates.  ramp_end defaults to 1.5 c0 and must
-    stay within 2 c0.
+    measured decay certificates.  The ramp ends inside the patch radius
+    c1 = 2 c0.
     """
-    if ramp_end is None:
-        ramp_end = 1.5 * c0
-    if not c0 < ramp_end <= 2 * c0 + 1e-12:
-        raise ValueError("ramp must end inside (c0, 2 c0]")
-
     def g(quasi_norms):
-        return poly_plateau(np.asarray(quasi_norms), c0, ramp_end)
+        return poly_plateau(np.asarray(quasi_norms), c0, 1.5 * c0)
 
     return g
 
 
-def mollifier_bump(c0: float, ramp_end: float = None):
-    """Alternative profile from the standard exp(-1/t) mollifier.
+def mollifier_bump(c0: float):
+    """Alternative profile from the standard exp(-1/t) mollifier, same ramp.
 
     Infinitely smooth but with much heavier spatial tails at fixed ramp
     width; used as the second profile in partition-independence checks.
     """
-    if ramp_end is None:
-        ramp_end = 1.5 * c0
-    if not c0 < ramp_end <= 2 * c0 + 1e-12:
-        raise ValueError("ramp must end inside (c0, 2 c0]")
-
     def g(quasi_norms):
-        return smooth_plateau(np.asarray(quasi_norms), c0, ramp_end)
+        return smooth_plateau(np.asarray(quasi_norms), c0, 1.5 * c0)
 
     return g
 
@@ -82,16 +78,26 @@ class Bapu:
     """Partition of unity subordinate to the doubled covering patches."""
 
     grid: FourierGrid
-    group: DilationGroup
     covering: StructuredCovering
-    c1: float
     supports: list          # flat lattice indices per patch
     values: list            # phi_j on the support
-    max_norm: float
     kind: str = "plain"
 
     def __len__(self):
         return len(self.supports)
+
+    @property
+    def group(self) -> DilationGroup:
+        return self.covering.group
+
+    @property
+    def c1(self) -> float:
+        """Patch radius factor, twice the covering's c0."""
+        return 2 * self.covering.c
+
+    @property
+    def max_norm(self) -> float:
+        return self.covering.max_norm
 
     @property
     def t(self) -> np.ndarray:
@@ -117,7 +123,8 @@ class Bapu:
         return float(np.max(np.abs(total[region] - 1.0)))
 
 
-def _build_partition(grid, group, covering, bump, c0, kind) -> Bapu:
+def _build_partition(grid, covering, bump, kind) -> Bapu:
+    group, c0 = covering.group, covering.c
     xi = grid.frequency_points()
     supports, g_values = [], []
     denom = np.zeros(len(xi))
@@ -144,23 +151,18 @@ def _build_partition(grid, group, covering, bump, c0, kind) -> Bapu:
         )
     norm = np.sqrt(denom) if kind == "sqrt" else denom
     values = [gv / norm[idx] for idx, gv in zip(supports, g_values)]
-    return Bapu(grid, group, covering, 2 * c0, supports, values,
-                covering.max_norm, kind=kind)
+    return Bapu(grid, covering, supports, values, kind=kind)
 
 
 def build_bapu(grid: FourierGrid, covering: StructuredCovering,
                bump=None) -> Bapu:
     """Partition of unity from a covering built at parameter c0."""
-    c0 = covering.c
-    bump = bump or default_bump(c0)
-    return _build_partition(grid, covering.group, covering, bump, c0, "plain")
+    return _build_partition(grid, covering, bump or default_bump(covering.c), "plain")
 
 
-def build_sqrt_bapu(grid: FourierGrid, covering: StructuredCovering,
-                    bump=None) -> "Bapu":
-    c0 = covering.c
-    bump = bump or default_bump(c0)
-    return _build_partition(grid, covering.group, covering, bump, c0, "sqrt")
+def build_sqrt_bapu(grid: FourierGrid, covering: StructuredCovering) -> Bapu:
+    """Square-root partition (sum of squares 1) from `default_bump`."""
+    return _build_partition(grid, covering, default_bump(covering.c), "sqrt")
 
 
 # -- Besov norm ----------------------------------------------------------------------
@@ -177,9 +179,12 @@ class BesovParams:
             raise ValueError("p and q must be positive")
 
 
-def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
-               tail_limit: float = 1e-6) -> float:
-    """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf."""
+def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float:
+    """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf.
+
+    Raises `TruncationInsufficient` when more than 1e-6 of the spectral
+    mass lies beyond the last patch.
+    """
     grid, group = f.grid, f.group
     flat_spec = f.spectrum.reshape(f.N, -1)
     covered = np.zeros(flat_spec.shape[1], dtype=bool)
@@ -188,12 +193,11 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu,
     mass = np.abs(flat_spec) ** 2
     total = mass.sum()
     outside = float(mass[:, ~covered].sum() / total) if total > 0 else 0.0
-    if outside > tail_limit:
+    if outside > 1e-6:
         raise TruncationInsufficient(
             f"spectral mass {outside:.2e} beyond the last patch"
         )
-    pts = grid.spatial_points()
-    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
+    root = _grid_root(grid, W, params.p)
     terms = []
     for k in range(len(bapu)):
         spec_k = np.zeros_like(flat_spec)
@@ -306,8 +310,7 @@ def frame_atom(k: int, l, sqrt_bapu: Bapu) -> BandLimitedField:
     )
 
 
-def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
-            coef_floor: float = 1e-12) -> CoefficientArray:
+def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
     """Frame coefficients <f, omega_(k,l)> as exact lattice sums, one DFT per patch.
 
     Coefficient (k, l) is the lattice sum over the support of psi_k of
@@ -318,11 +321,11 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
     the phase e^(-i pos_l . xi_k) follows.
 
     l runs over the full rounded period per patch; entries below
-    coef_floor * ||f||_2 are dropped and the policy recorded.
+    _COEF_FLOOR * ||f||_2 are dropped.  The cells U(k, l) take
+    r0 = compute_r0(group, 0.01).
     """
     grid, group = f.grid, f.group
-    if r0 is None:
-        r0 = compute_r0(group, 0.01)
+    r0 = compute_r0(group, 0.01)
     flat_spec = f.spectrum.reshape(f.N, -1)
     norm2 = f.l2_norm()
     out = CoefficientArray(group, grid, sqrt_bapu.t, r0)
@@ -340,7 +343,7 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu, r0: float = None,
         sums = np.fft.ifftn(folded, axes=axes, norm="forward")[(slice(None), *(ls % counts).T)]
         phase = np.exp(-1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
         coef = lattice_measure * _patch_normalizer(grid, counts) * phase[:, None] * sums.T
-        keep = np.linalg.norm(coef, axis=1) > coef_floor * max(norm2, 1e-300)
+        keep = np.linalg.norm(coef, axis=1) > _COEF_FLOOR * max(norm2, 1e-300)
         if keep.any():
             out.patches[k] = (ls[keep], coef[keep])
     return out
@@ -388,7 +391,7 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
     grid = grid or coeffs.grid
     group = coeffs.group
     pts = grid.spatial_points()
-    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
+    root = _grid_root(grid, W, params.p)
     terms = []
     for k in sorted(coeffs.patches):
         ls, coef = coeffs.patches[k]

@@ -28,7 +28,7 @@ class CoverageGap(RuntimeError):
 
 
 class HeightUnbounded(RuntimeError):
-    """Measured covering height exceeds the configured cap."""
+    """Measured covering height exceeds _HEIGHT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -330,10 +330,10 @@ def compute_r0(G: DilationGroup, margin: float) -> float:
     return float(r0)
 
 
-def unit_covering(G: DilationGroup, r0: float, n_samples: int = 4096) -> UnitCovering:
-    """Measure the overlap height n0 of the cells U_k on a dense sample."""
+def unit_covering(G: DilationGroup, r0: float) -> UnitCovering:
+    """Measure the overlap height n0 of the cells U_k on 4096 Halton points."""
     cov = UnitCovering(G, r0, height_bound=0)
-    pts = _halton(n_samples, G.d)  # [0,1)^d suffices by translation invariance
+    pts = _halton(4096, G.d)  # [0,1)^d suffices by translation invariance
     counts = cov.cover_count(pts)
     if counts.min() < 1:
         raise CoverageGap("unit covering leaves a sampled point uncovered")
@@ -341,6 +341,12 @@ def unit_covering(G: DilationGroup, r0: float, n_samples: int = 4096) -> UnitCov
 
 
 # -- structured coverings ------------------------------------------------------
+
+
+# largest overlap height a structured covering may measure
+_HEIGHT_CAP = 256
+# reference nodes per ball in the shrink validation and the intersection stats
+_WITNESSES = 128
 
 
 @dataclass
@@ -408,7 +414,6 @@ def build_structured_covering(
     max_norm: float,
     seed: int,
     candidates_per_shell: int | None = None,
-    height_cap: int = 256,
     validation_samples: int = 2048,
 ) -> StructuredCovering:
     """Greedy net construction on dyadic shells, then sampled validation.
@@ -471,8 +476,8 @@ def build_structured_covering(
             "decrease the separation or increase candidate density"
         )
     height = int(counts.max())
-    if height > height_cap:
-        raise HeightUnbounded(f"measured height {height} exceeds cap {height_cap}")
+    if height > _HEIGHT_CAP:
+        raise HeightUnbounded(f"measured height {height} exceeds cap {_HEIGHT_CAP}")
     cov.height = height
 
     cov.shrink_factor = _validated_shrink_factor(cov)
@@ -549,11 +554,11 @@ def _shell_net(G: DilationGroup, sep: float, cands, br, prev, prev_br) -> np.nda
     return np.flatnonzero(keep)
 
 
-def _validated_shrink_factor(cov: StructuredCovering, witnesses: int = 128) -> float:
+def _validated_shrink_factor(cov: StructuredCovering) -> float:
     """Largest tested factor c'' <= sep/(2*C_est) with disjoint shrunk balls."""
     G = cov.group
     factor = cov.separation_factor / (2.0 * cov.triangle_estimate * 1.05)
-    nodes = _unit_ball_reference_nodes(witnesses, G.d, G.p_scale, boundary_bias=True)
+    nodes = _unit_ball_reference_nodes(_WITNESSES, G.d, G.p_scale, boundary_bias=True)
     for _ in range(8):
         if _shrunk_disjoint(cov, factor, nodes):
             return factor
@@ -574,19 +579,15 @@ def _shrunk_disjoint(cov: StructuredCovering, factor: float, nodes: np.ndarray) 
     return bool(np.all(balls == hits // len(nodes)))
 
 
-def covering_intersection_stats(
-    C1: StructuredCovering,
-    C2: StructuredCovering,
-    witnesses: int = 128,
-    slack: float = 0.05,
-) -> tuple[int, float]:
+def covering_intersection_stats(C1: StructuredCovering,
+                                C2: StructuredCovering) -> tuple[int, float]:
     """Max neighbor count of C1-balls in C2 and the bracket ratio bound.
 
     A pair of balls (i, j) meets when it passes three steps in turn.  The
     quasi-distance filter first declares every pair empty whose center
-    distance exceeds C_est*(r1+r2)*(1+slack).  A witness of ball i inside
+    distance exceeds 1.05*C_est*(r1+r2).  A witness of ball i inside
     ball j then declares a candidate pair nonempty: each ball carries
-    `witnesses` reference nodes, and one ball_pairs search decides all C1
+    `_WITNESSES` reference nodes, and one ball_pairs search decides all C1
     witnesses against the C2 balls.  Only candidates with no witness hit
     get a denser boundary-biased sample of ball i, one ball_pairs search per
     C1 ball.  The ratio bound is the largest max(br_i.max() / br_j.min(),
@@ -595,8 +596,8 @@ def covering_intersection_stats(
     """
     G = C1.group
     c_est = max(C1.triangle_estimate, C2.triangle_estimate)
-    nodes = _unit_ball_reference_nodes(witnesses, G.d, G.p_scale)
-    dense = _unit_ball_reference_nodes(8 * witnesses, G.d, G.p_scale, boundary_bias=True)
+    nodes = _unit_ball_reference_nodes(_WITNESSES, G.d, G.p_scale)
+    dense = _unit_ball_reference_nodes(8 * _WITNESSES, G.d, G.p_scale, boundary_bias=True)
 
     def extremes(sets):
         br = np.array([G.bracket(w) for w in sets])  # each ball's set is one batch
@@ -607,7 +608,7 @@ def covering_intersection_stats(
     lo2, hi2 = (lo1, hi1) if C2 is C1 else extremes(
         _witness_sets(G, C2.centers, C2.radii, nodes))
 
-    near = np.array([G.quasi_norm(C2.centers - ci) <= c_est * (ri + C2.radii) * (1.0 + slack)
+    near = np.array([G.quasi_norm(C2.centers - ci) <= c_est * (ri + C2.radii) * 1.05
                      for ci, ri in zip(C1.centers, C1.radii)])
     hit = np.zeros_like(near)
     balls, pts = ball_pairs(G, C2.centers, C2.radii, sets1.reshape(-1, G.d))

@@ -30,6 +30,8 @@ from .weights import SingularWeight
 
 NORM_CONVENTION = "spectral"
 _LEVELS = 3
+# dyadic annuli `weighted_tail_bound` sums before it gives up
+_TAIL_DEPTH = 40
 
 
 class NonIntegrable(ArithmeticError):
@@ -37,7 +39,7 @@ class NonIntegrable(ArithmeticError):
 
 
 class TruncationNotConverged(RuntimeError):
-    """Annulus partial sums failed to go Cauchy at the configured depth."""
+    """Annulus partial sums failed to go Cauchy within _TAIL_DEPTH annuli."""
 
 
 # -- spectral norms of stacked matrices ---------------------------------------
@@ -67,27 +69,21 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     |Re| or |Im| entry, the largest eigenvalue of the Hermitian Gram matrix
     S^H S is taken from the quadratic formula (N = 2) or the trigonometric
     formula of Smith (1961) (N = 3), and the norm is scale * sqrt(lambda_max).
-    A stack whose imaginary part is zero takes the real path, which has no
-    imaginary plane and gives the same values.  The scaling keeps entries
-    from 1e-300 to 1e300 in range.  For N = 3 the few matrices whose two
-    largest singular values nearly coincide, where the trigonometric formula
-    is ill-conditioned, are gathered back from the planes and handed to
-    LAPACK.  Against LAPACK SVD the relative error is below 1e-14.  A matrix
+    A real stack takes the real path, which has no imaginary plane.  The
+    scaling keeps entries from 1e-300 to 1e300 in range.  For N = 3 the few
+    matrices whose two largest singular values nearly coincide, where the
+    trigonometric formula is ill-conditioned, are gathered back from the
+    planes and handed to LAPACK.  Against LAPACK SVD the relative error is below 1e-14.  A matrix
     with a non-finite entry gives NaN for N <= 3 (which `ladder_estimate`
     reports as `NonIntegrable`); N >= 4 uses LAPACK SVD throughout and
     raises `LinAlgError` on such input.
     """
     N = M.shape[-1]
-    flat = _real_if_exact(M).reshape(-1, N, N)
+    flat = M.reshape(-1, N, N)
     out = np.empty(len(flat))
     for i in range(0, len(flat), _CHUNK):
         out[i:i + _CHUNK] = _plane_norms(flat[i:i + _CHUNK].transpose(1, 2, 0).copy())
     return out.reshape(M.shape[:-2])
-
-
-def _real_if_exact(M: np.ndarray) -> np.ndarray:
-    """The real part of M when its imaginary part is zero, else M."""
-    return M.real if np.iscomplexobj(M) and not M.imag.any() else M
 
 
 def _svd_norms(flat: np.ndarray) -> np.ndarray:
@@ -382,7 +378,6 @@ def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
     writes the products as planes, S[i, k] = Px[rows, i, :] @ Mt[cols, :, k].T,
     and goes straight to `_plane_norms`.
     """
-    Px, Mt = _real_if_exact(Px), _real_if_exact(Mt)
     n1, n2 = len(Px), len(Mt)
     out = np.empty((n1, n2))
     cols = max(1, min(n2, _CHUNK))
@@ -437,12 +432,12 @@ class ApReport:
 
 
 def default_ball_family(G: DilationGroup, max_center_norm: float = 8.0,
-                        radii=None, step: float = 1.0) -> list[AnisoBall]:
-    """Lattice centers inside {|c|_A <= max_center_norm} with dyadic radii."""
+                        radii=None) -> list[AnisoBall]:
+    """Integer lattice centers inside {|c|_A <= max_center_norm} with dyadic radii."""
     if radii is None:
         radii = [2.0 ** m for m in range(-3, 4)]
     reach = G.euclidean_radius_bound(max_center_norm)
-    pts = _lattice([np.arange(-np.floor(reach), np.floor(reach) + 1, step)] * G.d)
+    pts = _lattice([np.arange(-np.floor(reach), np.floor(reach) + 1)] * G.d)
     pts = pts[G.quasi_norm(pts) <= max_center_norm]
     return [AnisoBall(c, r) for c in pts for r in radii]
 
@@ -593,18 +588,19 @@ def _mass_ladder(w, B: AnisoBall, quad: BallQuadrature, G: DilationGroup,
 
 
 def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
-                   quad: BallQuadrature, G: DilationGroup, v=None,
+                   quad: BallQuadrature, G: DilationGroup,
                    bound_constant: float | None = None) -> DoublingReport:
-    """Mass ratios w(lambda B) / w(B) for the weight and its scalar shadows."""
+    """Mass ratios w(lambda B) / w(B) for the weight and its scalar shadows.
+
+    A matrix weight's shadows are its slice along e_1, its spectral norm
+    and, for p > 1, its dual slice at each ball's center.
+    """
     if not len(family) or not len(lambdas):
         raise ValueError("family and lambdas must be nonempty")
     if any(lam < 1 for lam in lambdas):
         raise ValueError("lambdas must be >= 1")
     if _is_matrix(W):
-        if v is None:
-            v = np.zeros(W.N)
-            v[0] = 1.0
-        comps = {"slice": SliceWeight(W, p, np.asarray(v, float)),
+        comps = {"slice": SliceWeight(W, p, np.eye(W.N)[0]),
                  "norm": NormWeight(W)}
         if p > 1:
             comps["dual-slice"] = None  # per-ball, needs the center
@@ -747,23 +743,22 @@ def _fit_reducing(root: np.ndarray, dirs: np.ndarray, exponent: float):
 
 
 def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
-                       G: DilationGroup, n_directions: int | None = None,
-                       q_grid=None, fit_tol: float = 0.05) -> ReducingPair:
+                       G: DilationGroup, q_grid=None) -> ReducingPair:
     """Fit positive definite A_B with |A_B u| ~ (avg_B |W^(1/p) u|^p)^(1/p).
 
-    M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`);
-    at p = 2 this is the Gram identity A_B = (avg_B W)^(1/2).  Directions
-    are complex when the root W^(1/p) at the nodes is.  The companion A_B^#
-    uses the dual exponent and W^(-1/p) (p > 1 only).
+    M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`)
+    on max(2 N^2, 8) directions; at p = 2 this is the Gram identity
+    A_B = (avg_B W)^(1/2).  Directions are complex when the root W^(1/p) at
+    the nodes is.  The companion A_B^# uses the dual exponent and W^(-1/p)
+    (p > 1 only).  The fit counts as degenerate when M is not positive
+    definite or its distortion exceeds 1.05 sqrt(N).
     """
     N = W.N
-    if n_directions is None:
-        n_directions = max(2 * N * N, 8)
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)
     root = safe_power_values(W, nodes, 1.0 / p, scale)
     complex_ = bool(np.max(np.abs(root.imag)) > 1e-14 * np.max(np.abs(root)))
-    dirs = _directions(N, n_directions, complex_)
+    dirs = _directions(N, max(2 * N * N, 8), complex_)
     A_B, distortion, positive = _fit_reducing(root, dirs, p)
     if p > 1:
         A_sharp, sharp_distortion, sharp_positive = _fit_reducing(
@@ -798,7 +793,7 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
             q_values[float(q)] = (lv.value, lv2.value)
             largest_q = float(q)
 
-    degenerate = distortion > np.sqrt(N) * (1 + fit_tol) or not positive
+    degenerate = distortion > np.sqrt(N) * 1.05 or not positive
     return ReducingPair(B, p, A_B, A_sharp, distortion, sharp_distortion,
                         product_norm, q_values, largest_q, degenerate)
 
@@ -851,8 +846,8 @@ class TailBoundResult:
 
 
 def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
-                        quad: BallQuadrature, beta: float, r0: float | None = None,
-                        depth: int = 40) -> TailBoundResult:
+                        quad: BallQuadrature, beta: float,
+                        r0: float | None = None) -> TailBoundResult:
     """Integral of w(x) (1 + t_j |x - x_jl|_A)^(-L) against the cell mass.
 
     Dyadic annuli around the cell are summed until the partial sums go
@@ -894,7 +889,7 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
     terms = [core_decay]
     prev_masses = core_mass
     m_used = 0
-    for m in range(1, depth + 1):
+    for m in range(1, _TAIL_DEPTH + 1):
         term, mass = annulus_integral(m)
         terms.append(term)
         prev_masses += mass
@@ -907,7 +902,7 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
         recent = terms[-3:]
         if not all(b < 0.95 * a for a, b in zip(recent, recent[1:])):
             raise TruncationNotConverged(
-                f"annulus terms not Cauchy at depth {depth}"
+                f"annulus terms not Cauchy at depth {_TAIL_DEPTH}"
             )
     # on the m-th annulus 1 + t_j |x - x_jl|_A >= 1 + 2^(m-1) r0, and the
     # annulus mass is at most c' 2^(m beta) times the cell mass

@@ -173,8 +173,8 @@ class BandLimitedField:
             values = values[None]
         return cls(grid, group, values, grid.forward(values), ball, field_id)
 
-    def is_band_limited(self, limit: float = _TAIL_LIMIT) -> bool:
-        return self.tail <= limit
+    def is_band_limited(self) -> bool:
+        return self.tail <= _TAIL_LIMIT
 
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)
@@ -252,11 +252,16 @@ def decay_certificate(phi: MultiplierSpec, M: float) -> float:
 
 
 def _grid_root(grid: FourierGrid, W, p: float):
-    """W^(1/p) at the spatial grid points, as `safe_power_values` returns it."""
+    """W^(1/p) at the spatial grid points, as `safe_power_values` returns it.
+
+    A matrix root comes back complex: the fields it weighs are complex, and
+    `weighted_magnitudes` would otherwise cast a real root on every call.
+    """
     if p <= 0:
         raise ValueError("p must be positive")
     pts = grid.spatial_points()
-    return safe_power_values(W, pts, 1.0 / p, _local_scale(pts))
+    root = safe_power_values(W, pts, 1.0 / p, _local_scale(pts))
+    return root.astype(complex, copy=False) if root is not None and root.ndim == 3 else root
 
 
 def _riemann_norm(mags: np.ndarray, p: float, cell: float) -> float:
@@ -388,17 +393,16 @@ class ExperimentRow:
 
 def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
                                 grid: FourierGrid, group: DilationGroup,
-                                ensemble_seed: int = 0, N: int = 1,
-                                certify_margin: float = 1.0) -> list[ExperimentRow]:
+                                ensemble_seed: int = 0, N: int = 1) -> list[ExperimentRow]:
     """Ratios ||phi(D)f|| / ||f|| in L^p(W) over transported supports.
 
-    The profile is certified once at the unit scale with decay order above
-    the theoretical threshold; each (R, c) then transports the symbol and
-    the test ensemble by the same affine map; the row (1, 0) reuses the
+    The profile is certified once at the unit scale with decay order one
+    above the theoretical threshold; each (R, c) then transports the symbol
+    and the test ensemble by the same affine map; the row (1, 0) reuses the
     certified symbol.  Every field lives on `grid`, so the weight root is
     evaluated once for all rows.
     """
-    M_req = required_decay_order(group, p) + certify_margin
+    M_req = required_decay_order(group, p) + 1.0
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
     phi0 = MultiplierSpec.from_profile(grid, group, profile, unit_ball)
     K = decay_certificate(phi0, M_req)
@@ -582,18 +586,17 @@ def sampling_representation(f: BandLimitedField, kernel: InterpolationKernel,
 
 def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
                                    fields: list[BandLimitedField],
-                                   quad: BallQuadrature, G: DilationGroup,
-                                   r0: float = None) -> list[ExperimentRow]:
+                                   quad: BallQuadrature,
+                                   G: DilationGroup) -> list[ExperimentRow]:
     """Cell sums of sampled field values against the weighted norm.
 
     For each field g in E_B computes
         sum_l |U(B,l)|-integral of |W^(1/p)(x) g(delta_R^-1 l)|^p
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
-    divided by ||g||_(L^p(W))^p.
+    divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G, 0.01).
     """
     R = ball.radius
-    if r0 is None:
-        r0 = compute_r0(G, 0.01)
+    r0 = compute_r0(G, 0.01)
     rows = []
     for g in fields:
         grid = g.grid

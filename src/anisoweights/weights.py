@@ -205,7 +205,8 @@ class MatrixWeightSpec:
 
     @classmethod
     def conjugated(cls, unitary, scalars, label=None):
-        U = np.asarray(unitary, dtype=complex)
+        """U diag(scalars) U^*, real when U is."""
+        U = np.asarray(unitary, dtype=complex if np.iscomplexobj(unitary) else float)
         N = len(list(scalars))
         if U.shape != (N, N) or not np.allclose(U @ U.conj().T, np.eye(N), atol=1e-12):
             raise ValueError("conjugator must be unitary and match the dimension")
@@ -250,7 +251,7 @@ class MatrixWeightSpec:
             return W
         if self.mode == "conjugated":
             U = self.unitary
-            return np.einsum("ij,mj,kj->mik", U, diag.astype(complex), U.conj())
+            return np.einsum("ij,mj,kj->mik", U, diag.astype(U.dtype), U.conj())
         # diag_dominant: D^(1/2) (I + eps C) D^(1/2), |C_ij| < 1/(N-1)
         C = np.zeros((m, N, N))
         bound = 1.0 / max(1, N - 1)
@@ -309,27 +310,6 @@ class ComposedMatrixWeight:
 
     def compose(self, T):
         return ComposedMatrixWeight(self, T)
-
-
-@dataclass
-class WeightSample:
-    """One evaluated matrix weight with cached eigendata."""
-
-    point: np.ndarray
-    value: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @classmethod
-    def from_spec(cls, W: MatrixWeightSpec, x) -> "WeightSample":
-        val = W.values(np.asarray(x, dtype=float))
-        lam, Q = np.linalg.eigh(val)
-        return cls(np.asarray(x, dtype=float), val, lam, Q)
-
-    def reconstruction_defect(self) -> float:
-        R = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.linalg.norm(R - self.value, 2) /
-                     max(np.linalg.norm(self.value, 2), HARD_FLOOR))
 
 
 # -- matrix norm equivalence ---------------------------------------------------

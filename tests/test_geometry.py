@@ -10,6 +10,7 @@ from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import (
     AffineMap,
     AnisoBall,
+    HeightUnbounded,
     NonPositiveRadius,
     ball_pairs,
     ball_volume,
@@ -447,6 +448,16 @@ class TestStructuredCovering:
             if reach > 8.0:
                 break
         assert reach > 8.0
+
+    def test_height_above_cap_raises(self, Gani, monkeypatch):
+        def build():
+            return build_structured_covering(Gani, c=0.5, max_norm=1.0, seed=5,
+                                             candidates_per_shell=128, validation_samples=128)
+
+        height = build().height
+        monkeypatch.setattr(geometry, "_HEIGHT_CAP", height - 1)
+        with pytest.raises(HeightUnbounded, match=f"height {height} exceeds cap {height - 1}"):
+            build()
 
     def test_shrunk_disjoint_oracle(self, cov8):
         rad = cov8.shrink_factor * cov8.t

@@ -11,6 +11,7 @@ from anisoweights.muckenhoupt import (
     _LEVELS,
     BallQuadrature,
     NonIntegrable,
+    TruncationNotConverged,
     ap_ball_quantity_ladder,
     averaging_operator_check,
     default_ball_family,
@@ -261,21 +262,6 @@ class TestPairNorms:
         _pair_norms(*pair_factors(np.random.default_rng(14), n1, n2, 3, "real"))
         assert max(sizes) <= muckenhoupt._CHUNK
         assert sum(sizes) == n1 * n2
-
-    def test_zero_imaginary_part_takes_real_planes(self, monkeypatch):
-        # complex-typed weights with real values, as `MatrixWeightSpec` gives
-        planes = []
-        kernel = muckenhoupt._plane_norms
-
-        def recorded(S):
-            planes.append(S)
-            return kernel(S)
-
-        monkeypatch.setattr(muckenhoupt, "_plane_norms", recorded)
-        Px, Mt = pair_factors(np.random.default_rng(15), 5, 3, 3, "real")
-        cast = _pair_norms(Px.astype(complex), Mt.astype(complex))
-        assert not any(np.iscomplexobj(S) for S in planes)
-        assert np.array_equal(cast, _pair_norms(Px, Mt))
 
 
 class TestScalarQuantity:
@@ -717,6 +703,14 @@ class TestTailBound:
         r_small = weighted_tail_bound(w, G1, 1.0, [0.0], 2.0, grid1, beta=1.0, r0=r0)
         r_big = weighted_tail_bound(w, G1, 1.0, [0.0], 3.0, grid1, beta=1.0, r0=r0)
         assert r_big.ratio < r_small.ratio
+
+    def test_depth_cap_raises(self, G1, grid1, monkeypatch):
+        # L = beta + 1 converges within the 40 annuli of test_lebesgue_closed_form;
+        # its terms still shrink by less than 5% per annulus after two
+        monkeypatch.setattr(muckenhoupt, "_TAIL_DEPTH", 2)
+        with pytest.raises(TruncationNotConverged, match="depth 2"):
+            weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0, [0.0], 2.0, grid1,
+                                beta=1.0)
 
     def test_sqrt_weight(self, G1, grid1):
         res = weighted_tail_bound(sqrt_weight(), G1, 1.0, [0.0], 3.0, grid1,

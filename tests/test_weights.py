@@ -7,7 +7,6 @@ from anisoweights.weights import (
     MatrixWeightSpec,
     ScalarWeightSpec,
     SingularWeight,
-    WeightSample,
     hermitian_power,
     matrix_norm_equivalence_check,
 )
@@ -161,10 +160,6 @@ class TestMatrix:
     def test_singular_point_raises(self):
         with pytest.raises(SingularWeight):
             self.W.power_values(np.array([[0.0, 0.0]]), 0.5)
-
-    def test_weight_sample_reconstruction(self):
-        s = WeightSample.from_spec(self.W, [2.0, 1.0])
-        assert s.reconstruction_defect() <= 1e-10
 
 
 class TestNormEquivalence:
