@@ -49,6 +49,8 @@ _TIE_BAND = 4.0 * _RESIDUAL_TOL
 # bracket, and with it every exponent the solve meets, within +-600.
 _SAFE_LOG_U2 = 600.0
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+# exp overflows above this argument
+_LOG_HUGE = float(np.log(_HUGE))
 
 
 class DilationGroup:
@@ -141,7 +143,7 @@ class DilationGroup:
         return c2, u2
 
     def _level(self, c2: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
-               term: np.ndarray | None = None) -> np.ndarray:
+               term: np.ndarray | None = None, zero: np.ndarray | None = None) -> np.ndarray:
         """The defining function f = sigma * sum(c2 * t^(-2 lam)) at t = e^s.
 
         c2 holds (d, m) rows as _squares gives them.  f is summed into out
@@ -150,13 +152,17 @@ class DilationGroup:
         caller that passes out and term allocates nothing.  For d <= 2 f is
         bitwise the einsum "ij,ij->i" over (m, d) arrays; for d >= 3 einsum
         adds the terms in another order ((a + c) + b at d = 3), so f can
-        differ from it in the last bit (1 ulp at d = 3).
+        differ from it in the last bit (1 ulp at d = 3).  zero, the (d, m)
+        mask c2 == 0, is for a caller whose exp can overflow: a masked term
+        is exp(-inf) * 0 = 0, where it would be 0 * inf = NaN.
         """
         out = np.empty(len(s)) if out is None else out
         term = np.empty(len(s)) if term is None else term
         for i, (row, neg_lam2) in enumerate(zip(c2, self._neg_lam2)):
             acc = term if i else out
             np.multiply(s, neg_lam2, out=acc)
+            if zero is not None:
+                np.copyto(acc, -np.inf, where=zero[i])
             np.exp(acc, out=acc)
             acc *= row
             if i:
@@ -210,8 +216,11 @@ class DilationGroup:
             f, term = np.empty_like(mid), np.empty_like(mid)
             mask = np.empty(len(mid), dtype=np.int64)
             lo_bits, hi_bits, mid_bits, term_bits = (a.view(np.int64) for a in (lo, hi, mid, term))
+            # every mid stays above lo, so while lo * (-2 lam_max) stays below
+            # _LOG_HUGE no exp overflows and a zero coordinate needs no mask
+            zero = ca == 0.0 if lo.min() * self._neg_lam2[-1] > _LOG_HUGE else None
             for _ in range(_MAX_BISECT):
-                resid = self._level(ca, mid, f, term)
+                resid = self._level(ca, mid, f, term, zero)
                 resid -= 1.0
                 if np.abs(resid, out=term).max() <= _RESIDUAL_TOL:
                     break

@@ -30,7 +30,7 @@ from .weights import SingularWeight
 
 NORM_CONVENTION = "spectral"
 _LEVELS = 3
-# dyadic annuli `weighted_tail_bound` sums before it gives up
+# dyadic annuli `weighted_tail_bound` sums before it adds a geometric remainder
 _TAIL_DEPTH = 40
 
 
@@ -39,7 +39,7 @@ class NonIntegrable(ArithmeticError):
 
 
 class TruncationNotConverged(RuntimeError):
-    """Annulus partial sums failed to go Cauchy within _TAIL_DEPTH annuli."""
+    """Annulus terms did not shrink geometrically within _TAIL_DEPTH annuli."""
 
 
 # -- spectral norms of stacked matrices ---------------------------------------
@@ -51,6 +51,9 @@ class TruncationNotConverged(RuntimeError):
 # and a small heap (no scipy imported), an ap-matrix-2d pass took about
 # 30,100 minor page faults; in place it takes 0-25.  Half this chunk avoids
 # the faults too, but its passes ran 6-10% slower on a 2-core x86 box.
+# The same number caps the nodes per side of one block of balls in the
+# family ladder (`_ap_ladders`), so a block's weight roots take at most
+# 0.3 MB (real) or 0.6 MB (complex) per side.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -229,8 +232,26 @@ class BallQuadrature:
 
     def ball_nodes(self, G: DilationGroup, ball: AnisoBall, level: int,
                    task: int = 0, pair: bool = False) -> np.ndarray:
-        u = self.reference_nodes(G, level, task, pair=pair)
-        return G.dilate(ball.radius, u) + ball.center
+        return next(self.family_nodes(G, [ball], level, [task], pair=pair))
+
+    def family_nodes(self, G: DilationGroup, balls, level: int, tasks,
+                     pair: bool = False):
+        """Yield the nodes of each ball with its task, as `ball_nodes` gives them.
+
+        A mapped grid depends on the task's parity only, so each parity's
+        reference nodes are built once per call; Monte-Carlo nodes come
+        from each task's own stream.  Every ball maps its reference nodes
+        by its own G.dilate(r, u) + c.
+        """
+        grids = {}
+        for ball, task in zip(balls, tasks):
+            if self.rule == "mapped_grid":
+                if task % 2 not in grids:
+                    grids[task % 2] = self.reference_nodes(G, level, task, pair=pair)
+                u = grids[task % 2]
+            else:
+                u = self.reference_nodes(G, level, task, pair=pair)
+            yield G.dilate(ball.radius, u) + ball.center
 
 
 @dataclass
@@ -285,16 +306,20 @@ def _is_matrix(spec) -> bool:
     return hasattr(spec, "power_values")
 
 
-def _perturb(pts: np.ndarray, mask: np.ndarray, scale: float, attempt: int) -> np.ndarray:
+def _perturb(pts: np.ndarray, mask: np.ndarray, scale, attempt: int) -> np.ndarray:
     d = pts.shape[1]
-    shift = 1e-9 * scale * (attempt + 1) / np.sqrt(d)
+    shift = 1e-9 * np.asarray(scale) * (attempt + 1) / np.sqrt(d)
     out = pts.copy()
-    out[mask] = out[mask] + shift
+    out[mask] = out[mask] + np.broadcast_to(shift, len(pts))[mask, None]
     return out
 
 
-def safe_scalar_values(spec, pts: np.ndarray, scale: float) -> np.ndarray:
-    """Weight values with nodes nudged off the singular set."""
+def safe_scalar_values(spec, pts: np.ndarray, scale) -> np.ndarray:
+    """Weight values with nodes nudged off the singular set.
+
+    scale sets the size of a nudge: one number for every node, or one per
+    node, shape (m,).
+    """
     vals = np.asarray(spec.values(pts), dtype=float)
     for attempt in range(3):
         bad = ~np.isfinite(vals) | (vals <= 0.0)
@@ -308,13 +333,15 @@ def safe_scalar_values(spec, pts: np.ndarray, scale: float) -> np.ndarray:
     return vals
 
 
-def safe_power_values(spec, pts: np.ndarray, a: float, scale: float):
+def safe_power_values(spec, pts: np.ndarray, a: float, scale):
     """The weight root W^a at the (m, d) nodes, nudged off the singular set.
 
     This is the one place that tells the kinds of weight apart.  No weight
     (None) gives None, a scalar weight w gives w^a with shape (m,), and a
     matrix weight gives the Hermitian power W^a with shape (m, N, N).
-    `weighted_magnitudes` turns any of the three into |W^a(x) v|.
+    `weighted_magnitudes` turns any of the three into |W^a(x) v|.  scale
+    sets the size of a nudge, as in `safe_scalar_values`; a node's nudges
+    depend only on the node and its scale, not on the rest of the batch.
     """
     if spec is None:
         return None
@@ -362,13 +389,44 @@ def _scalar_quantity_at_nodes(w: np.ndarray, p: float) -> float:
     return float(np.mean(w) * np.max(1.0 / w))
 
 
-def _matrix_quantity_at_nodes(Px: np.ndarray, Mt: np.ndarray, p: float) -> float:
-    norms = _pair_norms(Px, Mt)
+def _matrix_quantities(Px: np.ndarray, Mt: np.ndarray, p: float, balls: int) -> np.ndarray:
+    """The matrix A_p quantity of each of `balls` balls from their stacked roots.
+
+    Ball b owns the rows b n1 ... (b + 1) n1 - 1 of Px = W^(1/p)(x) and
+    b n2 ... (b + 1) n2 - 1 of Mt = W^(-1/p)(t), where n1 = len(Px) / balls
+    and n2 = len(Mt) / balls.  Its quantity is
+    (avg_x (avg_t |Px Mt|^p')^(p/p'))^(1/p) for p > 1 and
+    max_t avg_x |Px Mt|^p for p <= 1.  When the n1 n2 pairs of a ball fit in
+    `_CHUNK`, each kernel call takes up to _CHUNK // (n1 n2) whole balls from
+    one batched matmul; otherwise each ball goes through `_pair_norms`.
+    Either way a call's norms are reduced to ball quantities at once, so
+    no more norms are held than one call's or one split ball's.
+    """
+    n1, n2 = len(Px) // balls, len(Mt) // balls
+    if n1 * n2 > _CHUNK:
+        return np.concatenate([
+            _reduce_pairs(_pair_norms(Px[b * n1:(b + 1) * n1], Mt[b * n2:(b + 1) * n2])[None], p)
+            for b in range(balls)])
+    N = Px.shape[-1]
+    left = Px.reshape(balls, n1, N, N).transpose(2, 0, 1, 3)[:, None]  # (i, 1, ball, a, j)
+    right = Mt.reshape(balls, n2, N, N).transpose(3, 0, 2, 1)  # (k, ball, j, c)
+    step = _CHUNK // (n1 * n2)
+    return np.concatenate([
+        _reduce_pairs(_plane_norms(np.matmul(
+            left[:, :, b:b + step], np.ascontiguousarray(right[:, b:b + step])[None])), p)
+        for b in range(0, balls, step)])
+
+
+def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
+    """Ball quantities of the pair norms of whole balls, shape (balls, n1, n2)."""
     if p > 1:
         pp = p / (p - 1.0)
-        inner = np.mean(norms ** pp, axis=1) ** (p / pp)
-        return float(np.mean(inner) ** (1.0 / p))
-    return float(np.max(np.mean(norms ** p, axis=0)))
+        inner = np.mean(norms ** pp, axis=2) ** (p / pp)
+        # the last power in scalar arithmetic (libm pow), as the one-ball
+        # form of this reduction takes it; numpy's array power differs from
+        # it in the last bit for about 5% of inputs
+        return np.array([m ** (1.0 / p) for m in np.mean(inner, axis=1)])
+    return np.mean(norms ** p, axis=1).max(axis=1)
 
 
 def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
@@ -391,24 +449,78 @@ def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
     return out
 
 
-def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
-                            G: DilationGroup, task: int = 0) -> LadderValue:
-    """Muckenhoupt quantity of one ball across the refinement ladder."""
+def _blocks(balls):
+    """Runs of consecutive balls' node tuples, at most `_CHUNK` nodes per side.
+
+    A ball with more nodes than that makes a block of its own.
+    """
+    block, size = [], 0
+    for nodes in balls:
+        n = max(map(len, nodes))
+        if block and size + n > _CHUNK:
+            yield block
+            block, size = [], 0
+        block.append(nodes)
+        size += n
+    if block:
+        yield block
+
+
+def _stacked(parts, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of a block in one array, and each node's ball scale."""
+    return np.concatenate(parts), np.repeat(scales, [len(x) for x in parts])
+
+
+def _block_quantities(W, p: float, block, scales: np.ndarray):
+    """The quantity of each ball of a block at one level.
+
+    The weight (or its two roots) is evaluated once per side on the
+    block's stacked nodes, each node nudged by its own ball's scale.
+    """
+    if _is_matrix(W):
+        (X, sx), (T, st) = (_stacked(side, scales) for side in zip(*block))
+        return _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
+                                  safe_power_values(W, T, -1.0 / p, st), p, len(block))
+    (nodes,) = zip(*block)
+    vals = safe_scalar_values(W, *_stacked(nodes, scales))
+    ends = np.cumsum([len(x) for x in nodes])[:-1]
+    return [_scalar_quantity_at_nodes(w, p) for w in np.split(vals, ends)]
+
+
+def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
+                tasks) -> list[LadderValue]:
+    """Muckenhoupt ladders of the balls of a family, ball i with task tasks[i].
+
+    Each level runs over blocks of consecutive balls (`_blocks`) with one
+    weight evaluation per side and block; see `estimate_ap_constant`.
+    """
     if p <= 0:
         raise ValueError("p must be positive")
-    scale = G.euclidean_radius_bound(B.radius)
-    if _is_matrix(W):
-        def stat(level):
-            xs = quad.ball_nodes(G, B, level, task=2 * task, pair=True)
-            ts = quad.ball_nodes(G, B, level, task=2 * task + 1, pair=True)
-            Px = safe_power_values(W, xs, 1.0 / p, scale)
-            Mt = safe_power_values(W, ts, -1.0 / p, scale)
-            return _matrix_quantity_at_nodes(Px, Mt, p)
-    else:
-        def stat(level):
-            nodes = quad.ball_nodes(G, B, level, task=task)
-            return _scalar_quantity_at_nodes(safe_scalar_values(W, nodes, scale), p)
-    return _ladder(quad, stat)
+    scales = np.array([G.euclidean_radius_bound(B.radius) for B in family])
+    stats = np.empty((len(family), _LEVELS))
+    for level in range(_LEVELS):
+        if _is_matrix(W):  # the x and t nodes of the double integral
+            sides = [quad.family_nodes(G, family, level, [2 * t + s for t in tasks], pair=True)
+                     for s in (0, 1)]
+        else:
+            sides = [quad.family_nodes(G, family, level, tasks)]
+        start = 0
+        for block in _blocks(zip(*sides)):
+            stop = start + len(block)
+            stats[start:stop, level] = _block_quantities(W, p, block, scales[start:stop])
+            start = stop
+    return [ladder_estimate(row, stochastic=quad.rule == "monte_carlo") for row in stats]
+
+
+def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
+                            G: DilationGroup, task: int = 0) -> LadderValue:
+    """Muckenhoupt quantity of one ball across the refinement ladder.
+
+    This is the one-ball family of `estimate_ap_constant`: with task i the
+    ball gets the nodes, value and error it has as member i of any family,
+    bitwise.
+    """
+    return _ap_ladders(W, [B], p, quad, G, [task])[0]
 
 
 # -- family reports ---------------------------------------------------------------
@@ -449,11 +561,27 @@ def family_descriptor(family: list[AnisoBall]) -> str:
 
 def estimate_ap_constant(W, p: float, family: list[AnisoBall],
                          quad: BallQuadrature, G: DilationGroup) -> ApReport:
-    """Max per-ball quantity over the family; a lower bound of the supremum."""
+    """Max per-ball quantity over the family; a lower bound of the supremum.
+
+    Ball i is ladder task i.  The ladder runs one level at a time over
+    blocks of consecutive balls with at most `_CHUNK` nodes per side (one
+    ball at least).  Each ball's nodes are reference nodes mapped by the
+    ball's own dilation; a mapped grid is built once per level and task
+    parity, and Monte-Carlo nodes come from the ball's own (seed, task,
+    level) stream.  A scalar weight is evaluated once on the block's
+    stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
+    each nudge off a singular set is sized by the node's own ball.  Pair
+    norms go to the kernel in chunks of at most `_CHUNK` pairs, several
+    whole balls to a chunk when they fit, and each chunk is reduced to its
+    balls' quantities at once.  Where the weight is evaluated pointwise
+    (its value at a node does not depend on the other nodes of the batch),
+    each value and error is bitwise that of `ap_ball_quantity_ladder` on
+    the ball alone with the same task, so the report does not depend on
+    how the family is blocked.
+    """
     if not family:
         raise ValueError("family must be nonempty")
-    ladders = [ap_ball_quantity_ladder(W, B, p, quad, G, task=i)
-               for i, B in enumerate(family)]
+    ladders = _ap_ladders(W, family, p, quad, G, range(len(family)))
     values = np.array([l.value for l in ladders])
     errors = np.array([l.error for l in ladders])
     label = getattr(W, "label", "weight")
@@ -506,7 +634,10 @@ class SliceWeight:
 
     def values(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        root = safe_power_values(self.W, pts, 1.0 / self.p, _local_scale(pts))
+        # a nudge scale per node, 1 + its largest |coordinate|, so that a
+        # node's value does not depend on the batch it is evaluated in
+        scale = 1.0 + np.max(np.abs(pts), axis=1, initial=0.0)
+        root = safe_power_values(self.W, pts, 1.0 / self.p, scale)
         return weighted_magnitudes(root, self.v) ** self.p
 
 
@@ -814,14 +945,11 @@ def invariance_report(W, p: float, T: AffineMap, family: list[AnisoBall],
                       quad_a: BallQuadrature, quad_b: BallQuadrature,
                       G: DilationGroup) -> list[InvarianceRow]:
     """Quantity of W∘T on B against the quantity of W on T(B), per ball."""
-    WT = W.compose(T)
-    rows = []
-    for i, B in enumerate(family):
-        la = ap_ball_quantity_ladder(WT, B, p, quad_a, G, task=i)
-        lb = ap_ball_quantity_ladder(W, map_ball(G, T, B), p, quad_b, G, task=i)
-        rows.append(InvarianceRow(B, la.value, lb.value,
-                                  abs(la.value - lb.value), la.error + lb.error))
-    return rows
+    tasks = range(len(family))
+    composed = _ap_ladders(W.compose(T), family, p, quad_a, G, tasks)
+    transported = _ap_ladders(W, [map_ball(G, T, B) for B in family], p, quad_b, G, tasks)
+    return [InvarianceRow(B, la.value, lb.value, abs(la.value - lb.value), la.error + lb.error)
+            for B, la, lb in zip(family, composed, transported)]
 
 
 # -- polynomial admissibility ------------------------------------------------------------
@@ -850,9 +978,10 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
                         r0: float | None = None) -> TailBoundResult:
     """Integral of w(x) (1 + t_j |x - x_jl|_A)^(-L) against the cell mass.
 
-    Dyadic annuli around the cell are summed until the partial sums go
-    Cauchy; the result is compared with the geometric bound implied by the
-    measured doubling constant of w at exponent beta.
+    Dyadic annuli around the cell are summed until a term falls below 1e-12
+    of the sum, or for `_TAIL_DEPTH` annuli followed by the geometric
+    remainder of the last terms; the result is compared with the geometric
+    bound implied by the measured doubling constant of w at exponent beta.
     """
     if L <= beta:
         raise ValueError("need L > beta")
@@ -899,11 +1028,19 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
         if term < 1e-12 * total:
             break
     else:
-        recent = terms[-3:]
-        if not all(b < 0.95 * a for a, b in zip(recent, recent[1:])):
+        # Past the core the terms shrink geometrically, at a ratio that
+        # settles from above (2^(1 - L) for the constant weight in 1-D).
+        # When the ratio rho of the last two terms is below 1 and no larger
+        # than the ratio before it, and later ratios grow no more, the rest
+        # of the series is at most term * rho / (1 - rho).  A ratio that is
+        # not below 1, or still grows, bounds nothing.
+        rho, before = terms[-1] / terms[-2], terms[-2] / terms[-3]
+        if not rho < 1.0 or rho > before:
             raise TruncationNotConverged(
-                f"annulus terms not Cauchy at depth {_TAIL_DEPTH}"
+                f"annulus terms not shrinking geometrically at depth {_TAIL_DEPTH}: "
+                f"ratios {before:.3g}, {rho:.3g}"
             )
+        total += terms[-1] * rho / (1.0 - rho)
     # on the m-th annulus 1 + t_j |x - x_jl|_A >= 1 + 2^(m-1) r0, and the
     # annulus mass is at most c' 2^(m beta) times the cell mass
     tail = sum(2.0 ** (m * beta) * (1.0 + 2.0 ** (m - 1) * r0) ** (-L)

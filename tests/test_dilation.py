@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ class TestQuasiNorm:
         assert np.array_equal(G._below(pts, want), got < want)
         assert G._below(pts, want * (1 + 1e-6)).all()
         assert not G._below(pts, want * (1 - 1e-6)).any()
+
+    def test_zero_coordinate_with_overflowing_term(self):
+        # on diag(0.3, 3) the term of the zero coordinate, exp(-6 s) * 0,
+        # overflows in exp near the roots s = log 1e-267 and log 1e-500; it
+        # must add 0, not 0 * inf = NaN
+        G = DilationGroup(np.diag([0.3, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert G.quasi_norm([1e-80, 0.0]) == pytest.approx(1e-80 ** (1 / 0.3), rel=1e-12)
+            # 1e-500 underflows: the solve converges, and exp(mid) is 0
+            assert G.quasi_norm([1e-150, 0.0]) == 0.0
 
     def test_defining_residual(self):
         G = coupled_group()

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad as spquad
 
 from anisoweights.dilation import DilationGroup
-from anisoweights.geometry import AffineMap, AnisoBall, compute_r0
-from anisoweights import muckenhoupt
+from anisoweights.geometry import AffineMap, AnisoBall, compute_r0, map_ball
+from anisoweights import muckenhoupt, weights
 from anisoweights.muckenhoupt import (
     _LEVELS,
     BallQuadrature,
@@ -27,13 +27,13 @@ from anisoweights.muckenhoupt import (
     weighted_tail_bound,
     PowerWeight,
     _mass_ladder,
-    _matrix_quantity_at_nodes,
+    _matrix_quantities,
     _pair_norms,
     _scalar_quantity_at_nodes,
     safe_power_values,
     safe_scalar_values,
 )
-from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, hermitian_power
+from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, SingularWeight, hermitian_power
 
 
 @pytest.fixture(scope="module")
@@ -335,14 +335,14 @@ class TestMatrixQuantity:
         for p in (2.0, 3.0):
             Px = (w ** (1.0 / p)).reshape(-1, 1, 1).astype(complex)
             Mt = (w ** (-1.0 / p)).reshape(-1, 1, 1).astype(complex)
-            mq = _matrix_quantity_at_nodes(Px, Mt, p)
+            mq = _matrix_quantities(Px, Mt, p, 1)[0]
             sq = _scalar_quantity_at_nodes(w, p)
             assert mq == pytest.approx(sq ** (1.0 / p), rel=1e-12)
         # p <= 1 reduces to the scalar A_1 quantity without the root
         p = 0.7
         Px = (w ** (1.0 / p)).reshape(-1, 1, 1).astype(complex)
         Mt = (w ** (-1.0 / p)).reshape(-1, 1, 1).astype(complex)
-        assert _matrix_quantity_at_nodes(Px, Mt, p) == pytest.approx(
+        assert _matrix_quantities(Px, Mt, p, 1)[0] == pytest.approx(
             _scalar_quantity_at_nodes(w, 1.0), rel=1e-12
         )
 
@@ -363,7 +363,7 @@ class TestMatrixQuantity:
                 oracle = np.mean(inner) ** (1 / p)
             else:
                 oracle = max(np.mean(norms[:, b] ** p) for b in range(len(Mt)))
-            assert _matrix_quantity_at_nodes(Px, Mt, p) == pytest.approx(oracle, rel=1e-13)
+            assert _matrix_quantities(Px, Mt, p, 1)[0] == pytest.approx(oracle, rel=1e-13)
 
     def test_matrix_vs_scalar_whole_op(self, G1, grid1):
         W = MatrixWeightSpec.diagonal([sqrt_weight()])
@@ -704,9 +704,20 @@ class TestTailBound:
         r_big = weighted_tail_bound(w, G1, 1.0, [0.0], 3.0, grid1, beta=1.0, r0=r0)
         assert r_big.ratio < r_small.ratio
 
+    @pytest.mark.parametrize("L", [1.05, 1.1, 1.5, 2.0])
+    def test_slow_tails_against_closed_form(self, G1, grid1, L):
+        # w = 1, A = (1): the ratio is 1 / ((L - 1) r0).  Annulus terms
+        # shrink by about 2^(1 - L), 0.966 at L = 1.05, so the 40 annuli
+        # leave a tail that the geometric remainder has to supply
+        r0 = compute_r0(G1, 0.01)
+        res = weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0,
+                                  [0.0], L, grid1, beta=1.0, r0=r0)
+        assert res.ratio == pytest.approx(1.0 / ((L - 1.0) * r0), rel=1e-4)
+        assert res.ratio <= res.bound
+
     def test_depth_cap_raises(self, G1, grid1, monkeypatch):
         # L = beta + 1 converges within the 40 annuli of test_lebesgue_closed_form;
-        # its terms still shrink by less than 5% per annulus after two
+        # after two annuli its term ratio still grows (0.498, then 0.997)
         monkeypatch.setattr(muckenhoupt, "_TAIL_DEPTH", 2)
         with pytest.raises(TruncationNotConverged, match="depth 2"):
             weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0, [0.0], 2.0, grid1,
@@ -719,26 +730,47 @@ class TestTailBound:
         assert res.ratio <= res.bound
 
 
-# The hand-written ladder loops that `_ladder` replaced, kept as oracles: each
-# statistic is recomputed from fresh node evaluations on every level and for
-# every exponent.
+# The hand-written ladder loops that `_ladder` and the family ladder replaced,
+# kept as oracles: each statistic is recomputed from fresh node evaluations on
+# every level, for every ball and for every exponent.
+
+
+def loop_matrix_quantity(Px, Mt, p):
+    """One ball's matrix quantity from all of its pair norms at once."""
+    return loop_reduce_pairs(_pair_norms(Px, Mt), p)
+
+
+def loop_reduce_pairs(norms, p):
+    if p > 1:
+        pp = p / (p - 1.0)
+        inner = np.mean(norms ** pp, axis=1) ** (p / pp)
+        return float(np.mean(inner) ** (1.0 / p))
+    return float(np.max(np.mean(norms ** p, axis=0)))
 
 
 def loop_ap_ladder(W, B, p, quad, G, task=0):
+    """One ball's ladder, level by level, from nodes built for this ball alone."""
     scale = G.euclidean_radius_bound(B.radius)
+
+    def nodes(level, task, pair=False):
+        return G.dilate(B.radius, quad.reference_nodes(G, level, task, pair=pair)) + B.center
+
     levels = []
     for level in range(_LEVELS):
         if hasattr(W, "power_values"):
-            xs = quad.ball_nodes(G, B, level, task=2 * task, pair=True)
-            ts = quad.ball_nodes(G, B, level, task=2 * task + 1, pair=True)
-            Px = safe_power_values(W, xs, 1.0 / p, scale)
-            Mt = safe_power_values(W, ts, -1.0 / p, scale)
-            levels.append(_matrix_quantity_at_nodes(Px, Mt, p))
+            Px = safe_power_values(W, nodes(level, 2 * task, pair=True), 1.0 / p, scale)
+            Mt = safe_power_values(W, nodes(level, 2 * task + 1, pair=True), -1.0 / p, scale)
+            levels.append(loop_matrix_quantity(Px, Mt, p))
         else:
-            nodes = quad.ball_nodes(G, B, level, task=task)
-            w = safe_scalar_values(W, nodes, scale)
+            w = safe_scalar_values(W, nodes(level, task), scale)
             levels.append(_scalar_quantity_at_nodes(w, p))
     return ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
+
+
+def loop_estimate_ap_constant(W, p, family, quad, G):
+    """Values and errors of the family, one ball and one level at a time."""
+    ladders = [loop_ap_ladder(W, B, p, quad, G, task=i) for i, B in enumerate(family)]
+    return np.array([l.value for l in ladders]), np.array([l.error for l in ladders])
 
 
 def loop_reverse_holder(w, family, r_grid, quad, G):
@@ -1002,6 +1034,146 @@ class TestOneLadder:
         pair = reducing_operators(sqrt_matrix_weight(), AnisoBall([0.3], 1.0), 1.5, grid1, G1)
         assert len(pair.q_values) == 4
         assert len(calls) == 2 * _LEVELS
+
+
+def offset_sqrt_weight():
+    """|x1 - 1/8|^(1/2): singular on a line that the 8 x 8 mapped grid hits."""
+    return ScalarWeightSpec.poly_abs_power({(1, 0): 1.0, (0, 0): -0.125}, 0.5)
+
+
+class TestFamilyLadder:
+    """`estimate_ap_constant` against the per-ball loop, bitwise."""
+
+    # 10 balls: centres 0, (+-1, 0), (0, +-1) with radii 1 and 2; the balls
+    # at (+-1, 0) of radius 2 put level-2 x nodes (8 x 8 grid) on x1 = 0
+    @staticmethod
+    def family(G):
+        return default_ball_family(G, 1.0, radii=[1.0, 2.0])
+
+    @pytest.mark.parametrize("chunk", [23, 150, None])
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.0])
+    @pytest.mark.parametrize("weight", ["singular-scalar", "scalar", "diag_dominant",
+                                        "conjugated"])
+    @pytest.mark.parametrize("rule", ["mapped_grid", "monte_carlo"])
+    def test_matches_per_ball_loop(self, G2, monkeypatch, rule, weight, p, chunk):
+        # Nodes per ball, side and level: 12-13, 12-13, 28-32 (pairs) and
+        # 52-64, 203-256, 807-1024 (scalar).  _CHUNK 23 makes one-ball
+        # blocks and splits every ball's pairs; 150 puts several balls in a
+        # block and one whole ball in a kernel call at levels 0 and 1; the
+        # default puts the family in one block and one kernel call at level
+        # 0.  The singular scalar weight is nudged at level 0 on the grid and
+        # the diag_dominant one at level 2; neither has a bounded A_1
+        # quantity, and ladders that grow must raise on both paths.
+        W = {"singular-scalar": offset_sqrt_weight(),
+             "scalar": ScalarWeightSpec.radial_power(-0.5),
+             "diag_dominant": ap_matrix_weight(),
+             "conjugated": MatrixWeightSpec.conjugated(
+                 conjugated_weight().unitary,
+                 [ScalarWeightSpec.radial_power(-0.3), ScalarWeightSpec.constant(1.0)])}[weight]
+        quad = BallQuadrature(rule, 64, seed=3)
+        fam = self.family(G2)
+        if chunk is not None:
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
+        sizes = []
+        kernel = muckenhoupt._plane_norms
+        monkeypatch.setattr(muckenhoupt, "_plane_norms",
+                            lambda S: sizes.append(S[0, 0].size) or kernel(S))
+        try:
+            want = loop_estimate_ap_constant(W, p, fam, quad, G2)
+        except NonIntegrable:
+            with pytest.raises(NonIntegrable):
+                estimate_ap_constant(W, p, fam, quad, G2)
+            return
+        sizes.clear()
+        rep = estimate_ap_constant(W, p, fam, quad, G2)
+        assert rep.values.tobytes() == want[0].tobytes()
+        assert rep.errors.tobytes() == want[1].tobytes()
+        assert max(sizes, default=0) <= muckenhoupt._CHUNK
+
+    @pytest.mark.parametrize("p", [3.0, 1.5, 1.0, 0.7])
+    def test_reduction_matches_one_ball_form(self, p):
+        # 300 balls' worth of random pair norms; numpy's array power differs
+        # from the scalar one in the last bit for about 5% of its inputs
+        norms = np.random.default_rng(21).uniform(0.2, 5.0, (300, 6, 5))
+        ours = muckenhoupt._reduce_pairs(norms, p)
+        assert ours.tolist() == [loop_reduce_pairs(n, p) for n in norms]
+
+    def test_benchmark_ball_on_the_singular_line(self, G2, monkeypatch):
+        # ball (1, 0) of radius 2 puts level-0 x nodes of the 1024-node grid
+        # on x1 = 0, where the ap-matrix-2d weight is singular
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
+        fam = [AnisoBall([0.0, 0.0], 2.0), AnisoBall([1.0, 0.0], 2.0),
+               AnisoBall([0.0, 1.0], 0.5), AnisoBall([-1.0, 0.0], 2.0)]
+        raised = []
+        power = weights.hermitian_power
+
+        def counted(M, a):
+            try:
+                return power(M, a)
+            except SingularWeight:
+                raised.append(len(M))
+                raise
+
+        monkeypatch.setattr(weights, "hermitian_power", counted)
+        want = loop_estimate_ap_constant(W, 2.0, fam, quad, G2)
+        assert raised
+        raised.clear()
+        rep = estimate_ap_constant(W, 2.0, fam, quad, G2)
+        assert raised  # one retry for the whole level-0 block
+        assert rep.values.tobytes() == want[0].tobytes()
+        assert rep.errors.tobytes() == want[1].tobytes()
+
+    def test_slices_match_per_ball_loop(self, G2):
+        quad = BallQuadrature("mapped_grid", 64)
+        fam = self.family(G2)
+        for W in (ap_matrix_weight(), conjugated_weight()):
+            sl = muckenhoupt.SliceWeight(W, 2.0, np.eye(W.N)[0])
+            rep = scalar_slice_ap(W, 2.0, np.eye(W.N)[0], fam, quad, G2)
+            want = loop_estimate_ap_constant(sl, 2.0, fam, quad, G2)
+            assert rep.values.tobytes() == want[0].tobytes()
+            assert rep.errors.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("rule", ["mapped_grid", "monte_carlo"])
+    def test_invariance_rows_match_per_ball_loop(self, G2, rule):
+        qa, qb = BallQuadrature(rule, 64, seed=11), BallQuadrature(rule, 64, seed=23)
+        W = ap_matrix_weight()
+        T = AffineMap(G2, 2.0, np.array([1.0, 0.0]))
+        fam = self.family(G2)
+        rows = invariance_report(W, 2.0, T, fam, qa, qb, G2)
+        WT = W.compose(T)
+        for i, (B, row) in enumerate(zip(fam, rows)):
+            la = loop_ap_ladder(WT, B, 2.0, qa, G2, task=i)
+            lb = loop_ap_ladder(W, map_ball(G2, T, B), 2.0, qb, G2, task=i)
+            assert (row.ball, row.composed, row.transported) == (B, la.value, lb.value)
+            assert (row.discrepancy, row.combined_error) == (
+                abs(la.value - lb.value), la.error + lb.error)
+
+    def test_one_power_call_per_level_side_and_block(self, G2, monkeypatch):
+        # the 92-ball ap-matrix-2d family: hermitian_power runs twice per
+        # level and block, plus the retries after a node hit x1 = 0
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
+        fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        blocks = 0
+        for level in range(_LEVELS):
+            n = max(len(quad.reference_nodes(G2, level, task, pair=True)) for task in (0, 1))
+            blocks += -(-len(fam) // (muckenhoupt._CHUNK // n))
+        calls, raised = [], []
+        power = weights.hermitian_power
+
+        def counted(M, a):
+            calls.append(len(M))
+            try:
+                return power(M, a)
+            except SingularWeight:
+                raised.append(len(M))
+                raise
+
+        monkeypatch.setattr(weights, "hermitian_power", counted)
+        estimate_ap_constant(W, 2.0, fam, quad, G2)
+        assert len(fam) == 92 and blocks == 6
+        assert len(calls) - len(raised) == 2 * blocks
+        assert 0 < len(raised) <= 2
+        assert max(calls) <= muckenhoupt._CHUNK
 
 
 class TestCalderon:

@@ -162,6 +162,51 @@ class TestMatrix:
             self.W.power_values(np.array([[0.0, 0.0]]), 0.5)
 
 
+def einsum_hermitian_power(W, a):
+    """W^a with the three-operand einsum V diag(lambda^a) V^H."""
+    vals, vecs = np.linalg.eigh(W)
+    floors = 1e-14 * np.real(np.trace(W, axis1=-2, axis2=-1)) / W.shape[-1]
+    powed = np.maximum(vals, floors[..., None]) ** a
+    return np.einsum("...ij,...j,...kj->...ik", vecs, powed, vecs.conj())
+
+
+def hermitian_stack(rng, k, n, kind):
+    """k random real symmetric or complex Hermitian PD n x n matrices."""
+    Z = rng.standard_normal((k, n, n))
+    if kind == "complex":
+        Z = Z + 1j * rng.standard_normal((k, n, n))
+    Q = np.linalg.qr(Z)[0]
+    W = (Q * rng.uniform(0.1, 10.0, (k, 1, n))) @ Q.conj().swapaxes(-1, -2)
+    return 0.5 * (W + W.conj().swapaxes(-1, -2))
+
+
+class TestHermitianPower:
+    @staticmethod
+    def assert_close(W, a):
+        ours, ref = hermitian_power(W, a), einsum_hermitian_power(W, a)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(ours - ref) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("a", [0.5, -0.5, 1.0 / 3.0, -2.0 / 3.0])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_einsum(self, n, kind, a):
+        self.assert_close(hermitian_stack(np.random.default_rng(n), 500, n, kind), a)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_einsum_on_clamped_eigenvalues(self, kind):
+        # eigenvalue 1e-20 along e_0, above the singular floor and below
+        # 1e-14 * trace / 3, and a random 2 x 2 block on the other axes
+        W = np.zeros((200, 3, 3), dtype=complex if kind == "complex" else float)
+        W[:, 0, 0] = 1e-20
+        W[:, 1:, 1:] = hermitian_stack(np.random.default_rng(5), 200, 2, kind)
+        vals = np.linalg.eigvalsh(W)
+        assert np.all((vals[:, 0] > 1e-300) & (vals[:, 0] < 1e-14 * vals.sum(axis=1) / 3))
+        for a in (0.5, -0.5):
+            self.assert_close(W, a)
+
+
 class TestNormEquivalence:
     def test_identity(self):
         assert matrix_norm_equivalence_check(np.eye(3), 2.0)
