@@ -66,8 +66,9 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
 
     Each chunk of `_CHUNK` matrices is copied into planes S[i, j] (entry
     (i, j) of every matrix) and handed to one planar kernel, `_plane_norms`,
-    which `_pair_norms` feeds directly from its batched matmul; the kernel
-    scales its planes in place, and M is left unchanged.  N = 1 is |M|.
+    which `_pair_norms` and `_matrix_quantities` also feed directly from
+    their batched matmuls; the kernel scales its planes in place, and M is
+    left unchanged.  N = 1 is |M|.
     N = 2 and N = 3 use a closed form: each matrix is scaled by its largest
     |Re| or |Im| entry, the largest eigenvalue of the Hermitian Gram matrix
     S^H S is taken from the quadratic formula (N = 2) or the trigonometric
@@ -76,10 +77,10 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     scaling keeps entries from 1e-300 to 1e300 in range.  For N = 3 the few
     matrices whose two largest singular values nearly coincide, where the
     trigonometric formula is ill-conditioned, are gathered back from the
-    planes and handed to LAPACK.  Against LAPACK SVD the relative error is below 1e-14.  A matrix
-    with a non-finite entry gives NaN for N <= 3 (which `ladder_estimate`
-    reports as `NonIntegrable`); N >= 4 uses LAPACK SVD throughout and
-    raises `LinAlgError` on such input.
+    planes and handed to LAPACK.  Against LAPACK SVD the relative error is
+    below 1e-14.  A matrix with a non-finite entry gives NaN for N <= 3
+    (which `ladder_estimate` reports as `NonIntegrable`); N >= 4 uses LAPACK
+    SVD throughout and raises `LinAlgError` on such input.
     """
     N = M.shape[-1]
     flat = M.reshape(-1, N, N)
@@ -306,58 +307,45 @@ def _is_matrix(spec) -> bool:
     return hasattr(spec, "power_values")
 
 
-def _perturb(pts: np.ndarray, mask: np.ndarray, scale, attempt: int) -> np.ndarray:
-    d = pts.shape[1]
-    shift = 1e-9 * np.asarray(scale) * (attempt + 1) / np.sqrt(d)
-    out = pts.copy()
-    out[mask] = out[mask] + np.broadcast_to(shift, len(pts))[mask, None]
-    return out
-
-
-def safe_scalar_values(spec, pts: np.ndarray, scale) -> np.ndarray:
-    """Weight values with nodes nudged off the singular set.
-
-    scale sets the size of a nudge: one number for every node, or one per
-    node, shape (m,).
-    """
-    vals = np.asarray(spec.values(pts), dtype=float)
-    for attempt in range(3):
-        bad = ~np.isfinite(vals) | (vals <= 0.0)
-        if not bad.any():
-            return vals
-        pts = _perturb(pts, bad, scale, attempt)
-        vals[bad] = spec.values(pts[bad])
-    bad = ~np.isfinite(vals) | (vals <= 0.0)
-    if bad.any():
-        raise SingularWeight("could not move nodes off the singular set")
-    return vals
-
-
 def safe_power_values(spec, pts: np.ndarray, a: float, scale):
     """The weight root W^a at the (m, d) nodes, nudged off the singular set.
 
     This is the one place that tells the kinds of weight apart.  No weight
     (None) gives None, a scalar weight w gives w^a with shape (m,), and a
     matrix weight gives the Hermitian power W^a with shape (m, N, N).
-    `weighted_magnitudes` turns any of the three into |W^a(x) v|.  scale
-    sets the size of a nudge, as in `safe_scalar_values`; a node's nudges
-    depend only on the node and its scale, not on the rest of the batch.
+    `weighted_magnitudes` turns any of the three into |W^a(x) v|.  The
+    weight is evaluated once; its singular nodes alone (where w is not
+    finite and positive, or that `SingularWeight` marks) are then moved by
+    1e-9 * scale * k / sqrt(d) in every coordinate at nudge k and evaluated
+    again, at most three times before this raises `SingularWeight`.  scale
+    is one number, or one per node, shape (m,): a node's value does not
+    depend on the rest of the batch.
     """
     if spec is None:
         return None
-    if not _is_matrix(spec):
-        return safe_scalar_values(spec, pts, scale) ** a
-    for attempt in range(4):
+    matrix = _is_matrix(spec)
+
+    def evaluate(x):  # the weight (matrix: its power) and its singular mask
+        if not matrix:
+            w = np.asarray(spec.values(x), dtype=float)
+            return w, ~np.isfinite(w) | (w <= 0.0)
         try:
-            return spec.power_values(pts, a)
-        except SingularWeight:
-            vals = spec.values(pts)
-            eig = np.linalg.eigvalsh(vals)
-            bad = eig[:, 0] < 1e-300
-            if not bad.any():
-                raise
-            pts = _perturb(pts, bad, scale, attempt)
-    raise SingularWeight("could not move nodes off the singular set")
+            return spec.power_values(x, a), np.zeros(len(x), dtype=bool)
+        except SingularWeight as exc:
+            return exc.values, exc.singular
+
+    out, bad = evaluate(pts)
+    rows = np.arange(len(pts))
+    for attempt in range(3):
+        if not bad.any():
+            break
+        rows, pts = rows[bad], pts[bad]
+        shift = 1e-9 * np.broadcast_to(scale, len(out))[rows] * (attempt + 1)
+        pts = pts + (shift / np.sqrt(pts.shape[1]))[:, None]
+        out[rows], bad = evaluate(pts)
+    if bad.any():
+        raise SingularWeight("could not move nodes off the singular set")
+    return out if matrix else out ** a
 
 
 def weighted_magnitudes(root, v) -> np.ndarray:
@@ -482,7 +470,8 @@ def _block_quantities(W, p: float, block, scales: np.ndarray):
         return _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
                                   safe_power_values(W, T, -1.0 / p, st), p, len(block))
     (nodes,) = zip(*block)
-    vals = safe_scalar_values(W, *_stacked(nodes, scales))
+    X, sx = _stacked(nodes, scales)
+    vals = safe_power_values(W, X, 1.0, sx)
     ends = np.cumsum([len(x) for x in nodes])[:-1]
     return [_scalar_quantity_at_nodes(w, p) for w in np.split(vals, ends)]
 
@@ -714,8 +703,8 @@ def _mass_ladder(w, B: AnisoBall, quad: BallQuadrature, G: DilationGroup,
                  task: int = 0) -> LadderValue:
     scale = G.euclidean_radius_bound(B.radius)
     vol = ball_volume(G, B.radius)
-    return _ladder(quad, lambda level: vol * np.mean(safe_scalar_values(
-        w, quad.ball_nodes(G, B, level, task=task), scale)))
+    return _ladder(quad, lambda level: vol * np.mean(safe_power_values(
+        w, quad.ball_nodes(G, B, level, task=task), 1.0, scale)))
 
 
 def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
@@ -801,7 +790,7 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
 
         @cache
         def vals(level):
-            return safe_scalar_values(w, quad.ball_nodes(G, B, level, task=i), scale)
+            return safe_power_values(w, quad.ball_nodes(G, B, level, task=i), 1.0, scale)
 
         lo = _ladder(quad, lambda level: np.mean(vals(level))).value
         for k, r in enumerate(r_grid):
@@ -1006,7 +995,7 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
             frac_nodes = nodes
         if len(frac_nodes) == 0:
             return 0.0, 0.0
-        vals = safe_scalar_values(w, frac_nodes, scale)
+        vals = safe_power_values(w, frac_nodes, 1.0, scale)
         decay = (1.0 + t_j * qn) ** (-L)
         return vol * np.mean(vals * decay), vol * np.mean(vals)
 
@@ -1042,9 +1031,13 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
             )
         total += terms[-1] * rho / (1.0 - rho)
     # on the m-th annulus 1 + t_j |x - x_jl|_A >= 1 + 2^(m-1) r0, and the
-    # annulus mass is at most c' 2^(m beta) times the cell mass
+    # annulus mass is at most c' 2^(m beta) times the cell mass.  Past M
+    # terms, 1 + 2^(m-1) r0 > 2^(m-1) r0 bounds the rest by the geometric
+    # series (2 / r0)^L 2^(m (beta - L)), m > M.
+    M = max(m_used, 60)
     tail = sum(2.0 ** (m * beta) * (1.0 + 2.0 ** (m - 1) * r0) ** (-L)
-               for m in range(1, max(m_used, 60) + 1))
+               for m in range(1, M + 1))
+    tail += (2.0 / r0) ** L * 2.0 ** ((M + 1) * (beta - L)) / (1.0 - 2.0 ** (beta - L))
     bound = 1.0 + doubling_c * tail
     return TailBoundResult(float(total / core_mass), float(bound), terms,
                            float(doubling_c))

@@ -18,7 +18,15 @@ EIGEN_FLOOR_SCALE = 1e-14
 
 
 class SingularWeight(ArithmeticError):
-    """Evaluation hit the singular set exactly; perturb the node."""
+    """Evaluation hit the singular set; perturb the singular nodes.
+
+    A matrix power raises it with the powers of every node, `values`, and
+    the mask `singular` of the nodes whose rows there are placeholders.
+    """
+
+    def __init__(self, message, values=None, singular=None):
+        super().__init__(message)
+        self.values, self.singular = values, singular
 
 
 def _as_points(x) -> tuple[np.ndarray, bool]:
@@ -114,14 +122,17 @@ class ScalarWeightSpec:
     def _values(self, pts: np.ndarray) -> np.ndarray:
         if self.kind == "constant":
             return np.full(len(pts), self.value)
-        if self.kind == "radial_power":
-            return np.linalg.norm(pts, axis=1) ** self.gamma
-        if self.kind == "poly_abs_power":
-            return np.abs(_polynomial(self.coeffs, pts)) ** self.beta
-        prod = np.ones(len(pts))
-        for f in self.factors:
-            prod *= f._values(pts)
-        return prod
+        # a negative power is inf on the singular set, and a product there
+        # may be inf * 0 = nan: documented values, not warnings
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "radial_power":
+                return np.linalg.norm(pts, axis=1) ** self.gamma
+            if self.kind == "poly_abs_power":
+                return np.abs(_polynomial(self.coeffs, pts)) ** self.beta
+            prod = np.ones(len(pts))
+            for f in self.factors:
+                prod *= f._values(pts)
+            return prod
 
     def compose(self, T) -> "ComposedScalarWeight":
         return ComposedScalarWeight(self, T)
@@ -160,20 +171,28 @@ class ComposedScalarWeight:
 def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
     """W^a for a batch (m, N, N) of Hermitian positive matrices.
 
-    Eigenvalues below 1e-300 signal evaluation exactly on the singular set
-    and raise; otherwise they are clamped to 1e-14 * trace / N before the
-    power, which preserves ball averages to quadrature accuracy.
+    A matrix with a non-finite entry (replaced before `eigh`) or an
+    eigenvalue below 1e-300 is singular: then this raises `SingularWeight`
+    with every matrix's power, unit eigenvalues for the singular ones.
+    Other eigenvalues are clamped to 1e-14 * trace / N before the power,
+    which preserves ball averages to quadrature accuracy.
     """
+    finite = np.isfinite(W).all(axis=(-2, -1))
+    if not finite.all():
+        W = np.where(finite[..., None, None], W, np.eye(W.shape[-1]))
     vals, vecs = np.linalg.eigh(W)
-    if np.any(vals[..., 0] < HARD_FLOOR):
-        raise SingularWeight("weight is singular at an evaluation point")
+    singular = ~finite | (vals[..., 0] < HARD_FLOOR)
     n = W.shape[-1]
     floors = EIGEN_FLOOR_SCALE * np.real(np.trace(W, axis1=-2, axis2=-1)) / n
     vals = np.maximum(vals, floors[..., None])
+    vals[singular] = 1.0
     powed = vals ** a
     # V diag(powed) V^H as one batched matmul: 2-3x faster than the
     # three-operand einsum on real 3x3 stacks, and within ~4e-16 of it
-    return (vecs * powed[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    out = (vecs * powed[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if singular.any():
+        raise SingularWeight("weight is singular at an evaluation point", out, singular)
+    return out
 
 
 class MatrixWeightSpec:
@@ -264,20 +283,26 @@ class MatrixWeightSpec:
             C[:, j, i] = c
         root = np.sqrt(diag)
         core = np.eye(N)[None, :, :] + self.eps * C
-        return root[:, :, None] * core * root[:, None, :]
+        # an infinite entry on the singular set meets the zeros of core:
+        # inf * 0 = nan, which counts as singular
+        with np.errstate(invalid="ignore"):
+            return root[:, :, None] * core * root[:, None, :]
 
     def power_values(self, x, a: float) -> np.ndarray:
         pts, single = _as_points(x)
         if self.mode == "diagonal":
-            # entrywise closed form, exact for diagonal specs
+            # entrywise closed form, exact for diagonal specs; a node is
+            # singular unless all its entries are finite and above 1e-300
             diag = np.stack([s._values(pts) for s in self.scalars], axis=1)
-            if np.any(diag <= HARD_FLOOR):
-                raise SingularWeight("diagonal entry vanished at a node")
+            singular = ~((diag > HARD_FLOOR) & (diag < np.inf)).all(axis=1)
+            diag[singular] = 1.0
             floors = EIGEN_FLOOR_SCALE * diag.sum(axis=1, keepdims=True) / self.N
             diag = np.maximum(diag, floors)
             out = np.zeros((len(pts), self.N, self.N))
             idx = np.arange(self.N)
             out[:, idx, idx] = diag ** a
+            if singular.any():
+                raise SingularWeight("diagonal entry is singular at a node", out, singular)
         else:
             out = hermitian_power(self._values(pts), a)
         return out[0] if single else out

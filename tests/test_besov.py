@@ -16,6 +16,7 @@ from anisoweights.besov import (
     discrete_b_norm,
     frame_atom,
     mollifier_bump,
+    norm_equivalence_experiment,
     synthesize,
 )
 from anisoweights.dilation import DilationGroup
@@ -350,3 +351,18 @@ class TestPhiTransform:
         assert c.n_coefficients() == 521824
         g = synthesize(c, sqrt_bapu_282)
         assert np.abs(g.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+
+
+def test_benchmark_pass_evaluates_each_root_node_once(G1, monkeypatch):
+    # the besov-1d pass: 24 roots on the 256-point grid, each with one
+    # singular node (the origin) that alone is evaluated again
+    grid = FourierGrid(1, 256, 4 * np.pi)
+    cov = build_structured_covering(G1, 0.5, 24.0, seed=0, candidates_per_shell=256)
+    fields = standard_ensemble(grid, G1, AnisoBall([0.0], 16.0), N=2, seed=0)
+    bapu, sqrt_bapu = build_bapu(grid, cov), build_sqrt_bapu(grid, cov)
+    sizes = []
+    power = MatrixWeightSpec.power_values
+    monkeypatch.setattr(MatrixWeightSpec, "power_values",
+                        lambda self, x, a: sizes.append(len(x)) or power(self, x, a))
+    norm_equivalence_experiment(fields, sqrt_weight(), [PARAMS], bapu, sqrt_bapu)
+    assert sizes == [256, 1] * 24 and sum(sizes) == 6_168

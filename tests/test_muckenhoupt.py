@@ -31,8 +31,8 @@ from anisoweights.muckenhoupt import (
     _pair_norms,
     _scalar_quantity_at_nodes,
     safe_power_values,
-    safe_scalar_values,
 )
+from anisoweights.spectral import FourierGrid
 from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, SingularWeight, hermitian_power
 
 
@@ -715,6 +715,20 @@ class TestTailBound:
         assert res.ratio == pytest.approx(1.0 / ((L - 1.0) * r0), rel=1e-4)
         assert res.ratio <= res.bound
 
+    @pytest.mark.parametrize("L", [1.05, 1.1, 1.5, 2.0])
+    def test_bound_sums_the_whole_series(self, G1, grid1, L):
+        # 1 + c * sum_m 2^(m beta) (1 + 2^(m - 1) r0)^(-L), the series summed
+        # in log space to 5,000 terms; at L = 1.05 its first 60 terms miss
+        # 13% of it.  The geometric rest exceeds the true rest by about 1e-17
+        # relative, below rounding, so the bound may sit an ulp under it.
+        beta, r0 = 1.0, compute_r0(G1, 0.01)
+        res = weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0,
+                                  [0.0], L, grid1, beta=beta, r0=r0)
+        m = np.arange(1, 5_001)
+        logs = m * beta * np.log(2.0) - L * np.logaddexp(0.0, (m - 1) * np.log(2.0) + np.log(r0))
+        want = 1.0 + res.doubling_constant * np.exp(logs.max()) * np.sum(np.exp(logs - logs.max()))
+        assert want * (1 - 1e-15) <= res.bound <= want * (1 + 1e-6)
+
     def test_depth_cap_raises(self, G1, grid1, monkeypatch):
         # L = beta + 1 converges within the 40 annuli of test_lebesgue_closed_form;
         # after two annuli its term ratio still grows (0.498, then 0.997)
@@ -728,6 +742,49 @@ class TestTailBound:
                                   beta=1.5)
         assert np.isfinite(res.ratio)
         assert res.ratio <= res.bound
+
+
+# The two nudge loops that `safe_power_values` replaced, kept as oracles.  The
+# scalar loop evaluates the nudged nodes again; the matrix loop finds the
+# singular nodes with `eigvalsh` on the whole stack and then evaluates the
+# whole stack again.
+
+
+def oracle_perturb(pts, mask, scale, attempt):
+    d = pts.shape[1]
+    shift = 1e-9 * np.asarray(scale) * (attempt + 1) / np.sqrt(d)
+    out = pts.copy()
+    out[mask] = out[mask] + np.broadcast_to(shift, len(pts))[mask, None]
+    return out
+
+
+def oracle_scalar_values(spec, pts, scale):
+    vals = np.asarray(spec.values(pts), dtype=float)
+    for attempt in range(3):
+        bad = ~np.isfinite(vals) | (vals <= 0.0)
+        if not bad.any():
+            return vals
+        pts = oracle_perturb(pts, bad, scale, attempt)
+        vals[bad] = spec.values(pts[bad])
+    bad = ~np.isfinite(vals) | (vals <= 0.0)
+    if bad.any():
+        raise SingularWeight("could not move nodes off the singular set")
+    return vals
+
+
+def oracle_power_values(spec, pts, a, scale):
+    if not hasattr(spec, "power_values"):
+        return oracle_scalar_values(spec, pts, scale) ** a
+    for attempt in range(4):
+        try:
+            return spec.power_values(pts, a)
+        except SingularWeight:
+            eig = np.linalg.eigvalsh(spec.values(pts))
+            bad = eig[:, 0] < 1e-300
+            if not bad.any():
+                raise
+            pts = oracle_perturb(pts, bad, scale, attempt)
+    raise SingularWeight("could not move nodes off the singular set")
 
 
 # The hand-written ladder loops that `_ladder` and the family ladder replaced,
@@ -762,7 +819,7 @@ def loop_ap_ladder(W, B, p, quad, G, task=0):
             Mt = safe_power_values(W, nodes(level, 2 * task + 1, pair=True), -1.0 / p, scale)
             levels.append(loop_matrix_quantity(Px, Mt, p))
         else:
-            w = safe_scalar_values(W, nodes(level, task), scale)
+            w = oracle_scalar_values(W, nodes(level, task), scale)
             levels.append(_scalar_quantity_at_nodes(w, p))
     return ladder_estimate(levels, stochastic=quad.rule == "monte_carlo")
 
@@ -786,7 +843,7 @@ def loop_reverse_holder(w, family, r_grid, quad, G):
                 levels_hi, levels_lo = [], []
                 for level in range(_LEVELS):
                     nodes = quad.ball_nodes(G, B, level, task=i)
-                    vals = safe_scalar_values(w, nodes, scale)
+                    vals = oracle_scalar_values(w, nodes, scale)
                     levels_hi.append(np.mean(vals ** r) ** (1.0 / r))
                     levels_lo.append(np.mean(vals))
                 stoch = quad.rule == "monte_carlo"
@@ -837,14 +894,24 @@ def conjugated_weight():
             ScalarWeightSpec.radial_power(-0.3)])
 
 
-def ap_matrix_weight():
-    """The 3x3 weight of the ap-matrix-2d benchmark (variant 0)."""
+def ap_matrix_weight(a=0.5, b=0.0):
+    """The 3x3 weight of the ap-matrix-2d and multiplier-2d benchmarks.
+
+    a = 1/2 and b = 0 is variant 0; `benchmark_variant` gives the others.
+    """
     S = ScalarWeightSpec
     return MatrixWeightSpec.diag_dominant(
         [S.poly_abs_power({(1, 0): 1.0}, 0.5), S.radial_power(0.5), S.constant(2.0)],
-        {(0, 1): {(0, 1): 1.0, (0, 0): 0.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}},
+        {(0, 1): {(0, 1): 1.0, (0, 0): b}, (1, 2): {(1, 0): 1.0, (0, 0): a}},
         0.5,
     )
+
+
+def benchmark_variant(variant):
+    """The benchmark weight of a variant: a in [1/4, 3/4], b in [-1/4, 1/4]."""
+    a = 0.25 + 0.5 * np.random.default_rng([variant, 2]).random()
+    b = -0.25 + 0.5 * np.random.default_rng([variant, 3]).random()
+    return ap_matrix_weight(a, b)
 
 
 def lm_reducing_fit(dirs, eta, S0):
@@ -923,6 +990,24 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Stack sizes that `hermitian_power` gets, and those of the calls that raised."""
+    calls, raised = [], []
+    power = weights.hermitian_power
+
+    def counted(M, a):
+        calls.append(len(M))
+        try:
+            return power(M, a)
+        except SingularWeight:
+            raised.append(len(M))
+            raise
+
+    monkeypatch.setattr(weights, "hermitian_power", counted)
+    return calls, raised
 
 
 @pytest.fixture(params=["mapped_grid", "monte_carlo"])
@@ -1098,28 +1183,18 @@ class TestFamilyLadder:
         ours = muckenhoupt._reduce_pairs(norms, p)
         assert ours.tolist() == [loop_reduce_pairs(n, p) for n in norms]
 
-    def test_benchmark_ball_on_the_singular_line(self, G2, monkeypatch):
+    def test_benchmark_ball_on_the_singular_line(self, G2, power_calls):
         # ball (1, 0) of radius 2 puts level-0 x nodes of the 1024-node grid
         # on x1 = 0, where the ap-matrix-2d weight is singular
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = [AnisoBall([0.0, 0.0], 2.0), AnisoBall([1.0, 0.0], 2.0),
                AnisoBall([0.0, 1.0], 0.5), AnisoBall([-1.0, 0.0], 2.0)]
-        raised = []
-        power = weights.hermitian_power
-
-        def counted(M, a):
-            try:
-                return power(M, a)
-            except SingularWeight:
-                raised.append(len(M))
-                raise
-
-        monkeypatch.setattr(weights, "hermitian_power", counted)
+        _, raised = power_calls
         want = loop_estimate_ap_constant(W, 2.0, fam, quad, G2)
         assert raised
         raised.clear()
         rep = estimate_ap_constant(W, 2.0, fam, quad, G2)
-        assert raised  # one retry for the whole level-0 block
+        assert raised  # the level-0 block, then its singular nodes alone
         assert rep.values.tobytes() == want[0].tobytes()
         assert rep.errors.tobytes() == want[1].tobytes()
 
@@ -1148,7 +1223,7 @@ class TestFamilyLadder:
             assert (row.discrepancy, row.combined_error) == (
                 abs(la.value - lb.value), la.error + lb.error)
 
-    def test_one_power_call_per_level_side_and_block(self, G2, monkeypatch):
+    def test_one_power_call_per_level_side_and_block(self, G2, power_calls):
         # the 92-ball ap-matrix-2d family: hermitian_power runs twice per
         # level and block, plus the retries after a node hit x1 = 0
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
@@ -1157,18 +1232,7 @@ class TestFamilyLadder:
         for level in range(_LEVELS):
             n = max(len(quad.reference_nodes(G2, level, task, pair=True)) for task in (0, 1))
             blocks += -(-len(fam) // (muckenhoupt._CHUNK // n))
-        calls, raised = [], []
-        power = weights.hermitian_power
-
-        def counted(M, a):
-            calls.append(len(M))
-            try:
-                return power(M, a)
-            except SingularWeight:
-                raised.append(len(M))
-                raise
-
-        monkeypatch.setattr(weights, "hermitian_power", counted)
+        calls, raised = power_calls
         estimate_ap_constant(W, 2.0, fam, quad, G2)
         assert len(fam) == 92 and blocks == 6
         assert len(calls) - len(raised) == 2 * blocks
@@ -1198,3 +1262,157 @@ class TestCalderon:
             mF = _mass_ladder(w, F, grid1, G1).value
             vol_ratio = F.radius / E.radius  # nu = 1
             assert mF / mE <= const * vol_ratio ** p * (1 + 1e-6)
+
+
+class BandWeight:
+    """Test weight 1 + x1, singular (zero) on the band 0 <= x1 < width.
+
+    With scale 1 in 1-D, a node at x1 = 0 sits at 1e-9, 3e-9, 6e-9 and 1e-8
+    after one to four nudges.  `sizes` records the nodes of every call.
+    """
+
+    def __init__(self, width):
+        self.width, self.sizes = width, []
+
+    def values(self, pts):
+        self.sizes.append(len(pts))
+        x1 = pts[:, 0]
+        return np.where((0.0 <= x1) & (x1 < self.width), 0.0, 1.0 + x1)
+
+
+class BandMatrixWeight(BandWeight):
+    """(1 + x1) I_2 on the same band; its power raises as `hermitian_power` does."""
+
+    def values(self, pts):
+        return super().values(pts)[:, None, None] * np.eye(2)
+
+    def power_values(self, pts, a):
+        w = BandWeight.values(self, pts)
+        singular = w == 0.0
+        out = np.where(singular, 1.0, w)[:, None, None] ** a * np.eye(2)
+        if singular.any():
+            raise SingularWeight("on the band", out, singular)
+        return out
+
+
+def multiplier_grid():
+    """The 128 x 128 spatial grid of multiplier-2d: 128 of its nodes lie on x1 = 0."""
+    return FourierGrid(2, 128, 8 * np.pi).spatial_points()
+
+
+class TestNudge:
+    """`safe_power_values` against the two nudge loops it replaced, bitwise."""
+
+    @pytest.mark.parametrize("variant", [0, 5])
+    def test_multiplier_grid_root(self, power_calls, variant):
+        W = ap_matrix_weight() if variant == 0 else benchmark_variant(variant)
+        pts = multiplier_grid()
+        scale = muckenhoupt._local_scale(pts)
+        calls, raised = power_calls
+        got = safe_power_values(W, pts, 0.5, scale)
+        assert calls == [16_384, 128] and raised == [16_384]
+        calls.clear()
+        assert got.tobytes() == oracle_power_values(W, pts, 0.5, scale).tobytes()
+        assert calls == [16_384, 16_384]  # the parent's whole-stack retry
+
+    def test_besov_diagonal_root(self, monkeypatch):
+        # besov-1d's weight diag(|x|^1/2, 1) on its 256-point grid, which
+        # holds the origin; the diagonal closed form, not `hermitian_power`
+        W = MatrixWeightSpec.diagonal([ScalarWeightSpec.radial_power(0.5),
+                                       ScalarWeightSpec.constant(1.0)])
+        pts = FourierGrid(1, 256, 4 * np.pi).spatial_points()
+        scale = muckenhoupt._local_scale(pts)
+        sizes = []
+        power = MatrixWeightSpec.power_values
+        monkeypatch.setattr(MatrixWeightSpec, "power_values",
+                            lambda self, x, a: sizes.append(len(x)) or power(self, x, a))
+        got = safe_power_values(W, pts, 0.5, scale)
+        assert sizes == [256, 1]
+        for a in (0.5, -0.5):
+            assert (safe_power_values(W, pts, a, scale).tobytes()
+                    == oracle_power_values(W, pts, a, scale).tobytes())
+        assert np.isfinite(got).all()
+
+    def test_ap_matrix_pass(self, G2, monkeypatch, power_calls):
+        # the ap-matrix-2d pass: 35,780 matrices, of which the level-0 x
+        # block's 84 nodes on x1 = 0 are the only ones evaluated twice
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
+        fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        blocks = []
+        inner = muckenhoupt.safe_power_values
+
+        def recorded(spec, pts, a, scale):
+            blocks.append((pts, a, scale))
+            return inner(spec, pts, a, scale)
+
+        monkeypatch.setattr(muckenhoupt, "safe_power_values", recorded)
+        calls, raised = power_calls
+        estimate_ap_constant(W, 2.0, fam, quad, G2)
+        assert sum(calls) == 35_780 and raised == [2_944]
+        assert calls[:2] == [2_944, 84]
+        X, a, sx = blocks[0]
+        assert (len(X), a) == (2_944, 0.5)
+        assert inner(W, X, a, sx).tobytes() == oracle_power_values(W, X, a, sx).tobytes()
+
+    def test_slice_weight(self, monkeypatch):
+        # a scalar weight that nudges its matrix root itself; the oracle
+        # runs both loops of the parent, the inner one through the module
+        W = ap_matrix_weight()
+        sl = muckenhoupt.SliceWeight(W, 2.0, np.eye(3)[0])
+        pts = np.concatenate([multiplier_grid()[::97], [[0.0, 0.0], [0.0, 1.5]]])
+        scale = 1.0 + np.abs(pts).max(axis=1)
+        got = safe_power_values(sl, pts, 1.0, scale)
+        monkeypatch.setattr(muckenhoupt, "safe_power_values", oracle_power_values)
+        want = oracle_power_values(sl, pts, 1.0, scale)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [BandWeight, BandMatrixWeight])
+    def test_three_nudges_return(self, kind):
+        pts = np.array([[0.0], [0.25], [-0.5], [4.5e-9]])
+        w = kind(5e-9)
+        got = safe_power_values(w, pts, 0.5, 1.0)
+        # node 0 needs three nudges, node 3 one; each evaluates them alone
+        assert w.sizes == [4, 2, 1, 1]
+        want = oracle_power_values(kind(5e-9), pts, 0.5, 1.0)
+        assert got.tobytes() == want.tobytes()
+        assert np.ravel(got)[0] ** 2 == 1.0 + ((1e-9 + 2e-9) + 3e-9)
+
+    @pytest.mark.parametrize("kind", [BandWeight, BandMatrixWeight])
+    def test_four_nudges_raise(self, kind):
+        pts = np.array([[0.0], [0.25], [-0.5]])
+        w = kind(8e-9)
+        with pytest.raises(SingularWeight, match="could not move"):
+            safe_power_values(w, pts, 0.5, 1.0)
+        assert w.sizes == [3, 1, 1, 1]
+        with pytest.raises(SingularWeight):
+            oracle_power_values(kind(8e-9), pts, 0.5, 1.0)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "diag_dominant"])
+    def test_non_finite_matrix_node_is_nudged(self, mode):
+        # W(0) has the entry |x|^(-1/2) = inf: nudged like the scalar weight,
+        # where the parent returned an inf (diagonal) or nan root
+        S = ScalarWeightSpec
+        scalars = [S.radial_power(-0.5), S.constant(1.0)]
+        W = (MatrixWeightSpec.diagonal(scalars) if mode == "diagonal" else
+             MatrixWeightSpec.diag_dominant(scalars, {(0, 1): {(0, 1): 1.0}}, 0.5))
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        nudged = x.copy()
+        nudged[0] += 1e-9 * 1.0 * 1 / np.sqrt(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = safe_power_values(W, x, 0.5, 1.0)
+            scalar = safe_power_values(scalars[0], x, 1.0, 1.0)
+        assert got.tobytes() == W.power_values(nudged, 0.5).tobytes()
+        assert scalar[0] == pytest.approx(10 ** 4.5, rel=1e-12)  # |x| = 1e-9
+        if mode == "diagonal":
+            assert (got[:, 0, 0] ** 2).tolist() == scalar.tolist()
+
+    @pytest.mark.parametrize("w", [ScalarWeightSpec.radial_power(-0.5),
+                                   ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, -0.5)],
+                             ids=["radial", "poly"])
+    def test_negative_power_at_the_singular_set(self, w):
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = safe_power_values(w, x, 1.0, 1.0)
+        assert np.isfinite(vals).all() and vals[1] == w.values(x[1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,18 @@ class TestScalar:
             [ScalarWeightSpec.radial_power(1.0), ScalarWeightSpec.constant(2.0)]
         )
         assert float(w.values([3.0, 4.0])) == pytest.approx(10.0)
+
+    def test_singular_values_without_warnings(self):
+        # a negative power is inf on the singular set and a product there
+        # inf * 0 = nan, with no divide or invalid warning
+        S = ScalarWeightSpec
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert S.radial_power(-0.5).values(x)[0] == np.inf
+            assert S.poly_abs_power({(1, 0): 1.0}, -0.5).values(x)[0] == np.inf
+            prod = S.product([S.radial_power(-0.5), S.poly_abs_power({(1, 0): 1.0}, 1.0)])
+            assert np.isnan(prod.values(x)[0]) and prod.values(x)[1] > 0
 
     def test_vectorized(self):
         w = ScalarWeightSpec.radial_power(2.0)
@@ -161,6 +175,27 @@ class TestMatrix:
         with pytest.raises(SingularWeight):
             self.W.power_values(np.array([[0.0, 0.0]]), 0.5)
 
+    @pytest.mark.parametrize("mode", ["diagonal", "diag_dominant"])
+    def test_singular_nodes_carry_mask_and_powers(self, mode):
+        # an infinite entry |x|^(-1/2) at the origin is singular in both modes;
+        # the error holds the powers of the other nodes, computed as alone
+        S = ScalarWeightSpec
+        scalars = [S.radial_power(-0.5), S.constant(1.0)]
+        W = (MatrixWeightSpec.diagonal(scalars) if mode == "diagonal" else
+             MatrixWeightSpec.diag_dominant(scalars, {(0, 1): {(0, 1): 1.0}}, 0.5))
+        x = np.array([[1.0, 1.0], [0.0, 0.0], [0.5, -2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = W.values(x)
+            with pytest.raises(SingularWeight) as info:
+                W.power_values(x, -0.5)
+        assert vals[1, 0, 0] == np.inf
+        assert np.isnan(vals[1, 0, 1]) == (mode == "diag_dominant")
+        assert info.value.singular.tolist() == [False, True, False]
+        assert np.isfinite(info.value.values).all()
+        for i in (0, 2):
+            assert info.value.values[i].tobytes() == W.power_values(x[i], -0.5).tobytes()
+
 
 def einsum_hermitian_power(W, a):
     """W^a with the three-operand einsum V diag(lambda^a) V^H."""
@@ -205,6 +240,29 @@ class TestHermitianPower:
         assert np.all((vals[:, 0] > 1e-300) & (vals[:, 0] < 1e-14 * vals.sum(axis=1) / 3))
         for a in (0.5, -0.5):
             self.assert_close(W, a)
+
+
+    def test_non_finite_and_singular_matrices(self, monkeypatch):
+        # eigh never sees a non-finite entry; every singular matrix is
+        # marked, and the others get their powers as if alone
+        W = np.stack([2.0 * np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
+                      [[np.inf, 1.0], [1.0, 1.0]], np.zeros((2, 2)), [[1.0, 2.0], [2.0, 1.0]],
+                      [[3.0, 1.0], [1.0, 2.0]]])
+        eigh = np.linalg.eigh
+
+        def finite_only(M):
+            assert np.isfinite(M).all()
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", finite_only)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularWeight) as info:
+                hermitian_power(W, -0.5)
+        assert info.value.singular.tolist() == [False, True, True, True, True, False]
+        assert np.isfinite(info.value.values).all()
+        for i in (0, 5):
+            assert info.value.values[i].tobytes() == hermitian_power(W[i:i + 1], -0.5)[0].tobytes()
 
 
 class TestNormEquivalence:
