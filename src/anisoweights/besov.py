@@ -424,21 +424,24 @@ def norm_equivalence_experiment(ensemble, W, params_list, bapu: Bapu,
                                 sqrt_bapu: Bapu) -> list[EquivalenceRow]:
     """Coefficient and reconstruction ratios across the parameter grid.
 
-    r1 = ||analyze(f)||_b / ||f||_B per ensemble member; r2 =
-    ||synthesize(c)||_B / ||c||_b for coefficient sets derived from the
-    ensemble (identity and a conjugated copy).
+    r1 = ||c||_b / ||f||_B with c = analyze(f) per ensemble member; r2 =
+    ||synthesize(c')||_B / ||c'||_b for c' = c and for the scalar multiple
+    c' = (0.5 - 0.25i) c, the row tagged "*".  r1 and the plain r2 share
+    the one value ||c||_b.
     """
     rows = []
     for params in params_list:
         for f in ensemble:
             c = analyze(f, sqrt_bapu)
-            r1 = discrete_b_norm(c, W, params) / besov_norm(f, W, params, bapu)
+            b = discrete_b_norm(c, W, params)
             rows.append(EquivalenceRow("coefficient", f.field_id, params.s,
-                                       params.p, params.q, float(r1)))
-            for tag, cc in (("", c), ("*", c.scaled(0.5 - 0.25j))):
+                                       params.p, params.q,
+                                       float(b / besov_norm(f, W, params, bapu))))
+            scaled = c.scaled(0.5 - 0.25j)
+            for tag, cc, b_cc in (("", c, b),
+                                  ("*", scaled, discrete_b_norm(scaled, W, params))):
                 g = synthesize(cc, sqrt_bapu)
-                r2 = (besov_norm(g, W, params, bapu)
-                      / discrete_b_norm(cc, W, params))
+                r2 = besov_norm(g, W, params, bapu) / b_cc
                 rows.append(EquivalenceRow("reconstruction", f.field_id + tag,
                                            params.s, params.p, params.q,
                                            float(r2)))

@@ -303,6 +303,12 @@ def _ladder(quad: BallQuadrature, stat) -> LadderValue:
 # -- singular-set safe evaluation ----------------------------------------------
 
 
+def _check_exponent(p: float) -> None:
+    """Raise `ValueError` unless 0 < p < inf; nan fails too."""
+    if not 0 < p < np.inf:
+        raise ValueError(f"p must satisfy 0 < p < inf, got {p}")
+
+
 def _is_matrix(spec) -> bool:
     return hasattr(spec, "power_values")
 
@@ -483,8 +489,7 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
     Each level runs over blocks of consecutive balls (`_blocks`) with one
     weight evaluation per side and block; see `estimate_ap_constant`.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_exponent(p)
     scales = np.array([G.euclidean_radius_bound(B.radius) for B in family])
     stats = np.empty((len(family), _LEVELS))
     for level in range(_LEVELS):
@@ -612,6 +617,12 @@ def _local_scale(pts: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(pts), initial=0.0))
 
 
+def _node_scales(pts: np.ndarray) -> np.ndarray:
+    """A nudge scale per node, 1 + its largest |coordinate|, so that a
+    node's value does not depend on the batch it is evaluated in."""
+    return 1.0 + np.max(np.abs(pts), axis=1, initial=0.0)
+
+
 @dataclass(frozen=True)
 class SliceWeight:
     """Scalar weight t -> |W^(1/p)(t) v|^p extracted from a matrix weight."""
@@ -623,10 +634,7 @@ class SliceWeight:
 
     def values(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        # a nudge scale per node, 1 + its largest |coordinate|, so that a
-        # node's value does not depend on the batch it is evaluated in
-        scale = 1.0 + np.max(np.abs(pts), axis=1, initial=0.0)
-        root = safe_power_values(self.W, pts, 1.0 / self.p, scale)
+        root = safe_power_values(self.W, pts, 1.0 / self.p, _node_scales(pts))
         return weighted_magnitudes(root, self.v) ** self.p
 
 
@@ -658,14 +666,14 @@ class DualSliceWeight:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         left = safe_power_values(self.W, x0[None, :], 1.0 / self.p,
-                                 _local_scale(x0[None, :]))[0]
+                                 _node_scales(x0[None, :]))[0]
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "_left", left)
 
     def values(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         pp = self.p / (self.p - 1.0)
-        right = safe_power_values(self.W, pts, -1.0 / self.p, _local_scale(pts))
+        right = safe_power_values(self.W, pts, -1.0 / self.p, _node_scales(pts))
         return spectral_norms(np.einsum("ij,mjk->mik", self._left, right)) ** pp
 
 
@@ -715,6 +723,7 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     A matrix weight's shadows are its slice along e_1, its spectral norm
     and, for p > 1, its dual slice at each ball's center.
     """
+    _check_exponent(p)
     if not len(family) or not len(lambdas):
         raise ValueError("family and lambdas must be nonempty")
     if any(lam < 1 for lam in lambdas):
@@ -761,16 +770,6 @@ class ReverseHolderResult:
     r_best: float | None
     c1: float
     table: list  # (r, max ratio or None)
-
-
-@dataclass(frozen=True)
-class PowerWeight:
-    base: object
-    exponent: float
-    label: str = "w^r"
-
-    def values(self, pts):
-        return np.asarray(self.base.values(pts), dtype=float) ** self.exponent
 
 
 def reverse_holder_search(w, family: list[AnisoBall], r_grid,
@@ -873,6 +872,7 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
     (p > 1 only).  The fit counts as degenerate when M is not positive
     definite or its distortion exceeds 1.05 sqrt(N).
     """
+    _check_exponent(p)
     N = W.N
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)

@@ -20,6 +20,7 @@ from .geometry import AnisoBall, _lattice, ball_volume, compute_r0
 from .muckenhoupt import (
     BallQuadrature,
     _LEVELS,
+    _check_exponent,
     _local_scale,
     safe_power_values,
     weighted_magnitudes,
@@ -257,8 +258,7 @@ def _grid_root(grid: FourierGrid, W, p: float):
     A matrix root comes back complex: the fields it weighs are complex, and
     `weighted_magnitudes` would otherwise cast a real root on every call.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    _check_exponent(p)
     pts = grid.spatial_points()
     root = safe_power_values(W, pts, 1.0 / p, _local_scale(pts))
     return root.astype(complex, copy=False) if root is not None and root.ndim == 3 else root
@@ -328,6 +328,7 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
     eta = group.dilate(1.0 / ball.radius, xi - ball.center)
     s = group.quasi_norm(eta)
     r = np.linalg.norm(eta, axis=1)
+    e1 = np.eye(group.d)[0]
     cut = smooth_plateau(s, 0.72, 0.94)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
@@ -338,12 +339,10 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
     # ~1e-7, so its spatial tails clear the sampling window and period seam
     specs = {
         "gauss": np.exp(-(r / 0.25) ** 2) * (s < 1.0),
-        "offcenter": smooth_plateau(
-            group.quasi_norm(eta - 0.45 * _unit_vector(group)), 0.12, 0.38
-        ),
+        "offcenter": smooth_plateau(group.quasi_norm(eta - 0.45 * e1), 0.12, 0.38),
         "two_bumps": (
-            smooth_plateau(group.quasi_norm(eta - 0.4 * _unit_vector(group)), 0.08, 0.3)
-            + 0.7 * smooth_plateau(group.quasi_norm(eta + 0.5 * _unit_vector(group)), 0.08, 0.25)
+            smooth_plateau(group.quasi_norm(eta - 0.4 * e1), 0.08, 0.3)
+            + 0.7 * smooth_plateau(group.quasi_norm(eta + 0.5 * e1), 0.08, 0.25)
         ),
         "random_smooth": cut * (
             1.0 + sum(a[j] * np.cos((j + 1) * np.pi * np.clip(s, 0, 1)) +
@@ -364,12 +363,6 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
             grid, group, spec, ball, field_id=name, normalize=True
         ))
     return fields
-
-
-def _unit_vector(group: DilationGroup) -> np.ndarray:
-    e = np.zeros(group.d)
-    e[0] = 1.0
-    return e
 
 
 # -- multiplier experiment -----------------------------------------------------------------
@@ -402,6 +395,7 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     certified symbol.  Every field lives on `grid`, so the weight root is
     evaluated once for all rows.
     """
+    _check_exponent(p)
     M_req = required_decay_order(group, p) + 1.0
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
     phi0 = MultiplierSpec.from_profile(grid, group, profile, unit_ball)
@@ -595,6 +589,7 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
     divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G, 0.01).
     """
+    _check_exponent(p)
     R = ball.radius
     r0 = compute_r0(G, 0.01)
     rows = []
@@ -624,28 +619,3 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
         rows.append(ExperimentRow(float(R), tuple(ball.center), g.field_id,
                                   float(ratio), float(p * ratio * err / max(den, 1e-300))))
     return rows
-
-
-# -- snapshots ----------------------------------------------------------------------------------
-
-
-def save_field(path, f: BandLimitedField) -> None:
-    """Flat binary snapshot with a one-line text header."""
-    header = (f"anisofield d={f.grid.d} n={f.grid.n} L_over_pi={f.grid.L / np.pi:.17g} "
-              f"N={f.N} layout=row-major dtype=complex128\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.write(np.ascontiguousarray(f.values).tobytes())
-
-
-def load_field(path, group: DilationGroup, ball: AnisoBall,
-               field_id="loaded") -> BandLimitedField:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode().strip()
-        raw = fh.read()
-    parts = dict(kv.split("=") for kv in header.split()[1:])
-    grid = FourierGrid(int(parts["d"]), int(parts["n"]),
-                       float(parts["L_over_pi"]) * np.pi)
-    N = int(parts["N"])
-    values = np.frombuffer(raw, dtype=complex).reshape((N,) + grid.shape)
-    return BandLimitedField.from_values(grid, group, values, ball, field_id=field_id)

@@ -337,20 +337,3 @@ class ComposedMatrixWeight:
 
     def compose(self, T):
         return ComposedMatrixWeight(self, T)
-
-
-# -- matrix norm equivalence ---------------------------------------------------
-
-
-def matrix_norm_equivalence_check(M, r: float) -> bool:
-    """Frame the spectral norm between column-norm sums.
-
-    Checks (1/N) sum_j |M e_j|^r <= ||M||^r <= N^(r/2) sum_j |M e_j|^r,
-    the explicit-constant form of the norm equivalence used throughout.
-    """
-    M = np.asarray(M)
-    N = M.shape[-1]
-    cols = np.linalg.norm(M, axis=0) ** r
-    op = np.linalg.norm(M, 2) ** r
-    slack = 1e-12 * max(1.0, op)
-    return bool(cols.sum() / N <= op + slack and op <= N ** (r / 2) * cols.sum() + slack)

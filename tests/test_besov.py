@@ -1,10 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from anisoweights import besov
 from anisoweights.besov import (
     BesovParams,
     CoefficientArray,
     DenominatorVanishes,
+    EquivalenceRow,
     _full_window,
     _patch_counts,
     _patch_normalizer,
@@ -353,16 +357,50 @@ class TestPhiTransform:
         assert np.abs(g.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
 
 
-def test_benchmark_pass_evaluates_each_root_node_once(G1, monkeypatch):
-    # the besov-1d pass: 24 roots on the 256-point grid, each with one
-    # singular node (the origin) that alone is evaluated again
+@pytest.fixture(scope="module")
+def benchmark_pass(G1):
+    """The besov-1d inputs: fields, weight and both partitions."""
     grid = FourierGrid(1, 256, 4 * np.pi)
     cov = build_structured_covering(G1, 0.5, 24.0, seed=0, candidates_per_shell=256)
     fields = standard_ensemble(grid, G1, AnisoBall([0.0], 16.0), N=2, seed=0)
-    bapu, sqrt_bapu = build_bapu(grid, cov), build_sqrt_bapu(grid, cov)
-    sizes = []
+    return fields, sqrt_weight(), build_bapu(grid, cov), build_sqrt_bapu(grid, cov)
+
+
+def test_benchmark_pass_evaluates_each_root_node_once(benchmark_pass, monkeypatch):
+    # the besov-1d pass: 20 roots on the 256-point grid, each with one
+    # singular node (the origin) that alone is evaluated again; per field
+    # two discrete b-norms, ||c||_b serving both r1 and the plain r2
+    fields, W, bapu, sqrt_bapu = benchmark_pass
+    sizes, b_norms = [], []
     power = MatrixWeightSpec.power_values
     monkeypatch.setattr(MatrixWeightSpec, "power_values",
                         lambda self, x, a: sizes.append(len(x)) or power(self, x, a))
-    norm_equivalence_experiment(fields, sqrt_weight(), [PARAMS], bapu, sqrt_bapu)
-    assert sizes == [256, 1] * 24 and sum(sizes) == 6_168
+    monkeypatch.setattr(besov, "discrete_b_norm",
+                        lambda *args: b_norms.append(1) or discrete_b_norm(*args))
+    norm_equivalence_experiment(fields, W, [PARAMS], bapu, sqrt_bapu)
+    assert sizes == [256, 1] * 20 and sum(sizes) == 5_140
+    assert len(b_norms) == 8
+
+
+def recomputing_norm_equivalence(ensemble, W, params_list, bapu, sqrt_bapu):
+    """norm_equivalence_experiment with every b-norm computed where it is used."""
+    rows = []
+    for params in params_list:
+        for f in ensemble:
+            c = analyze(f, sqrt_bapu)
+            r1 = discrete_b_norm(c, W, params) / besov_norm(f, W, params, bapu)
+            rows.append(EquivalenceRow("coefficient", f.field_id, params.s,
+                                       params.p, params.q, float(r1)))
+            for tag, cc in (("", c), ("*", c.scaled(0.5 - 0.25j))):
+                g = synthesize(cc, sqrt_bapu)
+                r2 = besov_norm(g, W, params, bapu) / discrete_b_norm(cc, W, params)
+                rows.append(EquivalenceRow("reconstruction", f.field_id + tag,
+                                           params.s, params.p, params.q, float(r2)))
+    return rows
+
+
+def test_shared_b_norm_rows_match_recomputed_rows(benchmark_pass):
+    fields, W, bapu, sqrt_bapu = benchmark_pass
+    rows = norm_equivalence_experiment(fields, W, [PARAMS], bapu, sqrt_bapu)
+    want = recomputing_norm_equivalence(fields, W, [PARAMS], bapu, sqrt_bapu)
+    assert pickle.dumps(rows) == pickle.dumps(want)

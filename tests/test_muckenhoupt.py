@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,14 +26,19 @@ from anisoweights.muckenhoupt import (
     scalar_slice_ap,
     spectral_norms,
     weighted_tail_bound,
-    PowerWeight,
     _mass_ladder,
     _matrix_quantities,
     _pair_norms,
     _scalar_quantity_at_nodes,
     safe_power_values,
 )
-from anisoweights.spectral import FourierGrid
+from anisoweights.spectral import (
+    BandLimitedField,
+    FourierGrid,
+    multiplier_bound_experiment,
+    sampling_inequality_experiment,
+    weighted_lp_norm,
+)
 from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, SingularWeight, hermitian_power
 
 
@@ -58,6 +64,18 @@ def mc1():
 
 def sqrt_weight():
     return ScalarWeightSpec.radial_power(0.5)
+
+
+@dataclass(frozen=True)
+class PowerWeight:
+    """Scalar weight w^exponent."""
+
+    base: object
+    exponent: float
+    label: str = "w^r"
+
+    def values(self, pts):
+        return np.asarray(self.base.values(pts), dtype=float) ** self.exponent
 
 
 def sqrt_matrix_weight():
@@ -1366,6 +1384,17 @@ class TestNudge:
         want = oracle_power_values(sl, pts, 1.0, scale)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind, v_or_x0", [(muckenhoupt.SliceWeight, [1.0, 0.0]),
+                                               (muckenhoupt.DualSliceWeight, [0.3, 0.2])],
+                             ids=["slice", "dual-slice"])
+    def test_slice_value_does_not_depend_on_the_batch(self, kind, v_or_x0):
+        # the singular node (0, 0.5) of diag(|x1|^1/2, 1), alone and beside
+        # (10, 10), which would widen a nudge scale taken over the batch
+        sl = kind(sqrt_matrix_weight(), 2.0, np.array(v_or_x0))
+        alone = sl.values([[0.0, 0.5]])
+        batch = sl.values([[0.0, 0.5], [10.0, 10.0]])
+        assert batch[0].tobytes() == alone[0].tobytes()
+
     @pytest.mark.parametrize("kind", [BandWeight, BandMatrixWeight])
     def test_three_nudges_return(self, kind):
         pts = np.array([[0.0], [0.25], [-0.5], [4.5e-9]])
@@ -1416,3 +1445,29 @@ class TestNudge:
             warnings.simplefilter("error")
             vals = safe_power_values(w, x, 1.0, 1.0)
         assert np.isfinite(vals).all() and vals[1] == w.values(x[1])
+
+
+EXPONENT_ENTRY_POINTS = {
+    "reducing_operators": lambda p, quad, G1: reducing_operators(
+        sqrt_matrix_weight(), AnisoBall([0.3], 1.0), p, quad, G1),
+    "doubling_check": lambda p, quad, G1: doubling_check(
+        sqrt_matrix_weight(), p, [AnisoBall([0.3], 1.0)], [2.0], quad, G1),
+    "estimate_ap_constant": lambda p, quad, G1: estimate_ap_constant(
+        sqrt_weight(), p, [AnisoBall([0.3], 1.0)], quad, G1),
+    "multiplier_bound_experiment": lambda p, quad, G1: multiplier_bound_experiment(
+        sqrt_matrix_weight(), p, lambda eta: np.ones(len(eta)), [1.0], [[0.0]],
+        FourierGrid(1, 64, 4 * np.pi), G1),
+    "sampling_inequality_experiment": lambda p, quad, G1: sampling_inequality_experiment(
+        sqrt_matrix_weight(), p, AnisoBall([0.0], 1.0), [], quad, G1),
+    "weighted_lp_norm": lambda p, quad, G1: weighted_lp_norm(
+        BandLimitedField.from_values(FourierGrid(1, 8, np.pi), G1, np.ones(8),
+                                     AnisoBall([0.0], 1.0)),
+        sqrt_matrix_weight(), p),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
+def test_exponent_outside_zero_to_inf_raises(entry, p, grid1, G1):
+    with pytest.raises(ValueError, match="0 < p < inf"):
+        EXPONENT_ENTRY_POINTS[entry](p, grid1, G1)

@@ -16,12 +16,10 @@ from anisoweights.spectral import (
     _spectral_tail,
     apply_multiplier,
     decay_certificate,
-    load_field,
     multiplier_bound_experiment,
     required_decay_order,
     sampling_inequality_experiment,
     sampling_representation,
-    save_field,
     smooth_plateau,
     standard_ensemble,
     weighted_lp_norm,
@@ -155,15 +153,6 @@ class TestBandLimitedField:
         f = standard_ensemble(grid1, G1, ball)[0]
         node_vals = f.at(grid1.spatial_points())
         assert np.max(np.abs(node_vals - f.values.reshape(f.N, -1))) < 1e-10
-
-    def test_snapshot_roundtrip(self, tmp_path, grid1, G1):
-        ball = AnisoBall([0.0], 1.0)
-        f = standard_ensemble(grid1, G1, ball)[1]
-        path = tmp_path / "field.bin"
-        save_field(path, f)
-        g = load_field(path, G1, ball)
-        assert np.array_equal(g.values, f.values)
-        assert g.grid.n == grid1.n and g.grid.L == grid1.L
 
 
 class TestMultiplier:

