@@ -175,8 +175,8 @@ class BesovParams:
     q: float              # np.inf allowed
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be positive")
+        if not (0 < self.p < np.inf and self.q > 0):  # nan fails; q = inf is the sup
+            raise ValueError("need 0 < p < inf and q > 0")
 
 
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float:
@@ -322,10 +322,10 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
 
     l runs over the full rounded period per patch; entries below
     _COEF_FLOOR * ||f||_2 are dropped.  The cells U(k, l) take
-    r0 = compute_r0(group, 0.01).
+    r0 = compute_r0(group).
     """
     grid, group = f.grid, f.group
-    r0 = compute_r0(group, 0.01)
+    r0 = compute_r0(group)
     flat_spec = f.spectrum.reshape(f.N, -1)
     norm2 = f.l2_norm()
     out = CoefficientArray(group, grid, sqrt_bapu.t, r0)

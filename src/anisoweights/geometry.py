@@ -305,23 +305,25 @@ def _lattice(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _cube_boundary_grid(d: int, half: float, res: int = 9) -> np.ndarray:
-    """Grid on the boundary of [-half, half]^d."""
-    pts = _lattice([np.linspace(-half, half, res) for _ in range(d)])
-    on_boundary = np.any(np.isclose(np.abs(pts), half), axis=1)
+_R0_MARGIN = 0.01  # relative room between the unit cube's envelope and r0
+
+
+def _cube_boundary_grid(d: int) -> np.ndarray:
+    """The 9^d grid on [-1/2, 1/2]^d, restricted to the cube's boundary."""
+    pts = _lattice([np.linspace(-0.5, 0.5, 9) for _ in range(d)])
+    on_boundary = np.any(np.isclose(np.abs(pts), 0.5), axis=1)
     return pts[on_boundary]
 
 
-def compute_r0(G: DilationGroup, margin: float) -> float:
+def compute_r0(G: DilationGroup) -> float:
     """Radius with the unit cube [-1/2, 1/2)^d inside B_A(0, r0).
 
     Uses the exact quasi-norm envelope for the Euclidean radius sqrt(d)/2
-    of the cube, then verifies on a corner-and-face grid.
+    of the cube, widened by `_R0_MARGIN`, then verifies on a
+    corner-and-face grid.
     """
-    if not margin > 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    r0 = (1.0 + margin) * G.quasi_radius_bound(np.sqrt(G.d) / 2.0)
-    grid = _cube_boundary_grid(G.d, 0.5)
+    r0 = (1.0 + _R0_MARGIN) * G.quasi_radius_bound(np.sqrt(G.d) / 2.0)
+    grid = _cube_boundary_grid(G.d)
     qn = G.quasi_norm(grid)
     if np.any(qn >= r0):
         raise VerificationFailed(

@@ -11,7 +11,6 @@ convention is the spectral norm throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -294,10 +293,10 @@ def ladder_estimate(levels, stochastic: bool) -> LadderValue:
     return LadderValue(value, error, (v1, v2, v3))
 
 
-def _ladder(quad: BallQuadrature, stat) -> LadderValue:
-    """`ladder_estimate` of stat(level) over the levels of `quad`."""
-    return ladder_estimate([stat(level) for level in range(_LEVELS)],
-                           stochastic=quad.rule == "monte_carlo")
+def _ladders(levels, quad: BallQuadrature) -> list[LadderValue]:
+    """`ladder_estimate` of each ball from its statistics levels[level][ball]."""
+    return [ladder_estimate(ball, stochastic=quad.rule == "monte_carlo")
+            for ball in zip(*levels)]
 
 
 # -- singular-set safe evaluation ----------------------------------------------
@@ -443,43 +442,44 @@ def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(balls):
-    """Runs of consecutive balls' node tuples, at most `_CHUNK` nodes per side.
+def _blocks(G: DilationGroup, balls, sides):
+    """Blocks of consecutive balls with at most `_CHUNK` nodes per side.
 
-    A ball with more nodes than that makes a block of its own.
+    sides holds one iterable per side that gives each ball's nodes in
+    turn.  A block is yielded as its balls' node counts on the first side
+    and, per side, the block's nodes stacked in one array with each node's
+    ball scale.  A ball with more nodes than `_CHUNK` makes a block of its
+    own.
     """
+    def stacked(block):
+        scales, nodes = zip(*block)
+        counts = [[len(x) for x in side] for side in zip(*nodes)]
+        return counts[0], [(np.concatenate(side), np.repeat(scales, n))
+                           for side, n in zip(zip(*nodes), counts)]
+
     block, size = [], 0
-    for nodes in balls:
+    for B, *nodes in zip(balls, *sides):
         n = max(map(len, nodes))
         if block and size + n > _CHUNK:
-            yield block
+            yield stacked(block)
             block, size = [], 0
-        block.append(nodes)
+        block.append((G.euclidean_radius_bound(B.radius), nodes))
         size += n
     if block:
-        yield block
+        yield stacked(block)
 
 
-def _stacked(parts, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of a block in one array, and each node's ball scale."""
-    return np.concatenate(parts), np.repeat(scales, [len(x) for x in parts])
+def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup, level: int,
+                 tasks) -> list[np.ndarray]:
+    """A scalar weight at each ball's nodes on one level, ball i with task tasks[i].
 
-
-def _block_quantities(W, p: float, block, scales: np.ndarray):
-    """The quantity of each ball of a block at one level.
-
-    The weight (or its two roots) is evaluated once per side on the
+    The weight is evaluated once per block of balls (`_blocks`) on the
     block's stacked nodes, each node nudged by its own ball's scale.
     """
-    if _is_matrix(W):
-        (X, sx), (T, st) = (_stacked(side, scales) for side in zip(*block))
-        return _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
-                                  safe_power_values(W, T, -1.0 / p, st), p, len(block))
-    (nodes,) = zip(*block)
-    X, sx = _stacked(nodes, scales)
-    vals = safe_power_values(W, X, 1.0, sx)
-    ends = np.cumsum([len(x) for x in nodes])[:-1]
-    return [_scalar_quantity_at_nodes(w, p) for w in np.split(vals, ends)]
+    out = []
+    for counts, [(X, sx)] in _blocks(G, balls, [quad.family_nodes(G, balls, level, tasks)]):
+        out += np.split(safe_power_values(w, X, 1.0, sx), np.cumsum(counts)[:-1])
+    return out
 
 
 def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
@@ -490,20 +490,19 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
     weight evaluation per side and block; see `estimate_ap_constant`.
     """
     _check_exponent(p)
-    scales = np.array([G.euclidean_radius_bound(B.radius) for B in family])
-    stats = np.empty((len(family), _LEVELS))
+    levels = []
     for level in range(_LEVELS):
         if _is_matrix(W):  # the x and t nodes of the double integral
             sides = [quad.family_nodes(G, family, level, [2 * t + s for t in tasks], pair=True)
                      for s in (0, 1)]
+            levels.append(np.concatenate([
+                _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
+                                   safe_power_values(W, T, -1.0 / p, st), p, len(counts))
+                for counts, [(X, sx), (T, st)] in _blocks(G, family, sides)]))
         else:
-            sides = [quad.family_nodes(G, family, level, tasks)]
-        start = 0
-        for block in _blocks(zip(*sides)):
-            stop = start + len(block)
-            stats[start:stop, level] = _block_quantities(W, p, block, scales[start:stop])
-            start = stop
-    return [ladder_estimate(row, stochastic=quad.rule == "monte_carlo") for row in stats]
+            levels.append([_scalar_quantity_at_nodes(w, p)
+                           for w in _ball_values(W, family, quad, G, level, tasks)])
+    return _ladders(levels, quad)
 
 
 def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
@@ -593,6 +592,7 @@ def averaging_operator_check(W, B: AnisoBall, p: float, quad: BallQuadrature,
     Both sides are restricted to the ball, so constants give ratio 1 and the
     unweighted case is a contraction by Jensen.
     """
+    _check_exponent(p)
     if p <= 1:
         raise ValueError("averaging check needs p > 1")
     scale = G.euclidean_radius_bound(B.radius)
@@ -707,12 +707,13 @@ class DoublingReport:
         )
 
 
-def _mass_ladder(w, B: AnisoBall, quad: BallQuadrature, G: DilationGroup,
-                 task: int = 0) -> LadderValue:
-    scale = G.euclidean_radius_bound(B.radius)
-    vol = ball_volume(G, B.radius)
-    return _ladder(quad, lambda level: vol * np.mean(safe_power_values(
-        w, quad.ball_nodes(G, B, level, task=task), 1.0, scale)))
+def _mass_ladders(w, balls, quad: BallQuadrature, G: DilationGroup,
+                  tasks) -> list[LadderValue]:
+    """Ladders of the mass w(B) of each ball B, ball i with task tasks[i]."""
+    vols = [ball_volume(G, B.radius) for B in balls]
+    return _ladders([[vol * np.mean(v) for vol, v in
+                      zip(vols, _ball_values(w, balls, quad, G, level, tasks))]
+                     for level in range(_LEVELS)], quad)
 
 
 def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
@@ -721,13 +722,15 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     """Mass ratios w(lambda B) / w(B) for the weight and its scalar shadows.
 
     A matrix weight's shadows are its slice along e_1, its spectral norm
-    and, for p > 1, its dual slice at each ball's center.
+    and, for p > 1, its dual slice at each ball's center.  B and every
+    lambda B make one family (`_mass_ladders`) per shadow, all with task i
+    for ball i.  Fitting beta needs some lambda > 1.
     """
     _check_exponent(p)
-    if not len(family) or not len(lambdas):
-        raise ValueError("family and lambdas must be nonempty")
-    if any(lam < 1 for lam in lambdas):
-        raise ValueError("lambdas must be >= 1")
+    if not len(family):
+        raise ValueError("family must be nonempty")
+    if not all(lam >= 1 for lam in lambdas) or not any(lam > 1 for lam in lambdas):
+        raise ValueError("lambdas must be >= 1, and some > 1")
     if _is_matrix(W):
         comps = {"slice": SliceWeight(W, p, np.eye(W.N)[0]),
                  "norm": NormWeight(W)}
@@ -743,14 +746,13 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     rows = []
     logs = {name: ([], []) for name in comps}
     for i, B in enumerate(family):
+        balls = [B] + [AnisoBall(B.center, lam * B.radius) for lam in lambdas]
         for name, comp in comps.items():
             if comp is None:
                 comp = DualSliceWeight(W, p, B.center)
-            base = _mass_ladder(comp, B, quad, G, task=i).value
-            for lam in lambdas:
-                grown = _mass_ladder(comp, AnisoBall(B.center, lam * B.radius),
-                                     quad, G, task=i).value
-                ratio = grown / base
+            base, *grown = _mass_ladders(comp, balls, quad, G, [i] * len(balls))
+            for lam, mass in zip(lambdas, grown):
+                ratio = mass.value / base.value
                 rows.append((i, name, float(lam), float(ratio)))
                 logs[name][0].append(np.log(lam))
                 logs[name][1].append(np.log(max(ratio, 1e-300)))
@@ -776,31 +778,28 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
                           quad: BallQuadrature, G: DilationGroup) -> ReverseHolderResult:
     """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family.
 
-    w is evaluated once per ball and level, and every r reuses those values.
-    The avg w ladder also checks that w itself is integrable, which must
-    hold before any r > 1 makes sense: it raises `NonIntegrable` if not.
+    Ball i is ladder task i.  w is evaluated once per level and block of
+    balls (`_ball_values`), and every r reuses those values.  The avg w
+    ladder also checks that w itself is integrable, which must hold before
+    any r > 1 makes sense: it raises `NonIntegrable` if not.
     """
     if not family:
         raise ValueError("family must be nonempty")
     r_grid = sorted(r_grid)
-    worst = [0.0] * len(r_grid)  # None once r diverges on some ball
-    for i, B in enumerate(family):
-        scale = G.euclidean_radius_bound(B.radius)
-
-        @cache
-        def vals(level):
-            return safe_power_values(w, quad.ball_nodes(G, B, level, task=i), 1.0, scale)
-
-        lo = _ladder(quad, lambda level: np.mean(vals(level))).value
-        for k, r in enumerate(r_grid):
-            if worst[k] is None:
-                continue
-            try:
-                hi = _ladder(quad, lambda level: np.mean(vals(level) ** r) ** (1.0 / r))
-                worst[k] = max(worst[k], hi.value / lo)
-            except NonIntegrable:
-                worst[k] = None
-    table = [(float(r), None if v is None else float(v)) for r, v in zip(r_grid, worst)]
+    stats = []  # per level: avg w, then (avg w^r)^(1/r) for each r, per ball
+    for level in range(_LEVELS):
+        vals = _ball_values(w, family, quad, G, level, range(len(family)))
+        stats.append([[np.mean(v) for v in vals]]
+                     + [[np.mean(v ** r) ** (1.0 / r) for v in vals] for r in r_grid])
+    lo = [lv.value for lv in _ladders([s[0] for s in stats], quad)]
+    table = []
+    for k, r in enumerate(r_grid, 1):
+        try:
+            hi = _ladders([s[k] for s in stats], quad)
+            worst = float(max(h.value / low for h, low in zip(hi, lo)))
+        except NonIntegrable:  # r diverges on some ball
+            worst = None
+        table.append((float(r), worst))
     passed = [row for row in table if row[1] is not None]
     if not passed:
         return ReverseHolderResult(None, float("inf"), table)
@@ -889,25 +888,21 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
         A_sharp, sharp_distortion, product_norm = None, None, None
 
     q_values, largest_q = {}, None
-    if p > 1:
-        if q_grid is None:
-            q_grid = [p + 0.25, p + 0.5, p + 0.75, p + 1.0]
-
-        # the per-level norms are shared by every q
-        @cache
-        def left(level):  # |W^(1/p)(x) A_B^#|
-            Wp = safe_power_values(W, quad.ball_nodes(G, B, level), 1.0 / p, scale)
-            return spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp))
-
-        @cache
-        def right(level):  # |A_B W^(-1/p)(t)|
-            Wm = safe_power_values(W, quad.ball_nodes(G, B, level, task=1), -1.0 / p, scale)
-            return spectral_norms(np.einsum("ij,mjk->mik", A_B, Wm))
-
+    if p > 1 and q_grid is None:
+        q_grid = [p + 0.25, p + 0.5, p + 0.75, p + 1.0]
+    if p > 1 and len(q_grid):  # a fit-only call (q_grid = []) evaluates no more roots
+        # the per-level norms |W^(1/p)(x) A_B^#| and |A_B W^(-1/p)(t)| are
+        # shared by every q; the finest x level is the fit's root
+        roots = [safe_power_values(W, quad.ball_nodes(G, B, level), 1.0 / p, scale)
+                 for level in range(_LEVELS - 1)] + [root]
+        left = [spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp)) for Wp in roots]
+        right = [spectral_norms(np.einsum("ij,mjk->mik", A_B, safe_power_values(
+            W, quad.ball_nodes(G, B, level, task=1), -1.0 / p, scale)))
+            for level in range(_LEVELS)]
         for q in q_grid:
             try:
-                lv = _ladder(quad, lambda level: np.mean(left(level) ** q))
-                lv2 = _ladder(quad, lambda level: np.mean(right(level) ** q))
+                lv, lv2 = _ladders([[np.mean(a ** q), np.mean(b ** q)]
+                                    for a, b in zip(left, right)], quad)
             except NonIntegrable:
                 break
             q_values[float(q)] = (lv.value, lv2.value)
@@ -963,8 +958,7 @@ class TailBoundResult:
 
 
 def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
-                        quad: BallQuadrature, beta: float,
-                        r0: float | None = None) -> TailBoundResult:
+                        quad: BallQuadrature, beta: float) -> TailBoundResult:
     """Integral of w(x) (1 + t_j |x - x_jl|_A)^(-L) against the cell mass.
 
     Dyadic annuli around the cell are summed until a term falls below 1e-12
@@ -974,8 +968,7 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
     """
     if L <= beta:
         raise ValueError("need L > beta")
-    if r0 is None:
-        r0 = compute_r0(G, 0.01)
+    r0 = compute_r0(G)
     center = G.dilate(1.0 / t_j, np.asarray(ell, dtype=float))
     rho = r0 / t_j
     scale = G.euclidean_radius_bound(rho)

@@ -587,11 +587,11 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     For each field g in E_B computes
         sum_l |U(B,l)|-integral of |W^(1/p)(x) g(delta_R^-1 l)|^p
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
-    divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G, 0.01).
+    divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G).
     """
     _check_exponent(p)
     R = ball.radius
-    r0 = compute_r0(G, 0.01)
+    r0 = compute_r0(G)
     rows = []
     for g in fields:
         grid = g.grid

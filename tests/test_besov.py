@@ -154,7 +154,7 @@ def dense_analyze(f, sqrt_bapu):
     grid, group = f.grid, f.group
     flat_spec = f.spectrum.reshape(f.N, -1)
     norm2 = f.l2_norm()
-    out = CoefficientArray(group, grid, sqrt_bapu.t, compute_r0(group, 0.01))
+    out = CoefficientArray(group, grid, sqrt_bapu.t, compute_r0(group))
     lattice_measure = (np.pi / grid.L) ** grid.d
     for k in range(len(sqrt_bapu)):
         t_k = float(sqrt_bapu.t[k])
@@ -226,6 +226,12 @@ class TestFrame:
 
 
 class TestBesovNorms:
+    @pytest.mark.parametrize("p, q", [(np.nan, 2), (np.inf, 2), (0, 2), (2, np.nan), (2, 0)])
+    def test_params_outside_range_rejected(self, p, q):
+        with pytest.raises(ValueError, match="0 < p < inf and q > 0"):
+            BesovParams(0.5, p, q)
+        assert BesovParams(0.5, 2, np.inf).q == np.inf
+
     def test_identity_weight_matches_unweighted(self, ensemble, coefficients, bapu):
         W = MatrixWeightSpec.identity(2)
         for f, c in two_members(ensemble, coefficients):

@@ -262,18 +262,14 @@ class TestBallPairs:
 
 class TestComputeR0:
     def test_one_dimensional(self, G1):
-        assert compute_r0(G1, 0.01) == pytest.approx(0.505)
+        assert compute_r0(G1) == pytest.approx(0.505)
 
     def test_isotropic_plane(self, Giso):
-        assert compute_r0(Giso, 0.01) == pytest.approx(np.sqrt(2) / 2 * 1.01, rel=1e-9)
+        assert compute_r0(Giso) == pytest.approx(np.sqrt(2) / 2 * 1.01, rel=1e-9)
 
     def test_margin_strict(self, Gani):
-        r0 = compute_r0(Gani, 0.01)
+        r0 = compute_r0(Gani)
         assert r0 > Gani.quasi_radius_bound(np.sqrt(2) / 2)
-
-    def test_rejects_nan_margin(self, G1):
-        with pytest.raises(ValueError, match="margin"):
-            compute_r0(G1, np.nan)
 
 
 class TestUnitCovering:
@@ -282,14 +278,14 @@ class TestUnitCovering:
         assert cov.height_bound == 2
 
     def test_full_coverage(self, Gani):
-        r0 = compute_r0(Gani, 0.01)
+        r0 = compute_r0(Gani)
         cov = unit_covering(Gani, r0)
         rng = np.random.default_rng(3)
         z = rng.uniform(-3, 3, size=(500, 2))
         assert np.all(cov.cover_count(z) >= 1)
 
     def test_cell_translation_identity(self, Gani):
-        r0 = compute_r0(Gani, 0.01)
+        r0 = compute_r0(Gani)
         cov = unit_covering(Gani, r0)
         rng = np.random.default_rng(4)
         z = rng.uniform(-2, 2, size=(200, 2))
@@ -299,7 +295,7 @@ class TestUnitCovering:
         assert np.array_equal(in_k, in_0_shifted)
 
     def test_cover_count_matches_cell_loop(self, Gani):
-        cov = unit_covering(Gani, compute_r0(Gani, 0.01))
+        cov = unit_covering(Gani, compute_r0(Gani))
         z = np.random.default_rng(5).uniform(-2.5, 2.5, size=(400, 2))
         # cells beyond |k_i| = 4 are farther than r0's Euclidean reach
         cells = [np.array(k) - 4 for k in np.ndindex(9, 9)]

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad as spquad
 
 from anisoweights.dilation import DilationGroup
-from anisoweights.geometry import AffineMap, AnisoBall, compute_r0, map_ball
+from anisoweights.geometry import AffineMap, AnisoBall, ball_volume, compute_r0, map_ball
 from anisoweights import muckenhoupt, weights
 from anisoweights.muckenhoupt import (
     _LEVELS,
@@ -26,7 +26,7 @@ from anisoweights.muckenhoupt import (
     scalar_slice_ap,
     spectral_norms,
     weighted_tail_bound,
-    _mass_ladder,
+    _mass_ladders,
     _matrix_quantities,
     _pair_norms,
     _scalar_quantity_at_nodes,
@@ -566,6 +566,13 @@ class TestDoubling:
         with pytest.raises(ValueError):
             doubling_check(sqrt_weight(), 2.0, fam, [], grid1, G1, bound_constant=2.0)
 
+    @pytest.mark.parametrize("lambdas", [[1.0], [1.0, 1.0], [0.5, 2.0], [np.nan, 2.0]])
+    def test_lambdas_that_fit_no_beta_rejected(self, G1, grid1, lambdas):
+        # with no lambda > 1 every log lambda is 0 and beta would be 0 / 0
+        fam = [AnisoBall([0.0], 1.0)]
+        with pytest.raises(ValueError, match="some > 1"):
+            doubling_check(sqrt_weight(), 2.0, fam, lambdas, grid1, G1, bound_constant=2.0)
+
 
 class TestReverseHolder:
     def test_constant_passes_everything(self, G1, grid1):
@@ -709,17 +716,16 @@ class TestTailBound:
     def test_lebesgue_closed_form(self, G1, grid1):
         # w = 1, A = (1), L = nu + 1 = 2: the full integral is 2/t and the
         # cell mass 2 r0 / t, so the ratio is 1 / r0
-        r0 = compute_r0(G1, 0.01)
+        r0 = compute_r0(G1)
         res = weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0,
-                                  [0.0], 2.0, grid1, beta=1.0, r0=r0)
+                                  [0.0], 2.0, grid1, beta=1.0)
         assert res.ratio == pytest.approx(1.0 / r0, rel=1e-3)
         assert res.ratio <= res.bound
 
     def test_monotone_in_L(self, G1, grid1):
-        r0 = compute_r0(G1, 0.01)
         w = ScalarWeightSpec.constant(1.0)
-        r_small = weighted_tail_bound(w, G1, 1.0, [0.0], 2.0, grid1, beta=1.0, r0=r0)
-        r_big = weighted_tail_bound(w, G1, 1.0, [0.0], 3.0, grid1, beta=1.0, r0=r0)
+        r_small = weighted_tail_bound(w, G1, 1.0, [0.0], 2.0, grid1, beta=1.0)
+        r_big = weighted_tail_bound(w, G1, 1.0, [0.0], 3.0, grid1, beta=1.0)
         assert r_big.ratio < r_small.ratio
 
     @pytest.mark.parametrize("L", [1.05, 1.1, 1.5, 2.0])
@@ -727,9 +733,9 @@ class TestTailBound:
         # w = 1, A = (1): the ratio is 1 / ((L - 1) r0).  Annulus terms
         # shrink by about 2^(1 - L), 0.966 at L = 1.05, so the 40 annuli
         # leave a tail that the geometric remainder has to supply
-        r0 = compute_r0(G1, 0.01)
+        r0 = compute_r0(G1)
         res = weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0,
-                                  [0.0], L, grid1, beta=1.0, r0=r0)
+                                  [0.0], L, grid1, beta=1.0)
         assert res.ratio == pytest.approx(1.0 / ((L - 1.0) * r0), rel=1e-4)
         assert res.ratio <= res.bound
 
@@ -739,9 +745,9 @@ class TestTailBound:
         # in log space to 5,000 terms; at L = 1.05 its first 60 terms miss
         # 13% of it.  The geometric rest exceeds the true rest by about 1e-17
         # relative, below rounding, so the bound may sit an ulp under it.
-        beta, r0 = 1.0, compute_r0(G1, 0.01)
+        beta, r0 = 1.0, compute_r0(G1)
         res = weighted_tail_bound(ScalarWeightSpec.constant(1.0), G1, 1.0,
-                                  [0.0], L, grid1, beta=beta, r0=r0)
+                                  [0.0], L, grid1, beta=beta)
         m = np.arange(1, 5_001)
         logs = m * beta * np.log(2.0) - L * np.logaddexp(0.0, (m - 1) * np.log(2.0) + np.log(r0))
         want = 1.0 + res.doubling_constant * np.exp(logs.max()) * np.sum(np.exp(logs - logs.max()))
@@ -805,9 +811,9 @@ def oracle_power_values(spec, pts, a, scale):
     raise SingularWeight("could not move nodes off the singular set")
 
 
-# The hand-written ladder loops that `_ladder` and the family ladder replaced,
-# kept as oracles: each statistic is recomputed from fresh node evaluations on
-# every level, for every ball and for every exponent.
+# The hand-written ladder loops that the family ladders replaced, kept as
+# oracles: each statistic is recomputed from fresh node evaluations on every
+# level, for every ball and for every exponent.
 
 
 def loop_matrix_quantity(Px, Mt, p):
@@ -850,7 +856,7 @@ def loop_estimate_ap_constant(W, p, family, quad, G):
 
 def loop_reverse_holder(w, family, r_grid, quad, G):
     for i, B in enumerate(family):
-        _mass_ladder(w, B, quad, G, task=i)
+        _mass_ladders(w, [B], quad, G, [i])[0]
     table = []
     best = None
     for r in sorted(r_grid):
@@ -902,6 +908,49 @@ def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid):
         except NonIntegrable:
             break
     return q_values, largest_q
+
+
+def loop_mass_ladder(w, B, quad, G, task=0):
+    """One ball's mass ladder, level by level, from nodes built for this ball alone."""
+    scale = G.euclidean_radius_bound(B.radius)
+    vol = ball_volume(G, B.radius)
+    return ladder_estimate([vol * np.mean(safe_power_values(
+        w, quad.ball_nodes(G, B, level, task=task), 1.0, scale)) for level in range(_LEVELS)],
+        stochastic=quad.rule == "monte_carlo")
+
+
+def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None):
+    """Rows, fitted beta and bound constant of `doubling_check`, one mass
+    ladder per ball, shadow and lambda."""
+    if hasattr(W, "power_values"):
+        comps = {"slice": muckenhoupt.SliceWeight(W, p, np.eye(W.N)[0]),
+                 "norm": muckenhoupt.NormWeight(W)}
+        if p > 1:
+            comps["dual-slice"] = None
+    else:
+        comps = {"scalar": W}
+    if bound_constant is None:
+        probe = comps.get("scalar") or comps["slice"]
+        bound_constant = estimate_ap_constant(probe, max(1.0, p), family, quad, G).constant
+    rows = []
+    logs = {name: ([], []) for name in comps}
+    for i, B in enumerate(family):
+        for name, comp in comps.items():
+            if comp is None:
+                comp = muckenhoupt.DualSliceWeight(W, p, B.center)
+            base = loop_mass_ladder(comp, B, quad, G, task=i).value
+            for lam in lambdas:
+                grown = loop_mass_ladder(comp, AnisoBall(B.center, lam * B.radius),
+                                         quad, G, task=i).value
+                ratio = grown / base
+                rows.append((i, name, float(lam), float(ratio)))
+                logs[name][0].append(np.log(lam))
+                logs[name][1].append(np.log(max(ratio, 1e-300)))
+    fitted = {}
+    for name, (lx, ly) in logs.items():
+        lx, ly = np.asarray(lx), np.asarray(ly)
+        fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
+    return rows, fitted, float(bound_constant)
 
 
 def conjugated_weight():
@@ -1126,17 +1175,54 @@ class TestOneLadder:
             assert (pair.q_values, pair.largest_q) == loop_q_sweep(
                 W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp, q_grid)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("weight", ["sqrt", "ap-matrix", "conjugated"])
+    def test_doubling_matches_loop(self, G1, G2, any_quad, weight, p):
+        # on the grid, 2B of the ball at 1/2048 has a finest-level node at
+        # the singular point 0, nudged by 2B's own scale inside B's family
+        W, G, fam = {
+            "sqrt": (sqrt_weight(), G1, [AnisoBall([1 / 2048], 1.0), AnisoBall([-1.0], 0.5)]),
+            "ap-matrix": (ap_matrix_weight(), G2,
+                          [AnisoBall([0.2, -0.1], 0.7), AnisoBall([1.0, 0.0], 2.0)]),
+            "conjugated": (conjugated_weight(), G2,
+                           [AnisoBall([0.2, -0.1], 0.7), AnisoBall([0.0, 0.0], 1.0)]),
+        }[weight]
+        lambdas, bound = [2.0, 4.0], None
+        try:
+            want = loop_doubling(W, p, fam, lambdas, any_quad, G)
+        except NonIntegrable:  # the probe's A_1 quantity is unbounded
+            with pytest.raises(NonIntegrable):
+                doubling_check(W, p, fam, lambdas, any_quad, G)
+            bound = 1.0
+            want = loop_doubling(W, p, fam, lambdas, any_quad, G, bound)
+        rep = doubling_check(W, p, fam, lambdas, any_quad, G, bound)
+        assert (rep.rows, rep.fitted_beta, rep.bound_constant) == want
+
     def test_reverse_holder_evaluates_each_level_once(self, G1, grid1, monkeypatch):
+        # 10 balls of 1,024, 4,096 and 16,384 nodes a level: 4 balls to a
+        # block at level 0 (3 blocks), one at levels 1 and 2 (10 each)
         fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
-        calls = count_calls(monkeypatch, BallQuadrature, "ball_nodes")
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
         reverse_holder_search(sqrt_weight(), fam, [1.2, 1.5, 2.0], grid1, G1)
-        assert len(calls) == len(fam) * _LEVELS
+        assert len(fam) == 10 and len(calls) == 23
+
+    def test_doubling_evaluates_each_level_once(self, G1, grid1, monkeypatch):
+        # per ball, B, 2B and 4B make one family: one block at level 0 and
+        # three at levels 1 and 2
+        fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        doubling_check(sqrt_weight(), 2.0, fam, [2.0, 4.0], grid1, G1, bound_constant=2.0)
+        assert len(calls) == 10 * 7
 
     def test_q_sweep_evaluates_each_level_once(self, G1, grid1, monkeypatch):
         calls = count_calls(monkeypatch, muckenhoupt, "spectral_norms")
+        roots = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
         pair = reducing_operators(sqrt_matrix_weight(), AnisoBall([0.3], 1.0), 1.5, grid1, G1)
         assert len(pair.q_values) == 4
         assert len(calls) == 2 * _LEVELS
+        # the two fitted roots, then x levels 0 and 1 and the three t levels:
+        # the finest x level is the root W^(1/p) of the fit
+        assert len(roots) == 2 + (_LEVELS - 1) + _LEVELS
 
 
 def offset_sqrt_weight():
@@ -1261,8 +1347,6 @@ class TestFamilyLadder:
 class TestCalderon:
     def test_nested_mass_comparison(self, G1, grid1):
         # nested balls: w(F)/w(E) <= const * (|F|/|E|)^p
-        from anisoweights.muckenhoupt import _mass_ladder
-
         w = sqrt_weight()
         p = 2.0
         fam = default_ball_family(G1, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
@@ -1276,8 +1360,8 @@ class TestCalderon:
             # verify containment exactly (intervals)
             assert E.center[0] - E.radius >= F.center[0] - F.radius - 1e-12
             assert E.center[0] + E.radius <= F.center[0] + F.radius + 1e-12
-            mE = _mass_ladder(w, E, grid1, G1).value
-            mF = _mass_ladder(w, F, grid1, G1).value
+            mE = _mass_ladders(w, [E], grid1, G1, [0])[0].value
+            mF = _mass_ladders(w, [F], grid1, G1, [0])[0].value
             vol_ratio = F.radius / E.radius  # nu = 1
             assert mF / mE <= const * vol_ratio ** p * (1 + 1e-6)
 
@@ -1448,6 +1532,8 @@ class TestNudge:
 
 
 EXPONENT_ENTRY_POINTS = {
+    "averaging_operator_check": lambda p, quad, G1: averaging_operator_check(
+        sqrt_weight(), AnisoBall([0.3], 1.0), p, quad, G1, [lambda x: np.ones(len(x))]),
     "reducing_operators": lambda p, quad, G1: reducing_operators(
         sqrt_matrix_weight(), AnisoBall([0.3], 1.0), p, quad, G1),
     "doubling_check": lambda p, quad, G1: doubling_check(
