@@ -360,13 +360,17 @@ def weighted_magnitudes(root, v) -> np.ndarray:
     nodes, shape (N,).  A scalar root w^a gives w^a |v| and a matrix root
     the Euclidean norm of the product, shape (m,) either way.  Without a
     weight (root None) the result is |v|: shape (m,) for per-node vectors
-    and a single number for a shared one.
+    and a single number for a shared one.  A matrix root of size N needs
+    vectors of N entries; other sizes raise `ValueError`.
     """
     v = np.asarray(v)
     if root is None:
         return np.linalg.norm(v, axis=-1)
     if root.ndim == 1:
         return root * np.linalg.norm(v, axis=-1)
+    if v.shape[-1] != root.shape[-1]:
+        raise ValueError(f"a weight of size N = {root.shape[-1]} needs vectors of "
+                         f"{root.shape[-1]} entries, got {v.shape[-1]}")
     if np.iscomplexobj(v) and not np.iscomplexobj(root):
         root = root.astype(v.dtype)  # einsum on mixed real and complex runs 2-3x slower
     return np.linalg.norm(np.einsum("mij,mj->mi" if v.ndim == 2 else "mij,j->mi",
@@ -613,10 +617,6 @@ def averaging_operator_check(W, B: AnisoBall, p: float, quad: BallQuadrature,
 # -- scalar slices ------------------------------------------------------------------
 
 
-def _local_scale(pts: np.ndarray) -> float:
-    return 1.0 + float(np.max(np.abs(pts), initial=0.0))
-
-
 def _node_scales(pts: np.ndarray) -> np.ndarray:
     """A nudge scale per node, 1 + its largest |coordinate|, so that a
     node's value does not depend on the batch it is evaluated in."""
@@ -707,15 +707,6 @@ class DoublingReport:
         )
 
 
-def _mass_ladders(w, balls, quad: BallQuadrature, G: DilationGroup,
-                  tasks) -> list[LadderValue]:
-    """Ladders of the mass w(B) of each ball B, ball i with task tasks[i]."""
-    vols = [ball_volume(G, B.radius) for B in balls]
-    return _ladders([[vol * np.mean(v) for vol, v in
-                      zip(vols, _ball_values(w, balls, quad, G, level, tasks))]
-                     for level in range(_LEVELS)], quad)
-
-
 def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
                    quad: BallQuadrature, G: DilationGroup,
                    bound_constant: float | None = None) -> DoublingReport:
@@ -723,8 +714,11 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
 
     A matrix weight's shadows are its slice along e_1, its spectral norm
     and, for p > 1, its dual slice at each ball's center.  B and every
-    lambda B make one family (`_mass_ladders`) per shadow, all with task i
-    for ball i.  Fitting beta needs some lambda > 1.
+    lambda B make one family per shadow, evaluated once per level
+    (`_ball_values`), all with task i for ball i.  Without a bound_constant
+    the bound is the A_max(1,p) constant of the probe (a scalar weight, or
+    the e_1 slice), each ball's quantity taken from the values of B on its
+    levels.  Fitting beta needs some lambda > 1.
     """
     _check_exponent(p)
     if not len(family):
@@ -738,19 +732,22 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
             comps["dual-slice"] = None  # per-ball, needs the center
     else:
         comps = {"scalar": W}
-    if bound_constant is None:
-        probe = comps.get("scalar") or comps["slice"]
-        bound_constant = estimate_ap_constant(
-            probe, max(1.0, p), family, quad, G
-        ).constant
+    quantities = []  # per ball, the probe's A_max(1,p) quantity on each level
     rows = []
     logs = {name: ([], []) for name in comps}
     for i, B in enumerate(family):
         balls = [B] + [AnisoBall(B.center, lam * B.radius) for lam in lambdas]
+        vols = [ball_volume(G, b.radius) for b in balls]
         for name, comp in comps.items():
             if comp is None:
                 comp = DualSliceWeight(W, p, B.center)
-            base, *grown = _mass_ladders(comp, balls, quad, G, [i] * len(balls))
+            levels = [_ball_values(comp, balls, quad, G, level, [i] * len(balls))
+                      for level in range(_LEVELS)]
+            if bound_constant is None and name in ("scalar", "slice"):
+                quantities.append([_scalar_quantity_at_nodes(vals[0], max(1.0, p))
+                                   for vals in levels])
+            base, *grown = _ladders([[vol * np.mean(v) for vol, v in zip(vols, vals)]
+                                     for vals in levels], quad)
             for lam, mass in zip(lambdas, grown):
                 ratio = mass.value / base.value
                 rows.append((i, name, float(lam), float(ratio)))
@@ -760,6 +757,8 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     for name, (lx, ly) in logs.items():
         lx, ly = np.asarray(lx), np.asarray(ly)
         fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
+    if bound_constant is None:
+        bound_constant = max(l.value for l in _ladders(zip(*quantities), quad))
     return DoublingReport(getattr(W, "label", "weight"), p, G.nu,
                           float(bound_constant), rows, fitted)
 
@@ -872,6 +871,8 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
     definite or its distortion exceeds 1.05 sqrt(N).
     """
     _check_exponent(p)
+    if not _is_matrix(W):
+        raise ValueError("reducing operators need a matrix weight")
     N = W.N
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)

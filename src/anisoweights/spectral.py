@@ -20,8 +20,8 @@ from .geometry import AnisoBall, _lattice, ball_volume, compute_r0
 from .muckenhoupt import (
     BallQuadrature,
     _LEVELS,
+    _blocks,
     _check_exponent,
-    _local_scale,
     safe_power_values,
     weighted_magnitudes,
 )
@@ -260,7 +260,7 @@ def _grid_root(grid: FourierGrid, W, p: float):
     """
     _check_exponent(p)
     pts = grid.spatial_points()
-    root = safe_power_values(W, pts, 1.0 / p, _local_scale(pts))
+    root = safe_power_values(W, pts, 1.0 / p, 1.0 + grid.L)  # 1 + max |x| on the grid
     return root.astype(complex, copy=False) if root is not None and root.ndim == 3 else root
 
 
@@ -587,35 +587,48 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     For each field g in E_B computes
         sum_l |U(B,l)|-integral of |W^(1/p)(x) g(delta_R^-1 l)|^p
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
-    divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G).
+    divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G).  Every field lives
+    on one grid (`SizeMismatch` otherwise), so the cells are built once and
+    cell i is quadrature task i, its index among the cells in the box.  The
+    cells that some field needs run in blocks (`_blocks`) with one weight
+    root per block, each node nudged off the singular set by its cell's
+    scale; every field adds its own non-negligible cells from that root, in
+    cell order.  One grid root serves every denominator.
     """
     _check_exponent(p)
+    if not fields:
+        return []
+    grid = fields[0].grid
+    if any(g.grid.shape != grid.shape or g.grid.L != grid.L for g in fields):
+        raise SizeMismatch("sampling fields live on different grids")
     R = ball.radius
-    r0 = compute_r0(G)
+    # cells whose centers delta_R^-1 l fall inside the period box
+    reach = np.abs(G.dilation_matrix(R)) @ np.full(G.d, grid.L)
+    ls = _lattice([np.arange(-np.floor(h), np.floor(h) + 1) for h in reach])
+    centers = G.dilate(1.0 / R, ls)
+    centers = centers[np.max(np.abs(centers), axis=1) < grid.L]
+    samples = [g.at(centers) for g in fields]  # (N, cells) each
+    mags = [np.linalg.norm(s, axis=0) for s in samples]
+    kept = [m > 1e-9 * m.max() for m in mags]
+    tasks = np.flatnonzero(np.any(kept, axis=0))
+    cell_radius = compute_r0(G) / R
+    cells = [AnisoBall(c, cell_radius) for c in centers[tasks]]
+    vol = ball_volume(G, cell_radius)
+    lhs = [0.0] * len(fields)
+    done = 0
+    for counts, [(X, sx)] in _blocks(G, cells, [quad.family_nodes(G, cells, _LEVELS - 1, tasks)]):
+        root = safe_power_values(W, X, 1.0 / p, sx)
+        roots = [None] * len(counts) if root is None else np.split(root, np.cumsum(counts)[:-1])
+        for i, root in zip(tasks[done:done + len(counts)], roots):
+            for k, (s, keep) in enumerate(zip(samples, kept)):
+                if keep[i]:
+                    lhs[k] += vol * float(np.mean(weighted_magnitudes(root, s[:, i]) ** p))
+        done += len(counts)
+    root = _grid_root(grid, W, p)
     rows = []
-    for g in fields:
-        grid = g.grid
-        # cells whose centers delta_R^-1 l fall inside the period box
-        reach = np.abs(G.dilation_matrix(R)) @ np.full(G.d, grid.L)
-        ls = _lattice([np.arange(-np.floor(h), np.floor(h) + 1) for h in reach])
-        centers = G.dilate(1.0 / R, ls)
-        keep = np.max(np.abs(centers), axis=1) < grid.L
-        centers = centers[keep]
-        samples = g.at(centers)  # (N, m)
-        mags = np.linalg.norm(samples, axis=0)
-        big = mags > 1e-9 * mags.max()
-        centers, samples = centers[big], samples[:, big]
-        cell_radius = r0 / R
-        vol = ball_volume(G, cell_radius)
-        lhs = 0.0
-        for idx in range(len(centers)):
-            cell = AnisoBall(centers[idx], cell_radius)
-            nodes = quad.ball_nodes(G, cell, _LEVELS - 1, task=idx)
-            root = safe_power_values(W, nodes, 1.0 / p, _local_scale(nodes))
-            m = weighted_magnitudes(root, samples[:, idx])
-            lhs += vol * float(np.mean(m ** p))
-        den, err = weighted_lp_norm_with_audit(g, W, p)
-        ratio = lhs / den ** p if den > 0 else 0.0
+    for g, total in zip(fields, lhs):
+        den, err = _audited_norm(g, root, p)
+        ratio = total / den ** p if den > 0 else 0.0
         rows.append(ExperimentRow(float(R), tuple(ball.center), g.field_id,
                                   float(ratio), float(p * ratio * err / max(den, 1e-300))))
     return rows

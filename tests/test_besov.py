@@ -30,7 +30,7 @@ from anisoweights.geometry import (
     build_structured_covering,
     compute_r0,
 )
-from anisoweights.muckenhoupt import _local_scale, safe_power_values, weighted_magnitudes
+from anisoweights.muckenhoupt import safe_power_values, weighted_magnitudes
 from anisoweights.spectral import (
     BandLimitedField,
     FourierGrid,
@@ -130,7 +130,8 @@ def per_coefficient_terms(coeffs, W, params):
     """Per-patch terms of discrete_b_norm, one quasi-norm call per coefficient cell."""
     grid, group = coeffs.grid, coeffs.group
     pts = grid.spatial_points()
-    root = safe_power_values(W, pts, 1.0 / params.p, _local_scale(pts))
+    scale = 1.0 + float(np.max(np.abs(pts), initial=0.0))
+    root = safe_power_values(W, pts, 1.0 / params.p, scale)
     terms = []
     for k in sorted(coeffs.patches):
         ls, coef = coeffs.patches[k]

@@ -26,7 +26,6 @@ from anisoweights.muckenhoupt import (
     scalar_slice_ap,
     spectral_norms,
     weighted_tail_bound,
-    _mass_ladders,
     _matrix_quantities,
     _pair_norms,
     _scalar_quantity_at_nodes,
@@ -664,6 +663,11 @@ class TestReducing:
         assert positive
         assert np.max(np.abs(fitted - root)) <= 1e-6
 
+    @pytest.mark.parametrize("W", [sqrt_weight(), None], ids=["scalar", "none"])
+    def test_non_matrix_weight_rejected(self, G1, grid1, W):
+        with pytest.raises(ValueError, match="matrix weight"):
+            reducing_operators(W, AnisoBall([0.0], 1.0), 2.0, grid1, G1)
+
     def test_p_not_two_fit(self, G1, grid1):
         W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
         B = AnisoBall([0.0], 1.0)
@@ -856,7 +860,7 @@ def loop_estimate_ap_constant(W, p, family, quad, G):
 
 def loop_reverse_holder(w, family, r_grid, quad, G):
     for i, B in enumerate(family):
-        _mass_ladders(w, [B], quad, G, [i])[0]
+        loop_mass_ladder(w, B, quad, G, task=i)
     table = []
     best = None
     for r in sorted(r_grid):
@@ -1208,11 +1212,13 @@ class TestOneLadder:
 
     def test_doubling_evaluates_each_level_once(self, G1, grid1, monkeypatch):
         # per ball, B, 2B and 4B make one family: one block at level 0 and
-        # three at levels 1 and 2
+        # three at levels 1 and 2; the default bound reads B's values
         fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
         calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
-        doubling_check(sqrt_weight(), 2.0, fam, [2.0, 4.0], grid1, G1, bound_constant=2.0)
-        assert len(calls) == 10 * 7
+        for bound in (2.0, None):
+            calls.clear()
+            doubling_check(sqrt_weight(), 2.0, fam, [2.0, 4.0], grid1, G1, bound_constant=bound)
+            assert len(calls) == 10 * 7
 
     def test_q_sweep_evaluates_each_level_once(self, G1, grid1, monkeypatch):
         calls = count_calls(monkeypatch, muckenhoupt, "spectral_norms")
@@ -1360,8 +1366,8 @@ class TestCalderon:
             # verify containment exactly (intervals)
             assert E.center[0] - E.radius >= F.center[0] - F.radius - 1e-12
             assert E.center[0] + E.radius <= F.center[0] + F.radius + 1e-12
-            mE = _mass_ladders(w, [E], grid1, G1, [0])[0].value
-            mF = _mass_ladders(w, [F], grid1, G1, [0])[0].value
+            mE = loop_mass_ladder(w, E, grid1, G1).value
+            mF = loop_mass_ladder(w, F, grid1, G1).value
             vol_ratio = F.radius / E.radius  # nu = 1
             assert mF / mE <= const * vol_ratio ** p * (1 + 1e-6)
 
@@ -1409,7 +1415,7 @@ class TestNudge:
     def test_multiplier_grid_root(self, power_calls, variant):
         W = ap_matrix_weight() if variant == 0 else benchmark_variant(variant)
         pts = multiplier_grid()
-        scale = muckenhoupt._local_scale(pts)
+        scale = 1.0 + float(np.max(np.abs(pts), initial=0.0))
         calls, raised = power_calls
         got = safe_power_values(W, pts, 0.5, scale)
         assert calls == [16_384, 128] and raised == [16_384]
@@ -1423,7 +1429,7 @@ class TestNudge:
         W = MatrixWeightSpec.diagonal([ScalarWeightSpec.radial_power(0.5),
                                        ScalarWeightSpec.constant(1.0)])
         pts = FourierGrid(1, 256, 4 * np.pi).spatial_points()
-        scale = muckenhoupt._local_scale(pts)
+        scale = 1.0 + float(np.max(np.abs(pts), initial=0.0))
         sizes = []
         power = MatrixWeightSpec.power_values
         monkeypatch.setattr(MatrixWeightSpec, "power_values",
@@ -1550,6 +1556,23 @@ EXPONENT_ENTRY_POINTS = {
                                      AnisoBall([0.0], 1.0)),
         sqrt_matrix_weight(), p),
 }
+
+
+def field_of_size(N):
+    grid, G = FourierGrid(2, 8, np.pi), DilationGroup(np.diag([1.0, 2.0]))
+    return BandLimitedField.from_values(grid, G, np.ones((N,) + grid.shape),
+                                        AnisoBall([0.0, 0.0], 1.0))
+
+
+@pytest.mark.parametrize("entry", ["N=1 field", "N=3 field", "slice direction"])
+def test_vectors_of_another_size_than_the_weight_raise(entry, grid1, G2):
+    # numpy would broadcast a 1-vector against a 2 x 2 root without a word
+    W = MatrixWeightSpec.identity(2)
+    with pytest.raises(ValueError, match="size N = 2 needs vectors of 2 entries, got"):
+        if entry == "slice direction":
+            scalar_slice_ap(W, 2.0, [1.0], [AnisoBall([0.0, 0.0], 1.0)], grid1, G2)
+        else:
+            weighted_lp_norm(field_of_size(int(entry[2])), W, 2.0)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])

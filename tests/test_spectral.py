@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from anisoweights import spectral
 from anisoweights.dilation import DilationGroup
-from anisoweights.geometry import AffineMap, AnisoBall
-from anisoweights.muckenhoupt import BallQuadrature
+from anisoweights.geometry import AffineMap, AnisoBall, _lattice, ball_volume, compute_r0
+from anisoweights.muckenhoupt import (
+    _LEVELS,
+    BallQuadrature,
+    safe_power_values,
+    weighted_magnitudes,
+)
 from anisoweights.spectral import (
     BandLimitedField,
+    ExperimentRow,
     FourierGrid,
     InterpolationKernel,
     KernelInvalid,
@@ -261,6 +268,12 @@ class TestWeightedNorm:
             vals.append(weighted_lp_norm(f, W, 2.0))
         assert abs(vals[1] - vals[0]) / vals[1] < 1e-4
 
+    @pytest.mark.parametrize("d, n, L", [(1, 256, 4 * np.pi), (1, 1024, 16 * np.pi),
+                                         (2, 64, 4 * np.pi), (2, 128, 8 * np.pi)])
+    def test_grid_root_nudge_scale(self, d, n, L):
+        # the grid root nudges by 1 + L, the largest |coordinate| on the grid
+        assert np.abs(FourierGrid(d, n, L).spatial_points()).max() == L
+
     def test_audit_error_estimate(self, grid1, G1):
         f = standard_ensemble(grid1, G1, AnisoBall([0.0], 1.0))[0]
         W = MatrixWeightSpec.diagonal([ScalarWeightSpec.radial_power(0.5)])
@@ -364,6 +377,50 @@ class TestSamplingRepresentation:
             sampling_representation(f, InterpolationKernel(a=1.0, d=G1.d), np.zeros(1), 8)
 
 
+def loop_sampling(W, p, ball, fields, quad, G):
+    """Rows of `sampling_inequality_experiment`, field by field and cell by
+    cell: a weight root per kept cell and field, task i for the field's i-th
+    kept cell, nudged by 1 + the largest |coordinate| of the cell's nodes."""
+    R = ball.radius
+    rows = []
+    for g in fields:
+        grid = g.grid
+        reach = np.abs(G.dilation_matrix(R)) @ np.full(G.d, grid.L)
+        ls = _lattice([np.arange(-np.floor(h), np.floor(h) + 1) for h in reach])
+        centers = G.dilate(1.0 / R, ls)
+        centers = centers[np.max(np.abs(centers), axis=1) < grid.L]
+        samples = g.at(centers)
+        mags = np.linalg.norm(samples, axis=0)
+        big = mags > 1e-9 * mags.max()
+        centers, samples = centers[big], samples[:, big]
+        cell_radius = compute_r0(G) / R
+        vol = ball_volume(G, cell_radius)
+        lhs = 0.0
+        for idx in range(len(centers)):
+            cell = AnisoBall(centers[idx], cell_radius)
+            nodes = quad.ball_nodes(G, cell, _LEVELS - 1, task=idx)
+            scale = 1.0 + float(np.max(np.abs(nodes), initial=0.0))
+            root = safe_power_values(W, nodes, 1.0 / p, scale)
+            lhs += vol * float(np.mean(weighted_magnitudes(root, samples[:, idx]) ** p))
+        den, err = weighted_lp_norm_with_audit(g, W, p)
+        ratio = lhs / den ** p if den > 0 else 0.0
+        rows.append(ExperimentRow(float(R), tuple(ball.center), g.field_id,
+                                  float(ratio), float(p * ratio * err / max(den, 1e-300))))
+    return rows
+
+
+def count_weight_roots(monkeypatch):
+    calls = []
+    inner = spectral.safe_power_values
+
+    def counted(spec, pts, a, scale):
+        calls.append(len(pts))
+        return inner(spec, pts, a, scale)
+
+    monkeypatch.setattr(spectral, "safe_power_values", counted)
+    return calls
+
+
 class TestSamplingInequality:
     def test_zero_field(self, grid1, G1):
         quad = BallQuadrature("mapped_grid", 128, 0)
@@ -372,7 +429,57 @@ class TestSamplingInequality:
             grid1, G1, np.zeros((1,) + grid1.shape, dtype=complex), ball, "zero"
         )
         rows = sampling_inequality_experiment(None, 2.0, ball, [zero], quad, G1)
-        assert rows[0].ratio == 0.0
+        assert (rows[0].ratio, rows[0].error) == (0.0, 0.0)
+        assert sampling_inequality_experiment(None, 2.0, ball, [], quad, G1) == []
+
+    # every field keeps every cell or none: in 2-D at R = 1/2 the offcenter
+    # and two_bumps members miss the 16 x 16 frequency lattice and are 0
+    @pytest.mark.parametrize("case", ["1d-0.5", "1d-1", "2d-0.5", "2d-1"])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_matches_per_cell_loop(self, grid1, G1, G2, case, p):
+        dim, R = case.split("-")
+        if dim == "1d":
+            W, grid, G, N = ScalarWeightSpec.radial_power(0.5), grid1, G1, 1
+        else:
+            W = MatrixWeightSpec.diagonal([ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
+                                           ScalarWeightSpec.radial_power(-0.3)])
+            grid, G, N = FourierGrid(2, 16, 2 * np.pi if R == "1" else 4 * np.pi), G2, 2
+        quad = BallQuadrature("mapped_grid", 64, 0)
+        ball = AnisoBall(np.zeros(G.d), float(R))
+        fields = standard_ensemble(grid, G, ball, N=N)
+        rows = sampling_inequality_experiment(W, p, ball, fields, quad, G)
+        assert rows == loop_sampling(W, p, ball, fields, quad, G)
+        assert all(np.isfinite(r.ratio) for r in rows)
+
+    def test_row_does_not_depend_on_the_other_fields(self, grid1, G1):
+        # Monte-Carlo nodes follow the task, the cell's index in the box: at
+        # R = 2 the gauss member drops 8 of the 201 cells and the others none
+        quad = BallQuadrature("monte_carlo", 64, 3)
+        ball = AnisoBall([0.0], 2.0)
+        w = ScalarWeightSpec.radial_power(0.5)
+        fields = standard_ensemble(grid1, G1, ball)
+        rows = sampling_inequality_experiment(w, 2.0, ball, fields, quad, G1)
+        for f, row in zip(fields, rows):
+            assert sampling_inequality_experiment(w, 2.0, ball, [f], quad, G1) == [row]
+
+    def test_one_weight_root_per_block(self, grid1, G1, monkeypatch):
+        # 101 cells of 2,048 nodes, two to a block, and one grid root; the
+        # per-field loop took 4 x (101 + 1) = 408
+        quad = BallQuadrature("mapped_grid", 128, 0)
+        ball = AnisoBall([0.0], 1.0)
+        fields = standard_ensemble(grid1, G1, ball)
+        calls = count_weight_roots(monkeypatch)
+        sampling_inequality_experiment(ScalarWeightSpec.radial_power(0.5), 2.0, ball,
+                                       fields, quad, G1)
+        assert len(calls) == 52 and max(calls) <= 2 * 2048
+
+    def test_fields_on_two_grids_rejected(self, grid1, G1):
+        quad = BallQuadrature("mapped_grid", 64, 0)
+        ball = AnisoBall([0.0], 1.0)
+        fields = [standard_ensemble(grid, G1, ball)[0]
+                  for grid in (grid1, FourierGrid(1, 512, 16 * np.pi))]
+        with pytest.raises(SizeMismatch, match="different grids"):
+            sampling_inequality_experiment(None, 2.0, ball, fields, quad, G1)
 
     def test_unweighted_finite_and_refines(self, G1):
         quad = BallQuadrature("mapped_grid", 128, 0)
