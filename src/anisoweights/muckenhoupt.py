@@ -44,42 +44,43 @@ class TruncationNotConverged(RuntimeError):
 # -- spectral norms of stacked matrices ---------------------------------------
 
 
-# matrices (node pairs) per kernel call: one plane is 32 kB, and at N = 3 the
-# planes of one call take 0.3 MB (real) or 0.6 MB (complex).  The kernel
-# scales its planes in place.  With a fresh temporary of that size per step
-# and a small heap (no scipy imported), an ap-matrix-2d pass took about
-# 30,100 minor page faults; in place it takes 0-25.  Half this chunk avoids
-# the faults too, but its passes ran 6-10% slower on a 2-core x86 box.
-# The same number caps the nodes per side of one block of balls in the
-# family ladder (`_ap_ladders`), so a block's weight roots take at most
+# matrices (node pairs) per kernel call.  `spectral_norms` copies a chunk
+# into N^2 planes of 32 kB, which `_gram_norms` scales in place rather than
+# allocating a fresh 0.3 MB temporary per step.  The pair kernel
+# (`_tile_norms`) writes 7 real (10 complex) GEMM planes per tile, 0.2-0.3
+# MB, and an ap-matrix-2d pass takes 800-1,000 minor page faults on a 2-core
+# x86 box.  The same number caps the nodes per side of one block of balls in
+# the family ladder (`_ap_ladders`), so a block's weight roots take at most
 # 0.3 MB (real) or 0.6 MB (complex) per side.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
 # 4e-9 at a repeated top singular value); such matrices go to LAPACK.
 _NEAR_DOUBLE_TOP = 1e-3
+# the entries (j, k), j < k, above the diagonal of an N x N matrix
+_UPPER = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}
 
 
 def spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., N, N) stack.
 
     Each chunk of `_CHUNK` matrices is copied into planes S[i, j] (entry
-    (i, j) of every matrix) and handed to one planar kernel, `_plane_norms`,
-    which `_pair_norms` and `_matrix_quantities` also feed directly from
-    their batched matmuls; the kernel scales its planes in place, and M is
-    left unchanged.  N = 1 is |M|.
-    N = 2 and N = 3 use a closed form: each matrix is scaled by its largest
-    |Re| or |Im| entry, the largest eigenvalue of the Hermitian Gram matrix
-    S^H S is taken from the quadratic formula (N = 2) or the trigonometric
-    formula of Smith (1961) (N = 3), and the norm is scale * sqrt(lambda_max).
-    A real stack takes the real path, which has no imaginary plane.  The
-    scaling keeps entries from 1e-300 to 1e300 in range.  For N = 3 the few
-    matrices whose two largest singular values nearly coincide, where the
-    trigonometric formula is ill-conditioned, are gathered back from the
-    planes and handed to LAPACK.  Against LAPACK SVD the relative error is
-    below 1e-14.  A matrix with a non-finite entry gives NaN for N <= 3
-    (which `ladder_estimate` reports as `NonIntegrable`); N >= 4 uses LAPACK
-    SVD throughout and raises `LinAlgError` on such input.
+    (i, j) of every matrix) and handed to `_plane_norms`, which scales its
+    planes in place; M is left unchanged.  N = 1 is |M|.  N = 2 and N = 3
+    use a closed form: each matrix is scaled by its largest |Re| or |Im|
+    entry, `_gram_norms` forms the planes of the Hermitian Gram matrix
+    S^H S, and the tail `_top_norms`, which the pair kernel shares, takes
+    its largest eigenvalue from the quadratic formula (N = 2) or the
+    trigonometric formula of Smith (1961) (N = 3); the norm is
+    scale * sqrt(lambda_max).  A real stack takes the real path, which has
+    no imaginary plane.  The scaling keeps entries from 1e-300 to 1e300 in
+    range.  For N = 3 the few matrices whose two largest singular values
+    nearly coincide, where the trigonometric formula is ill-conditioned,
+    are gathered back from the planes and handed to LAPACK.  Against LAPACK
+    SVD the relative error is below 1e-14.  A matrix with a non-finite
+    entry gives NaN for N <= 3 (which `ladder_estimate` reports as
+    `NonIntegrable`); N >= 4 uses LAPACK SVD throughout and raises
+    `LinAlgError` on such input.
     """
     N = M.shape[-1]
     flat = M.reshape(-1, N, N)
@@ -116,8 +117,9 @@ def _gather(S: np.ndarray, where) -> np.ndarray:
 def _gram_norms(S: np.ndarray) -> np.ndarray:
     """Closed-form spectral norms of the planes S[i, j, ...], N = 2 or 3.
 
-    S is scaled in place (see `_CHUNK`), and the LAPACK hand-off scales the
-    norms of the scaled matrices back.
+    S is scaled in place (see `_CHUNK`), its Gram planes
+    G_jk = sum_i conj(S_ij) S_ik go to `_top_norms`, and the LAPACK
+    hand-off there takes the scaled matrices back from S.
     """
     N = len(S)
     # every step below is an elementwise operation on whole planes
@@ -131,46 +133,58 @@ def _gram_norms(S: np.ndarray) -> np.ndarray:
     if Y is not None:
         np.divide(Y, safe, out=Y)
         diag += np.einsum("ij...,ij...->j...", Y, Y)
+    j, k = np.array(_UPPER[N]).T
+    if Y is None:
+        g = (X[:, j] * X[:, k]).sum(axis=0)
+    else:
+        g = np.concatenate([(X[:, j] * X[:, k] + Y[:, j] * Y[:, k]).sum(axis=0),
+                            (X[:, j] * Y[:, k] - Y[:, j] * X[:, k]).sum(axis=0)])
+    q = diag.sum(axis=0) / N
+    return _top_norms(q, diag - q, g, scale, lambda near: _gather(S, near))
 
-    def gram(j, k):  # Re and Im (None for real S) of G_jk = sum_i conj(S_ij) S_ik
-        if Y is None:
-            return (X[:, j] * X[:, k]).sum(axis=0), None
-        return ((X[:, j] * X[:, k] + Y[:, j] * Y[:, k]).sum(axis=0),
-                (X[:, j] * Y[:, k] - Y[:, j] * X[:, k]).sum(axis=0))
 
-    def abs2(g):
-        re, im = g
-        return re * re if im is None else re * re + im * im
+def _top_norms(q, e, g, scale: np.ndarray, flagged) -> np.ndarray:
+    """scale * sqrt(lambda_max) of Hermitian N x N Gram matrices G in planes, N = 2 or 3.
+
+    q is the plane tr G / N, e the (N, ...) planes G_jj - q, and g the
+    planes Re G_jk for each (j, k) in `_UPPER[N]`, followed for complex
+    matrices by the planes Im G_jk; G is the Gram matrix of a matrix scaled
+    to entries of order 1.  lambda_max is q + sqrt(e_0^2 + |G_01|^2) for
+    N = 2 and comes from the trigonometric formula of Smith (1961) for
+    N = 3.  Where the two largest eigenvalues nearly coincide
+    (`_NEAR_DOUBLE_TOP`), flagged(near) gives the scaled matrices at the
+    True positions of near, in C order, and LAPACK takes their norms.
+    Callers ignore invalid floating-point operations: a non-finite matrix
+    gives NaN.
+    """
+    N, U = len(e), len(_UPPER[len(e)])
+
+    def abs2(g):  # |G_jk|^2 for each (j, k)
+        sq = g * g
+        return sq[:U] + sq[U:] if len(g) > U else sq
 
     if N == 2:
-        re, im = gram(0, 1)
-        off = np.abs(re) if im is None else np.hypot(re, im)
-        lam = 0.5 * (diag[0] + diag[1] + np.hypot(diag[0] - diag[1], 2.0 * off))
-        return scale * np.sqrt(lam)
+        return scale * np.sqrt(q + np.sqrt(e[0] * e[0] + abs2(g)[0]))
 
-    # Smith: lambda_max = q + 2 p cos(acos(r) / 3) with q = tr G / 3,
-    # p = |G - q I|_F / sqrt(6) and r = det((G - q I) / p) / 2
-    q = diag.sum(axis=0) / 3.0
-    e0, e1, e2 = diag - q
-    g01, g02, g12 = gram(0, 1), gram(0, 2), gram(1, 2)
-    p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2
-                 + 2.0 * (abs2(g01) + abs2(g02) + abs2(g12))) / 6.0)
+    # Smith: lambda_max = q + 2 p cos(acos(r) / 3) with p = |G - q I|_F / sqrt(6)
+    # and r = det((G - q I) / p) / 2 = det((G - q I) / (2^(1/3) p))
+    p2 = np.sqrt(((e * e).sum(axis=0) + 2.0 * abs2(g).sum(axis=0)) * (2.0 / 3.0))  # 2 p
     # normalize before the cubic terms, which could underflow otherwise
-    inv = 1.0 / np.where(p > 0, p, 1.0)
-    e0, e1, e2 = e0 * inv, e1 * inv, e2 * inv
-    g01, g02, g12 = (tuple(None if v is None else v * inv for v in g)
-                     for g in (g01, g02, g12))
-    (r01, i01), (r02, i02), (r12, i12) = g01, g02, g12
-    if i01 is None:  # Re(G_01 G_12 G_20)
+    inv = 2.0 ** (2.0 / 3.0) / np.maximum(p2, 1e-300)
+    (e0, e1, e2), g = e * inv, g * inv
+    s01, s02, s12 = abs2(g)
+    r01, r02, r12 = g[:U]
+    if len(g) == U:  # Re(G_01 G_12 G_20)
         cycle = r01 * r12 * r02
     else:
+        i01, i02, i12 = g[U:]
         cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02
-    det = e0 * e1 * e2 - e0 * abs2(g12) - e1 * abs2(g02) - e2 * abs2(g01) + 2.0 * cycle
-    r = np.clip(0.5 * det, -1.0, 1.0)
-    out = scale * np.sqrt(q + 2.0 * p * np.cos(np.arccos(r) / 3.0))
-    near = r < _NEAR_DOUBLE_TOP - 1.0
-    if near.any():  # S now holds the scaled matrices
-        out[near] = scale[near] * _svd_norms(_gather(S, near))
+    det = e0 * (e1 * e2 - s12) - e1 * s02 - e2 * s01 + 2.0 * cycle
+    r = np.clip(det, -1.0, 1.0)
+    out = scale * np.sqrt(q + p2 * np.cos(np.arccos(r) / 3.0))
+    if np.fmin.reduce(r, axis=None) < _NEAR_DOUBLE_TOP - 1.0:  # fmin skips NaN pairs
+        near = r < _NEAR_DOUBLE_TOP - 1.0
+        out[near] = scale[near] * _svd_norms(flagged(near))
     return out
 
 
@@ -393,24 +407,17 @@ def _matrix_quantities(Px: np.ndarray, Mt: np.ndarray, p: float, balls: int) -> 
     b n2 ... (b + 1) n2 - 1 of Mt = W^(-1/p)(t), where n1 = len(Px) / balls
     and n2 = len(Mt) / balls.  Its quantity is
     (avg_x (avg_t |Px Mt|^p')^(p/p'))^(1/p) for p > 1 and
-    max_t avg_x |Px Mt|^p for p <= 1.  When the n1 n2 pairs of a ball fit in
-    `_CHUNK`, each kernel call takes up to _CHUNK // (n1 n2) whole balls from
-    one batched matmul; otherwise each ball goes through `_pair_norms`.
-    Either way a call's norms are reduced to ball quantities at once, so
-    no more norms are held than one call's or one split ball's.
+    max_t avg_x |Px Mt|^p for p <= 1.  The balls are walked in spans of
+    _CHUNK // (n1 n2) whole balls, or of one ball when its pairs exceed
+    `_CHUNK` (`_span_norms` then splits it into row tiles), and each span's
+    norms are reduced to its balls' quantities at once: no more norms are
+    held than one span's.
     """
     n1, n2 = len(Px) // balls, len(Mt) // balls
-    if n1 * n2 > _CHUNK:
-        return np.concatenate([
-            _reduce_pairs(_pair_norms(Px[b * n1:(b + 1) * n1], Mt[b * n2:(b + 1) * n2])[None], p)
-            for b in range(balls)])
-    N = Px.shape[-1]
-    left = Px.reshape(balls, n1, N, N).transpose(2, 0, 1, 3)[:, None]  # (i, 1, ball, a, j)
-    right = Mt.reshape(balls, n2, N, N).transpose(3, 0, 2, 1)  # (k, ball, j, c)
-    step = _CHUNK // (n1 * n2)
+    step = max(1, _CHUNK // (n1 * n2))
     return np.concatenate([
-        _reduce_pairs(_plane_norms(np.matmul(
-            left[:, :, b:b + step], np.ascontiguousarray(right[:, b:b + step])[None])), p)
+        _reduce_pairs(_span_norms(Px[b * n1:(b + step) * n1], Mt[b * n2:(b + step) * n2],
+                                  min(step, balls - b)), p)
         for b in range(0, balls, step)])
 
 
@@ -429,21 +436,134 @@ def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
 def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
     """Spectral norms of every product Px[a] @ Mt[b], shape (n1, n2).
 
-    Each block of at most `_CHUNK` pairs comes from one batched matmul that
-    writes the products as planes, S[i, k] = Px[rows, i, :] @ Mt[cols, :, k].T,
-    and goes straight to `_plane_norms`.
+    This is the one-ball span of `_matrix_quantities`, on the same kernel
+    and in the same tiles.
     """
-    n1, n2 = len(Px), len(Mt)
-    out = np.empty((n1, n2))
-    cols = max(1, min(n2, _CHUNK))
-    rows = max(1, _CHUNK // cols)
-    left = Px.transpose(1, 0, 2)[:, None]  # (i, 1, a, j)
-    for b in range(0, n2, cols):
-        right = np.ascontiguousarray(Mt[b:b + cols].transpose(2, 1, 0))[None]  # (1, k, j, b)
-        for a in range(0, n1, rows):
-            out[a:a + rows, b:b + cols] = _plane_norms(
-                np.matmul(left[:, :, a:a + rows], right))
+    return _span_norms(Px, Mt, 1)[0]
+
+
+@np.errstate(invalid="ignore")
+def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
+    """Pair norms (balls, n1, n2) of `balls` whole balls stacked as in `_matrix_quantities`.
+
+    For N = 2 and 3 the per-node work (`_node_features`) is done once per
+    span and each tile goes to the pair kernel `_tile_norms`; other N keep
+    the product planes of `_product_norms`.  Per-node arrays keep their
+    nodes on the last axis, split here into (ball, node).  A span of at most
+    `_CHUNK` pairs is one tile; a larger one is cut, ball by ball, into
+    tiles of up to `_CHUNK` columns and as many whole rows as fit.  A
+    ball's tiles and GEMM shapes do not depend on the rest of its span, so
+    no norm depends on how the family is split.
+    """
+    N = Px.shape[-1]
+    n1, n2 = len(Px) // balls, len(Mt) // balls
+    if N in (2, 3):
+        kernel, (x, t) = _tile_norms, _node_features(Px, Mt)
+    else:
+        kernel, x, t = _product_norms, [Px.transpose(1, 2, 0)], [Mt.transpose(1, 2, 0)]
+    x = [a.reshape(*a.shape[:-1], balls, n1) for a in x]
+    t = [a.reshape(*a.shape[:-1], balls, n2) for a in t]
+    out = np.empty((balls, n1, n2))
+    tiles = [(slice(None),) * 3]
+    if balls * n1 * n2 > _CHUNK:
+        cols = min(n2, _CHUNK)
+        rows = max(1, _CHUNK // cols)
+        tiles = [(slice(b, b + 1), slice(i, i + rows), slice(j, j + cols))
+                 for b in range(balls) for j in range(0, n2, cols) for i in range(0, n1, rows)]
+    for b, i, j in tiles:
+        out[b, i, j] = kernel(*(a[..., b, i] for a in x), *(a[..., b, j] for a in t))
     return out
+
+
+def _node_features(Px: np.ndarray, Mt: np.ndarray):
+    """Per-node data of the pair kernel for roots Px = P(x) and Mt = M(t), N = 2 or 3.
+
+    Each root is divided by its largest |entry| s (0 counts as 1).  The
+    Gram matrix of P M is G = M^H A M with A = P^H P, so tr G / N, each
+    G_jj - tr G / N and each G_jk (j < k) is bilinear in the unique entries
+    of A(x) and the products conj(M_aj) M_bk (`_FEATURES`).  Returns
+    [P / s, s, L] for x and [M / s, s, R] for t, nodes on the last axis,
+    with plane e of G equal to sum_f L[f] R[e, f].  Complex products are
+    spelled out in real arithmetic and every sum runs in a fixed order, so
+    a node's features do not depend on its batch.
+    """
+    N, n = Px.shape[-1], len(Px)
+    f = np.concatenate([Px, Mt]).reshape(n + len(Mt), -1)
+    s = np.abs(f).max(axis=1)
+    f = (f / np.where(s > 0, s, 1.0)[:, None]).T.copy()  # (N^2, node)
+    # C[u N^2 + v] = conj(R_u) R_v for the flat entries u, v of each root,
+    # followed by the imaginary parts for complex roots
+    re = f.real
+    C = re[:, None] * re[None]
+    if np.iscomplexobj(f):
+        im = f.imag
+        C = np.concatenate([C + im[:, None] * im[None], re[:, None] * im[None] - im[:, None] * re[None]])
+    C = C.reshape(-1, f.shape[1])
+    left, i1, c1, i2, c2 = _FEATURES[N, np.iscomplexobj(f)]
+    L = C[left[0], :n]
+    for idx in left[1:]:
+        L = L + C[idx, :n]
+    C = C[:, n:]
+    R = C[i1] * c1 + C[i2] * c2  # the parts of G_jj and G_jk
+    q = sum(R[1:N], R[0]) / N
+    R[:N] -= q
+    f = f.reshape(N, N, -1)
+    return [f[..., :n], s[:n], L], [f[..., n:], s[n:], np.concatenate([q[None], R])]
+
+
+def _feature_tables(N: int, cplx: bool):
+    """The tables of `_node_features` for N x N real or complex roots.
+
+    The features f are A_aa, Re A_ab and, for complex roots, Im A_ab
+    (a < b); the Gram entries G_jj, Re G_jk and Im G_jk (j < k) follow the
+    same order.  Indices point into the rows of C.  L_f = sum_i of the
+    part of conj(P_ia) P_ib at left[i, f].  A feature's term in G_jk is
+    conj(M_aj) A_ab M_bk + conj(M_bj) A_ba M_ak, so R[e, f] is
+    c1 C[i1] + c2 C[i2] with C[i1] and C[i2] the part of conj(M_aj) M_bk
+    and conj(M_bj) M_ak that G_e takes: its own part, or the other one for
+    the factor i of Im A_ab (sign -1 onto Re G_jk).
+    """
+    up = _UPPER[N]
+    kind = np.array([0] * N + [1] * len(up) + [2] * (len(up) if cplx else 0))
+    a, b = np.array([(a, a) for a in range(N)] + up + (up if cplx else [])).T
+    j, k = a[:, None], b[:, None]
+
+    def index(u, v, im):  # part of conj(R_u) R_v for flat entries u, v
+        return im * N ** 4 + u * N * N + v
+
+    im = (kind[:, None] == 2) != (kind == 2)
+    c1 = np.where((kind == 2) & (kind[:, None] != 2), -1.0, 1.0)[..., None]
+    return ([index(i * N + a, i * N + b, kind == 2) for i in range(N)],
+            index(a * N + j, b * N + k, im), c1,
+            index(b * N + j, a * N + k, im), c1 * np.array([0.0, 1.0, -1.0])[kind, None])
+
+
+_FEATURES = {(N, cplx): _feature_tables(N, cplx) for N in (2, 3) for cplx in (False, True)}
+
+
+def _tile_norms(P, sx, L, M, st, R) -> np.ndarray:
+    """The pair kernel: norms of P[:, :, b, i] @ M[:, :, b, j] times sx[b, i] st[b, j].
+
+    The arguments are a tile's rows of `_node_features` for x and its
+    columns for t, (ball, node) on the last two axes; the result has shape
+    (balls, rows, cols).  Each plane of G is one GEMM per ball,
+    L[:, b].T (rows x F) @ R[e, :, b] (F x cols), and the planes go to the
+    shared tail `_top_norms`, which hands the pairs whose two top singular
+    values nearly coincide to LAPACK as the products P @ M.
+    """
+    N = len(P)
+    G = np.matmul(L.transpose(1, 2, 0)[None], R.transpose(0, 2, 1, 3))  # (plane, ball, row, col)
+
+    def flagged(near):
+        b, i, j = np.nonzero(near)
+        return np.moveaxis(P[:, :, b, i], -1, 0) @ np.moveaxis(M[:, :, b, j], -1, 0)
+
+    return _top_norms(G[0], G[1:1 + N], G[1 + N:], sx[:, :, None] * st[:, None, :], flagged)
+
+
+def _product_norms(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Norms of P[:, :, b, i] @ M[:, :, b, j] for N = 1 and N >= 4, from their planes."""
+    return _plane_norms(np.einsum("iabr,akbc->ikbrc", P, M))
 
 
 def _blocks(G: DilationGroup, balls, sides):
@@ -568,9 +688,11 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     level) stream.  A scalar weight is evaluated once on the block's
     stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
     each nudge off a singular set is sized by the node's own ball.  Pair
-    norms go to the kernel in chunks of at most `_CHUNK` pairs, several
-    whole balls to a chunk when they fit, and each chunk is reduced to its
-    balls' quantities at once.  Where the weight is evaluated pointwise
+    norms come from the pair kernel (`_span_norms`): each root is squared
+    into per-node features once per span of balls, each Gram plane of a
+    tile of at most `_CHUNK` pairs is one GEMM, a span holds several whole
+    balls when they fit, and each span is reduced to its balls' quantities
+    at once.  Where the weight is evaluated pointwise
     (its value at a node does not depend on the other nodes of the batch),
     each value and error is bitwise that of `ap_ball_quantity_ladder` on
     the ball alone with the same task, so the report does not depend on

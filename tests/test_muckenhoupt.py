@@ -175,6 +175,16 @@ class TestSpectralNorms:
         assert np.isnan(ours[1:]).all()
         assert ours[0] == pytest.approx(lapack_norms(M[:1])[0], rel=1e-13)
 
+    def test_non_finite_matrix_keeps_the_hand_off(self, monkeypatch):
+        # a NaN matrix in the same chunk as matrices with a repeated top
+        # singular value: those still go to LAPACK
+        M = np.tile(np.eye(3), (3, 1, 1))
+        M[0, 0, 0] = np.nan
+        M[2] = np.diag([2.0, 2.0, 1.0])
+        calls = count_calls(monkeypatch, muckenhoupt, "_svd_norms")
+        ours = spectral_norms(M)
+        assert len(calls) == 1 and np.isnan(ours[0])
+        assert ours[1:] == pytest.approx([1.0, 2.0], rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_real_stack_matches_complex_cast(self, n):
@@ -216,6 +226,19 @@ def pair_factors(rng, n1, n2, n, kind, p=2.0):
     if kind == "real":  # the real part of a Hermitian PD matrix is symmetric PD
         Hx, Ht = Hx.real, Ht.real
     return hermitian_power(Hx, 1.0 / p), hermitian_power(Ht, -1.0 / p)
+
+
+def tile_sizes(monkeypatch):
+    """The number of pairs in each call of the pair kernel `_tile_norms`."""
+    sizes, kernel = [], muckenhoupt._tile_norms
+
+    def counted(*tile):
+        norms = kernel(*tile)
+        sizes.append(norms.size)
+        return norms
+
+    monkeypatch.setattr(muckenhoupt, "_tile_norms", counted)
+    return sizes
 
 
 class TestPairNorms:
@@ -268,17 +291,47 @@ class TestPairNorms:
     def test_kernel_sees_at_most_chunk_pairs(self, monkeypatch, chunk, n1, n2):
         if chunk is not None:
             monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
-        sizes = []
-        kernel = muckenhoupt._plane_norms
-
-        def counted(S):
-            sizes.append(S[0, 0].size)
-            return kernel(S)
-
-        monkeypatch.setattr(muckenhoupt, "_plane_norms", counted)
+        sizes = tile_sizes(monkeypatch)
         _pair_norms(*pair_factors(np.random.default_rng(14), n1, n2, 3, "real"))
         assert max(sizes) <= muckenhoupt._CHUNK
         assert sum(sizes) == n1 * n2
+
+    @pytest.mark.parametrize("chunk", [10, None])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_hand_off_in_a_block_of_balls(self, monkeypatch, kind, chunk):
+        # 3 balls of 7 x 5 pairs with a repeated top singular value at row 5
+        # of ball 2: _CHUNK 10 cuts each ball into tiles of two rows, so the
+        # pair sits in the third tile of ball 2's own span; the default puts
+        # all three balls in one tile
+        rng = np.random.default_rng(15)
+        n1, n2 = 7, 5
+        Px, Mt = pair_factors(rng, 3 * n1, 3 * n2, 3, kind)
+        U = random_orthogonal(rng, 1, 3, kind)[0]
+        Px[2 * n1 + 5] = U @ np.diag([2.0, 2.0, 1.0]) @ U.conj().T
+        Mt[2 * n2 + 1] = 0.5 * np.eye(3)
+        if chunk is not None:
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
+        calls = count_calls(monkeypatch, muckenhoupt, "_svd_norms")
+        for p in (2.0, 0.7):
+            ours = _matrix_quantities(Px, Mt, p, 3)
+            want = np.array([loop_reduce_pairs(loop_pair_norms(
+                Px[b * n1:(b + 1) * n1], Mt[b * n2:(b + 1) * n2]), p) for b in range(3)])
+            assert np.all(np.abs(ours - want) <= 1e-13 * want)
+        assert len(calls) > 0
+
+    def test_accurate_on_the_singular_line(self, G2):
+        # level-0 roots of the ap-matrix-2d balls centred on x1 = 0, where
+        # the weight is singular and most ill-conditioned
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
+        fam = [B for B in default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+               if B.center[0] == 0.0]
+        assert len(fam) == 28  # 7 centres, 4 radii
+        for B in fam:
+            scale = G2.euclidean_radius_bound(B.radius)
+            Px, Mt = (safe_power_values(W, quad.ball_nodes(G2, B, 0, task=s, pair=True),
+                                        a, scale) for s, a in ((0, 0.5), (1, -0.5)))
+            ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+            assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
 
 
 class TestScalarQuantity:
@@ -1269,10 +1322,7 @@ class TestFamilyLadder:
         fam = self.family(G2)
         if chunk is not None:
             monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
-        sizes = []
-        kernel = muckenhoupt._plane_norms
-        monkeypatch.setattr(muckenhoupt, "_plane_norms",
-                            lambda S: sizes.append(S[0, 0].size) or kernel(S))
+        sizes = tile_sizes(monkeypatch)
         try:
             want = loop_estimate_ap_constant(W, p, fam, quad, G2)
         except NonIntegrable:
@@ -1348,6 +1398,33 @@ class TestFamilyLadder:
         assert len(calls) - len(raised) == 2 * blocks
         assert 0 < len(raised) <= 2
         assert max(calls) <= muckenhoupt._CHUNK
+
+
+class TestHilbertSchmidtBracket:
+    """The p = 2 pair form against a bracket that shares no code with the kernel.
+
+    |M|^2 <= |M|_HS^2 <= N |M|^2 and |W^(1/2)(x) W^(-1/2)(t)|_HS^2 is
+    tr(W(x) W^(-1)(t)), so on the same nodes the finest-level value Q^2 of
+    a ball lies in [tr(avg_x W avg_t W^(-1)) / N, tr(avg_x W avg_t W^(-1))].
+    """
+
+    @pytest.mark.parametrize("weight", ["ap-matrix", "conjugated"])
+    def test_finest_level_lies_in_the_bracket(self, G2, weight):
+        W = ap_matrix_weight() if weight == "ap-matrix" else conjugated_weight()
+        quad = BallQuadrature("mapped_grid", 1024)
+        fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        tasks = range(len(fam))
+        ladders = muckenhoupt._ap_ladders(W, fam, 2.0, quad, G2, tasks)
+        sides = [quad.family_nodes(G2, fam, _LEVELS - 1, [2 * i + s for i in tasks], pair=True)
+                 for s in (0, 1)]
+        ratios = []
+        for B, ladder, X, T in zip(fam, ladders, *sides):
+            scale = G2.euclidean_radius_bound(B.radius)
+            P = safe_power_values(W, X, 0.5, scale)  # Hermitian, so P @ P = W
+            M = safe_power_values(W, T, -0.5, scale)
+            hs = np.trace(np.mean(P @ P, axis=0) @ np.mean(M @ M, axis=0)).real
+            ratios.append(ladder.levels[-1] ** 2 / hs)
+        assert 1.0 / W.N - 1e-12 <= min(ratios) and max(ratios) <= 1.0 + 1e-12
 
 
 class TestCalderon:
