@@ -29,9 +29,9 @@ from .muckenhoupt import safe_power_values, weighted_magnitudes  # noqa: F401
 from .spectral import (
     BandLimitedField,
     FourierGrid,
+    SizeMismatch,
     TruncationInsufficient,
     _grid_root,
-    _riemann_norm,
     poly_plateau,
     smooth_plateau,
 )
@@ -39,6 +39,11 @@ from .spectral import (
 
 # relative size, against ||f||_2, below which `analyze` drops a coefficient
 _COEF_FLOOR = 1e-12
+
+# stacked entries (patches x components x grid points) per block of patches
+# in the two Besov norms: bounds their working arrays the way the pair
+# kernel's _CHUNK bounds its own
+_BLOCK = 2 ** 13
 
 
 class DenominatorVanishes(RuntimeError):
@@ -179,13 +184,42 @@ class BesovParams:
             raise ValueError("need 0 < p < inf and q > 0")
 
 
+def _check_grid(grid: FourierGrid, bapu: Bapu) -> None:
+    """Raises `SizeMismatch` unless `grid` is the partition's lattice."""
+    if grid.shape != bapu.grid.shape or grid.L != bapu.grid.L:
+        raise SizeMismatch(f"field on {grid!r}, partition on {bapu.grid!r}")
+
+
+def _blocks(n: int, entries: int) -> list[range]:
+    """Consecutive ranges of the n patches, `entries` stacked entries each,
+    holding at most _BLOCK entries unless a single patch holds more."""
+    step = max(1, _BLOCK // entries)
+    return [range(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _riemann_norms(mags: np.ndarray, p: float, cell: float) -> list[float]:
+    """(cell * sum mags^p)^(1/p) for each row of a (K, m) stack.
+
+    The p-th root is taken on numpy scalars, as for a single row: array
+    power can differ from it in the last bit.
+    """
+    return [float((cell * s) ** (1.0 / p)) for s in np.sum(mags ** p, axis=-1)]
+
+
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float:
     """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf.
 
-    Raises `TruncationInsufficient` when more than 1e-6 of the spectral
-    mass lies beyond the last patch.
+    The patches are taken in blocks of consecutive ones (at most _BLOCK
+    stacked entries): one inverse FFT of the stacked pieces phi_j(D) f and
+    one weight product per block.  Each term equals that of a per-patch
+    loop bitwise.
+
+    Raises `SizeMismatch` unless f lives on the partition's lattice (shape
+    and L), and `TruncationInsufficient` when more than 1e-6 of the
+    spectral mass lies beyond the last patch.
     """
-    grid, group = f.grid, f.group
+    grid = f.grid
+    _check_grid(grid, bapu)
     flat_spec = f.spectrum.reshape(f.N, -1)
     covered = np.zeros(flat_spec.shape[1], dtype=bool)
     for idx in bapu.supports:
@@ -199,13 +233,15 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float
         )
     root = _grid_root(grid, W, params.p)
     terms = []
-    for k in range(len(bapu)):
-        spec_k = np.zeros_like(flat_spec)
-        spec_k[:, bapu.supports[k]] = flat_spec[:, bapu.supports[k]] * bapu.values[k]
-        piece = grid.inverse(spec_k.reshape(f.spectrum.shape))
-        mags = weighted_magnitudes(root, piece.reshape(f.N, -1).T)
-        norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
-        terms.append(float(bapu.t[k]) ** params.s * norm_k)
+    for block in _blocks(len(bapu), flat_spec.size):
+        spec = np.zeros((len(block),) + flat_spec.shape, dtype=flat_spec.dtype)
+        for spec_k, k in zip(spec, block):
+            idx = bapu.supports[k]
+            spec_k[:, idx] = flat_spec[:, idx] * bapu.values[k]
+        pieces = grid.inverse(spec.reshape((len(block),) + f.spectrum.shape))
+        mags = weighted_magnitudes(root, pieces.reshape(spec.shape).swapaxes(1, 2))
+        for k, norm_k in zip(block, _riemann_norms(mags, params.p, grid.h ** grid.d)):
+            terms.append(float(bapu.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 
 
@@ -322,9 +358,11 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
 
     l runs over the full rounded period per patch; entries below
     _COEF_FLOOR * ||f||_2 are dropped.  The cells U(k, l) take
-    r0 = compute_r0(group).
+    r0 = compute_r0(group).  Raises `SizeMismatch` unless f lives on the
+    partition's lattice (shape and L).
     """
     grid, group = f.grid, f.group
+    _check_grid(grid, sqrt_bapu)
     r0 = compute_r0(group)
     flat_spec = f.spectrum.reshape(f.N, -1)
     norm2 = f.l2_norm()
@@ -355,9 +393,12 @@ def synthesize(coeffs: CoefficientArray, sqrt_bapu: Bapu) -> BandLimitedField:
     The adjoint of `analyze`, one DFT per patch: c_(k,l) e^(i pos_l . xi_k)
     is placed at the residue l mod m_k, and one forward DFT read at
     j mod m_k gives sum_l c_(k,l) e^(-i pos_l . (xi_j - xi_k)) on the
-    support, exactly, since pos_l . xi_j = 2 pi l . j / m_k.
+    support, exactly, since pos_l . xi_j = 2 pi l . j / m_k.  Raises
+    `SizeMismatch` unless the coefficients live on the partition's lattice
+    (shape and L).
     """
     grid, group = coeffs.grid, sqrt_bapu.group
+    _check_grid(grid, sqrt_bapu)
     N = next(iter(coeffs.patches.values()))[1].shape[1] if coeffs.patches else 1
     spec = np.zeros((N, np.prod(grid.shape)), dtype=complex)
     freq = _frequency_indices(grid)
@@ -387,24 +428,44 @@ def synthesize(coeffs: CoefficientArray, sqrt_bapu: Bapu) -> BandLimitedField:
 
 def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
                     grid: FourierGrid = None) -> float:
-    """(sum_k [t_k^s || sum_l |U|^(-1/2) c_(k,l) 1_U ||_(L^p(W))]^q)^(1/q)."""
+    """(sum_k [t_k^s || sum_l |U|^(-1/2) c_(k,l) 1_U ||_(L^p(W))]^q)^(1/q).
+
+    The patches are taken in blocks of consecutive ones (at most _BLOCK
+    stacked entries): one `ball_pairs` call finds the grid points of every
+    cell U(k, l) of the block, with radius r0 / t_k per cell, one scatter
+    adds the coefficients into the block's fields, and one weight product
+    weighs them.  A point adds its cells in the order of a per-patch loop,
+    so each term equals that loop's bitwise as long as the cells hold the
+    same points.  They do, except that a point within `ball_pairs`' tie
+    band is decided by one quasi-norm solve per batch of candidate pairs,
+    and a block's batches mix the cells of several patches.
+    """
     grid = grid or coeffs.grid
     group = coeffs.group
     pts = grid.spatial_points()
     root = _grid_root(grid, W, params.p)
+    keys = sorted(coeffs.patches)
+    if not keys:
+        return 0.0
+    N = coeffs.patches[keys[0]][1].shape[1]
     terms = []
-    for k in sorted(coeffs.patches):
-        ls, coef = coeffs.patches[k]
-        t_k = float(coeffs.t[k])
-        rho = coeffs.r0 / t_k
-        vol_root = np.sqrt(ball_volume(group, rho))
-        cells, at = ball_pairs(group, coeffs.positions(k, ls), rho, pts)
-        field_k = np.zeros((coef.shape[1], len(pts)), dtype=complex)
-        np.add.at(field_k, (slice(None), at), (coef[cells] / vol_root).T)
-        mags = weighted_magnitudes(root, field_k.T)
-        norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
-        terms.append(float(t_k) ** params.s * norm_k)
-    return _lq_sum(terms, params.q) if terms else 0.0
+    for block in _blocks(len(keys), N * len(pts)):
+        ks = [keys[i] for i in block]
+        centers, radii, owner, values = [], [], [], []
+        for i, k in enumerate(ks):
+            ls, coef = coeffs.patches[k]
+            rho = coeffs.r0 / float(coeffs.t[k])
+            centers.append(coeffs.positions(k, ls))
+            radii.append(np.full(len(ls), rho))
+            owner.append(np.full(len(ls), i))
+            values.append(coef / np.sqrt(ball_volume(group, rho)))
+        cells, at = ball_pairs(group, np.concatenate(centers), np.concatenate(radii), pts)
+        fields = np.zeros((len(ks), len(pts), N), dtype=complex)
+        np.add.at(fields, (np.concatenate(owner)[cells], at), np.concatenate(values)[cells])
+        mags = weighted_magnitudes(root, fields)
+        for k, norm_k in zip(ks, _riemann_norms(mags, params.p, grid.h ** grid.d)):
+            terms.append(float(coeffs.t[k]) ** params.s * norm_k)
+    return _lq_sum(terms, params.q)
 
 
 # -- experiments ------------------------------------------------------------------------------

@@ -370,12 +370,14 @@ def safe_power_values(spec, pts: np.ndarray, a: float, scale):
 def weighted_magnitudes(root, v) -> np.ndarray:
     """|W^a(x) v| at every node, for a root returned by `safe_power_values`.
 
-    v is one vector per node, shape (m, N), or one vector shared by all
-    nodes, shape (N,).  A scalar root w^a gives w^a |v| and a matrix root
-    the Euclidean norm of the product, shape (m,) either way.  Without a
-    weight (root None) the result is |v|: shape (m,) for per-node vectors
-    and a single number for a shared one.  A matrix root of size N needs
-    vectors of N entries; other sizes raise `ValueError`.
+    v is one vector per node, shape (m, N), a stack of such arrays,
+    shape (..., m, N), or one vector shared by all nodes, shape (N,).  A
+    scalar root w^a gives w^a |v| and a matrix root the Euclidean norm of
+    the product, shape (..., m) either way; each (m, N) slice of a stack
+    gives bitwise what it gives alone.  Without a weight (root None) the
+    result is |v|: shape (..., m) for per-node vectors and a single number
+    for a shared one.  A matrix root of size N needs vectors of N entries;
+    other sizes raise `ValueError`.
     """
     v = np.asarray(v)
     if root is None:
@@ -387,8 +389,8 @@ def weighted_magnitudes(root, v) -> np.ndarray:
                          f"{root.shape[-1]} entries, got {v.shape[-1]}")
     if np.iscomplexobj(v) and not np.iscomplexobj(root):
         root = root.astype(v.dtype)  # einsum on mixed real and complex runs 2-3x slower
-    return np.linalg.norm(np.einsum("mij,mj->mi" if v.ndim == 2 else "mij,j->mi",
-                                    root, v), axis=1)
+    return np.linalg.norm(np.einsum("mij,j->mi" if v.ndim == 1 else "mij,...mj->...mi",
+                                    root, v), axis=-1)
 
 
 # -- per-ball quantities ---------------------------------------------------------

@@ -212,12 +212,20 @@ class MultiplierSpec:
     @classmethod
     def from_profile(cls, grid, group, profile, ball):
         """Transport a unit-ball profile to B_A(c, R): phi(xi) = profile(T^-1 xi)."""
-        xi = grid.frequency_points()
-        eta = group.dilate(1.0 / ball.radius, xi - ball.center)
-        vals = np.asarray(profile(eta), dtype=complex)
-        inside = group.quasi_norm(eta) < 1.0
-        vals = np.where(inside, vals, 0.0)
+        return cls._from_unit(grid, group, profile, ball, _unit_coordinates(grid, group, ball))
+
+    @classmethod
+    def _from_unit(cls, grid, group, profile, ball, unit):
+        """`from_profile` given the ball's `_unit_coordinates`."""
+        eta, s = unit
+        vals = np.where(s < 1.0, np.asarray(profile(eta), dtype=complex), 0.0)
         return cls(grid, group, vals.reshape(grid.shape), ball)
+
+
+def _unit_coordinates(grid: FourierGrid, group: DilationGroup, ball: AnisoBall):
+    """(eta, |eta|_A) at every lattice point, eta = delta_(1/R)(xi - c) for B_A(c, R)."""
+    eta = group.dilate(1.0 / ball.radius, grid.frequency_points() - ball.center)
+    return eta, group.quasi_norm(eta)
 
 
 def apply_multiplier(phi: MultiplierSpec, f: BandLimitedField) -> BandLimitedField:
@@ -324,9 +332,12 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
     mapped by eta = delta_(1/R)(xi - c), so membership in E_B is exact on
     the lattice.  Fields are sup-normalized.
     """
-    xi = grid.frequency_points()
-    eta = group.dilate(1.0 / ball.radius, xi - ball.center)
-    s = group.quasi_norm(eta)
+    return _ensemble(grid, group, ball, _unit_coordinates(grid, group, ball), N, seed)
+
+
+def _ensemble(grid, group, ball, unit, N, seed):
+    """`standard_ensemble` given the ball's `_unit_coordinates`."""
+    eta, s = unit
     r = np.linalg.norm(eta, axis=1)
     e1 = np.eye(group.d)[0]
     cut = smooth_plateau(s, 0.72, 0.94)
@@ -391,14 +402,16 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
 
     The profile is certified once at the unit scale with decay order one
     above the theoretical threshold; each (R, c) then transports the symbol
-    and the test ensemble by the same affine map; the row (1, 0) reuses the
-    certified symbol.  Every field lives on `grid`, so the weight root is
-    evaluated once for all rows.
+    and the test ensemble by the same affine map, from one solve of
+    |delta_(1/R)(xi - c)|_A per ball; the row (1, 0) reuses the certified
+    symbol and its solve.  Every field lives on `grid`, so the weight root
+    is evaluated once for all rows.
     """
     _check_exponent(p)
     M_req = required_decay_order(group, p) + 1.0
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
-    phi0 = MultiplierSpec.from_profile(grid, group, profile, unit_ball)
+    unit0 = _unit_coordinates(grid, group, unit_ball)
+    phi0 = MultiplierSpec._from_unit(grid, group, profile, unit_ball, unit0)
     K = decay_certificate(phi0, M_req)
     if not np.isfinite(K):
         raise ValueError("profile failed its decay certificate")
@@ -408,10 +421,12 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
         for c in c_set:
             ball = AnisoBall(np.asarray(c, dtype=float), float(R))
             if ball.radius == 1.0 and not ball.center.any():
-                phi = phi0  # the same symbol, bitwise: delta_1 is the identity
+                # the same symbol and |eta|_A, bitwise: delta_1 is the identity
+                phi, unit = phi0, unit0
             else:
-                phi = MultiplierSpec.from_profile(grid, group, profile, ball)
-            for f in standard_ensemble(grid, group, ball, N=N, seed=ensemble_seed):
+                unit = _unit_coordinates(grid, group, ball)
+                phi = MultiplierSpec._from_unit(grid, group, profile, ball, unit)
+            for f in _ensemble(grid, group, ball, unit, N, ensemble_seed):
                 num, err_n = _audited_norm(apply_multiplier(phi, f), root, p)
                 den, err_d = _audited_norm(f, root, p)
                 ratio = num / den

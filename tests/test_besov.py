@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -26,6 +27,7 @@ from anisoweights.besov import (
 from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import (
     AnisoBall,
+    ball_pairs,
     ball_volume,
     build_structured_covering,
     compute_r0,
@@ -34,7 +36,9 @@ from anisoweights.muckenhoupt import safe_power_values, weighted_magnitudes
 from anisoweights.spectral import (
     BandLimitedField,
     FourierGrid,
+    SizeMismatch,
     TruncationInsufficient,
+    _grid_root,
     _riemann_norm,
     standard_ensemble,
 )
@@ -148,6 +152,22 @@ def per_coefficient_terms(coeffs, W, params):
         mags = weighted_magnitudes(root, field_k.T)
         terms.append(t_k ** params.s * _riemann_norm(mags, params.p, grid.h ** grid.d))
     return np.asarray(terms)
+
+
+def per_patch_besov_norm(f, W, params, bapu):
+    """besov_norm by one inverse FFT and one weight product per patch."""
+    grid = f.grid
+    flat_spec = f.spectrum.reshape(f.N, -1)
+    root = _grid_root(grid, W, params.p)
+    terms = []
+    for k in range(len(bapu)):
+        spec_k = np.zeros_like(flat_spec)
+        spec_k[:, bapu.supports[k]] = flat_spec[:, bapu.supports[k]] * bapu.values[k]
+        piece = grid.inverse(spec_k.reshape(f.spectrum.shape))
+        mags = weighted_magnitudes(root, piece.reshape(f.N, -1).T)
+        norm_k = _riemann_norm(mags, params.p, grid.h ** grid.d)
+        terms.append(float(bapu.t[k]) ** params.s * norm_k)
+    return besov._lq_sum(terms, params.q)
 
 
 def dense_analyze(f, sqrt_bapu):
@@ -373,20 +393,41 @@ def benchmark_pass(G1):
     return fields, sqrt_weight(), build_bapu(grid, cov), build_sqrt_bapu(grid, cov)
 
 
+def counting(fn, counter, per_call):
+    """fn, appending to per_call how many entries each call adds to counter."""
+    def wrapped(*args):
+        before = len(counter)
+        value = fn(*args)
+        per_call.append(len(counter) - before)
+        return value
+
+    return wrapped
+
+
 def test_benchmark_pass_evaluates_each_root_node_once(benchmark_pass, monkeypatch):
     # the besov-1d pass: 20 roots on the 256-point grid, each with one
     # singular node (the origin) that alone is evaluated again; per field
-    # two discrete b-norms, ||c||_b serving both r1 and the plain r2
+    # two discrete b-norms, ||c||_b serving both r1 and the plain r2, and
+    # three Besov norms.  Both norms take their patches in blocks of 16
+    # (_BLOCK over N = 2 components of 256 points): one inverse FFT per
+    # block of the 43 patches, and one cell search per block of the patches
+    # that keep coefficients, 20 of them for "offcenter" and 33 for
+    # "two_bumps".
     fields, W, bapu, sqrt_bapu = benchmark_pass
-    sizes, b_norms = [], []
+    sizes, searches, ffts, b_norms, B_norms = [], [], [], [], []
     power = MatrixWeightSpec.power_values
     monkeypatch.setattr(MatrixWeightSpec, "power_values",
                         lambda self, x, a: sizes.append(len(x)) or power(self, x, a))
-    monkeypatch.setattr(besov, "discrete_b_norm",
-                        lambda *args: b_norms.append(1) or discrete_b_norm(*args))
+    inverse = FourierGrid.inverse
+    monkeypatch.setattr(FourierGrid, "inverse",
+                        lambda self, s: ffts.append(1) or inverse(self, s))
+    monkeypatch.setattr(besov, "ball_pairs", lambda *args: searches.append(1) or ball_pairs(*args))
+    monkeypatch.setattr(besov, "discrete_b_norm", counting(discrete_b_norm, searches, b_norms))
+    monkeypatch.setattr(besov, "besov_norm", counting(besov_norm, ffts, B_norms))
     norm_equivalence_experiment(fields, W, [PARAMS], bapu, sqrt_bapu)
     assert sizes == [256, 1] * 20 and sum(sizes) == 5_140
-    assert len(b_norms) == 8
+    assert b_norms == [3, 3, 2, 2, 3, 3, 3, 3]
+    assert B_norms == [3] * 12
 
 
 def recomputing_norm_equivalence(ensemble, W, params_list, bapu, sqrt_bapu):
@@ -411,3 +452,63 @@ def test_shared_b_norm_rows_match_recomputed_rows(benchmark_pass):
     rows = norm_equivalence_experiment(fields, W, [PARAMS], bapu, sqrt_bapu)
     want = recomputing_norm_equivalence(fields, W, [PARAMS], bapu, sqrt_bapu)
     assert pickle.dumps(rows) == pickle.dumps(want)
+
+
+@pytest.fixture(scope="module")
+def besov_2d(G2):
+    """A small diag(1, 2) case: fields, weight and both 74-patch partitions
+    on a 16 x 16 grid of period 4 pi, taken in 5 blocks at N = 2."""
+    grid = FourierGrid(2, 16, 2 * np.pi)
+    cov = build_structured_covering(G2, 1.0, 1.0, seed=0, candidates_per_shell=256)
+    fields = standard_ensemble(grid, G2, AnisoBall([0.0, 0.0], 0.8), N=2)
+    return fields, sqrt_weight(), build_bapu(grid, cov), build_sqrt_bapu(grid, cov)
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def norm_case(request):
+    """The besov-1d inputs and the small 2-D case."""
+    return request.getfixturevalue("benchmark_pass" if request.param == "1d" else "besov_2d")
+
+
+@pytest.mark.parametrize("q", [2, np.inf])
+@pytest.mark.parametrize("p", [1.5, 2])
+def test_besov_norm_matches_per_patch_loop(norm_case, p, q):
+    fields, W, bapu, _ = norm_case
+    params = BesovParams(0.5, p, q)
+    for f in fields:
+        for weight in (None, W):
+            assert besov_norm(f, weight, params, bapu) == per_patch_besov_norm(
+                f, weight, params, bapu)
+
+
+@pytest.mark.parametrize("split", ["one patch", "halves"])
+def test_block_split_changes_nothing(norm_case, split, monkeypatch):
+    fields, W, bapu, sqrt_bapu = norm_case
+    fields = fields[::3]  # the centred gaussian and the random smooth member
+    coeffs = [analyze(f, sqrt_bapu) for f in fields]
+
+    def norms():
+        return [(besov_norm(f, W, params, bapu), discrete_b_norm(c, W, params))
+                for f, c in zip(fields, coeffs)
+                for params in (PARAMS, BesovParams(0.5, 1.5, np.inf))]
+
+    default = norms()
+    per_patch = fields[0].spectrum.size  # N components of every grid point
+    per_block = 1 if split == "one patch" else (len(bapu) + 1) // 2
+    monkeypatch.setattr(besov, "_BLOCK", per_block * per_patch)
+    assert norms() == default
+
+
+@pytest.mark.parametrize("grid", [FourierGrid(1, 512, 4 * np.pi), FourierGrid(1, 256, 8 * np.pi)],
+                         ids=["512 points", "L = 8 pi"])
+def test_field_off_the_partition_lattice_raises(benchmark_pass, G1, grid):
+    # besov-1d's partitions live on 256 points with L = 4 pi
+    fields, W, bapu, sqrt_bapu = benchmark_pass
+    f = standard_ensemble(grid, G1, AnisoBall([0.0], 16.0), N=2)[0]
+    with pytest.raises(SizeMismatch):
+        besov_norm(f, W, PARAMS, bapu)
+    with pytest.raises(SizeMismatch):
+        analyze(f, sqrt_bapu)
+    c = dataclasses.replace(analyze(fields[0], sqrt_bapu), grid=grid)
+    with pytest.raises(SizeMismatch):
+        synthesize(c, sqrt_bapu)

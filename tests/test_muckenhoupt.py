@@ -30,6 +30,7 @@ from anisoweights.muckenhoupt import (
     _pair_norms,
     _scalar_quantity_at_nodes,
     safe_power_values,
+    weighted_magnitudes,
 )
 from anisoweights.spectral import (
     BandLimitedField,
@@ -1650,6 +1651,27 @@ def test_vectors_of_another_size_than_the_weight_raise(entry, grid1, G2):
             scalar_slice_ap(W, 2.0, [1.0], [AnisoBall([0.0, 0.0], 1.0)], grid1, G2)
         else:
             weighted_lp_norm(field_of_size(int(entry[2])), W, 2.0)
+
+
+@pytest.mark.parametrize("root", ["none", "scalar", "real matrix", "complex matrix"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_stacked_magnitudes_equal_per_slice_calls(root, layout):
+    # the Besov norms weigh a block of K patches' fields in one call; the
+    # transposed layout is how besov_norm hands over its (K, N, m) pieces
+    K, m, N = 5, 64, 3
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((K, m, N)) + 1j * rng.standard_normal((K, m, N))
+    if layout == "transposed":
+        v = np.ascontiguousarray(v.swapaxes(1, 2)).swapaxes(1, 2)
+    roots = {
+        "none": None,
+        "scalar": rng.uniform(0.1, 2.0, m),
+        "real matrix": rng.standard_normal((m, N, N)),
+        "complex matrix": rng.standard_normal((m, N, N)) + 1j * rng.standard_normal((m, N, N)),
+    }
+    stacked = weighted_magnitudes(roots[root], v)
+    assert stacked.shape == (K, m)
+    assert np.array_equal(stacked, [weighted_magnitudes(roots[root], v[k]) for k in range(K)])
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])

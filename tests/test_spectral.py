@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,25 @@ class TestWeightedNorm:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+def per_ball_multiplier_rows(W, p, profile, R_set, c_set, grid, group):
+    """multiplier_bound_experiment with the symbol and the ensemble built
+    by from_profile and standard_ensemble, each solving |eta|_A itself."""
+    root = spectral._grid_root(grid, W, p)
+    rows = []
+    for R in R_set:
+        for c in c_set:
+            ball = AnisoBall(np.asarray(c, dtype=float), float(R))
+            phi = MultiplierSpec.from_profile(grid, group, profile, ball)
+            for f in standard_ensemble(grid, group, ball):
+                num, err_n = spectral._audited_norm(apply_multiplier(phi, f), root, p)
+                den, err_d = spectral._audited_norm(f, root, p)
+                ratio = num / den
+                err = ratio * ((err_n / max(num, 1e-300)) + (err_d / max(den, 1e-300)))
+                rows.append(ExperimentRow(float(R), tuple(np.ravel(c)), f.field_id,
+                                          float(ratio), float(err)))
+    return rows
+
+
 class TestMultiplierExperiment:
     def test_identity_profile_ratio_one(self, grid1, G1):
         rows = multiplier_bound_experiment(
@@ -320,6 +341,21 @@ class TestMultiplierExperiment:
         )
         for row in rows:
             assert row.ratio <= 1.0 + 1e-8  # sup |phi| = 1
+
+    def test_one_quasi_norm_solve_per_ball(self, grid1, G1, monkeypatch):
+        # the symbol's support and the ensemble's plateau variable share one
+        # |eta|_A per ball, the unit ball's with the certified symbol; the
+        # other solves are the decay certificate's and three per ensemble
+        W = ScalarWeightSpec.radial_power(0.5)
+        args = (W, 2.0, bump_profile, [1.0, 2.0], [np.zeros(1)], grid1, G1)
+        want = per_ball_multiplier_rows(*args)
+        calls = []
+        quasi_norm = DilationGroup.quasi_norm
+        monkeypatch.setattr(DilationGroup, "quasi_norm",
+                            lambda self, x: calls.append(1) or quasi_norm(self, x))
+        rows = multiplier_bound_experiment(*args)
+        assert len(calls) == 1 + 1 + 3 + (1 + 3)
+        assert pickle.dumps(rows) == pickle.dumps(want)
 
     def test_required_decay_order(self, G1, G2):
         assert required_decay_order(G1, 2.0) == pytest.approx(1 + 1 * 2)
