@@ -103,7 +103,7 @@ def map_ball(G: DilationGroup, T: AffineMap, B: AnisoBall) -> AnisoBall:
     return AnisoBall(T.apply(B.center), B.radius * T.scale)
 
 
-_PAIR_CHUNK = 2 ** 13  # candidate (ball, point) pairs per batch
+_PAIR_CHUNK = 2 ** 13  # candidate coordinates (pairs times d) per batch, (ball, row) pairs per run
 
 
 def _box_reach(G: DilationGroup, r) -> np.ndarray:
@@ -111,31 +111,183 @@ def _box_reach(G: DilationGroup, r) -> np.ndarray:
     return np.maximum(r ** G.alpha1, r ** G.alpha2) / np.sqrt(G.p_scale)
 
 
-def _box_pairs(centers: np.ndarray, reach: np.ndarray, points: np.ndarray, skip=None):
-    """Batches (i, j) of the points j in the box |points[j] - centers[i]|_inf <= reach[i].
+def _within(diff: np.ndarray, reach) -> np.ndarray:
+    """|diff|_inf <= reach row by row, one column compare at a time (NaN is outside)."""
+    near = np.abs(diff[:, 0]) <= reach
+    for col in diff.T[1:]:
+        near &= np.abs(col) <= reach
+    return near
 
-    Points sorted on the first coordinate give each ball a strip by
-    searchsorted, and the box thins it; skip[i] drops the first skip[i]
-    points of that order from ball i's strip.  A batch holds whole strips,
-    ordered by ball and then by first coordinate, of at most _PAIR_CHUNK
-    pairs unless a single strip is longer.
+
+def _row_grid(coords: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, list[int], float]:
+    """Origin, cells per axis and cell width of the rows over the columns of coords.
+
+    The cell width starts at the larger of half the median reach (the upper
+    median) and the largest spread over the point count, and doubles while
+    the rows outnumber the points.  Without a column, a point, or a finite
+    spread and width, there is one row.
     """
-    order = np.argsort(points[:, 0], kind="stable")
-    start = np.searchsorted(points[order, 0], centers[:, 0] - reach, "left")
-    if skip is not None:
-        start = np.maximum(start, skip)
-    sizes = np.searchsorted(points[order, 0], centers[:, 0] + reach, "right") - start
-    sizes = np.maximum(sizes, 0)
+    n, k = coords.shape
+    if not (n and k):
+        return np.zeros(k), [1] * k, np.inf
+    origin = coords.min(axis=0)
+    span = coords.max(axis=0) - origin
+    width = 0.5 * float(reach[np.argsort(reach, kind="stable")[len(reach) // 2]])
+    if not (np.all(np.isfinite(span)) and 0 < width < np.inf):
+        return origin, [1] * k, np.inf
+    width = max(width, float(span.max(initial=0.0)) / n)
+    while True:
+        cells = [int(s // width) + 1 for s in span]
+        if math.prod(cells) <= n:
+            return origin, cells, width
+        width *= 2.0
+
+
+def _cell_of(values: np.ndarray, origin, width: float, count) -> np.ndarray:
+    """floor((values - origin) / width), at most count - 1, computed in place."""
+    values -= origin
+    values /= width
+    np.floor(values, out=values)
+    return np.minimum(values, count - 1, out=values)
+
+
+def _runs(sizes: np.ndarray, limit: int):
+    """Ranges [first, last) of whole consecutive entries of sizes, in order.
+
+    Each range sums to at most limit, unless it is a single larger entry.
+    """
     ends = np.cumsum(sizes)
     first = 0
-    while first < len(centers):
+    while first < len(sizes):
         base = ends[first] - sizes[first]
-        last = max(first + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
-        b = np.repeat(np.arange(first, last), sizes[first:last])
-        j = order[np.arange(base, ends[last - 1]) + (start - ends + sizes)[b]]
-        near = np.abs(points[j, 1:] - centers[b, 1:]).max(axis=1, initial=0.0) <= reach[b]
-        yield b[near], j[near]
+        last = max(first + 1, int(np.searchsorted(ends, base + limit, "right")))
+        yield first, last
         first = last
+
+
+def _row_keys(coords: np.ndarray, order: np.ndarray, origin, cells, width) -> np.ndarray:
+    """The sorted keys row * n + rank of the points coords[order[rank]] (see _segments)."""
+    n = len(order)
+    keys = np.zeros(n)
+    for axis, count in enumerate(cells):  # row-major: the last axis runs fastest
+        keys *= count
+        keys += _cell_of(coords[order, axis], origin[axis], width, count)
+    keys = keys.astype(np.int64)
+    keys *= n
+    keys += np.arange(n)
+    keys.sort()
+    return keys
+
+
+def _row_ranges(coords: np.ndarray, reach: np.ndarray, origin, cells, width):
+    """First cell and cell count per axis and ball, as (axes, balls) integers.
+
+    Ball i's range holds the cells of coords[i] +- reach[i] on each axis,
+    the ends widened past their rounding; an empty range, or one with a NaN
+    end, has count 0.
+    """
+    per_axis = np.array(cells, dtype=float)[:, None]
+    with np.errstate(invalid="ignore"):
+        pad = np.abs(coords.T) + reach
+        pad *= 1e-9
+        pad += reach
+        first = _cell_of(coords.T - pad, origin[:, None], width, per_axis)
+        np.fmax(first, 0.0, out=first)
+        pad += coords.T
+        last = _cell_of(pad, origin[:, None], width, per_axis)
+        last -= first
+        last += 1.0
+        return first.astype(np.int64), np.fmax(last, 0.0).astype(np.int64)
+
+
+def _ball_rows(first: np.ndarray, counts: np.ndarray, cells: list[int]):
+    """Runs (a, b, ball, row) of the (ball, row) pairs of the row ranges (_row_ranges).
+
+    Balls a..b-1 visit at most _PAIR_CHUNK rows together, unless a single
+    ball visits more (_runs); the pairs come in the order of ball and then
+    row.
+    """
+    rows = counts.prod(axis=0)
+    for a, b in _runs(rows, _PAIR_CHUNK):
+        ball = np.repeat(np.arange(a, b), rows[a:b])
+        local = np.arange(len(ball)) - np.repeat(np.cumsum(rows[a:b]) - rows[a:b], rows[a:b])
+        row = np.zeros(len(ball), dtype=np.int64)
+        for axis, count in enumerate(cells):
+            digit, local = np.divmod(local, counts[axis + 1:, ball].prod(axis=0))
+            row = row * count + first[axis, ball] + digit
+        yield a, b, ball, row
+
+
+def _segments(centers: np.ndarray, reach: np.ndarray, points: np.ndarray):
+    """The search of _box_pairs: one contiguous segment of points per (ball, row).
+
+    Coordinates 1..d-1 are bucketed into rows of cells (_row_grid), and the
+    points are ordered by row, then by first coordinate, ties by index.  A
+    ball visits the rows its box touches (_row_ranges), and in each row the
+    points with centers[i, 0] - reach[i] <= x <= centers[i, 0] + reach[i],
+    found by searchsorted on the integer keys row * n + (rank of x)
+    (_row_keys).  With one row, as in 1-D, the segment is the ball's strip
+    on the first coordinate.  The (ball, row) pairs are searched in runs
+    (_ball_rows), so that few are at work at once, and empty segments are
+    dropped.  Returns the point order; per segment, in the order of ball
+    and then row, the start in that order and the size; and the offset of
+    each ball's first segment.
+    """
+    n = len(points)
+    order = np.argsort(points[:, 0], kind="stable")
+    x = points[order, 0]
+    lo = np.searchsorted(x, centers[:, 0] - reach, "left")
+    hi = np.searchsorted(x, centers[:, 0] + reach, "right")
+    del x
+    grid = _row_grid(points[:, 1:], reach)
+    if math.prod(grid[1]) == 1:  # one row: the segment is the strip
+        return order, lo, np.maximum(hi - lo, 0), np.arange(len(centers) + 1)
+    keys = _row_keys(points[:, 1:], order, *grid)
+    per_ball, starts, sizes = [], [], []
+    for a, b, ball, row in _ball_rows(*_row_ranges(centers[:, 1:], reach, *grid), grid[1]):
+        row *= n
+        start = np.searchsorted(keys, row + lo[ball], "left")
+        size = np.searchsorted(keys, row + hi[ball], "left") - start
+        full = size > 0
+        per_ball.append(np.bincount(ball[full] - a, minlength=b - a))
+        starts.append(start[full])
+        sizes.append(size[full])
+    keys %= n
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(per_ball))])
+    return order[keys], np.concatenate(starts), np.concatenate(sizes), offsets
+
+
+def _box_pairs(centers: np.ndarray, reach: np.ndarray, points: np.ndarray, same: bool = False):
+    """Batches (i, j) of the points j in the box |points[j] - centers[i]|_inf <= reach[i].
+
+    Each ball gathers its segments (_segments), which decide the first
+    coordinate, and the box tests the others one column at a time.  With
+    same, points are the centres themselves and each pair comes once, with
+    j < i.  A batch holds whole balls, ordered by ball and then by segment,
+    of at most _PAIR_CHUNK / d candidates unless a single ball's set is
+    longer (_runs): the (candidates, d) arrays of a batch's differences set
+    its memory.
+    """
+    if not len(centers):
+        return
+    order, start, size, seg_offsets = _segments(centers, reach, points)
+    seg_ends = np.cumsum(size)
+    ends = np.concatenate([[0], seg_ends])[seg_offsets[1:]]
+    sizes = np.diff(ends, prepend=0)
+
+    def batch(first: int, last: int):
+        segs = slice(seg_offsets[first], seg_offsets[last])
+        shift = np.repeat(start[segs] - seg_ends[segs] + size[segs], size[segs])
+        j = order[np.arange(ends[first] - sizes[first], ends[last - 1]) + shift]
+        b = np.repeat(np.arange(first, last), sizes[first:last])
+        near = j < b if same else None
+        for axis in range(1, points.shape[1]):
+            box = np.abs(points[j, axis] - centers[b, axis]) <= reach[b]
+            near = box if near is None else near & box
+        return (b, j) if near is None else (b[near], j[near])
+
+    for first, last in _runs(sizes, _PAIR_CHUNK // points.shape[1]):
+        yield batch(first, last)  # its temporaries are freed before the caller's work
 
 
 def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +296,12 @@ def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np
     Pairs come ordered by ball, then by point: a sum over them adds each
     point's balls in the order of a loop over the balls, bitwise the same.
     Candidates are the points in each ball's Euclidean box (radii may be a
-    scalar).  Each batch of them is decided by the sign of the defining
-    function at the radius (DilationGroup._side), with no solve; a batch
-    holding a pair within the tie band is solved by one quasi-norm call, so
-    the pairs equal those of quasi_norm(batch) < radii bitwise.
+    scalar), found by one search over every coordinate (_box_pairs) in
+    batches of whole balls; each batch's pairs are sorted by ball and point.
+    Each batch is decided by the sign of the defining function at the
+    radius (DilationGroup._side), with no solve; a batch holding a pair
+    within the tie band is solved by one quasi-norm call, so the pairs
+    equal those of quasi_norm(batch) < radii bitwise.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -426,7 +580,9 @@ def build_structured_covering(
     sep = c / (4 * C_est) and C_est is the sampled triangle constant.
     Candidates are taken in order, each against the previous shell's
     selections and the candidates kept before it.  Every such pair in a
-    Euclidean box is decided without a solve by the sign rule
+    Euclidean box, found by one candidate search over every coordinate
+    (_box_pairs, which also serves the coverage, height and shrink checks
+    through ball_pairs), is decided without a solve by the sign rule
     |x|_A <= thresh <=> f(thresh) <= 1 (DilationGroup._side).  Only a
     candidate whose sole conflicts with kept partners lie within the tie
     band, |f - 1| <= 4e-12 alpha2/alpha1, is decided by one quasi-norm solve
@@ -489,7 +645,7 @@ def build_structured_covering(
 def _window_ok(G: DilationGroup, sep: float, pts_w, br_w, z, bz) -> bool:
     """No point of the window within sep * min(<w>, <z>) of z: one solve."""
     thresh = sep * np.minimum(br_w, bz)
-    near = np.flatnonzero(np.abs(pts_w - z).max(axis=1) <= _box_reach(G, thresh))
+    near = np.flatnonzero(_within(pts_w - z, _box_reach(G, thresh)))
     return not near.size or bool(np.all(G.quasi_norm(pts_w[near] - z) > thresh[near]))
 
 
@@ -498,31 +654,25 @@ def _conflicts(G: DilationGroup, sep: float, cands, br, partners, partner_br, sa
 
     A pair counts when the partner lies in the box of the window test
     (_window_ok) and |partners[k] - cands[i]|_A <= thresh; the sign rule
-    decides it or flags a tie.  With same, partners are the candidates
-    themselves and each pair comes once, with k < i.  Pairs come ordered
-    by candidate.
+    decides it or flags a tie.  The pairs come from one search over every
+    coordinate (_box_pairs) in boxes of the largest reach a candidate's
+    pairs can have.  With same, partners are the candidates themselves and
+    each pair comes once, with k < i.  Pairs come ordered by candidate, as
+    the search's batches are.
     """
     reach = _box_reach(G, sep * br)  # thresh <= sep * br[i]
-    # widen the strip past the rounding of its ends, so it holds every pair
-    # the exact per-pair box test below keeps
+    # widen the boxes past the rounding of their ends, so that the search
+    # holds every pair the exact per-pair box test below keeps
     reach += 1e-9 * (reach + np.abs(cands[:, 0]))
-    skip = None
-    if same:  # search each pair once, from the candidate sorted first
-        skip = np.empty(len(cands), dtype=int)
-        skip[np.argsort(cands[:, 0], kind="stable")] = np.arange(1, len(cands) + 1)
     found = [(np.empty(0, dtype=int),) * 2 + (np.empty(0, dtype=bool),)]
-    for i, k in _box_pairs(cands, reach, partners, skip):
-        if same:
-            i, k = np.maximum(i, k), np.minimum(i, k)
+    for i, k in _box_pairs(cands, reach, partners, same):
         thresh = sep * np.minimum(partner_br[k], br[i])
         diff = partners[k] - cands[i]
         inside, tie = G._side(diff, thresh)
         hit = np.flatnonzero(inside | tie)
-        hit = hit[np.abs(diff[hit]).max(axis=1) <= _box_reach(G, thresh[hit])]
+        hit = hit[_within(diff[hit], _box_reach(G, thresh[hit]))]
         found.append((i[hit], k[hit], tie[hit]))
-    i, k, tie = [np.concatenate(part) for part in zip(*found)]
-    order = np.argsort(i, kind="stable")
-    return i[order], k[order], tie[order]
+    return [np.concatenate(part) for part in zip(*found)]
 
 
 def _shell_net(G: DilationGroup, sep: float, cands, br, prev, prev_br) -> np.ndarray:
@@ -569,8 +719,19 @@ def _validated_shrink_factor(cov: StructuredCovering) -> float:
 
 
 def _witness_sets(G: DilationGroup, centers, radii, nodes: np.ndarray) -> np.ndarray:
-    """Reference nodes carried onto each ball, as (balls, nodes, d): delta_r(nodes) + c."""
-    return np.stack([G.dilate(r, nodes) + c for c, r in zip(centers, radii)])
+    """Reference nodes carried onto each ball, as (balls, nodes, d): delta_r(nodes) + c.
+
+    One broadcast product, bitwise G.dilate(r, nodes) + c ball by ball: each
+    ball's slice is the same (nodes, d) @ (d, d) product, and a ball of
+    radius 1 takes the nodes unchanged, as G.dilate copies them there.
+    """
+    Q = G.eigenvectors
+    radii = np.asarray(radii, dtype=float)
+    sets = (nodes @ Q) * (radii[:, None] ** G.eigenvalues)[:, None, :]
+    np.matmul(sets, Q.T, out=sets)
+    sets[radii == 1.0] = nodes
+    sets += centers[:, None, :]
+    return sets
 
 
 def _shrunk_disjoint(cov: StructuredCovering, factor: float, nodes: np.ndarray) -> bool:

@@ -231,8 +231,9 @@ class TestBallPairs:
         points = np.array([[0.0, 4.0], [2.0, 0.0], [0.5, -1.0], [-2.0, 0.0],
                            [0.0, -4.0], [1.9, 0.3], [-0.2, 0.1]])
         balls, hits = ball_pairs(Gani, np.zeros((1, 2)), 2.0, points)
-        # every point lies in the ball's box, so the batch is in strip order
-        order = np.argsort(points[:, 0], kind="stable")
+        # every point lies in the ball's box, so the batch is the search
+        # order: rows of width 2 in x2 (half the reach 4), then x1
+        order = np.array([4, 2, 3, 6, 5, 1, 0])
         want = np.sort(order[Gani.quasi_norm(points[order]) < 2.0])
         assert np.array_equal(hits, want) and np.all(balls == 0)
         _, tie = Gani._side(points, 2.0)
@@ -258,6 +259,188 @@ class TestBallPairs:
         for balls, hits in (ball_pairs(Gani, centers, 0.7, np.empty((0, 2))),
                             ball_pairs(Gani, np.empty((0, 2)), 0.7, points)):
             assert balls.size == 0 and hits.size == 0
+
+
+def brute_box(centers, reach, points, same=False):
+    """(i, j) of the points in ball i's box, ball by ball: the first coordinate
+    as the search's segment (between the rounded ends), the others by |diff|."""
+    pairs = []
+    for i, (c, r) in enumerate(zip(centers, reach)):
+        near = (points[:, 0] >= c[0] - r) & (points[:, 0] <= c[0] + r)
+        near &= np.all(np.abs(points[:, 1:] - c[1:]) <= r, axis=1)
+        if same:
+            near &= np.arange(len(points)) < i
+        pairs += [(i, j) for j in np.flatnonzero(near)]
+    return pairs
+
+
+def search_pairs(centers, reach, points, same=False):
+    batches = list(geometry._box_pairs(centers, reach, points, same))
+    return [(int(i), int(j)) for b, k in batches for i, j in zip(b, k)]
+
+
+def search_case(name):
+    """(group, centres, radii, points) of one edge case of the search."""
+    rng = np.random.default_rng(12)
+    G = DilationGroup(np.diag([1.0, 2.0]))
+    centers = rng.uniform(-3, 3, size=(40, 2))
+    radii = rng.uniform(0.05, 1.5, size=40)
+    points = rng.uniform(-4, 4, size=(500, 2))
+    if name == "zero spread":
+        points[:, 1] = 0.5
+        centers[::2, 1] = 0.5
+    elif name == "3-D":
+        G = DilationGroup(np.diag([1.0, 1.5, 2.0]))
+        centers = rng.uniform(-2, 2, size=(40, 3))
+        points = rng.uniform(-3, 3, size=(700, 3))
+    elif name == "tiny radii":
+        # reaches of 1e-6 over a spread of 2e6: the rows are capped by the points
+        points = rng.uniform(-1e6, 1e6, size=(500, 2))
+        points[1::2] = points[::2] + [1e-9, 0.0]
+        centers = points[::12] + [1e-9, 0.0]
+        radii = np.full(len(centers), 1e-6)
+    elif name == "duplicates":
+        points = np.repeat(points[:200], 3, axis=0)
+        centers = np.concatenate([centers, points[:30]])
+        radii = rng.uniform(0.05, 1.5, size=len(centers))
+    return G, centers, radii, points
+
+
+SEARCH_CASES = ["plain", "zero spread", "3-D", "tiny radii", "duplicates"]
+
+
+class TestSearch:
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    @pytest.mark.parametrize("chunk", [2 ** 13, 37])
+    def test_ball_pairs_match_brute_force(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        G, centers, radii, points = search_case(name)
+        balls, hits = ball_pairs(G, centers, radii, points)
+        want_balls, want_hits = brute_pairs(G, centers, radii, points)
+        assert len(want_balls) >= len(centers)
+        assert np.array_equal(balls, want_balls) and np.array_equal(hits, want_hits)
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    @pytest.mark.parametrize("chunk", [2 ** 13, 37])
+    def test_box_pairs_match_brute_force(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        G, centers, radii, points = search_case(name)
+        reach = geometry._box_reach(G, radii)
+        got = search_pairs(centers, reach, points)
+        want = brute_box(centers, reach, points)
+        assert len(want) > len(centers)
+        # ordered by ball; within a ball in search order
+        assert [i for i, _ in got] == sorted(i for i, _ in got)
+        assert sorted(got) == want
+
+    @pytest.mark.parametrize("name", SEARCH_CASES)
+    @pytest.mark.parametrize("chunk", [2 ** 13, 37])
+    def test_same_set_pairs_come_once(self, name, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
+        G, _, _, points = search_case(name)
+        scale = 1e-6 if name == "tiny radii" else 1.0
+        reach = geometry._box_reach(G, scale * np.random.default_rng(13).uniform(
+            0.05, 1.0, size=len(points)))
+        got = search_pairs(points, reach, points, same=True)
+        want = brute_box(points, reach, points, same=True)
+        assert len(want) >= len(points) // 2
+        assert all(j < i for i, j in got)
+        assert [i for i, _ in got] == sorted(i for i, _ in got)
+        assert len(set(got)) == len(got) and sorted(got) == want
+
+    def test_row_count_is_capped_by_the_points(self):
+        G, centers, radii, points = search_case("tiny radii")
+        reach = geometry._box_reach(G, radii)
+        _, cells, width = geometry._row_grid(points[:, 1:], reach)
+        assert cells[0] <= len(points) and width >= np.ptp(points[:, 1]) / len(points)
+        _, cells, _ = geometry._row_grid(np.zeros((50, 2)), reach)
+        assert cells == [1, 1]
+
+    def test_empty_inputs(self):
+        for centers, points in ((np.empty((0, 2)), np.ones((5, 2))),
+                                (np.ones((5, 2)), np.empty((0, 2))),
+                                (np.empty((0, 2)), np.empty((0, 2)))):
+            reach = np.ones(len(centers))
+            for same in (False, True):
+                assert search_pairs(centers, reach, points, same) == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_column_compares_match_the_row_max(self, d):
+        rng = np.random.default_rng(14)
+        diff = rng.uniform(-2, 2, size=(400, d))
+        diff[rng.integers(0, 400, 40), rng.integers(0, d, 40)] = np.nan
+        diff[rng.integers(0, 400, 10), rng.integers(0, d, 10)] = -np.inf
+        reach = rng.uniform(0, 2, size=400)
+        want = np.abs(diff).max(axis=1) <= reach
+        assert np.array_equal(geometry._within(diff, reach), want)
+        assert np.array_equal(geometry._within(diff, 1.0), np.abs(diff).max(axis=1) <= 1.0)
+
+    @pytest.mark.parametrize("A", [np.diag([0.5, 1.0]), [[1.0, 0.4], [0.4, 1.5]]])
+    def test_witness_sets_match_per_ball_dilations(self, A):
+        G = DilationGroup(A)
+        rng = np.random.default_rng(15)
+        centers = rng.uniform(-3, 3, size=(25, 2))
+        radii = rng.uniform(0.01, 2.0, size=25)
+        radii[[3, 17]] = 1.0  # G.dilate copies the nodes at t = 1
+        nodes = geometry._unit_ball_reference_nodes(128, 2, G.p_scale, boundary_bias=True)
+        want = np.stack([G.dilate(r, nodes) + c for c, r in zip(centers, radii)])
+        got = geometry._witness_sets(G, centers, radii, nodes)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if not np.allclose(A, np.diag(np.diag(A))):
+            # a rotated generator's product at t = 1 differs from the copy
+            Q = G.eigenvectors
+            assert not np.array_equal((nodes @ Q) @ Q.T, nodes)
+
+
+@pytest.fixture(scope="module")
+def cover_2d_search():
+    """The cover-2d build at seed 7, with its candidate search counted."""
+    G = DilationGroup(np.diag([0.5, 1.0]))
+    counts = {"calls": 0, "gathered": 0, "batches": 0, "box": 0}
+    segments, box_pairs = geometry._segments, geometry._box_pairs
+
+    def counted_segments(*args):
+        out = segments(*args)
+        counts["gathered"] += int(out[2].sum())
+        return out
+
+    def counted_box_pairs(*args):
+        counts["calls"] += 1
+        for b, j in box_pairs(*args):
+            counts["batches"] += 1
+            counts["box"] += len(b)
+            yield b, j
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_segments", counted_segments)
+        mp.setattr(geometry, "_box_pairs", counted_box_pairs)
+        cov = build_structured_covering(G, 0.5, 4.0, seed=7, candidates_per_shell=1024,
+                                        validation_samples=1024)
+    return cov, counts
+
+
+class TestSearchPin:
+    def test_candidates_gathered(self, cover_2d_search):
+        # measured: 476,889 gathered for 262,658 box candidates in 124
+        # batches of 9 searches; a first-coordinate strip gathered 1.81M
+        _, counts = cover_2d_search
+        assert counts["box"] > 250_000
+        assert counts["gathered"] <= 2 * counts["box"]
+        # consecutive batches hold more than _PAIR_CHUNK / d candidates together
+        full = counts["gathered"] / (geometry._PAIR_CHUNK // 2)
+        assert counts["batches"] <= 2 * full + counts["calls"]
+
+    def test_shrink_validation_memory(self, cover_2d_search):
+        # measured: 1.18 MB, of which the 27,904 witnesses take 0.43 MB
+        tracemalloc = pytest.importorskip("tracemalloc")
+        cov, _ = cover_2d_search
+        tracemalloc.start()
+        try:
+            geometry._validated_shrink_factor(cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 ** 20
 
 
 class TestComputeR0:
