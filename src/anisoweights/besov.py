@@ -322,30 +322,6 @@ def _frequency_indices(grid: FourierGrid) -> np.ndarray:
     return np.stack(np.unravel_index(flat, grid.shape), axis=1) - grid.n // 2
 
 
-def frame_atom(k: int, l, sqrt_bapu: Bapu) -> BandLimitedField:
-    """Atom omega_(k,l) built in the frequency domain (lattice-exact).
-
-    spectrum = N_k psi_k(xi) e^(-i x_(k,l) . (xi - xi_k)) with the sample
-    position x_(k,l) on the rounded per-patch lattice and N_k the exact
-    orthonormalizer (~ (2pi)^(-d/2) t_k^(-nu/2)).
-    """
-    grid, group = sqrt_bapu.grid, sqrt_bapu.group
-    t_k = float(sqrt_bapu.t[k])
-    c_k = sqrt_bapu.centers[k]
-    counts = _patch_counts(group, t_k, grid.L)
-    pos = np.asarray(l, dtype=float) * (2 * grid.L / counts)
-    idx = sqrt_bapu.supports[k]
-    xi = grid.frequency_points()[idx]
-    phase = np.exp(-1j * (xi - c_k) @ pos)
-    spec = np.zeros(np.prod(grid.shape), dtype=complex)
-    spec[idx] = _patch_normalizer(grid, counts) * sqrt_bapu.values[k] * phase
-    ball = sqrt_bapu.patch_ball(k)
-    return BandLimitedField.from_spectrum(
-        grid, group, spec.reshape(grid.shape), ball,
-        field_id=f"atom[{k},{tuple(int(v) for v in np.atleast_1d(l))}]"
-    )
-
-
 def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
     """Frame coefficients <f, omega_(k,l)> as exact lattice sums, one DFT per patch.
 

@@ -430,28 +430,7 @@ def _unit_ball_reference_nodes(n: int, d: int, sigma: float, boundary_bias=False
     return g * radii[:, None] / np.sqrt(sigma)
 
 
-# -- unit-scale lattice covering ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitCovering:
-    """Cells U_k = B_A(0, r0) + k, k in Z^d, with measured overlap height."""
-
-    group: DilationGroup
-    r0: float
-    height_bound: int
-
-    def cell(self, k) -> AnisoBall:
-        return AnisoBall(np.asarray(k, dtype=float), self.r0)
-
-    def cover_count(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        reach = self.group.euclidean_radius_bound(self.r0)
-        lo = np.floor(pts.min(axis=0) - reach).astype(int)
-        hi = np.ceil(pts.max(axis=0) + reach).astype(int)
-        cells = np.indices(hi - lo + 1).reshape(len(lo), -1).T + lo
-        _, hits = ball_pairs(self.group, cells, self.r0, pts)
-        return np.bincount(hits, minlength=len(pts))
+# -- lattices and the unit cell radius -----------------------------------------
 
 
 def _lattice(axes) -> np.ndarray:
@@ -484,16 +463,6 @@ def compute_r0(G: DilationGroup) -> float:
             f"cube point with |x|_A = {qn.max():.6g} >= r0 = {r0:.6g}"
         )
     return float(r0)
-
-
-def unit_covering(G: DilationGroup, r0: float) -> UnitCovering:
-    """Measure the overlap height n0 of the cells U_k on 4096 Halton points."""
-    cov = UnitCovering(G, r0, height_bound=0)
-    pts = _halton(4096, G.d)  # [0,1)^d suffices by translation invariance
-    counts = cov.cover_count(pts)
-    if counts.min() < 1:
-        raise CoverageGap("unit covering leaves a sampled point uncovered")
-    return UnitCovering(G, r0, height_bound=int(counts.max()))
 
 
 # -- structured coverings ------------------------------------------------------
@@ -697,9 +666,9 @@ def _shell_net(G: DilationGroup, sep: float, cands, br, prev, prev_br) -> np.nda
     for i in np.flatnonzero(todo):
         live = keep[sk[bounds[i]:bounds[i + 1]]]
         ties = s_tie[bounds[i]:bounds[i + 1]]
-        if np.any(live & ~ties):
+        if (live & ~ties).any():
             keep[i] = False
-        elif unsure[i] or np.any(live & ties):
+        elif unsure[i] or (live & ties).any():
             window = np.concatenate([prev, cands[:i][keep[:i]]])
             window_br = np.concatenate([prev_br, br[:i][keep[:i]]])
             keep[i] = _window_ok(G, sep, window, window_br, cands[i], br[i])

@@ -435,15 +435,6 @@ def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
     return np.mean(norms ** p, axis=1).max(axis=1)
 
 
-def _pair_norms(Px: np.ndarray, Mt: np.ndarray) -> np.ndarray:
-    """Spectral norms of every product Px[a] @ Mt[b], shape (n1, n2).
-
-    This is the one-ball span of `_matrix_quantities`, on the same kernel
-    and in the same tiles.
-    """
-    return _span_norms(Px, Mt, 1)[0]
-
-
 @np.errstate(invalid="ignore")
 def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
     """Pair norms (balls, n1, n2) of `balls` whole balls stacked as in `_matrix_quantities`.
@@ -491,7 +482,9 @@ def _node_features(Px: np.ndarray, Mt: np.ndarray):
     """
     N, n = Px.shape[-1], len(Px)
     f = np.concatenate([Px, Mt]).reshape(n + len(Mt), -1)
-    s = np.abs(f).max(axis=1)
+    s = np.abs(f[:, 0])
+    for col in f.T[1:]:
+        np.maximum(s, np.abs(col), out=s)
     f = (f / np.where(s > 0, s, 1.0)[:, None]).T.copy()  # (N^2, node)
     # C[u N^2 + v] = conj(R_u) R_v for the flat entries u, v of each root,
     # followed by the imaginary parts for complex roots

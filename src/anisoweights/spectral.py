@@ -10,7 +10,6 @@ data up to wrap-around, which the experiments audit by construction
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +35,6 @@ class SizeMismatch(ValueError):
 
 class SupportViolation(ValueError):
     """Declared spectral support exceeds the usable frequency lattice."""
-
-
-class KernelInvalid(ValueError):
-    """Interpolation kernel spectrum is not 1 on the target ball."""
 
 
 class TruncationInsufficient(ValueError):
@@ -436,160 +431,6 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     return rows
 
 
-# -- interpolation kernel ---------------------------------------------------------------------
-
-
-def _poly_segment_ft(coeffs, z0: float, z1: float, x: np.ndarray) -> np.ndarray:
-    """integral of p(z) e^(i x z) over [z0, z1] for p given by coeffs.
-
-    Closed form through the antiderivative for |x| away from 0 and a Taylor
-    series near 0; exact to machine precision in both regimes.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    zmax = max(abs(z0), abs(z1))
-    small = np.abs(x) * zmax < 2.0
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        ix = 1j * xb
-        e1 = np.exp(ix * z1)
-        e0 = np.exp(ix * z0)
-        acc = np.zeros(xb.shape, dtype=complex)
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            term1 = np.zeros_like(acc)
-            term0 = np.zeros_like(acc)
-            fact = 1.0
-            for m in range(k + 1):
-                # antiderivative: sum_m (-1)^m k!/(k-m)! z^(k-m) / (ix)^(m+1)
-                term1 += (-1) ** m * fact * z1 ** (k - m) / ix ** (m + 1)
-                term0 += (-1) ** m * fact * z0 ** (k - m) / ix ** (m + 1)
-                fact *= (k - m)
-            acc += c * (e1 * term1 - e0 * term0)
-        out[big] = acc
-    if np.any(small):
-        xs = x[small]
-        acc = np.zeros(xs.shape, dtype=complex)
-        prev_tiny = False
-        for j in range(48):
-            seg = sum(c * (z1 ** (k + j + 1) - z0 ** (k + j + 1)) / (k + j + 1)
-                      for k, c in enumerate(coeffs) if c != 0.0)
-            term = (1j * xs) ** j / math.factorial(j) * seg
-            acc += term
-            tiny = bool(np.all(np.abs(term) < 1e-18))
-            if tiny and prev_tiny:
-                break
-            prev_tiny = tiny
-        out[small] = acc
-    return out
-
-
-def _smootherstep_coeffs():
-    """Degree-7 C^3 step on [0,1]: 35 t^4 - 84 t^5 + 70 t^6 - 20 t^7."""
-    return np.array([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
-
-
-def _shift_poly(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Coefficients in z of p((b - z)/(b - a)) given p in t."""
-    width = b - a
-    t_in_z = np.array([b / width, -1.0 / width])  # t = (b - z)/width
-    out = np.zeros(len(coeffs))
-    power = np.array([1.0])
-    for k, c in enumerate(coeffs):
-        if c != 0.0:
-            padded = np.zeros(len(coeffs))
-            padded[: len(power)] = c * power
-            out += padded
-        power = np.convolve(power, t_in_z)
-    return out
-
-
-class InterpolationKernel:
-    """Separable kernel with spectrum 1 on [-a, a]^d and support in (-b, b)^d.
-
-    The per-axis spectrum is a degree-7 smootherstep ramp, so the spatial
-    kernel decays like |x|^(-5) and has a machine-accurate closed form.
-    """
-
-    def __init__(self, a: float = 1.0, b: float = None, d: int = 1):
-        if b is None:
-            b = 3.0 / np.sqrt(d)
-        if not 0 < a < b:
-            raise KernelInvalid("need 0 < a < b")
-        self.a = float(a)
-        self.b = float(b)
-        self.d = d
-        self._ramp = _shift_poly(_smootherstep_coeffs(), self.a, self.b)
-
-    def spectrum_axis(self, z) -> np.ndarray:
-        return poly_plateau(np.abs(np.asarray(z, dtype=float)), self.a, self.b)
-
-    def axis_values(self, x) -> np.ndarray:
-        """(2pi)^(-1/2) integral of the axis spectrum times e^(ixz)."""
-        x = np.asarray(x, dtype=float)
-        plateau = _poly_segment_ft([1.0], -self.a, self.a, x)
-        up = _poly_segment_ft(self._ramp, self.a, self.b, x)
-        # mirrored ramp: even spectrum, flip odd coefficients
-        down_coeffs = self._ramp * (-1.0) ** np.arange(len(self._ramp))
-        down = _poly_segment_ft(down_coeffs, -self.b, -self.a, x)
-        return np.real(plateau + up + down) / np.sqrt(2 * np.pi)
-
-    def values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.ones(len(pts))
-        for i in range(pts.shape[1]):
-            out = out * self.axis_values(pts[:, i])
-        return out
-
-    def validate(self, grid: FourierGrid, group: DilationGroup,
-                 ball: AnisoBall = None) -> None:
-        """Spectrum must be exactly 1 on the lattice points of the ball."""
-        if ball is None:
-            ball = AnisoBall(np.zeros(group.d), 1.0)
-        xi = grid.frequency_points()
-        inside = group.quasi_norm(xi - ball.center) < ball.radius
-        spec = np.ones(len(xi))
-        for i in range(xi.shape[1]):
-            spec *= self.spectrum_axis(xi[:, i])
-        if np.max(np.abs(spec[inside] - 1.0)) > 1e-12:
-            raise KernelInvalid("kernel spectrum is not 1 on the ball lattice")
-
-
-def sampling_representation(f: BandLimitedField, kernel: InterpolationKernel,
-                            u, truncation: int) -> float:
-    """Max node error of the truncated shifted-lattice reconstruction.
-
-    Rebuilds f(x) as (2pi)^(-d/2) sum_l f(l + u) gamma(x - u - l) over
-    |l|_inf <= truncation and compares on the grid (a centered subsample in
-    two dimensions).  The (2pi)^(-d/2) factor pairs the unit kernel
-    spectrum with the unitary transform normalization.
-    """
-    grid, group = f.grid, f.group
-    if f.ball.radius > 1.0 + 1e-12 or np.any(f.ball.center != 0.0):
-        raise SupportViolation("sampling representation needs supp in B_A(0,1)")
-    kernel.validate(grid, group, AnisoBall(np.zeros(group.d), 1.0))
-    u = np.asarray(u, dtype=float)
-    ls = _lattice([np.arange(-truncation, truncation + 1)] * group.d).astype(float)
-    samples = f.at(ls + u)  # (N, m)
-    if group.d == 1:
-        eval_pts = grid.spatial_points()
-        truth = f.values.reshape(f.N, -1)
-    else:
-        step = max(1, grid.n // 64)
-        sl = slice(None, None, step)
-        mesh = f.values[:, sl, sl]
-        truth = mesh.reshape(f.N, -1)
-        eval_pts = _lattice([grid.x_axis[sl]] * 2)
-    recon = np.zeros_like(truth)
-    for i, l in enumerate(ls):
-        g = kernel.values(eval_pts - u - l)
-        recon += samples[:, i][:, None] * g[None, :]
-    recon *= (2 * np.pi) ** (-group.d / 2)
-    return float(np.max(np.abs(recon - truth)))
-
-
 # -- sampling inequality ---------------------------------------------------------------------
 
 
@@ -608,7 +449,8 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     cells that some field needs run in blocks (`_blocks`) with one weight
     root per block, each node nudged off the singular set by its cell's
     scale; every field adds its own non-negligible cells from that root, in
-    cell order.  One grid root serves every denominator.
+    cell order.  One grid root serves every denominator.  The reconstruction
+    formula of the sampling theorem is checked in tests/test_spectral.py.
     """
     _check_exponent(p)
     if not fields:

@@ -19,8 +19,8 @@ from anisoweights.geometry import (
     covering_intersection_stats,
     euclidean_ball_volume,
     map_ball,
-    unit_covering,
 )
+from search_counts import counted_search
 
 
 @pytest.fixture(scope="module")
@@ -396,24 +396,7 @@ class TestSearch:
 def cover_2d_search():
     """The cover-2d build at seed 7, with its candidate search counted."""
     G = DilationGroup(np.diag([0.5, 1.0]))
-    counts = {"calls": 0, "gathered": 0, "batches": 0, "box": 0}
-    segments, box_pairs = geometry._segments, geometry._box_pairs
-
-    def counted_segments(*args):
-        out = segments(*args)
-        counts["gathered"] += int(out[2].sum())
-        return out
-
-    def counted_box_pairs(*args):
-        counts["calls"] += 1
-        for b, j in box_pairs(*args):
-            counts["batches"] += 1
-            counts["box"] += len(b)
-            yield b, j
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_segments", counted_segments)
-        mp.setattr(geometry, "_box_pairs", counted_box_pairs)
+    with counted_search() as counts:
         cov = build_structured_covering(G, 0.5, 4.0, seed=7, candidates_per_shell=1024,
                                         validation_samples=1024)
     return cov, counts
@@ -455,35 +438,39 @@ class TestComputeR0:
         assert r0 > Gani.quasi_radius_bound(np.sqrt(2) / 2)
 
 
+def lattice_cover_count(G, r0, points):
+    """How many cells B_A(l, r0), l in Z^d with |l_i| <= 5, hold each point: the
+    unit cells of sampling_inequality_experiment."""
+    cells = geometry._lattice([np.arange(-5, 6)] * G.d)
+    _, hits = ball_pairs(G, cells, r0, points)
+    return np.bincount(hits, minlength=len(points))
+
+
 class TestUnitCovering:
     def test_interval_height(self, G1):
-        cov = unit_covering(G1, 0.505)
-        assert cov.height_bound == 2
+        counts = lattice_cover_count(G1, 0.505, np.linspace(0, 1, 4096, endpoint=False)[:, None])
+        assert counts.min() >= 1 and counts.max() == 2
 
     def test_full_coverage(self, Gani):
-        r0 = compute_r0(Gani)
-        cov = unit_covering(Gani, r0)
-        rng = np.random.default_rng(3)
-        z = rng.uniform(-3, 3, size=(500, 2))
-        assert np.all(cov.cover_count(z) >= 1)
+        z = np.random.default_rng(3).uniform(-3, 3, size=(500, 2))
+        assert np.all(lattice_cover_count(Gani, compute_r0(Gani), z) >= 1)
 
     def test_cell_translation_identity(self, Gani):
         r0 = compute_r0(Gani)
-        cov = unit_covering(Gani, r0)
         rng = np.random.default_rng(4)
         z = rng.uniform(-2, 2, size=(200, 2))
         k = np.array([1.0, -2.0])
-        in_k = cov.cell(k).contains(Gani, z)
-        in_0_shifted = cov.cell(np.zeros(2)).contains(Gani, z - k)
+        in_k = AnisoBall(k, r0).contains(Gani, z)
+        in_0_shifted = AnisoBall(np.zeros(2), r0).contains(Gani, z - k)
         assert np.array_equal(in_k, in_0_shifted)
 
     def test_cover_count_matches_cell_loop(self, Gani):
-        cov = unit_covering(Gani, compute_r0(Gani))
+        r0 = compute_r0(Gani)
         z = np.random.default_rng(5).uniform(-2.5, 2.5, size=(400, 2))
         # cells beyond |k_i| = 4 are farther than r0's Euclidean reach
         cells = [np.array(k) - 4 for k in np.ndindex(9, 9)]
-        want = sum(cov.cell(k).contains(Gani, z).astype(int) for k in cells)
-        assert np.array_equal(cov.cover_count(z), want)
+        want = sum(AnisoBall(k, r0).contains(Gani, z).astype(int) for k in cells)
+        assert np.array_equal(lattice_cover_count(Gani, r0, z), want)
 
 
 @pytest.fixture(scope="module")

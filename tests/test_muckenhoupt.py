@@ -27,8 +27,8 @@ from anisoweights.muckenhoupt import (
     spectral_norms,
     weighted_tail_bound,
     _matrix_quantities,
-    _pair_norms,
     _scalar_quantity_at_nodes,
+    _span_norms,
     safe_power_values,
     weighted_magnitudes,
 )
@@ -253,7 +253,7 @@ class TestPairNorms:
             monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
         Px, Mt = pair_factors(np.random.default_rng(10 + n), 7, 5, n, kind)
         assert np.iscomplexobj(Px) == (kind == "complex")
-        ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+        ours, ref = _span_norms(Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
         assert ours.shape == ref.shape and ours.dtype == np.float64
         assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
 
@@ -268,7 +268,7 @@ class TestPairNorms:
         Mt[::2] = np.array([0.5, 1.0, 3.0])[:, None, None] * np.eye(3)
         calls = count_calls(monkeypatch, muckenhoupt, "_svd_norms")
         monkeypatch.setattr(muckenhoupt, "_CHUNK", 10)
-        ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+        ours, ref = _span_norms(Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
         assert len(calls) > 0
         assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
 
@@ -277,7 +277,7 @@ class TestPairNorms:
     def test_extreme_scales(self, n, scale):
         # product entries near 1e+-150, whose squares over- or underflow
         Px, Mt = pair_factors(np.random.default_rng(12), 5, 3, n, "complex")
-        ours, ref = _pair_norms(scale * Px, Mt), loop_pair_norms(Px, Mt)
+        ours, ref = _span_norms(scale * Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
         assert np.all(np.abs(ours / scale - ref) <= 1e-13 * ref)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -285,7 +285,7 @@ class TestPairNorms:
     def test_nan_entry_gives_nan(self, n, kind):
         Px, Mt = pair_factors(np.random.default_rng(13), 5, 3, n, kind)
         Px[2, 0, n - 1] = np.nan
-        ours = _pair_norms(Px, Mt)
+        ours = _span_norms(Px, Mt, 1)[0]
         assert np.isnan(ours[2]).all() and np.isfinite(np.delete(ours, 2, axis=0)).all()
 
     @pytest.mark.parametrize("chunk, n1, n2", [(4, 7, 5), (None, 129, 131)])
@@ -293,7 +293,7 @@ class TestPairNorms:
         if chunk is not None:
             monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
         sizes = tile_sizes(monkeypatch)
-        _pair_norms(*pair_factors(np.random.default_rng(14), n1, n2, 3, "real"))
+        _span_norms(*pair_factors(np.random.default_rng(14), n1, n2, 3, "real"), 1)
         assert max(sizes) <= muckenhoupt._CHUNK
         assert sum(sizes) == n1 * n2
 
@@ -331,7 +331,7 @@ class TestPairNorms:
             scale = G2.euclidean_radius_bound(B.radius)
             Px, Mt = (safe_power_values(W, quad.ball_nodes(G2, B, 0, task=s, pair=True),
                                         a, scale) for s, a in ((0, 0.5), (1, -0.5)))
-            ours, ref = _pair_norms(Px, Mt), loop_pair_norms(Px, Mt)
+            ours, ref = _span_norms(Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
             assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
 
 
@@ -426,7 +426,7 @@ class TestMatrixQuantity:
             norms = np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])
             # a _CHUNK of 2 * len(Mt) takes two rows of pairs per chunk: 4 chunks
             monkeypatch.setattr(muckenhoupt, "_CHUNK", 2 * len(Mt))
-            chunked = _pair_norms(Px, Mt)
+            chunked = _span_norms(Px, Mt, 1)[0]
             assert np.all(np.abs(chunked - norms) <= 1e-13 * norms)
             if p > 1:
                 pp = p / (p - 1)
@@ -876,7 +876,7 @@ def oracle_power_values(spec, pts, a, scale):
 
 def loop_matrix_quantity(Px, Mt, p):
     """One ball's matrix quantity from all of its pair norms at once."""
-    return loop_reduce_pairs(_pair_norms(Px, Mt), p)
+    return loop_reduce_pairs(_span_norms(Px, Mt, 1)[0], p)
 
 
 def loop_reduce_pairs(norms, p):
