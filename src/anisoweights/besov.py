@@ -32,6 +32,7 @@ from .spectral import (
     SizeMismatch,
     TruncationInsufficient,
     _grid_root,
+    _riemann_norm,
     poly_plateau,
     smooth_plateau,
 )
@@ -197,15 +198,6 @@ def _blocks(n: int, entries: int) -> list[range]:
     return [range(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _riemann_norms(mags: np.ndarray, p: float, cell: float) -> list[float]:
-    """(cell * sum mags^p)^(1/p) for each row of a (K, m) stack.
-
-    The p-th root is taken on numpy scalars, as for a single row: array
-    power can differ from it in the last bit.
-    """
-    return [float((cell * s) ** (1.0 / p)) for s in np.sum(mags ** p, axis=-1)]
-
-
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float:
     """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf.
 
@@ -240,7 +232,8 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float
             spec_k[:, idx] = flat_spec[:, idx] * bapu.values[k]
         pieces = grid.inverse(spec.reshape((len(block),) + f.spectrum.shape))
         mags = weighted_magnitudes(root, pieces.reshape(spec.shape).swapaxes(1, 2))
-        for k, norm_k in zip(block, _riemann_norms(mags, params.p, grid.h ** grid.d)):
+        for k, mags_k in zip(block, mags):
+            norm_k = _riemann_norm(mags_k, params.p, grid.h ** grid.d)
             terms.append(float(bapu.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 
@@ -439,7 +432,8 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
         fields = np.zeros((len(ks), len(pts), N), dtype=complex)
         np.add.at(fields, (np.concatenate(owner)[cells], at), np.concatenate(values)[cells])
         mags = weighted_magnitudes(root, fields)
-        for k, norm_k in zip(ks, _riemann_norms(mags, params.p, grid.h ** grid.d)):
+        for k, mags_k in zip(ks, mags):
+            norm_k = _riemann_norm(mags_k, params.p, grid.h ** grid.d)
             terms.append(float(coeffs.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 

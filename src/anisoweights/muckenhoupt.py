@@ -44,14 +44,14 @@ class TruncationNotConverged(RuntimeError):
 # -- spectral norms of stacked matrices ---------------------------------------
 
 
-# matrices (node pairs) per kernel call.  `spectral_norms` copies a chunk
-# into N^2 planes of 32 kB, which `_gram_norms` scales in place rather than
-# allocating a fresh 0.3 MB temporary per step.  The pair kernel
-# (`_tile_norms`) writes 7 real (10 complex) GEMM planes per tile, 0.2-0.3
-# MB, and an ap-matrix-2d pass takes 800-1,000 minor page faults on a 2-core
-# x86 box.  The same number caps the nodes per side of one block of balls in
-# the family ladder (`_ap_ladders`), so a block's weight roots take at most
-# 0.3 MB (real) or 0.6 MB (complex) per side.
+# matrices (node pairs) per kernel call.  `spectral_norms` scales a chunk
+# into N^2 planes of 32 kB, which `_gram_planes` multiplies into the Gram
+# planes of the chunk.  The pair kernel (`_tile_norms`) writes 7 real (10
+# complex) GEMM planes per tile, 0.2-0.3 MB, and an ap-matrix-2d pass takes
+# 800-1,000 minor page faults on a 2-core x86 box.  The same number caps the
+# nodes per side of one block of balls in the family ladder (`_ap_ladders`),
+# so a block's weight roots take at most 0.3 MB (real) or 0.6 MB (complex)
+# per side.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -61,32 +61,39 @@ _NEAR_DOUBLE_TOP = 1e-3
 _UPPER = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}
 
 
+@np.errstate(invalid="ignore")
 def spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., N, N) stack.
 
-    Each chunk of `_CHUNK` matrices is copied into planes S[i, j] (entry
-    (i, j) of every matrix) and handed to `_plane_norms`, which scales its
-    planes in place; M is left unchanged.  N = 1 is |M|.  N = 2 and N = 3
-    use a closed form: each matrix is scaled by its largest |Re| or |Im|
-    entry, `_gram_norms` forms the planes of the Hermitian Gram matrix
-    S^H S, and the tail `_top_norms`, which the pair kernel shares, takes
-    its largest eigenvalue from the quadratic formula (N = 2) or the
-    trigonometric formula of Smith (1961) (N = 3); the norm is
+    N = 1 is |M|, and N >= 4 uses LAPACK SVD throughout.  N = 2 and N = 3
+    use a closed form on chunks of `_CHUNK` matrices: `_scaled` divides
+    each matrix by its largest |entry|, `_gram_planes` forms the planes of
+    its Gram matrix S^H S, and the tail `_top_norms`, which the pair kernel
+    shares, takes the largest eigenvalue from the quadratic formula (N = 2)
+    or the trigonometric formula of Smith (1961) (N = 3); the norm is
     scale * sqrt(lambda_max).  A real stack takes the real path, which has
     no imaginary plane.  The scaling keeps entries from 1e-300 to 1e300 in
-    range.  For N = 3 the few matrices whose two largest singular values
-    nearly coincide, where the trigonometric formula is ill-conditioned,
-    are gathered back from the planes and handed to LAPACK.  Against LAPACK
-    SVD the relative error is below 1e-14.  A matrix with a non-finite
-    entry gives NaN for N <= 3 (which `ladder_estimate` reports as
-    `NonIntegrable`); N >= 4 uses LAPACK SVD throughout and raises
-    `LinAlgError` on such input.
+    range.  For N = 3 the few scaled matrices whose two largest singular
+    values nearly coincide, where the trigonometric formula is
+    ill-conditioned, are handed to LAPACK.  Against LAPACK SVD the
+    relative error is below 1e-14, and M is left unchanged.  A matrix with
+    a non-finite entry gives NaN for N <= 3 (which `ladder_estimate`
+    reports as `NonIntegrable`); for N >= 4 LAPACK raises `LinAlgError` on
+    such input.
     """
     N = M.shape[-1]
+    if N == 1:
+        return np.abs(M[..., 0, 0])
     flat = M.reshape(-1, N, N)
+    if N > 3:
+        return _svd_norms(flat).reshape(M.shape[:-2])
     out = np.empty(len(flat))
     for i in range(0, len(flat), _CHUNK):
-        out[i:i + _CHUNK] = _plane_norms(flat[i:i + _CHUNK].transpose(1, 2, 0).copy())
+        S, s = _scaled(flat[i:i + _CHUNK])
+        G = _gram_planes(S)
+        q = sum(G[1:N], G[0]) / N
+        out[i:i + _CHUNK] = _top_norms(q, G[:N] - q, G[N:], s,
+                                       lambda near: np.moveaxis(S[:, :, near], -1, 0))
     return out.reshape(M.shape[:-2])
 
 
@@ -94,53 +101,40 @@ def _svd_norms(flat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(flat, compute_uv=False)[:, 0]
 
 
-def _plane_norms(S: np.ndarray) -> np.ndarray:
-    """Spectral norms of the matrices with entries S[i, j], shape S.shape[2:].
+def _scaled(M: np.ndarray):
+    """Planes S (N, N, k) of the (k, N, N) stack M over each matrix's largest |entry| s.
 
-    S has shape (N, N, ...) and each plane S[i, j] holds entry (i, j) of
-    every matrix.  The kernel owns S: for N = 2 and 3 it scales S in place.
+    Plane S[i, a] holds entry (i, a) of every matrix divided by its s (0
+    counts as 1); returns S and s.
+    """
+    f = M.reshape(len(M), -1)
+    s = np.abs(f[:, 0])
+    for col in f.T[1:]:
+        np.maximum(s, np.abs(col), out=s)
+    return np.divide(M.transpose(1, 2, 0), np.where(s > 0, s, 1.0), order="C"), s
+
+
+def _gram_planes(S: np.ndarray) -> np.ndarray:
+    """Planes of the Gram matrices A = S^H S of the matrices in planes S, N = 2 or 3.
+
+    S holds entry (i, a) of every matrix in plane S[i, a], as `_scaled`
+    gives it.  The planes of A are A_aa, then Re A_ab and, for complex S,
+    Im A_ab for each (a, b) in `_UPPER[N]`.  Complex products are spelled
+    out in real arithmetic and the sum over the rows i runs in a fixed
+    order, so a matrix's planes do not depend on its batch.
     """
     N = len(S)
-    if N == 1:
-        return np.abs(S[0, 0])
-    if N <= 3:
-        return _gram_norms(S)
-    return _svd_norms(_gather(S, ...)).reshape(S.shape[2:])
+    a, b = np.array([(a, a) for a in range(N)] + _UPPER[N]).T
+    re = S.real
 
+    def row(i):  # the part of every plane from row i of the matrices
+        if not np.iscomplexobj(S):
+            return re[i, a] * re[i, b]
+        im, j, k = S.imag, a[N:], b[N:]
+        return np.concatenate([re[i, a] * re[i, b] + im[i, a] * im[i, b],
+                               re[i, j] * im[i, k] - im[i, j] * re[i, k]])
 
-def _gather(S: np.ndarray, where) -> np.ndarray:
-    """The (k, N, N) stack of the matrices S[:, :, where] of planes S."""
-    return np.moveaxis(S[:, :, where], (0, 1), (-2, -1)).reshape(-1, *S.shape[:2])
-
-
-@np.errstate(invalid="ignore")
-def _gram_norms(S: np.ndarray) -> np.ndarray:
-    """Closed-form spectral norms of the planes S[i, j, ...], N = 2 or 3.
-
-    S is scaled in place (see `_CHUNK`), its Gram planes
-    G_jk = sum_i conj(S_ij) S_ik go to `_top_norms`, and the LAPACK
-    hand-off there takes the scaled matrices back from S.
-    """
-    N = len(S)
-    # every step below is an elementwise operation on whole planes
-    X, Y = S.real, S.imag if np.iscomplexobj(S) else None  # S_ij = X[i, j] + i Y[i, j]
-    scale = np.abs(X).max(axis=(0, 1))
-    if Y is not None:
-        scale = np.maximum(scale, np.abs(Y).max(axis=(0, 1)))
-    safe = np.where(scale > 0, scale, 1.0)
-    np.divide(X, safe, out=X)
-    diag = np.einsum("ij...,ij...->j...", X, X)  # G_jj
-    if Y is not None:
-        np.divide(Y, safe, out=Y)
-        diag += np.einsum("ij...,ij...->j...", Y, Y)
-    j, k = np.array(_UPPER[N]).T
-    if Y is None:
-        g = (X[:, j] * X[:, k]).sum(axis=0)
-    else:
-        g = np.concatenate([(X[:, j] * X[:, k] + Y[:, j] * Y[:, k]).sum(axis=0),
-                            (X[:, j] * Y[:, k] - Y[:, j] * X[:, k]).sum(axis=0)])
-    q = diag.sum(axis=0) / N
-    return _top_norms(q, diag - q, g, scale, lambda near: _gather(S, near))
+    return sum(map(row, range(1, N)), row(0))
 
 
 def _top_norms(q, e, g, scale: np.ndarray, flagged) -> np.ndarray:
@@ -440,13 +434,13 @@ def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
     """Pair norms (balls, n1, n2) of `balls` whole balls stacked as in `_matrix_quantities`.
 
     For N = 2 and 3 the per-node work (`_node_features`) is done once per
-    span and each tile goes to the pair kernel `_tile_norms`; other N keep
-    the product planes of `_product_norms`.  Per-node arrays keep their
-    nodes on the last axis, split here into (ball, node).  A span of at most
-    `_CHUNK` pairs is one tile; a larger one is cut, ball by ball, into
-    tiles of up to `_CHUNK` columns and as many whole rows as fit.  A
-    ball's tiles and GEMM shapes do not depend on the rest of its span, so
-    no norm depends on how the family is split.
+    span and each tile goes to the pair kernel `_tile_norms`; for other N
+    `_product_norms` hands each tile's products to `spectral_norms`.
+    Per-node arrays keep their nodes on the last axis, split here into
+    (ball, node).  A span of at most `_CHUNK` pairs is one tile; a larger
+    one is cut, ball by ball, into tiles of up to `_CHUNK` columns and as
+    many whole rows as fit.  A ball's tiles and GEMM shapes do not depend
+    on the rest of its span, so no norm depends on how the family is split.
     """
     N = Px.shape[-1]
     n1, n2 = len(Px) // balls, len(Mt) // balls
@@ -471,48 +465,42 @@ def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
 def _node_features(Px: np.ndarray, Mt: np.ndarray):
     """Per-node data of the pair kernel for roots Px = P(x) and Mt = M(t), N = 2 or 3.
 
-    Each root is divided by its largest |entry| s (0 counts as 1).  The
-    Gram matrix of P M is G = M^H A M with A = P^H P, so tr G / N, each
+    Each root is divided by its largest |entry| s (`_scaled`).  The Gram
+    matrix of P M is G = M^H A M with A = P^H P, so tr G / N, each
     G_jj - tr G / N and each G_jk (j < k) is bilinear in the unique entries
     of A(x) and the products conj(M_aj) M_bk (`_FEATURES`).  Returns
     [P / s, s, L] for x and [M / s, s, R] for t, nodes on the last axis,
-    with plane e of G equal to sum_f L[f] R[e, f].  Complex products are
-    spelled out in real arithmetic and every sum runs in a fixed order, so
-    a node's features do not depend on its batch.
+    with L the planes of A from `_gram_planes` and plane e of G equal to
+    sum_f L[f] R[e, f].  Complex products are spelled out in real
+    arithmetic and every sum runs in a fixed order, so a node's features
+    do not depend on its batch.
     """
     N, n = Px.shape[-1], len(Px)
-    f = np.concatenate([Px, Mt]).reshape(n + len(Mt), -1)
-    s = np.abs(f[:, 0])
-    for col in f.T[1:]:
-        np.maximum(s, np.abs(col), out=s)
-    f = (f / np.where(s > 0, s, 1.0)[:, None]).T.copy()  # (N^2, node)
-    # C[u N^2 + v] = conj(R_u) R_v for the flat entries u, v of each root,
+    S, s = _scaled(np.concatenate([Px, Mt]))
+    # C[u N^2 + v] = conj(M_u) M_v for the flat entries u, v of each t root,
     # followed by the imaginary parts for complex roots
+    f = S[..., n:].reshape(N * N, -1)
     re = f.real
     C = re[:, None] * re[None]
     if np.iscomplexobj(f):
         im = f.imag
         C = np.concatenate([C + im[:, None] * im[None], re[:, None] * im[None] - im[:, None] * re[None]])
     C = C.reshape(-1, f.shape[1])
-    left, i1, c1, i2, c2 = _FEATURES[N, np.iscomplexobj(f)]
-    L = C[left[0], :n]
-    for idx in left[1:]:
-        L = L + C[idx, :n]
-    C = C[:, n:]
+    i1, c1, i2, c2 = _FEATURES[N, np.iscomplexobj(f)]
     R = C[i1] * c1 + C[i2] * c2  # the parts of G_jj and G_jk
     q = sum(R[1:N], R[0]) / N
     R[:N] -= q
-    f = f.reshape(N, N, -1)
-    return [f[..., :n], s[:n], L], [f[..., n:], s[n:], np.concatenate([q[None], R])]
+    return ([S[..., :n], s[:n], _gram_planes(S[..., :n])],
+            [S[..., n:], s[n:], np.concatenate([q[None], R])])
 
 
 def _feature_tables(N: int, cplx: bool):
     """The tables of `_node_features` for N x N real or complex roots.
 
-    The features f are A_aa, Re A_ab and, for complex roots, Im A_ab
-    (a < b); the Gram entries G_jj, Re G_jk and Im G_jk (j < k) follow the
-    same order.  Indices point into the rows of C.  L_f = sum_i of the
-    part of conj(P_ia) P_ib at left[i, f].  A feature's term in G_jk is
+    The features f are the planes of A that `_gram_planes` gives: A_aa,
+    Re A_ab and, for complex roots, Im A_ab (a < b); the Gram entries
+    G_jj, Re G_jk and Im G_jk (j < k) follow the same order.  Indices point
+    into the rows of C.  A feature's term in G_jk is
     conj(M_aj) A_ab M_bk + conj(M_bj) A_ba M_ak, so R[e, f] is
     c1 C[i1] + c2 C[i2] with C[i1] and C[i2] the part of conj(M_aj) M_bk
     and conj(M_bj) M_ak that G_e takes: its own part, or the other one for
@@ -523,13 +511,12 @@ def _feature_tables(N: int, cplx: bool):
     a, b = np.array([(a, a) for a in range(N)] + up + (up if cplx else [])).T
     j, k = a[:, None], b[:, None]
 
-    def index(u, v, im):  # part of conj(R_u) R_v for flat entries u, v
+    def index(u, v, im):  # part of conj(M_u) M_v for flat entries u, v
         return im * N ** 4 + u * N * N + v
 
     im = (kind[:, None] == 2) != (kind == 2)
     c1 = np.where((kind == 2) & (kind[:, None] != 2), -1.0, 1.0)[..., None]
-    return ([index(i * N + a, i * N + b, kind == 2) for i in range(N)],
-            index(a * N + j, b * N + k, im), c1,
+    return (index(a * N + j, b * N + k, im), c1,
             index(b * N + j, a * N + k, im), c1 * np.array([0.0, 1.0, -1.0])[kind, None])
 
 
@@ -557,8 +544,8 @@ def _tile_norms(P, sx, L, M, st, R) -> np.ndarray:
 
 
 def _product_norms(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Norms of P[:, :, b, i] @ M[:, :, b, j] for N = 1 and N >= 4, from their planes."""
-    return _plane_norms(np.einsum("iabr,akbc->ikbrc", P, M))
+    """Norms of P[:, :, b, i] @ M[:, :, b, j] for N = 1 and N >= 4, by `spectral_norms`."""
+    return spectral_norms(np.moveaxis(np.einsum("iabr,akbc->ikbrc", P, M), (0, 1), (-2, -1)))
 
 
 def _blocks(G: DilationGroup, balls, sides):
@@ -897,8 +884,11 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
     Ball i is ladder task i.  w is evaluated once per level and block of
     balls (`_ball_values`), and every r reuses those values.  The avg w
     ladder also checks that w itself is integrable, which must hold before
-    any r > 1 makes sense: it raises `NonIntegrable` if not.
+    any r > 1 makes sense: it raises `NonIntegrable` if not.  A matrix
+    weight raises `ValueError`.
     """
+    if _is_matrix(w):
+        raise ValueError("reverse Hoelder search needs a scalar weight")
     if not family:
         raise ValueError("family must be nonempty")
     r_grid = sorted(r_grid)
@@ -1083,7 +1073,10 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
     of the sum, or for `_TAIL_DEPTH` annuli followed by the geometric
     remainder of the last terms; the result is compared with the geometric
     bound implied by the measured doubling constant of w at exponent beta.
+    A matrix weight raises `ValueError`.
     """
+    if _is_matrix(w):
+        raise ValueError("weighted tail bound needs a scalar weight")
     if L <= beta:
         raise ValueError("need L > beta")
     r0 = compute_r0(G)

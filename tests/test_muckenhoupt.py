@@ -194,10 +194,29 @@ class TestSpectralNorms:
         real, cast = spectral_norms(M), spectral_norms(M.astype(complex))
         assert np.all(np.abs(real - cast) <= 1e-15 * cast)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_norm_does_not_depend_on_the_stack(self, monkeypatch, n, kind):
+        # chunks of 8 cut the 21 matrices 8 + 8 + 5; the identities have a
+        # repeated top singular value (for n = 3 the LAPACK hand-off)
+        monkeypatch.setattr(muckenhoupt, "_CHUNK", 8)
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((21, n, n))
+        if kind == "complex":
+            M = M + 1j * rng.standard_normal(M.shape)
+        M[::4] = np.eye(n)
+        alone = np.concatenate([spectral_norms(m[None]) for m in M])
+        assert spectral_norms(M).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_empty_stack(self, n, dtype):
+        assert spectral_norms(np.zeros((0, n, n), dtype=dtype)).shape == (0,)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["real", "complex", "complex-typed real"])
     def test_leaves_the_callers_stack_unchanged(self, monkeypatch, n, kind):
-        # the kernel scales its planes in place, so it must get a copy
+        # the kernel works on scaled copies of the matrices, never on M itself
         monkeypatch.setattr(muckenhoupt, "_CHUNK", 64)  # several chunks
         rng = np.random.default_rng(10)
         M = rng.standard_normal((3, 50, n, n))
@@ -669,6 +688,15 @@ class TestReverseHolder:
         with pytest.raises(ValueError):
             reverse_holder_search(sqrt_weight(), [], [1.5, 2.0], grid1, G1)
 
+    def test_matrix_weight_rejected(self, monkeypatch, G1, grid1):
+        # averaging the entries of W, zeros included, would pass r = 2 here
+        W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        with pytest.raises(ValueError, match="scalar weight"):
+            reverse_holder_search(W, [AnisoBall([0.3], 1.0)], [1.5, 2.0],
+                                  BallQuadrature("mapped_grid", 256), G1)
+        assert calls == []
+
 
 class TestReducing:
     def test_identity(self, G2, grid1):
@@ -824,6 +852,13 @@ class TestTailBound:
                                   beta=1.5)
         assert np.isfinite(res.ratio)
         assert res.ratio <= res.bound
+
+    def test_matrix_weight_rejected(self, monkeypatch, G1, grid1):
+        W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        with pytest.raises(ValueError, match="scalar weight"):
+            weighted_tail_bound(W, G1, 1.0, [0.0], 3.0, grid1, beta=1.5)
+        assert calls == []
 
 
 # The two nudge loops that `safe_power_values` replaced, kept as oracles.  The
