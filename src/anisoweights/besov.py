@@ -232,8 +232,7 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float
             spec_k[:, idx] = flat_spec[:, idx] * bapu.values[k]
         pieces = grid.inverse(spec.reshape((len(block),) + f.spectrum.shape))
         mags = weighted_magnitudes(root, pieces.reshape(spec.shape).swapaxes(1, 2))
-        for k, mags_k in zip(block, mags):
-            norm_k = _riemann_norm(mags_k, params.p, grid.h ** grid.d)
+        for k, norm_k in zip(block, _riemann_norm(mags, params.p, grid.h ** grid.d)):
             terms.append(float(bapu.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 
@@ -395,8 +394,7 @@ def synthesize(coeffs: CoefficientArray, sqrt_bapu: Bapu) -> BandLimitedField:
 # -- discrete sequence norm -----------------------------------------------------------------
 
 
-def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
-                    grid: FourierGrid = None) -> float:
+def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams) -> float:
     """(sum_k [t_k^s || sum_l |U|^(-1/2) c_(k,l) 1_U ||_(L^p(W))]^q)^(1/q).
 
     The patches are taken in blocks of consecutive ones (at most _BLOCK
@@ -409,8 +407,7 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
     band is decided by one quasi-norm solve per batch of candidate pairs,
     and a block's batches mix the cells of several patches.
     """
-    grid = grid or coeffs.grid
-    group = coeffs.group
+    grid, group = coeffs.grid, coeffs.group
     pts = grid.spatial_points()
     root = _grid_root(grid, W, params.p)
     keys = sorted(coeffs.patches)
@@ -432,8 +429,7 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams,
         fields = np.zeros((len(ks), len(pts), N), dtype=complex)
         np.add.at(fields, (np.concatenate(owner)[cells], at), np.concatenate(values)[cells])
         mags = weighted_magnitudes(root, fields)
-        for k, mags_k in zip(ks, mags):
-            norm_k = _riemann_norm(mags_k, params.p, grid.h ** grid.d)
+        for k, norm_k in zip(ks, _riemann_norm(mags, params.p, grid.h ** grid.d)):
             terms.append(float(coeffs.t[k]) ** params.s * norm_k)
     return _lq_sum(terms, params.q)
 

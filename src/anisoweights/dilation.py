@@ -109,15 +109,29 @@ class DilationGroup:
         Q, lam = self.eigenvectors, self.eigenvalues
         return (Q * t ** lam) @ Q.T
 
-    def dilate(self, t: float, xi) -> np.ndarray:
-        """Apply delta_t to one point or to an (m, d) array of points."""
-        if not 0 < t < np.inf:
-            raise NonPositiveScale(f"t must be finite and > 0, got {t}")
-        xi = np.asarray(xi, dtype=float)
-        if t == 1.0:
-            return xi.copy()
+    def dilate(self, t, xi) -> np.ndarray:
+        """Apply delta_t to one point or to an (m, d) array of points.
+
+        t may also be an array: shape (m,) dilates point i by t[i], bitwise
+        row i of the scalar dilate(t[i], xi), and shape (k, 1) gives
+        (k, m, d), copy i bitwise the scalar dilate(t[i, 0], xi).  Where t
+        is 1 the points are copied unchanged, as the scalar t = 1 copies
+        them.
+        """
         Q, lam = self.eigenvectors, self.eigenvalues
-        return (xi @ Q) * t ** lam @ Q.T
+        xi = np.asarray(xi, dtype=float)
+        if np.isscalar(t):
+            if not 0 < t < np.inf:
+                raise NonPositiveScale(f"t must be finite and > 0, got {t}")
+            return xi.copy() if t == 1.0 else (xi @ Q) * t ** lam @ Q.T
+        t = np.expand_dims(np.asarray(t, dtype=float), -1)
+        if not (t.min(initial=np.inf) > 0 and t.max(initial=1.0) < np.inf):
+            raise NonPositiveScale("every t must be finite and > 0")
+        out = (xi @ Q) * t ** lam @ Q.T
+        unit = t == 1.0
+        if unit.any():
+            np.copyto(out, xi, where=unit)
+        return out
 
     # -- quasi-norm --------------------------------------------------------
 
@@ -276,9 +290,12 @@ class DilationGroup:
 
     # -- envelope bounds ---------------------------------------------------
 
-    def euclidean_radius_bound(self, r: float) -> float:
-        """Smallest R with B_A(0, r) contained in the Euclidean ball |x| < R."""
-        return max(r ** self.alpha1, r ** self.alpha2) / np.sqrt(self.p_scale)
+    def euclidean_radius_bound(self, r):
+        """Smallest R with B_A(0, r) contained in the Euclidean ball |x| < R.
+
+        r may be an array of radii; each R is that of its radius alone.
+        """
+        return np.maximum(r ** self.alpha1, r ** self.alpha2) / np.sqrt(self.p_scale)
 
     def quasi_radius_bound(self, R: float) -> float:
         """Smallest r with the Euclidean ball |x| < R contained in B_A(0, r)."""

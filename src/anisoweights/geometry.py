@@ -106,11 +106,6 @@ def map_ball(G: DilationGroup, T: AffineMap, B: AnisoBall) -> AnisoBall:
 _PAIR_CHUNK = 2 ** 13  # candidate coordinates (pairs times d) per batch, (ball, row) pairs per run
 
 
-def _box_reach(G: DilationGroup, r) -> np.ndarray:
-    """Euclidean radius of B_A(0, r) for an array of radii r."""
-    return np.maximum(r ** G.alpha1, r ** G.alpha2) / np.sqrt(G.p_scale)
-
-
 def _within(diff: np.ndarray, reach) -> np.ndarray:
     """|diff|_inf <= reach row by row, one column compare at a time (NaN is outside)."""
     near = np.abs(diff[:, 0]) <= reach
@@ -307,7 +302,7 @@ def ball_pairs(G: DilationGroup, centers, radii, points) -> tuple[np.ndarray, np
     points = np.atleast_2d(np.asarray(points, dtype=float))
     radii = np.broadcast_to(np.asarray(radii, dtype=float), len(centers))
     keys = [np.empty(0, dtype=int)]
-    for b, j in _box_pairs(centers, _box_reach(G, radii), points):
+    for b, j in _box_pairs(centers, G.euclidean_radius_bound(radii), points):
         inside = G._below(points[j] - centers[b], radii[b])
         keys.append(np.sort(b[inside] * len(points) + j[inside]))
     keys = np.concatenate(keys)  # frees the per-batch pieces before the split
@@ -420,14 +415,24 @@ def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
     return g / norms
 
 
-def _unit_ball_reference_nodes(n: int, d: int, sigma: float, boundary_bias=False) -> np.ndarray:
-    """Low-discrepancy nodes in the reference ball B_A(0,1) = {|x| < 1/sqrt(sigma)}."""
+def _polar_stream(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (n, d) and last coordinates (n,) of Halton points 1..n in d + 1
+    dimensions; the rows are independent, so a window is bitwise that of a longer stream."""
     u = _halton(n, d + 1)
-    g = _normal_directions(u[:, :d])
-    radii = u[:, d] ** (1.0 / d)
+    return _normal_directions(u[:, :d]), u[:, d]
+
+
+def _unit_ball_reference_nodes(n: int, d: int, sigma: float, boundary_bias=False) -> np.ndarray:
+    """Low-discrepancy nodes in the reference ball B_A(0,1) = {|x| < 1/sqrt(sigma)}.
+
+    Node i lies on direction i of _polar_stream(n, d) at radius u^(1/d) /
+    sqrt(sigma), u its last coordinate (u^(1/(4d)) with boundary_bias).
+    """
+    dirs, u = _polar_stream(n, d)
+    radii = u ** (1.0 / d)
     if boundary_bias:
         radii = radii ** 0.25
-    return g * radii[:, None] / np.sqrt(sigma)
+    return dirs * radii[:, None] / np.sqrt(sigma)
 
 
 # -- lattices and the unit cell radius -----------------------------------------
@@ -507,32 +512,6 @@ class StructuredCovering:
         return np.bincount(hits, minlength=len(pts))
 
 
-def _dilate_each(G: DilationGroup, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply delta_{s[i]} to pts[i] for every i."""
-    Q, lam = G.eigenvectors, G.eigenvalues
-    return (pts @ Q) * s[:, None] ** lam @ Q.T
-
-
-def _quasi_polar(G: DilationGroup, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Points delta_s(dir) with |dir|_A = 1, so |result|_A = s exactly."""
-    dirs = _normal_directions(u[:, : G.d])
-    return _dilate_each(G, s, dirs / np.sqrt(G.p_scale))
-
-
-def _region_samples(G: DilationGroup, max_norm: float, n: int) -> np.ndarray:
-    """Low-discrepancy points of {|xi|_A <= max_norm} in quasi-polar form."""
-    u = _halton(n, G.d + 1)
-    s = max_norm * np.maximum(u[:, G.d], 1e-9) ** (1.0 / G.nu)
-    return _quasi_polar(G, u, s)
-
-
-def _shell_candidates(G: DilationGroup, lo: float, hi: float, n: int, offset: int) -> np.ndarray:
-    """Candidates with |zeta|_A in [lo, hi), exact by quasi-polar construction."""
-    u = _halton(n + offset, G.d + 1)[offset:]
-    s = lo + (hi - lo) * u[:, G.d]
-    return _quasi_polar(G, u, s)
-
-
 def build_structured_covering(
     G: DilationGroup,
     c: float,
@@ -557,6 +536,12 @@ def build_structured_covering(
     band, |f - 1| <= 4e-12 alpha2/alpha1, is decided by one quasi-norm solve
     over its window, as a loop of such solves would, so the net is that
     loop's net bitwise.
+
+    Every point is delta_s(dir) with |dir|_A = 1, so |delta_s(dir)|_A = s,
+    from one Halton polar stream (_polar_stream) drawn once.  Shell m (the
+    core is m = 0) takes candidates_per_shell rows from row 17 m on, with
+    s = lo + (hi - lo) u; the validation sample takes the first rows, with
+    s = max_norm * u^(1/nu).
     """
     if not 0 < c <= 1:
         raise ValueError("require 0 < c <= 1")
@@ -570,11 +555,14 @@ def build_structured_covering(
     if candidates_per_shell is None:
         candidates_per_shell = int(min(12000, max(256, 6 * (2.0 / sep) ** G.nu)))
 
+    dirs, u = _polar_stream(max(17 * n_shells + candidates_per_shell, validation_samples), G.d)
+    dirs /= np.sqrt(G.p_scale)
     sel_pts, sel_br, shell_slices = [np.empty((0, G.d))], [np.empty(0)], []
-    offset = start = 0
-    for lo, hi in shells:
-        cands = _shell_candidates(G, max(lo, 1e-6), hi, candidates_per_shell, offset)
-        offset += 17  # decorrelate the Halton streams between shells
+    start = 0
+    for m, (lo, hi) in enumerate(shells):
+        rows = slice(17 * m, 17 * m + candidates_per_shell)
+        lo = max(lo, 1e-6)
+        cands = G.dilate(lo + (hi - lo) * u[rows], dirs[rows])
         br = G.bracket(cands)
         # points two or more shells below cannot conflict at this sep
         keep = _shell_net(G, sep, cands, br, sel_pts[-1], sel_br[-1])
@@ -594,7 +582,8 @@ def build_structured_covering(
     )
 
     # coverage and height on a sampled region
-    pts = _region_samples(G, max_norm, validation_samples)
+    rows = slice(validation_samples)
+    pts = G.dilate(max_norm * np.maximum(u[rows], 1e-9) ** (1.0 / G.nu), dirs[rows])
     counts = cov.cover_count(pts)
     if counts.min() < 1:
         j = int(np.argmin(counts))
@@ -614,7 +603,7 @@ def build_structured_covering(
 def _window_ok(G: DilationGroup, sep: float, pts_w, br_w, z, bz) -> bool:
     """No point of the window within sep * min(<w>, <z>) of z: one solve."""
     thresh = sep * np.minimum(br_w, bz)
-    near = np.flatnonzero(_within(pts_w - z, _box_reach(G, thresh)))
+    near = np.flatnonzero(_within(pts_w - z, G.euclidean_radius_bound(thresh)))
     return not near.size or bool(np.all(G.quasi_norm(pts_w[near] - z) > thresh[near]))
 
 
@@ -629,7 +618,7 @@ def _conflicts(G: DilationGroup, sep: float, cands, br, partners, partner_br, sa
     each pair comes once, with k < i.  Pairs come ordered by candidate, as
     the search's batches are.
     """
-    reach = _box_reach(G, sep * br)  # thresh <= sep * br[i]
+    reach = G.euclidean_radius_bound(sep * br)  # thresh <= sep * br[i]
     # widen the boxes past the rounding of their ends, so that the search
     # holds every pair the exact per-pair box test below keeps
     reach += 1e-9 * (reach + np.abs(cands[:, 0]))
@@ -639,7 +628,7 @@ def _conflicts(G: DilationGroup, sep: float, cands, br, partners, partner_br, sa
         diff = partners[k] - cands[i]
         inside, tie = G._side(diff, thresh)
         hit = np.flatnonzero(inside | tie)
-        hit = hit[_within(diff[hit], _box_reach(G, thresh[hit]))]
+        hit = hit[_within(diff[hit], G.euclidean_radius_bound(thresh[hit]))]
         found.append((i[hit], k[hit], tie[hit]))
     return [np.concatenate(part) for part in zip(*found)]
 
@@ -687,27 +676,11 @@ def _validated_shrink_factor(cov: StructuredCovering) -> float:
     raise VerificationFailed("no disjoint shrink factor found")
 
 
-def _witness_sets(G: DilationGroup, centers, radii, nodes: np.ndarray) -> np.ndarray:
-    """Reference nodes carried onto each ball, as (balls, nodes, d): delta_r(nodes) + c.
-
-    One broadcast product, bitwise G.dilate(r, nodes) + c ball by ball: each
-    ball's slice is the same (nodes, d) @ (d, d) product, and a ball of
-    radius 1 takes the nodes unchanged, as G.dilate copies them there.
-    """
-    Q = G.eigenvectors
-    radii = np.asarray(radii, dtype=float)
-    sets = (nodes @ Q) * (radii[:, None] ** G.eigenvalues)[:, None, :]
-    np.matmul(sets, Q.T, out=sets)
-    sets[radii == 1.0] = nodes
-    sets += centers[:, None, :]
-    return sets
-
-
 def _shrunk_disjoint(cov: StructuredCovering, factor: float, nodes: np.ndarray) -> bool:
     """True when no shrunk ball holds a witness of another shrunk ball."""
-    rad = factor * cov.t
-    witnesses = _witness_sets(cov.group, cov.centers, rad, nodes).reshape(-1, cov.group.d)
-    balls, hits = ball_pairs(cov.group, cov.centers, rad, witnesses)
+    G, rad = cov.group, factor * cov.t
+    witnesses = (G.dilate(rad[:, None], nodes) + cov.centers[:, None, :]).reshape(-1, G.d)
+    balls, hits = ball_pairs(G, cov.centers, rad, witnesses)
     return bool(np.all(balls == hits // len(nodes)))
 
 
@@ -735,10 +708,10 @@ def covering_intersection_stats(C1: StructuredCovering,
         br = np.array([G.bracket(w) for w in sets])  # each ball's set is one batch
         return br.min(axis=1), br.max(axis=1)
 
-    sets1 = _witness_sets(G, C1.centers, C1.radii, nodes)
+    sets1 = G.dilate(C1.radii[:, None], nodes) + C1.centers[:, None, :]
     lo1, hi1 = extremes(sets1)
     lo2, hi2 = (lo1, hi1) if C2 is C1 else extremes(
-        _witness_sets(G, C2.centers, C2.radii, nodes))
+        G.dilate(C2.radii[:, None], nodes) + C2.centers[:, None, :])
 
     near = np.array([G.quasi_norm(C2.centers - ci) <= c_est * (ri + C2.radii) * 1.05
                      for ci, ri in zip(C1.centers, C1.radii)])

@@ -637,10 +637,6 @@ class ApReport:
     quadrature: str
     norm_convention: str = NORM_CONVENTION
 
-    def rows(self):
-        for B, v, e in zip(self.balls, self.values, self.errors):
-            yield (B.center.tolist(), B.radius, v, e)
-
 
 def default_ball_family(G: DilationGroup, max_center_norm: float = 8.0,
                         radii=None) -> list[AnisoBall]:

@@ -267,9 +267,15 @@ def _grid_root(grid: FourierGrid, W, p: float):
     return root.astype(complex, copy=False) if root is not None and root.ndim == 3 else root
 
 
-def _riemann_norm(mags: np.ndarray, p: float, cell: float) -> float:
-    """(cell * sum mags^p)^(1/p): an L^p norm from magnitudes on a grid."""
-    return float((cell * np.sum(mags ** p)) ** (1.0 / p))
+def _riemann_norm(mags: np.ndarray, p: float, cell: float) -> np.ndarray:
+    """(cell * sum mags^p)^(1/p) over the last axis: L^p norms from magnitudes on a grid.
+
+    A stack of rows gives one norm per row.  Each p-th root is taken on its
+    own numpy scalar, as a lone row's is: ** on an array may round
+    differently (at p = 2 it takes np.sqrt).
+    """
+    sums = cell * np.sum(mags ** p, axis=-1)
+    return np.array([s ** (1.0 / p) for s in np.ravel(sums)]).reshape(np.shape(sums))
 
 
 def weighted_lp_norm(f: BandLimitedField, W, p: float) -> float:
@@ -285,10 +291,10 @@ def weighted_lp_norm_with_audit(f: BandLimitedField, W, p: float) -> tuple[float
 def _audited_norm(f: BandLimitedField, root, p: float) -> tuple[float, float]:
     grid = f.grid
     mags = weighted_magnitudes(root, f.values.reshape(f.N, -1).T)
-    value = _riemann_norm(mags, p, grid.h ** grid.d)
+    value = float(_riemann_norm(mags, p, grid.h ** grid.d))
     mags = mags.reshape(grid.shape)
     sub = mags[::2] if grid.d == 1 else mags[::2, ::2]
-    coarse = _riemann_norm(sub, p, (2 * grid.h) ** grid.d)
+    coarse = float(_riemann_norm(sub.ravel(), p, (2 * grid.h) ** grid.d))
     return value, abs(value - coarse)
 
 

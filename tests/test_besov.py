@@ -465,6 +465,18 @@ def test_benchmark_pass_evaluates_each_root_node_once(benchmark_pass, monkeypatc
     assert B_norms == [3] * 12
 
 
+def test_benchmark_pass_takes_one_riemann_sum_per_block(benchmark_pass, monkeypatch):
+    # one stacked _riemann_norm call per block, for each of its patch rows:
+    # 3 per Besov norm of the 43 patches and one per cell search of the
+    # discrete norms (see above); a call per row made 794 a pass
+    fields, W, bapu, sqrt_bapu = benchmark_pass
+    rows, riemann = [], besov._riemann_norm
+    monkeypatch.setattr(besov, "_riemann_norm",
+                        lambda mags, p, cell: rows.append(len(mags)) or riemann(mags, p, cell))
+    norm_equivalence_experiment(fields, W, [PARAMS], bapu, sqrt_bapu)
+    assert len(rows) == 12 * 3 + 22 and sum(rows) == 794
+
+
 def recomputing_norm_equivalence(ensemble, W, params_list, bapu, sqrt_bapu):
     """norm_equivalence_experiment with every b-norm computed where it is used."""
     rows = []

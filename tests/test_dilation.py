@@ -141,6 +141,45 @@ class TestDilate:
         with pytest.raises(NonPositiveScale):
             coupled_group().dilate(t, [1.0, 0.0])
 
+    @pytest.mark.parametrize("A", [np.diag([1.0, 2.0]), [[1.0, 0.4], [0.4, 1.5]],
+                                   [[1.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 2.0]]])
+    def test_array_scale_matches_scalar_loop(self, A):
+        G = DilationGroup(A)
+        rng = np.random.default_rng(16)
+        xi = rng.standard_normal((300, G.d))
+        t = rng.uniform(0.05, 4.0, size=300)
+        unit = [5, 12, 250]
+        t[unit] = 1.0
+        # per point: row i is row i of the scalar dilation of the whole set
+        got = G.dilate(t, xi)
+        want = np.array([G.dilate(ti, xi)[i] for i, ti in enumerate(t)])
+        assert got.shape == xi.shape and got.tobytes() == want.tobytes()
+        assert got[unit].tobytes() == xi[unit].tobytes()
+        # per set: one copy of the points per t, rows of t = 1 among them
+        sets = G.dilate(t[:20, None], xi)
+        want = np.stack([G.dilate(ti, xi) for ti in t[:20]])
+        assert sets.shape == (20, 300, G.d) and sets.tobytes() == want.tobytes()
+        assert sets[5].tobytes() == sets[12].tobytes() == xi.tobytes()
+        if not np.allclose(A, np.diag(np.diag(A))):
+            # a rotated generator's product at t = 1 differs from the copy
+            Q = G.eigenvectors
+            assert not np.array_equal((xi @ Q) @ Q.T, xi)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_array_scale_rejects_nonpositive_or_non_finite(self, bad):
+        G = coupled_group()
+        t = np.array([0.5, bad, 2.0])
+        for shape in ((3,), (3, 1)):
+            with pytest.raises(NonPositiveScale):
+                G.dilate(t.reshape(shape), np.ones((3, 2)))
+
+    def test_radius_bound_takes_arrays(self):
+        for G in (coupled_group(), DilationGroup(np.diag([0.5, 2.0]), p_scale=2.0)):
+            r = np.array([[1e-3, 0.25, 1.0], [1.5, 3.0, 1e3]])
+            want = [[G.euclidean_radius_bound(float(x)) for x in row] for row in r]
+            got = G.euclidean_radius_bound(r)
+            assert got.shape == r.shape and got.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_dilation_matrix_rejects_non_finite_scale(self, t):
         with pytest.raises(NonPositiveScale):

@@ -112,12 +112,14 @@ class TestHalton:
 
     @pytest.mark.parametrize("offset", [0, 17, 51])
     def test_offset_stream_of_shell_candidates(self, Gani, offset):
-        # _shell_candidates takes rows offset.. of the stream: points offset + 1 on
+        # a shell takes rows offset.. of the polar stream: points offset + 1 on
         n, d = 300, Gani.d + 1
         u = geometry._halton(n + offset, d)[offset:]
         assert u.tobytes() == scipy_halton(n, d, skip=offset + 1).tobytes()
+        dirs, last = geometry._polar_stream(n + offset, Gani.d)
+        assert last[offset:].tobytes() == u[:, Gani.d].tobytes()
         lo, hi = 2.0, 4.0
-        cands = geometry._shell_candidates(Gani, lo, hi, n, offset)
+        cands = Gani.dilate(lo + (hi - lo) * last[offset:], dirs[offset:])
         assert np.allclose(Gani.quasi_norm(cands), lo + (hi - lo) * u[:, Gani.d], rtol=1e-10)
 
 
@@ -325,7 +327,7 @@ class TestSearch:
     def test_box_pairs_match_brute_force(self, name, chunk, monkeypatch):
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
         G, centers, radii, points = search_case(name)
-        reach = geometry._box_reach(G, radii)
+        reach = G.euclidean_radius_bound(radii)
         got = search_pairs(centers, reach, points)
         want = brute_box(centers, reach, points)
         assert len(want) > len(centers)
@@ -339,7 +341,7 @@ class TestSearch:
         monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
         G, _, _, points = search_case(name)
         scale = 1e-6 if name == "tiny radii" else 1.0
-        reach = geometry._box_reach(G, scale * np.random.default_rng(13).uniform(
+        reach = G.euclidean_radius_bound(scale * np.random.default_rng(13).uniform(
             0.05, 1.0, size=len(points)))
         got = search_pairs(points, reach, points, same=True)
         want = brute_box(points, reach, points, same=True)
@@ -350,7 +352,7 @@ class TestSearch:
 
     def test_row_count_is_capped_by_the_points(self):
         G, centers, radii, points = search_case("tiny radii")
-        reach = geometry._box_reach(G, radii)
+        reach = G.euclidean_radius_bound(radii)
         _, cells, width = geometry._row_grid(points[:, 1:], reach)
         assert cells[0] <= len(points) and width >= np.ptp(points[:, 1]) / len(points)
         _, cells, _ = geometry._row_grid(np.zeros((50, 2)), reach)
@@ -384,7 +386,8 @@ class TestSearch:
         radii[[3, 17]] = 1.0  # G.dilate copies the nodes at t = 1
         nodes = geometry._unit_ball_reference_nodes(128, 2, G.p_scale, boundary_bias=True)
         want = np.stack([G.dilate(r, nodes) + c for c, r in zip(centers, radii)])
-        got = geometry._witness_sets(G, centers, radii, nodes)
+        # the witness sets of _shrunk_disjoint and covering_intersection_stats
+        got = G.dilate(radii[:, None], nodes) + centers[:, None, :]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if not np.allclose(A, np.diag(np.diag(A))):
             # a rotated generator's product at t = 1 differs from the copy
@@ -394,11 +397,20 @@ class TestSearch:
 
 @pytest.fixture(scope="module")
 def cover_2d_search():
-    """The cover-2d build at seed 7, with its candidate search counted."""
+    """The cover-2d build at seed 7, with its candidate search and the sizes
+    of its normal-quantile calls counted."""
     G = DilationGroup(np.diag([0.5, 1.0]))
-    with counted_search() as counts:
+    ndtri_sizes, ndtri = [], geometry._ndtri
+
+    def counted_ndtri(y):
+        ndtri_sizes.append(y.size)
+        return ndtri(y)
+
+    with counted_search() as counts, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_ndtri", counted_ndtri)
         cov = build_structured_covering(G, 0.5, 4.0, seed=7, candidates_per_shell=1024,
                                         validation_samples=1024)
+    counts["ndtri"] = ndtri_sizes
     return cov, counts
 
 
@@ -412,6 +424,13 @@ class TestSearchPin:
         # consecutive batches hold more than _PAIR_CHUNK / d candidates together
         full = counts["gathered"] / (geometry._PAIR_CHUNK // 2)
         assert counts["batches"] <= 2 * full + counts["calls"]
+
+    def test_normal_quantiles_once_per_stream(self, cover_2d_search):
+        # one polar stream of 34 + 1024 rows for the three shells and the
+        # validation sample, and the 128 witness nodes: 2 * (1058 + 128)
+        # values; one call per shell and sample drew 5 calls on 8,448
+        _, counts = cover_2d_search
+        assert counts["ndtri"] == [2 * 1058, 2 * 128]
 
     def test_shrink_validation_memory(self, cover_2d_search):
         # measured: 1.18 MB, of which the 27,904 witnesses take 0.43 MB
@@ -498,6 +517,13 @@ def pairwise_disjoint(cov, factor, nodes):
     return True
 
 
+def halton_polar(G, n, offset=0):
+    """Rows offset.. of the Halton stream in d + 1 dimensions as directions
+    dir / sqrt(sigma), with |dir / sqrt(sigma)|_A = 1, and last coordinates."""
+    u = geometry._halton(n + offset, G.d + 1)[offset:]
+    return geometry._normal_directions(u[:, :G.d]) / np.sqrt(G.p_scale), u[:, G.d]
+
+
 def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
                        validation_samples=2048):
     """build_structured_covering with the per-candidate greedy loop: one
@@ -512,7 +538,9 @@ def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
     shell_slices, offset, prev_start = [], 0, 0
     sqrt_sigma = np.sqrt(G.p_scale)
     for lo, hi in shells:
-        cands = geometry._shell_candidates(G, max(lo, 1e-6), hi, candidates_per_shell, offset)
+        dirs, u = halton_polar(G, candidates_per_shell, offset)
+        lo = max(lo, 1e-6)
+        cands = G.dilate(lo + (hi - lo) * u, dirs)
         offset += 17
         br = G.bracket(cands)
         start = len(sel_pts)
@@ -537,8 +565,9 @@ def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
         group=G, c=c, centers=sel_pts, t=sel_br, radii=c * sel_br, max_norm=max_norm,
         separation_factor=sep, shrink_factor=sep, height=0,
         triangle_estimate=c_est, shells=shell_slices)
+    dirs, u = halton_polar(G, validation_samples)
     cov.height = int(cov.cover_count(
-        geometry._region_samples(G, max_norm, validation_samples)).max())
+        G.dilate(max_norm * np.maximum(u, 1e-9) ** (1.0 / G.nu), dirs)).max())
     cov.shrink_factor = geometry._validated_shrink_factor(cov)
     return cov
 

@@ -273,6 +273,16 @@ class TestWeightedNorm:
         # the grid root nudges by 1 + L, the largest |coordinate| on the grid
         assert np.abs(FourierGrid(d, n, L).spatial_points()).max() == L
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_riemann_norm_per_row_of_a_stack(self, p):
+        # each row's norm as a lone row's: its own sum and a scalar p-th root
+        # (** on the whole array of sums can round some of these rows differently)
+        mags = np.random.default_rng(17).random((40, 50, 65))
+        got = spectral._riemann_norm(mags, p, 0.1)
+        want = [[float((0.1 * np.sum(row ** p)) ** (1.0 / p)) for row in rows] for rows in mags]
+        assert got.shape == (40, 50) and got.tolist() == want
+        assert float(spectral._riemann_norm(mags[2, 1], p, 0.1)) == want[2][1]
+
     def test_audit_error_estimate(self, grid1, G1):
         f = standard_ensemble(grid1, G1, AnisoBall([0.0], 1.0))[0]
         W = MatrixWeightSpec.diagonal([ScalarWeightSpec.radial_power(0.5)])

@@ -1,0 +1,56 @@
+"""sha256 digests of the benchmark workloads' main-phase outputs.
+
+    python3 tools/output_digest.py [--src DIR]
+
+Builds each workload of perfbench/workloads.py at seeds 0-3, runs its main
+phase once, and prints one line per workload and seed: the workload, the
+seed and the sha256 of the pickled output.  DIR holds the anisoweights
+package to run (default: src/ of this checkout), so that two trees can be
+compared on the same workloads:
+
+    python3 tools/output_digest.py > head.txt
+    python3 tools/output_digest.py --src ../base/src > base.txt
+    diff base.txt head.txt
+
+A refactor that keeps outputs bitwise leaves every line the same.  BLAS
+runs single-threaded, as in perfbench/run.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import pickle
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(4)
+PROTOCOL = 4  # fixed, so that digests do not move with the default protocol
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the anisoweights package (default: %(default)s)")
+    args = parser.parse_args(argv)
+    if not (args.src / "anisoweights" / "__init__.py").is_file():
+        print(f"anisoweights sources not found under {args.src}", file=sys.stderr)
+        return 2
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+
+    import workloads
+
+    for name, wl in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            out = wl.main(wl.build(seed))
+            print(f"{name} {seed} {hashlib.sha256(pickle.dumps(out, PROTOCOL)).hexdigest()}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
