@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilation import DilationGroup
-from .geometry import AnisoBall, StructuredCovering, _lattice, ball_pairs, ball_volume, compute_r0
+from .geometry import (
+    AnisoBall,
+    StructuredCovering,
+    _lattice,
+    _runs,
+    ball_pairs,
+    ball_volume,
+    compute_r0,
+)
 # besov.safe_power_values stays bound for perfbench, whose tracer self-test wraps it here
 from .muckenhoupt import safe_power_values, weighted_magnitudes  # noqa: F401
 from .spectral import (
@@ -191,13 +199,6 @@ def _check_grid(grid: FourierGrid, bapu: Bapu) -> None:
         raise SizeMismatch(f"field on {grid!r}, partition on {bapu.grid!r}")
 
 
-def _blocks(n: int, entries: int) -> list[range]:
-    """Consecutive ranges of the n patches, `entries` stacked entries each,
-    holding at most _BLOCK entries unless a single patch holds more."""
-    step = max(1, _BLOCK // entries)
-    return [range(i, min(i + step, n)) for i in range(0, n, step)]
-
-
 def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float:
     """(sum_j t_j^(sq) ||phi_j(D) f||_(L^p(W))^q)^(1/q), sup when q = inf.
 
@@ -225,7 +226,8 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float
         )
     root = _grid_root(grid, W, params.p)
     terms = []
-    for block in _blocks(len(bapu), flat_spec.size):
+    for first, last in _runs(np.full(len(bapu), flat_spec.size), _BLOCK):
+        block = range(first, last)
         spec = np.zeros((len(block),) + flat_spec.shape, dtype=flat_spec.dtype)
         for spec_k, k in zip(spec, block):
             idx = bapu.supports[k]
@@ -415,8 +417,8 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams) -> float:
         return 0.0
     N = coeffs.patches[keys[0]][1].shape[1]
     terms = []
-    for block in _blocks(len(keys), N * len(pts)):
-        ks = [keys[i] for i in block]
+    for first, last in _runs(np.full(len(keys), N * len(pts)), _BLOCK):
+        ks = keys[first:last]
         centers, radii, owner, values = [], [], [], []
         for i, k in enumerate(ks):
             ls, coef = coeffs.patches[k]

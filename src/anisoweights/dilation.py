@@ -2,10 +2,9 @@
 
 A real symmetric matrix A with positive spectrum generates the dilations
 delta_t = exp(A log t).  The quasi-norm |xi|_A is the unique t > 0 with
-sigma * sum_i t^(-2*lam_i) * c_i^2 = 1, where c are the coordinates of xi
-in the eigenbasis of A and sigma is the scale of the quadratic form
-P = sigma * Id used to calibrate the unit ball.  With sigma = 1 the unit
-ball B_A(0,1) is exactly the Euclidean unit ball.
+sum_i t^(-2*lam_i) * c_i^2 = 1, where c are the coordinates of xi in the
+eigenbasis of A, so the unit ball B_A(0,1) is exactly the Euclidean unit
+ball and every ball B_A(c, r) = delta_r B_A(0, 1) + c is a dilate of it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ _MAX_BISECT = 200
 # alpha2/alpha1 * (_RESIDUAL_TOL + 3e-13) already has the sign of
 # quasi_norm(x) - r in any batch; the band leaves a factor 3 over that.
 _TIE_BAND = 4.0 * _RESIDUAL_TOL
-# |log sigma |c|^2| below _SAFE_LOG_U2 * alpha1 / alpha2 keeps the solve's
+# |log |c|^2| below _SAFE_LOG_U2 * alpha1 / alpha2 keeps the solve's
 # bracket, and with it every exponent the solve meets, within +-600.
 _SAFE_LOG_U2 = 600.0
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
@@ -66,10 +65,9 @@ class DilationGroup:
     eigenvectors : (d, d) ndarray, orthonormal columns
     nu : float, homogeneous dimension trace(A)
     alpha1, alpha2 : float, min and max eigenvalue
-    p_scale : float, the sigma in P = sigma * Id (eigenbasis quadratic form)
     """
 
-    def __init__(self, A, p_scale: float = 1.0):
+    def __init__(self, A):
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NonSymmetric(f"generator must be square, got shape {A.shape}")
@@ -77,9 +75,9 @@ class DilationGroup:
         scale = max(1.0, np.max(np.abs(A))) if A.size else 1.0
         if defect > _SYMMETRY_TOL * scale:
             raise NonSymmetric(f"symmetry defect {defect:.3e} above tolerance")
-        if not 0 < p_scale < np.inf:
-            raise NonPositiveScale(f"p_scale must be finite and > 0, got {p_scale}")
-        # tolerate text-format round-trips
+        # average away an asymmetry within _SYMMETRY_TOL (rounding in the
+        # caller's arithmetic): eigh reads one triangle, and self.A must be
+        # the matrix it diagonalises
         A = 0.5 * (A + A.T)
         lam, Q = np.linalg.eigh(A)
         if np.any(lam <= 0):
@@ -91,7 +89,6 @@ class DilationGroup:
         self.nu = float(lam.sum())
         self.alpha1 = float(lam.min())
         self.alpha2 = float(lam.max())
-        self.p_scale = float(p_scale)
         self._neg_lam2 = -(2.0 * lam)
         cap = _SAFE_LOG_U2 * self.alpha1 / self.alpha2
         self._safe_u2 = (np.exp(-cap), np.exp(cap))
@@ -143,13 +140,13 @@ class DilationGroup:
         return float(out[0]) if single else out
 
     def _squares(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared eigenbasis coordinates c2 as (d, m) rows, and sigma * |c|^2.
+        """Squared eigenbasis coordinates c2 as (d, m) rows, and |c|^2.
 
         Row i holds the squared coordinates along eigenvector i for every
         point, contiguously, so the level is built one row at a time.
         """
         c2 = np.square((pts @ self.eigenvectors).T, order="C")
-        u2 = self.p_scale * c2.sum(axis=0)
+        u2 = c2.sum(axis=0)
         # the largest u2 is NaN or inf only if a coordinate is or c2
         # overflows, so finite input pays no separate scan of pts
         if not u2.max(initial=0.0) < np.inf and not np.isfinite(pts).all():
@@ -158,15 +155,15 @@ class DilationGroup:
 
     def _level(self, c2: np.ndarray, s: np.ndarray, out: np.ndarray | None = None,
                term: np.ndarray | None = None, zero: np.ndarray | None = None) -> np.ndarray:
-        """The defining function f = sigma * sum(c2 * t^(-2 lam)) at t = e^s.
+        """The defining function f = sum(c2 * t^(-2 lam)) at t = e^s.
 
         c2 holds (d, m) rows as _squares gives them.  f is summed into out
         row by row in eigenvalue order, each term exp(s * (-2 lam_i)) * c2_i
-        built in the scratch row term, and scaled by sigma at the end; a
-        caller that passes out and term allocates nothing.  For d <= 2 f is
-        bitwise the einsum "ij,ij->i" over (m, d) arrays; for d >= 3 einsum
-        adds the terms in another order ((a + c) + b at d = 3), so f can
-        differ from it in the last bit (1 ulp at d = 3).  zero, the (d, m)
+        built in the scratch row term; a caller that passes out and term
+        allocates nothing.  For d <= 2 f is bitwise the einsum "ij,ij->i"
+        over (m, d) arrays; for d >= 3 einsum adds the terms in another
+        order ((a + c) + b at d = 3), so f can differ from it in the last
+        bit (1 ulp at d = 3).  zero, the (d, m)
         mask c2 == 0, is for a caller whose exp can overflow: a masked term
         is exp(-inf) * 0 = 0, where it would be 0 * inf = NaN.
         """
@@ -181,11 +178,10 @@ class DilationGroup:
             acc *= row
             if i:
                 out += term
-        out *= self.p_scale
         return out
 
     def _solve(self, pts: np.ndarray) -> np.ndarray:
-        """Bisection on log t for sigma * sum(c2 * t^(-2 lam)) = 1.
+        """Bisection on log t for sum(c2 * t^(-2 lam)) = 1.
 
         The defining function is strictly decreasing in t, and the envelope
         bounds give an exact initial bracket, so convergence is guaranteed.
@@ -295,12 +291,11 @@ class DilationGroup:
 
         r may be an array of radii; each R is that of its radius alone.
         """
-        return np.maximum(r ** self.alpha1, r ** self.alpha2) / np.sqrt(self.p_scale)
+        return np.maximum(r ** self.alpha1, r ** self.alpha2)
 
     def quasi_radius_bound(self, R: float) -> float:
         """Smallest r with the Euclidean ball |x| < R contained in B_A(0, r)."""
-        u = np.sqrt(self.p_scale) * R
-        return max(u ** (1.0 / self.alpha1), u ** (1.0 / self.alpha2))
+        return max(R ** (1.0 / self.alpha1), R ** (1.0 / self.alpha2))
 
 
 def triangle_constant_estimate(G: DilationGroup, n_samples: int, seed: int) -> float:

@@ -91,11 +91,11 @@ def euclidean_ball_volume(d: int) -> float:
 
 
 def ball_volume(G: DilationGroup, r: float) -> float:
-    """|B_A(xi, r)| = r^nu * omega_d^A, valid for the P = sigma*Id calibration."""
+    """|B_A(xi, r)| = r^nu * omega_d: B_A(0, 1) is the Euclidean unit ball,
+    and det delta_r = r^nu."""
     if not r > 0:
         raise NonPositiveRadius(f"radius must be > 0, got {r}")
-    omega = euclidean_ball_volume(G.d) * G.p_scale ** (-0.5 * G.d)
-    return r ** G.nu * omega
+    return r ** G.nu * euclidean_ball_volume(G.d)
 
 
 def map_ball(G: DilationGroup, T: AffineMap, B: AnisoBall) -> AnisoBall:
@@ -393,21 +393,16 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
+def _normal_directions(u: np.ndarray) -> np.ndarray:
     """Unit vectors from uniform coordinates u of shape (n, k).
 
     Each row goes through the normal quantile and is normalised; a row that
     maps to the zero vector becomes e_1.  In one dimension the result is
     the sign of u - 1/2, with +1 at u = 1/2, and needs no normal quantile.
-    With complex_ the two halves of a row are the real and imaginary parts
-    of a k/2-vector.
     """
-    if u.shape[1] == 1 and not complex_:
+    if u.shape[1] == 1:
         return np.where(u < 0.5, -1.0, 1.0)
     g = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    if complex_:
-        half = g.shape[1] // 2
-        g = g[:, :half] + 1j * g[:, half:]
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     degenerate = norms[:, 0] == 0.0
     g[degenerate, 0] = 1.0
@@ -417,22 +412,11 @@ def _normal_directions(u: np.ndarray, complex_: bool = False) -> np.ndarray:
 
 def _polar_stream(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (n, d) and last coordinates (n,) of Halton points 1..n in d + 1
-    dimensions; the rows are independent, so a window is bitwise that of a longer stream."""
+    dimensions; the rows are independent, so a window is bitwise that of a longer stream.
+    Every Halton reference set reads it: node i of a set in B_A(0, 1), the Euclidean unit
+    ball, lies on direction i at radius u^(1/d), or (u^(1/d))^(1/4) near the boundary."""
     u = _halton(n, d + 1)
     return _normal_directions(u[:, :d]), u[:, d]
-
-
-def _unit_ball_reference_nodes(n: int, d: int, sigma: float, boundary_bias=False) -> np.ndarray:
-    """Low-discrepancy nodes in the reference ball B_A(0,1) = {|x| < 1/sqrt(sigma)}.
-
-    Node i lies on direction i of _polar_stream(n, d) at radius u^(1/d) /
-    sqrt(sigma), u its last coordinate (u^(1/(4d)) with boundary_bias).
-    """
-    dirs, u = _polar_stream(n, d)
-    radii = u ** (1.0 / d)
-    if boundary_bias:
-        radii = radii ** 0.25
-    return dirs * radii[:, None] / np.sqrt(sigma)
 
 
 # -- lattices and the unit cell radius -----------------------------------------
@@ -537,11 +521,13 @@ def build_structured_covering(
     over its window, as a loop of such solves would, so the net is that
     loop's net bitwise.
 
-    Every point is delta_s(dir) with |dir|_A = 1, so |delta_s(dir)|_A = s,
-    from one Halton polar stream (_polar_stream) drawn once.  Shell m (the
-    core is m = 0) takes candidates_per_shell rows from row 17 m on, with
-    s = lo + (hi - lo) u; the validation sample takes the first rows, with
-    s = max_norm * u^(1/nu).
+    Every point comes from one Halton polar stream (_polar_stream) drawn
+    once, whose unit directions have |dir|_A = 1.  Shell m (the core is
+    m = 0) takes candidates_per_shell rows from row 17 m on, at delta_s(dir)
+    with s = lo + (hi - lo) u, so |delta_s(dir)|_A = s; the validation
+    sample takes the first rows, with s = max_norm * u^(1/nu); and the
+    shrink validation's `_WITNESSES` nodes in B_A(0, 1) are the first rows
+    too, at Euclidean radius (u^(1/d))^(1/4), biased to the boundary.
     """
     if not 0 < c <= 1:
         raise ValueError("require 0 < c <= 1")
@@ -555,8 +541,8 @@ def build_structured_covering(
     if candidates_per_shell is None:
         candidates_per_shell = int(min(12000, max(256, 6 * (2.0 / sep) ** G.nu)))
 
-    dirs, u = _polar_stream(max(17 * n_shells + candidates_per_shell, validation_samples), G.d)
-    dirs /= np.sqrt(G.p_scale)
+    n = max(17 * n_shells + candidates_per_shell, validation_samples, _WITNESSES)
+    dirs, u = _polar_stream(n, G.d)
     sel_pts, sel_br, shell_slices = [np.empty((0, G.d))], [np.empty(0)], []
     start = 0
     for m, (lo, hi) in enumerate(shells):
@@ -596,7 +582,9 @@ def build_structured_covering(
         raise HeightUnbounded(f"measured height {height} exceeds cap {_HEIGHT_CAP}")
     cov.height = height
 
-    cov.shrink_factor = _validated_shrink_factor(cov)
+    rows = slice(_WITNESSES)
+    nodes = dirs[rows] * ((u[rows] ** (1.0 / G.d)) ** 0.25)[:, None]
+    cov.shrink_factor = _validated_shrink_factor(cov, nodes)
     return cov
 
 
@@ -664,11 +652,10 @@ def _shell_net(G: DilationGroup, sep: float, cands, br, prev, prev_br) -> np.nda
     return np.flatnonzero(keep)
 
 
-def _validated_shrink_factor(cov: StructuredCovering) -> float:
-    """Largest tested factor c'' <= sep/(2*C_est) with disjoint shrunk balls."""
-    G = cov.group
+def _validated_shrink_factor(cov: StructuredCovering, nodes: np.ndarray) -> float:
+    """Largest tested factor c'' <= sep/(2*C_est) with disjoint shrunk balls,
+    each ball witnessed by the nodes of B_A(0, 1) dilated and moved onto it."""
     factor = cov.separation_factor / (2.0 * cov.triangle_estimate * 1.05)
-    nodes = _unit_ball_reference_nodes(_WITNESSES, G.d, G.p_scale, boundary_bias=True)
     for _ in range(8):
         if _shrunk_disjoint(cov, factor, nodes):
             return factor
@@ -695,14 +682,18 @@ def covering_intersection_stats(C1: StructuredCovering,
     `_WITNESSES` reference nodes, and one ball_pairs search decides all C1
     witnesses against the C2 balls.  Only candidates with no witness hit
     get a denser boundary-biased sample of ball i, one ball_pairs search per
-    C1 ball.  The ratio bound is the largest max(br_i.max() / br_j.min(),
-    br_j.max() / br_i.min()) over meeting pairs, where br holds the bracket
-    <x>_A of a ball's witnesses; these extremes are solved once per ball.
+    C1 ball.  The witnesses are the first rows of one polar stream, the
+    dense sample all 8 * `_WITNESSES` of them.  The ratio bound is the largest
+    max(br_i.max() / br_j.min(), br_j.max() / br_i.min()) over meeting
+    pairs, where br holds the bracket <x>_A of a ball's witnesses; these
+    extremes are solved once per ball.
     """
     G = C1.group
     c_est = max(C1.triangle_estimate, C2.triangle_estimate)
-    nodes = _unit_ball_reference_nodes(_WITNESSES, G.d, G.p_scale)
-    dense = _unit_ball_reference_nodes(8 * _WITNESSES, G.d, G.p_scale, boundary_bias=True)
+    dirs, u = _polar_stream(8 * _WITNESSES, G.d)
+    radii = u ** (1.0 / G.d)
+    nodes = dirs[:_WITNESSES] * radii[:_WITNESSES, None]
+    dense = dirs * (radii ** 0.25)[:, None]
 
     def extremes(sets):
         br = np.array([G.bracket(w) for w in sets])  # each ball's set is one batch

@@ -18,9 +18,8 @@ from .dilation import DilationGroup
 from .geometry import (
     AffineMap,
     AnisoBall,
-    _halton,
     _lattice,
-    _normal_directions,
+    _polar_stream,
     ball_volume,
     compute_r0,
     map_ball,
@@ -76,17 +75,21 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     range.  For N = 3 the few scaled matrices whose two largest singular
     values nearly coincide, where the trigonometric formula is
     ill-conditioned, are handed to LAPACK.  Against LAPACK SVD the
-    relative error is below 1e-14, and M is left unchanged.  A matrix with
-    a non-finite entry gives NaN for N <= 3 (which `ladder_estimate`
-    reports as `NonIntegrable`); for N >= 4 LAPACK raises `LinAlgError` on
-    such input.
+    relative error is below 1e-14, and M is left unchanged.  For every
+    N >= 2 a matrix with a non-finite entry gives NaN (which
+    `ladder_estimate` reports as `NonIntegrable`, and `safe_power_values`
+    nudges off a `NormWeight`'s nodes); for N >= 4 only the finite
+    matrices go to LAPACK, which raises `LinAlgError` on the others.
     """
     N = M.shape[-1]
     if N == 1:
         return np.abs(M[..., 0, 0])
     flat = M.reshape(-1, N, N)
     if N > 3:
-        return _svd_norms(flat).reshape(M.shape[:-2])
+        out = np.full(len(flat), np.nan)
+        finite = np.isfinite(flat).all(axis=(1, 2))
+        out[finite] = _svd_norms(flat[finite])
+        return out.reshape(M.shape[:-2])
     out = np.empty(len(flat))
     for i in range(0, len(flat), _CHUNK):
         S, s = _scaled(flat[i:i + _CHUNK])
@@ -193,8 +196,8 @@ def _midpoint_axis(m: int) -> np.ndarray:
 class BallQuadrature:
     """Normalized averaging rule on the reference unit ball.
 
-    Nodes live on B_A(0, 1) (the Euclidean ball of radius 1/sqrt(sigma))
-    and carry equal weights, so the average of 1 over any ball is exactly 1.
+    Nodes live on B_A(0, 1), the Euclidean unit ball, and carry equal
+    weights, so the average of 1 over any ball is exactly 1.
     Pushforward to B_A(c, r) maps node u to delta_r u + c.  Monte-Carlo
     levels draw from streams keyed by (seed, task, level), which makes the
     family loops order-independent.
@@ -221,7 +224,7 @@ class BallQuadrature:
 
     def reference_nodes(self, G: DilationGroup, level: int, task: int = 0,
                         pair: bool = False) -> np.ndarray:
-        d, sigma = G.d, G.p_scale
+        d = G.d
         n = self.level_count(level, pair=pair)
         if self.rule == "monte_carlo":
             rng = np.random.default_rng(
@@ -230,13 +233,12 @@ class BallQuadrature:
             g = rng.standard_normal((n, d))
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             radii = rng.random(n) ** (1.0 / d)
-            return g * radii[:, None] / np.sqrt(sigma)
+            return g * radii[:, None]
         m = int(np.ceil(n ** (1.0 / d)))
         m += m % 2  # even counts keep the origin off the lattice
         shift = 0.25 * (task % 2) * 2.0 / m  # offset stream for double integrals
         pts = _lattice([_midpoint_axis(m) + shift for _ in range(d)])
-        pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
-        return pts / np.sqrt(sigma)
+        return pts[np.linalg.norm(pts, axis=1) < 1.0]
 
     def ball_nodes(self, G: DilationGroup, ball: AnisoBall, level: int,
                    task: int = 0, pair: bool = False) -> np.ndarray:
@@ -926,7 +928,11 @@ class ReducingPair:
 
 
 def _directions(N: int, n: int, complex_: bool) -> np.ndarray:
-    dirs = _normal_directions(_halton(n, 2 * N if complex_ else N), complex_)
+    """n unit vectors of R^N, or of C^N read from unit vectors of R^2N (real
+    parts first), from the Halton polar stream, the first N being the axes."""
+    dirs, _ = _polar_stream(n, 2 * N if complex_ else N)
+    if complex_:
+        dirs = dirs[:, :N] + 1j * dirs[:, N:]
     # make sure the coordinate axes are represented
     dirs[:N] = np.eye(N)
     return dirs

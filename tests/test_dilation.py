@@ -26,7 +26,7 @@ def reference_solve(G, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     c2 = (pts @ G.eigenvectors) ** 2
-    u2 = G.p_scale * c2.sum(axis=1)
+    u2 = c2.sum(axis=1)
     out = np.zeros(len(u2))
     active = u2 > 0.0
     if not active.any():
@@ -38,8 +38,7 @@ def reference_solve(G, pts):
     hi = np.log(np.maximum(e1, e2))
     mid = 0.5 * (lo + hi)
     for _ in range(200):
-        level = G.p_scale * np.einsum(
-            "ij,ij->i", ca, np.exp(np.outer(mid, -(2.0 * G.eigenvalues))))
+        level = np.einsum("ij,ij->i", ca, np.exp(np.outer(mid, -(2.0 * G.eigenvalues))))
         resid = level - 1.0
         if np.all(np.abs(resid) <= 1e-12):
             break
@@ -99,11 +98,6 @@ class TestConstruction:
         A = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
         G = DilationGroup(A)
         assert np.allclose(G.A, G.A.T)
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
-    def test_group_rejects_non_finite_p_scale(self, sigma):
-        with pytest.raises(NonPositiveScale):
-            DilationGroup(np.diag([1.0, 2.0]), p_scale=sigma)
 
 
 class TestDilate:
@@ -174,7 +168,7 @@ class TestDilate:
                 G.dilate(t.reshape(shape), np.ones((3, 2)))
 
     def test_radius_bound_takes_arrays(self):
-        for G in (coupled_group(), DilationGroup(np.diag([0.5, 2.0]), p_scale=2.0)):
+        for G in (coupled_group(), DilationGroup(np.diag([0.5, 2.0]))):
             r = np.array([[1e-3, 0.25, 1.0], [1.5, 3.0, 1e3]])
             want = [[G.euclidean_radius_bound(float(x)) for x in row] for row in r]
             got = G.euclidean_radius_bound(r)

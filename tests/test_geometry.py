@@ -384,7 +384,7 @@ class TestSearch:
         centers = rng.uniform(-3, 3, size=(25, 2))
         radii = rng.uniform(0.01, 2.0, size=25)
         radii[[3, 17]] = 1.0  # G.dilate copies the nodes at t = 1
-        nodes = geometry._unit_ball_reference_nodes(128, 2, G.p_scale, boundary_bias=True)
+        nodes = unit_ball_nodes(G, 128, boundary_bias=True)
         want = np.stack([G.dilate(r, nodes) + c for c, r in zip(centers, radii)])
         # the witness sets of _shrunk_disjoint and covering_intersection_stats
         got = G.dilate(radii[:, None], nodes) + centers[:, None, :]
@@ -426,19 +426,20 @@ class TestSearchPin:
         assert counts["batches"] <= 2 * full + counts["calls"]
 
     def test_normal_quantiles_once_per_stream(self, cover_2d_search):
-        # one polar stream of 34 + 1024 rows for the three shells and the
-        # validation sample, and the 128 witness nodes: 2 * (1058 + 128)
-        # values; one call per shell and sample drew 5 calls on 8,448
+        # one polar stream of 34 + 1024 rows for the three shells, the
+        # validation sample and the 128 witness nodes: 2 * 1058 values, and
+        # no second draw for the witnesses or per shell
         _, counts = cover_2d_search
-        assert counts["ndtri"] == [2 * 1058, 2 * 128]
+        assert counts["ndtri"] == [2 * 1058]
 
     def test_shrink_validation_memory(self, cover_2d_search):
         # measured: 1.18 MB, of which the 27,904 witnesses take 0.43 MB
         tracemalloc = pytest.importorskip("tracemalloc")
         cov, _ = cover_2d_search
+        nodes = unit_ball_nodes(cov.group, 128, boundary_bias=True)
         tracemalloc.start()
         try:
-            geometry._validated_shrink_factor(cov)
+            geometry._validated_shrink_factor(cov, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,10 +519,21 @@ def pairwise_disjoint(cov, factor, nodes):
 
 
 def halton_polar(G, n, offset=0):
-    """Rows offset.. of the Halton stream in d + 1 dimensions as directions
-    dir / sqrt(sigma), with |dir / sqrt(sigma)|_A = 1, and last coordinates."""
+    """Rows offset.. of the Halton stream in d + 1 dimensions as unit
+    directions, with |dir|_A = 1, and last coordinates."""
     u = geometry._halton(n + offset, G.d + 1)[offset:]
-    return geometry._normal_directions(u[:, :G.d]) / np.sqrt(G.p_scale), u[:, G.d]
+    return geometry._normal_directions(u[:, :G.d]), u[:, G.d]
+
+
+def unit_ball_nodes(G, n, boundary_bias=False):
+    """The first n rows of the Halton stream as nodes of B_A(0, 1), the
+    Euclidean unit ball: direction dir at radius u^(1/d), or (u^(1/d))^(1/4)
+    with boundary_bias."""
+    dirs, u = halton_polar(G, n)
+    radii = u ** (1.0 / G.d)
+    if boundary_bias:
+        radii = radii ** 0.25
+    return dirs * radii[:, None]
 
 
 def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
@@ -536,7 +548,6 @@ def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
         candidates_per_shell = int(min(12000, max(256, 6 * (2.0 / sep) ** G.nu)))
     sel_pts, sel_br = np.empty((0, G.d)), np.empty(0)
     shell_slices, offset, prev_start = [], 0, 0
-    sqrt_sigma = np.sqrt(G.p_scale)
     for lo, hi in shells:
         dirs, u = halton_polar(G, candidates_per_shell, offset)
         lo = max(lo, 1e-6)
@@ -551,7 +562,7 @@ def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
             pts_w, br_w = sel_pts[window], sel_br[window]
             if len(pts_w):
                 thresh = sep * np.minimum(br_w, bz)
-                reach = np.maximum(thresh ** G.alpha1, thresh ** G.alpha2) / sqrt_sigma
+                reach = np.maximum(thresh ** G.alpha1, thresh ** G.alpha2)
                 near = np.flatnonzero(np.abs(pts_w - z).max(axis=1) <= reach)
                 if near.size:
                     qd = G.quasi_norm(pts_w[near] - z)
@@ -568,7 +579,8 @@ def reference_covering(G, c, max_norm, seed, candidates_per_shell=None,
     dirs, u = halton_polar(G, validation_samples)
     cov.height = int(cov.cover_count(
         G.dilate(max_norm * np.maximum(u, 1e-9) ** (1.0 / G.nu), dirs)).max())
-    cov.shrink_factor = geometry._validated_shrink_factor(cov)
+    cov.shrink_factor = geometry._validated_shrink_factor(
+        cov, unit_ball_nodes(G, 128, boundary_bias=True))
     return cov
 
 
@@ -671,7 +683,7 @@ class TestStructuredCovering:
 
     def test_shrunk_disjoint_matches_pairwise_loop(self, cov2d):
         G = cov2d.group
-        nodes = geometry._unit_ball_reference_nodes(128, G.d, G.p_scale, boundary_bias=True)
+        nodes = unit_ball_nodes(G, 128, boundary_bias=True)
         for factor, disjoint in ((cov2d.shrink_factor, True), (2 * cov2d.shrink_factor, False)):
             assert geometry._shrunk_disjoint(cov2d, factor, nodes) is disjoint
             assert pairwise_disjoint(cov2d, factor, nodes) is disjoint
@@ -715,9 +727,8 @@ def loop_intersection_stats(C1, C2, witnesses=128, slack=0.05):
     bracket solve per meeting pair, and the number of dense samples it ran."""
     G = C1.group
     c_est = max(C1.triangle_estimate, C2.triangle_estimate)
-    nodes = geometry._unit_ball_reference_nodes(witnesses, G.d, G.p_scale)
-    dense = geometry._unit_ball_reference_nodes(8 * witnesses, G.d, G.p_scale,
-                                                boundary_bias=True)
+    nodes = unit_ball_nodes(G, witnesses)
+    dense = unit_ball_nodes(G, 8 * witnesses, boundary_bias=True)
     max_neighbors, ratio_bound, dense_runs = 0, 1.0, 0
     for i in range(len(C1)):
         ci, ri = C1.centers[i], C1.radii[i]
@@ -776,6 +787,19 @@ class TestIntersectionStats:
         if case == "diag-self":
             # both results move if the dense fallback is skipped
             assert dense_runs > 0
+
+    def test_normal_quantiles_once(self, cov2d, monkeypatch):
+        # one polar stream of 1,024 rows for the 128 witnesses and the dense
+        # sample: 2 * 1024 values, and no second draw for the witnesses
+        sizes, ndtri = [], geometry._ndtri
+
+        def counted(y):
+            sizes.append(y.size)
+            return ndtri(y)
+
+        monkeypatch.setattr(geometry, "_ndtri", counted)
+        covering_intersection_stats(some_balls(cov2d, slice(-2, None)), cov2d)
+        assert sizes == [2 * 1024]
 
     def test_quasi_norm_calls(self, coverings, monkeypatch):
         C1, C2 = coverings["1d-cross"]

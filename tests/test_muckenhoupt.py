@@ -165,7 +165,7 @@ class TestSpectralNorms:
         ours = spectral_norms(scale * M)
         assert np.all(np.abs(ours / scale - lapack_norms(M)) <= 1e-13 * lapack_norms(M))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_non_finite_entry_gives_nan(self, n):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
@@ -628,6 +628,18 @@ class TestDoubling:
         assert names == {"slice", "norm", "dual-slice"}
         assert all(r[3] >= 1.0 for r in rep.rows)
         assert rep.bound_satisfied(slack=0.05)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_singular_node_of_the_norm_is_nudged(self, G1, grid1, N):
+        # the ladder of B(1/2048, 1) meets x = 0, where W has the entry
+        # |x|^(-1/2) = inf: its spectral norm is NaN and the node is nudged,
+        # for N = 4 (LAPACK SVD) as for N = 3 (closed form)
+        S = ScalarWeightSpec
+        W = MatrixWeightSpec.diag_dominant([S.radial_power(-0.5)] + [S.constant(1.0)] * (N - 1),
+                                           {(0, 1): {(1,): 1.0}}, 0.5)
+        rep = doubling_check(W, 2.0, [AnisoBall([1 / 2048], 1.0)], [2.0], grid1, G1)
+        assert [r[1] for r in rep.rows] == ["slice", "norm", "dual-slice"]
+        assert all(np.isfinite(r[3]) and r[3] >= 1.0 for r in rep.rows)
 
     def test_empty_family_rejected(self, G1, grid1):
         with pytest.raises(ValueError):

@@ -4,9 +4,11 @@
 
 Builds each workload of perfbench/workloads.py at seeds 0-3, runs its main
 phase once, and prints one line per workload and seed: the workload, the
-seed and the sha256 of the pickled output.  DIR holds the anisoweights
-package to run (default: src/ of this checkout), so that two trees can be
-compared on the same workloads:
+seed and the sha256 of the pickled output.  A DilationGroup in an output
+is pickled as its generator A alone: the group is fixed by A, so a change
+to the attributes it keeps beside A is not an output change.  DIR holds
+the anisoweights package to run (default: src/ of this checkout), so that
+two trees can be compared on the same workloads:
 
     python3 tools/output_digest.py > head.txt
     python3 tools/output_digest.py --src ../base/src > base.txt
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
 import pickle
 import sys
@@ -43,12 +46,17 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
 
     import workloads
+    from anisoweights.dilation import DilationGroup
+
+    class Pickler(pickle.Pickler):
+        def persistent_id(self, obj):
+            return ("DilationGroup", obj.A) if isinstance(obj, DilationGroup) else None
 
     for name, wl in workloads.WORKLOADS.items():
         for seed in SEEDS:
-            out = wl.main(wl.build(seed))
-            print(f"{name} {seed} {hashlib.sha256(pickle.dumps(out, PROTOCOL)).hexdigest()}",
-                  flush=True)
+            buf = io.BytesIO()
+            Pickler(buf, PROTOCOL).dump(wl.main(wl.build(seed)))
+            print(f"{name} {seed} {hashlib.sha256(buf.getvalue()).hexdigest()}", flush=True)
     return 0
 
 
