@@ -194,74 +194,64 @@ def _midpoint_axis(m: int) -> np.ndarray:
 
 @dataclass
 class BallQuadrature:
-    """Normalized averaging rule on the reference unit ball.
+    """Normalized averaging rule on the reference unit ball: a midpoint grid.
 
-    Nodes live on B_A(0, 1), the Euclidean unit ball, and carry equal
-    weights, so the average of 1 over any ball is exactly 1.
-    Pushforward to B_A(c, r) maps node u to delta_r u + c.  Monte-Carlo
-    levels draw from streams keyed by (seed, task, level), which makes the
-    family loops order-independent.
+    The nodes of a level are the midpoints of an m^d grid on [-1, 1]^d
+    that lie in B_A(0, 1), the Euclidean unit ball, with equal weights, so
+    the average of 1 over any ball is exactly 1.  The shifted grid, which
+    the t side of a double integral takes, moves every node by a quarter
+    cell in each coordinate.  Pushforward to B_A(c, r) maps node u to
+    delta_r u + c.  `rule` names the one rule, "mapped_grid".
     """
 
-    rule: str = "monte_carlo"
+    rule: str = "mapped_grid"
     n_nodes: int = 1024
-    seed: int = 0
 
     def __post_init__(self):
-        if self.rule not in ("monte_carlo", "mapped_grid"):
+        if self.rule != "mapped_grid":
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.n_nodes < 64:
             raise ValueError("need at least 64 nodes")
 
     def describe(self) -> str:
-        return f"{self.rule}(n={self.n_nodes},seed={self.seed})"
+        return f"{self.rule}(n={self.n_nodes})"
 
-    def level_count(self, level: int, pair: bool = False) -> int:
-        if pair:
-            # two node sets whose product realizes the n, 4n, 16n ladder
-            return int(np.ceil(np.sqrt(self.n_nodes))) * 2 ** level
-        return self.n_nodes * 4 ** level
-
-    def reference_nodes(self, G: DilationGroup, level: int, task: int = 0,
+    def reference_nodes(self, G: DilationGroup, level: int, shifted: bool = False,
                         pair: bool = False) -> np.ndarray:
-        d = G.d
-        n = self.level_count(level, pair=pair)
-        if self.rule == "monte_carlo":
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, task, level))
-            )
-            g = rng.standard_normal((n, d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            radii = rng.random(n) ** (1.0 / d)
-            return g * radii[:, None]
-        m = int(np.ceil(n ** (1.0 / d)))
-        m += m % 2  # even counts keep the origin off the lattice
-        shift = 0.25 * (task % 2) * 2.0 / m  # offset stream for double integrals
-        pts = _lattice([_midpoint_axis(m) + shift for _ in range(d)])
-        return pts[np.linalg.norm(pts, axis=1) < 1.0]
+        """The level's grid nodes in the unit ball; `ValueError` if there are none.
+
+        The grid width m is ceil(n^(1/d)) for the level's node count n,
+        rounded up to even (which keeps the origin off the lattice), and at
+        least the previous level's m + 2, so every level refines the last.
+        n is n_nodes 4^level, or ceil(sqrt(n_nodes)) 2^level for each side
+        of a pair, whose product realizes the same ladder.
+        """
+        n, factor = (int(np.ceil(np.sqrt(self.n_nodes))), 2) if pair else (self.n_nodes, 4)
+        m = 0
+        for k in range(level + 1):
+            m = max(m + 2, int(np.ceil((n * factor ** k) ** (1.0 / G.d))))
+            m += m % 2
+        shift = 0.5 / m if shifted else 0.0  # a quarter cell
+        pts = _lattice([_midpoint_axis(m) + shift for _ in range(G.d)])
+        pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
+        if not len(pts):
+            raise ValueError(f"level {level} of {self.describe()} has no node in the "
+                             f"unit ball of R^{G.d}")
+        return pts
 
     def ball_nodes(self, G: DilationGroup, ball: AnisoBall, level: int,
-                   task: int = 0, pair: bool = False) -> np.ndarray:
-        return next(self.family_nodes(G, [ball], level, [task], pair=pair))
+                   shifted: bool = False, pair: bool = False) -> np.ndarray:
+        return next(self.family_nodes(G, [ball], level, shifted, pair=pair))
 
-    def family_nodes(self, G: DilationGroup, balls, level: int, tasks,
+    def family_nodes(self, G: DilationGroup, balls, level: int, shifted: bool = False,
                      pair: bool = False):
-        """Yield the nodes of each ball with its task, as `ball_nodes` gives them.
+        """The nodes of each ball in turn, as `ball_nodes` gives them.
 
-        A mapped grid depends on the task's parity only, so each parity's
-        reference nodes are built once per call; Monte-Carlo nodes come
-        from each task's own stream.  Every ball maps its reference nodes
-        by its own G.dilate(r, u) + c.
+        The reference nodes are built once per call, and every ball maps
+        them by its own G.dilate(r, u) + c.
         """
-        grids = {}
-        for ball, task in zip(balls, tasks):
-            if self.rule == "mapped_grid":
-                if task % 2 not in grids:
-                    grids[task % 2] = self.reference_nodes(G, level, task, pair=pair)
-                u = grids[task % 2]
-            else:
-                u = self.reference_nodes(G, level, task, pair=pair)
-            yield G.dilate(ball.radius, u) + ball.center
+        u = self.reference_nodes(G, level, shifted, pair=pair)
+        return (G.dilate(ball.radius, u) + ball.center for ball in balls)
 
 
 @dataclass
@@ -274,13 +264,13 @@ class LadderValue:
         return self.value
 
 
-def ladder_estimate(levels, stochastic: bool) -> LadderValue:
+def ladder_estimate(levels) -> LadderValue:
     """Collapse a 3-level refinement into a value and an error estimate.
 
-    Grid ladders get geometric (Aitken) extrapolation when the increments
-    behave; Monte-Carlo ladders keep the finest value with the last
-    increment as the error.  Systematic growth across levels signals a
-    divergent average.
+    The ladder gets geometric (Aitken) extrapolation when the increments
+    behave, and otherwise keeps the finest value with the larger of the
+    last increment and a quarter of the first as the error.  Systematic
+    growth across levels signals a divergent average.
     """
     v1, v2, v3 = (float(v) for v in levels)
     if not np.all(np.isfinite([v1, v2, v3])):
@@ -291,22 +281,18 @@ def ladder_estimate(levels, stochastic: bool) -> LadderValue:
         )
     scale = max(abs(v3), 1e-300)
     d1, d2 = v2 - v1, v3 - v2
-    if not stochastic and d1 != d2 and abs(d2) < 0.75 * abs(d1) and d1 * d2 > 0:
+    if d1 != d2 and abs(d2) < 0.75 * abs(d1) and d1 * d2 > 0:
         value = v3 + d2 * d2 / (d1 - d2)
         error = max(abs(value - v3), 1e-15 * scale)
-    elif not stochastic:
-        value = v3
-        error = max(abs(d2), abs(d1) / 4, 1e-15 * scale)
     else:
         value = v3
-        error = max(abs(d2), abs(d1) / 2, 1e-12 * scale)
+        error = max(abs(d2), abs(d1) / 4, 1e-15 * scale)
     return LadderValue(value, error, (v1, v2, v3))
 
 
-def _ladders(levels, quad: BallQuadrature) -> list[LadderValue]:
+def _ladders(levels) -> list[LadderValue]:
     """`ladder_estimate` of each ball from its statistics levels[level][ball]."""
-    return [ladder_estimate(ball, stochastic=quad.rule == "monte_carlo")
-            for ball in zip(*levels)]
+    return [ladder_estimate(ball) for ball in zip(*levels)]
 
 
 # -- singular-set safe evaluation ----------------------------------------------
@@ -577,22 +563,22 @@ def _blocks(G: DilationGroup, balls, sides):
         yield stacked(block)
 
 
-def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup, level: int,
-                 tasks) -> list[np.ndarray]:
-    """A scalar weight at each ball's nodes on one level, ball i with task tasks[i].
+def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
+                 level: int) -> list[np.ndarray]:
+    """A scalar weight at each ball's (unshifted) nodes on one level.
 
     The weight is evaluated once per block of balls (`_blocks`) on the
     block's stacked nodes, each node nudged by its own ball's scale.
     """
     out = []
-    for counts, [(X, sx)] in _blocks(G, balls, [quad.family_nodes(G, balls, level, tasks)]):
+    for counts, [(X, sx)] in _blocks(G, balls, [quad.family_nodes(G, balls, level)]):
         out += np.split(safe_power_values(w, X, 1.0, sx), np.cumsum(counts)[:-1])
     return out
 
 
-def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
-                tasks) -> list[LadderValue]:
-    """Muckenhoupt ladders of the balls of a family, ball i with task tasks[i].
+def _ap_ladders(W, family, p: float, quad: BallQuadrature,
+                G: DilationGroup) -> list[LadderValue]:
+    """Muckenhoupt ladders of the balls of a family.
 
     Each level runs over blocks of consecutive balls (`_blocks`) with one
     weight evaluation per side and block; see `estimate_ap_constant`.
@@ -600,28 +586,27 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature, G: DilationGroup,
     _check_exponent(p)
     levels = []
     for level in range(_LEVELS):
-        if _is_matrix(W):  # the x and t nodes of the double integral
-            sides = [quad.family_nodes(G, family, level, [2 * t + s for t in tasks], pair=True)
-                     for s in (0, 1)]
+        if _is_matrix(W):  # the x and the shifted t nodes of the double integral
+            sides = [quad.family_nodes(G, family, level, shifted, pair=True)
+                     for shifted in (False, True)]
             levels.append(np.concatenate([
                 _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
                                    safe_power_values(W, T, -1.0 / p, st), p, len(counts))
                 for counts, [(X, sx), (T, st)] in _blocks(G, family, sides)]))
         else:
             levels.append([_scalar_quantity_at_nodes(w, p)
-                           for w in _ball_values(W, family, quad, G, level, tasks)])
-    return _ladders(levels, quad)
+                           for w in _ball_values(W, family, quad, G, level)])
+    return _ladders(levels)
 
 
 def ap_ball_quantity_ladder(W, B: AnisoBall, p: float, quad: BallQuadrature,
-                            G: DilationGroup, task: int = 0) -> LadderValue:
+                            G: DilationGroup) -> LadderValue:
     """Muckenhoupt quantity of one ball across the refinement ladder.
 
-    This is the one-ball family of `estimate_ap_constant`: with task i the
-    ball gets the nodes, value and error it has as member i of any family,
-    bitwise.
+    This is the one-ball family of `estimate_ap_constant`: the ball gets
+    the nodes, value and error it has as a member of any family, bitwise.
     """
-    return _ap_ladders(W, [B], p, quad, G, [task])[0]
+    return _ap_ladders(W, [B], p, quad, G)[0]
 
 
 # -- family reports ---------------------------------------------------------------
@@ -660,12 +645,11 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
                          quad: BallQuadrature, G: DilationGroup) -> ApReport:
     """Max per-ball quantity over the family; a lower bound of the supremum.
 
-    Ball i is ladder task i.  The ladder runs one level at a time over
-    blocks of consecutive balls with at most `_CHUNK` nodes per side (one
-    ball at least).  Each ball's nodes are reference nodes mapped by the
-    ball's own dilation; a mapped grid is built once per level and task
-    parity, and Monte-Carlo nodes come from the ball's own (seed, task,
-    level) stream.  A scalar weight is evaluated once on the block's
+    The ladder runs one level at a time over blocks of consecutive balls
+    with at most `_CHUNK` nodes per side (one ball at least).  Each ball's
+    nodes are reference nodes mapped by the ball's own dilation; the grid
+    is built once per level and side (a matrix weight's t side is the
+    shifted grid).  A scalar weight is evaluated once on the block's
     stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
     each nudge off a singular set is sized by the node's own ball.  Pair
     norms come from the pair kernel (`_span_norms`): each root is squared
@@ -675,12 +659,12 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     at once.  Where the weight is evaluated pointwise
     (its value at a node does not depend on the other nodes of the batch),
     each value and error is bitwise that of `ap_ball_quantity_ladder` on
-    the ball alone with the same task, so the report does not depend on
-    how the family is blocked.
+    the ball alone, so the report does not depend on how the family is
+    blocked.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    ladders = _ap_ladders(W, family, p, quad, G, range(len(family)))
+    ladders = _ap_ladders(W, family, p, quad, G)
     values = np.array([l.value for l in ladders])
     errors = np.array([l.error for l in ladders])
     label = getattr(W, "label", "weight")
@@ -817,10 +801,10 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     A matrix weight's shadows are its slice along e_1, its spectral norm
     and, for p > 1, its dual slice at each ball's center.  B and every
     lambda B make one family per shadow, evaluated once per level
-    (`_ball_values`), all with task i for ball i.  Without a bound_constant
-    the bound is the A_max(1,p) constant of the probe (a scalar weight, or
-    the e_1 slice), each ball's quantity taken from the values of B on its
-    levels.  Fitting beta needs some lambda > 1.
+    (`_ball_values`).  Without a bound_constant the bound is the
+    A_max(1,p) constant of the probe (a scalar weight, or the e_1 slice),
+    each ball's quantity taken from the values of B on its levels.
+    Fitting beta needs some lambda > 1.
     """
     _check_exponent(p)
     if not len(family):
@@ -843,13 +827,12 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
         for name, comp in comps.items():
             if comp is None:
                 comp = DualSliceWeight(W, p, B.center)
-            levels = [_ball_values(comp, balls, quad, G, level, [i] * len(balls))
-                      for level in range(_LEVELS)]
+            levels = [_ball_values(comp, balls, quad, G, level) for level in range(_LEVELS)]
             if bound_constant is None and name in ("scalar", "slice"):
                 quantities.append([_scalar_quantity_at_nodes(vals[0], max(1.0, p))
                                    for vals in levels])
             base, *grown = _ladders([[vol * np.mean(v) for vol, v in zip(vols, vals)]
-                                     for vals in levels], quad)
+                                     for vals in levels])
             for lam, mass in zip(lambdas, grown):
                 ratio = mass.value / base.value
                 rows.append((i, name, float(lam), float(ratio)))
@@ -860,7 +843,7 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
         lx, ly = np.asarray(lx), np.asarray(ly)
         fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
     if bound_constant is None:
-        bound_constant = max(l.value for l in _ladders(zip(*quantities), quad))
+        bound_constant = max(l.value for l in _ladders(zip(*quantities)))
     return DoublingReport(getattr(W, "label", "weight"), p, G.nu,
                           float(bound_constant), rows, fitted)
 
@@ -879,11 +862,10 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
                           quad: BallQuadrature, G: DilationGroup) -> ReverseHolderResult:
     """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family.
 
-    Ball i is ladder task i.  w is evaluated once per level and block of
-    balls (`_ball_values`), and every r reuses those values.  The avg w
-    ladder also checks that w itself is integrable, which must hold before
-    any r > 1 makes sense: it raises `NonIntegrable` if not.  A matrix
-    weight raises `ValueError`.
+    w is evaluated once per level and block of balls (`_ball_values`), and
+    every r reuses those values.  The avg w ladder also checks that w
+    itself is integrable, which must hold before any r > 1 makes sense: it
+    raises `NonIntegrable` if not.  A matrix weight raises `ValueError`.
     """
     if _is_matrix(w):
         raise ValueError("reverse Hoelder search needs a scalar weight")
@@ -892,14 +874,14 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
     r_grid = sorted(r_grid)
     stats = []  # per level: avg w, then (avg w^r)^(1/r) for each r, per ball
     for level in range(_LEVELS):
-        vals = _ball_values(w, family, quad, G, level, range(len(family)))
+        vals = _ball_values(w, family, quad, G, level)
         stats.append([[np.mean(v) for v in vals]]
                      + [[np.mean(v ** r) ** (1.0 / r) for v in vals] for r in r_grid])
-    lo = [lv.value for lv in _ladders([s[0] for s in stats], quad)]
+    lo = [lv.value for lv in _ladders([s[0] for s in stats])]
     table = []
     for k, r in enumerate(r_grid, 1):
         try:
-            hi = _ladders([s[k] for s in stats], quad)
+            hi = _ladders([s[k] for s in stats])
             worst = float(max(h.value / low for h, low in zip(hi, lo)))
         except NonIntegrable:  # r diverges on some ball
             worst = None
@@ -1007,12 +989,12 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
                  for level in range(_LEVELS - 1)] + [root]
         left = [spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp)) for Wp in roots]
         right = [spectral_norms(np.einsum("ij,mjk->mik", A_B, safe_power_values(
-            W, quad.ball_nodes(G, B, level, task=1), -1.0 / p, scale)))
+            W, quad.ball_nodes(G, B, level, shifted=True), -1.0 / p, scale)))
             for level in range(_LEVELS)]
         for q in q_grid:
             try:
                 lv, lv2 = _ladders([[np.mean(a ** q), np.mean(b ** q)]
-                                    for a, b in zip(left, right)], quad)
+                                    for a, b in zip(left, right)])
             except NonIntegrable:
                 break
             q_values[float(q)] = (lv.value, lv2.value)
@@ -1036,12 +1018,14 @@ class InvarianceRow:
 
 
 def invariance_report(W, p: float, T: AffineMap, family: list[AnisoBall],
-                      quad_a: BallQuadrature, quad_b: BallQuadrature,
-                      G: DilationGroup) -> list[InvarianceRow]:
-    """Quantity of W∘T on B against the quantity of W on T(B), per ball."""
-    tasks = range(len(family))
-    composed = _ap_ladders(W.compose(T), family, p, quad_a, G, tasks)
-    transported = _ap_ladders(W, [map_ball(G, T, B) for B in family], p, quad_b, G, tasks)
+                      quad: BallQuadrature, G: DilationGroup) -> list[InvarianceRow]:
+    """Quantity of W∘T on B against the quantity of W on T(B), per ball.
+
+    B and T(B) are dilates of one unit ball and share its reference nodes,
+    so each side is the other after the change of variables y = T(x).
+    """
+    composed = _ap_ladders(W.compose(T), family, p, quad, G)
+    transported = _ap_ladders(W, [map_ball(G, T, B) for B in family], p, quad, G)
     return [InvarianceRow(B, la.value, lb.value, abs(la.value - lb.value), la.error + lb.error)
             for B, la, lb in zip(family, composed, transported)]
 

@@ -450,13 +450,13 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
         sum_l |U(B,l)|-integral of |W^(1/p)(x) g(delta_R^-1 l)|^p
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
     divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G).  Every field lives
-    on one grid (`SizeMismatch` otherwise), so the cells are built once and
-    cell i is quadrature task i, its index among the cells in the box.  The
-    cells that some field needs run in blocks (`_blocks`) with one weight
-    root per block, each node nudged off the singular set by its cell's
-    scale; every field adds its own non-negligible cells from that root, in
-    cell order.  One grid root serves every denominator.  The reconstruction
-    formula of the sampling theorem is checked in tests/test_spectral.py.
+    on one grid (`SizeMismatch` otherwise), so the cells are built once.
+    The cells that some field needs run in blocks (`_blocks`) with one
+    weight root per block, each node nudged off the singular set by its
+    cell's scale; every field adds its own non-negligible cells from that
+    root, in cell order.  One grid root serves every denominator.  The
+    reconstruction formula of the sampling theorem is checked in
+    tests/test_spectral.py.
     """
     _check_exponent(p)
     if not fields:
@@ -473,16 +473,16 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     samples = [g.at(centers) for g in fields]  # (N, cells) each
     mags = [np.linalg.norm(s, axis=0) for s in samples]
     kept = [m > 1e-9 * m.max() for m in mags]
-    tasks = np.flatnonzero(np.any(kept, axis=0))
+    used = np.flatnonzero(np.any(kept, axis=0))
     cell_radius = compute_r0(G) / R
-    cells = [AnisoBall(c, cell_radius) for c in centers[tasks]]
+    cells = [AnisoBall(c, cell_radius) for c in centers[used]]
     vol = ball_volume(G, cell_radius)
     lhs = [0.0] * len(fields)
     done = 0
-    for counts, [(X, sx)] in _blocks(G, cells, [quad.family_nodes(G, cells, _LEVELS - 1, tasks)]):
+    for counts, [(X, sx)] in _blocks(G, cells, [quad.family_nodes(G, cells, _LEVELS - 1)]):
         root = safe_power_values(W, X, 1.0 / p, sx)
         roots = [None] * len(counts) if root is None else np.split(root, np.cumsum(counts)[:-1])
-        for i, root in zip(tasks[done:done + len(counts)], roots):
+        for i, root in zip(used[done:done + len(counts)], roots):
             for k, (s, keep) in enumerate(zip(samples, kept)):
                 if keep[i]:
                     lhs[k] += vol * float(np.mean(weighted_magnitudes(root, s[:, i]) ** p))

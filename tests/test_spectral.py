@@ -438,8 +438,8 @@ class TestSamplingRepresentation:
 
 def loop_sampling(W, p, ball, fields, quad, G):
     """Rows of `sampling_inequality_experiment`, field by field and cell by
-    cell: a weight root per kept cell and field, task i for the field's i-th
-    kept cell, nudged by 1 + the largest |coordinate| of the cell's nodes."""
+    cell: a weight root per kept cell and field, nudged by 1 + the largest
+    |coordinate| of the cell's nodes."""
     R = ball.radius
     rows = []
     for g in fields:
@@ -457,7 +457,7 @@ def loop_sampling(W, p, ball, fields, quad, G):
         lhs = 0.0
         for idx in range(len(centers)):
             cell = AnisoBall(centers[idx], cell_radius)
-            nodes = quad.ball_nodes(G, cell, _LEVELS - 1, task=idx)
+            nodes = quad.ball_nodes(G, cell, _LEVELS - 1, shifted=False)
             scale = 1.0 + float(np.max(np.abs(nodes), initial=0.0))
             root = safe_power_values(W, nodes, 1.0 / p, scale)
             lhs += vol * float(np.mean(weighted_magnitudes(root, samples[:, idx]) ** p))
@@ -482,7 +482,7 @@ def count_weight_roots(monkeypatch):
 
 class TestSamplingInequality:
     def test_zero_field(self, grid1, G1):
-        quad = BallQuadrature("mapped_grid", 128, 0)
+        quad = BallQuadrature("mapped_grid", 128)
         ball = AnisoBall([0.0], 1.0)
         zero = BandLimitedField.from_spectrum(
             grid1, G1, np.zeros((1,) + grid1.shape, dtype=complex), ball, "zero"
@@ -503,7 +503,7 @@ class TestSamplingInequality:
             W = MatrixWeightSpec.diagonal([ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
                                            ScalarWeightSpec.radial_power(-0.3)])
             grid, G, N = FourierGrid(2, 16, 2 * np.pi if R == "1" else 4 * np.pi), G2, 2
-        quad = BallQuadrature("mapped_grid", 64, 0)
+        quad = BallQuadrature("mapped_grid", 64)
         ball = AnisoBall(np.zeros(G.d), float(R))
         fields = standard_ensemble(grid, G, ball, N=N)
         rows = sampling_inequality_experiment(W, p, ball, fields, quad, G)
@@ -511,9 +511,10 @@ class TestSamplingInequality:
         assert all(np.isfinite(r.ratio) for r in rows)
 
     def test_row_does_not_depend_on_the_other_fields(self, grid1, G1):
-        # Monte-Carlo nodes follow the task, the cell's index in the box: at
-        # R = 2 the gauss member drops 8 of the 201 cells and the others none
-        quad = BallQuadrature("monte_carlo", 64, 3)
+        # the cells that one field drops leave the other fields' rows
+        # unchanged: at R = 2 the gauss member drops 8 of the 201 cells and
+        # the others none
+        quad = BallQuadrature("mapped_grid", 64)
         ball = AnisoBall([0.0], 2.0)
         w = ScalarWeightSpec.radial_power(0.5)
         fields = standard_ensemble(grid1, G1, ball)
@@ -524,7 +525,7 @@ class TestSamplingInequality:
     def test_one_weight_root_per_block(self, grid1, G1, monkeypatch):
         # 101 cells of 2,048 nodes, two to a block, and one grid root; the
         # per-field loop took 4 x (101 + 1) = 408
-        quad = BallQuadrature("mapped_grid", 128, 0)
+        quad = BallQuadrature("mapped_grid", 128)
         ball = AnisoBall([0.0], 1.0)
         fields = standard_ensemble(grid1, G1, ball)
         calls = count_weight_roots(monkeypatch)
@@ -533,7 +534,7 @@ class TestSamplingInequality:
         assert len(calls) == 52 and max(calls) <= 2 * 2048
 
     def test_fields_on_two_grids_rejected(self, grid1, G1):
-        quad = BallQuadrature("mapped_grid", 64, 0)
+        quad = BallQuadrature("mapped_grid", 64)
         ball = AnisoBall([0.0], 1.0)
         fields = [standard_ensemble(grid, G1, ball)[0]
                   for grid in (grid1, FourierGrid(1, 512, 16 * np.pi))]
@@ -541,7 +542,7 @@ class TestSamplingInequality:
             sampling_inequality_experiment(None, 2.0, ball, fields, quad, G1)
 
     def test_unweighted_finite_and_refines(self, G1):
-        quad = BallQuadrature("mapped_grid", 128, 0)
+        quad = BallQuadrature("mapped_grid", 128)
         ball = AnisoBall([0.0], 1.0)
         ratios = []
         for n in (512, 1024):
@@ -553,7 +554,7 @@ class TestSamplingInequality:
         assert abs(ratios[1] - ratios[0]) <= 0.05 * ratios[1]
 
     def test_scale_stability(self, grid1, G1):
-        quad = BallQuadrature("mapped_grid", 128, 0)
+        quad = BallQuadrature("mapped_grid", 128)
         w = ScalarWeightSpec.radial_power(0.5)
         per_R = []
         for R in (0.5, 1.0, 2.0):
