@@ -1228,9 +1228,10 @@ def power_calls(monkeypatch):
     return calls, raised
 
 
-@pytest.fixture(params=["mapped_grid"])
+@pytest.fixture(params=[256, 1024], ids=["mapped_grid", "mapped_grid_1024"])
 def any_quad(request):
-    return BallQuadrature(request.param, 256)
+    # the tests' grid and the benchmarks' one (2-D pair widths 4, 6, 8 and 6, 8, 12)
+    return BallQuadrature("mapped_grid", request.param)
 
 
 class TestReducingFit:
@@ -1395,8 +1396,8 @@ class TestFamilyLadder:
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.0])
     @pytest.mark.parametrize("weight", ["singular-scalar", "scalar", "diag_dominant",
                                         "conjugated"])
-    @pytest.mark.parametrize("rule", ["mapped_grid"])
-    def test_matches_per_ball_loop(self, G2, monkeypatch, rule, weight, p, chunk):
+    @pytest.mark.parametrize("n", [64, 1024], ids=["mapped_grid", "mapped_grid_1024"])
+    def test_matches_per_ball_loop(self, G2, monkeypatch, n, weight, p, chunk):
         # Nodes per ball, side and level: 12-13, 28-32, 52 (pairs) and 52,
         # 208, 812 (scalar).  _CHUNK 23 makes one-ball blocks and splits
         # every ball's pairs; 150 puts several balls in a block at every
@@ -1405,14 +1406,17 @@ class TestFamilyLadder:
         # and several whole balls in a kernel call at levels 0 and 1.  The
         # singular scalar weight is nudged at levels 0 and 1 and the
         # diag_dominant one at level 1; neither has a bounded A_1 quantity,
-        # and ladders that grow must raise on both paths.
+        # and ladders that grow must raise on both paths.  The benchmarks'
+        # 1,024-node grid has 28-32, 52 and 112 nodes per pair side: 150
+        # puts 4 and 2 balls in a block at levels 0 and 1 and one at level
+        # 2, and the default puts whole balls in a kernel call at level 0 only.
         W = {"singular-scalar": offset_sqrt_weight(),
              "scalar": ScalarWeightSpec.radial_power(-0.5),
              "diag_dominant": ap_matrix_weight(),
              "conjugated": MatrixWeightSpec.conjugated(
                  conjugated_weight().unitary,
                  [ScalarWeightSpec.radial_power(-0.3), ScalarWeightSpec.constant(1.0)])}[weight]
-        quad = BallQuadrature(rule, 64)
+        quad = BallQuadrature("mapped_grid", n)
         fam = self.family(G2)
         if chunk is not None:
             monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
@@ -1462,9 +1466,9 @@ class TestFamilyLadder:
             assert rep.values.tobytes() == want[0].tobytes()
             assert rep.errors.tobytes() == want[1].tobytes()
 
-    @pytest.mark.parametrize("rule", ["mapped_grid"])
-    def test_invariance_rows_match_per_ball_loop(self, G2, rule):
-        quad = BallQuadrature(rule, 64)
+    @pytest.mark.parametrize("n", [64, 1024], ids=["mapped_grid", "mapped_grid_1024"])
+    def test_invariance_rows_match_per_ball_loop(self, G2, n):
+        quad = BallQuadrature("mapped_grid", n)
         W = ap_matrix_weight()
         T = AffineMap(G2, 2.0, np.array([1.0, 0.0]))
         fam = self.family(G2)
