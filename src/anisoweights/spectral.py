@@ -27,6 +27,10 @@ from .muckenhoupt import (
 
 _TAIL_FACTOR = 1.05
 _TAIL_LIMIT = 1e-8
+# relative widening of the box `_norm_within` solves, so that it holds its
+# boundary: a point left out has |x|_2 >= (1 + _BOX_MARGIN) R, which its
+# solve, rounding |x|_2 in the eigenbasis, would still read as R or more
+_BOX_MARGIN = 1e-12
 
 
 class SizeMismatch(ValueError):
@@ -181,9 +185,8 @@ class BandLimitedField:
 
 
 def _spectral_tail(grid, group, spectrum, ball) -> float:
-    xi = grid.frequency_points()
-    dist = group.quasi_norm(xi - ball.center)
-    outside = dist >= _TAIL_FACTOR * ball.radius
+    # |xi - c|_A >= 1.05 R by the sign rule, bitwise the solve's answer
+    outside = ~group._below(grid.frequency_points() - ball.center, _TAIL_FACTOR * ball.radius)
     mass = np.abs(spectrum.reshape(spectrum.shape[0], -1)) ** 2
     total = mass.sum()
     if total == 0:
@@ -206,21 +209,65 @@ class MultiplierSpec:
 
     @classmethod
     def from_profile(cls, grid, group, profile, ball):
-        """Transport a unit-ball profile to B_A(c, R): phi(xi) = profile(T^-1 xi)."""
+        """Transport a unit-ball profile to B_A(c, R): phi(xi) = profile(T^-1 xi).
+
+        |eta|_A is solved once on the whole lattice (`_unit_coordinates`),
+        and the profile is called once, on the (m, d) points eta with
+        |eta|_A < 1 only; the symbol is 0 elsewhere.  So the profile must be
+        pointwise, and must return m values (`SizeMismatch` otherwise).  A
+        profile that solves |eta|_A itself solves that batch alone, so inside
+        the support its values may differ from a solve on the whole lattice
+        by the solver's batch dependence (~1e-12 relative).  A ball that
+        holds no lattice point gives the zero symbol without a profile call.
+        """
         return cls._from_unit(grid, group, profile, ball, _unit_coordinates(grid, group, ball))
 
     @classmethod
     def _from_unit(cls, grid, group, profile, ball, unit):
         """`from_profile` given the ball's `_unit_coordinates`."""
         eta, s = unit
-        vals = np.where(s < 1.0, np.asarray(profile(eta), dtype=complex), 0.0)
+        inside = s < 1.0
+        vals = np.zeros(len(s), dtype=complex)
+        if inside.any():
+            pts = eta[inside]
+            got = np.asarray(profile(pts), dtype=complex)
+            if got.shape != (len(pts),):
+                raise SizeMismatch(f"profile returned shape {got.shape} for {len(pts)} points")
+            vals[inside] = got
         return cls(grid, group, vals.reshape(grid.shape), ball)
 
 
-def _unit_coordinates(grid: FourierGrid, group: DilationGroup, ball: AnisoBall):
-    """(eta, |eta|_A) at every lattice point, eta = delta_(1/R)(xi - c) for B_A(c, R)."""
+def _unit_coordinates(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
+                      support_only: bool = False):
+    """(eta, |eta|_A) at every lattice point, eta = delta_(1/R)(xi - c) for B_A(c, R).
+
+    |eta|_A is solved in one call on the whole lattice.  With support_only
+    the call solves only the box |eta|_inf <= 1 of the unit ball
+    (`_norm_within`) and |eta|_A reads inf outside it.  A point left out
+    has |eta|_2 > 1, so the solve would give it a bisection bracket at or
+    above 1 in any batch: the support |eta|_A < 1 is the same bitwise, and
+    only a value inside it may differ from the whole-lattice solve, by the
+    solver's batch dependence (~1e-12 relative).  The support and the
+    values inside it are all a symbol or an ensemble reads.
+    """
     eta = group.dilate(1.0 / ball.radius, grid.frequency_points() - ball.center)
-    return eta, group.quasi_norm(eta)
+    return eta, _norm_within(group, eta, 1.0) if support_only else group.quasi_norm(eta)
+
+
+def _norm_within(group: DilationGroup, pts: np.ndarray, r: float) -> np.ndarray:
+    """|pts|_A inside the Euclidean box of B_A(0, r), inf outside it.
+
+    Only the box |pts|_inf <= euclidean_radius_bound(r) (widened by
+    _BOX_MARGIN) is solved, in one call, even if it is empty.  B_A(0, r)
+    lies inside it, and outside it the bisection bracket starts at r, so a
+    solve there gives r or more up to rounding.  smooth_plateau(s, inner, r)
+    is 0 bitwise for every s above r - (r - inner) / 750, so it reads 0
+    there from inf as from a solve.
+    """
+    near = np.max(np.abs(pts), axis=1) < group.euclidean_radius_bound(r) * (1.0 + _BOX_MARGIN)
+    out = np.full(len(pts), np.inf)
+    out[near] = group.quasi_norm(pts[near])
+    return out
 
 
 def apply_multiplier(phi: MultiplierSpec, f: BandLimitedField) -> BandLimitedField:
@@ -331,7 +378,12 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
 
     Each member is built from a closed-form spectrum on the unit ball and
     mapped by eta = delta_(1/R)(xi - c), so membership in E_B is exact on
-    the lattice.  Fields are sup-normalized.
+    the lattice.  Fields are sup-normalized.  |eta|_A is solved once on the
+    whole lattice (`_unit_coordinates`); each plateau bump solves only the
+    points in the Euclidean box of its support (`_norm_within`), and every
+    member is evaluated only where |eta|_A < 1, so the spectra are 0
+    elsewhere.  Inside a bump's support its values may differ from a solve
+    on the whole lattice by the solver's batch dependence (~1e-12 relative).
     """
     return _ensemble(grid, group, ball, _unit_coordinates(grid, group, ball), N, seed)
 
@@ -339,27 +391,35 @@ def standard_ensemble(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
 def _ensemble(grid, group, ball, unit, N, seed):
     """`standard_ensemble` given the ball's `_unit_coordinates`."""
     eta, s = unit
-    r = np.linalg.norm(eta, axis=1)
+    inside = s < 1.0
+    # on the support clip(s, 0, 1) is s, and cut is 0 from s = 0.94 on
+    s_in = s[inside]
+    r = np.linalg.norm(eta[inside], axis=1)
     e1 = np.eye(group.d)[0]
-    cut = smooth_plateau(s, 0.72, 0.94)
+    cut = smooth_plateau(s_in, 0.72, 0.94)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
     a = rng.standard_normal(4)
     b = rng.standard_normal(4)
 
+    def on_support(values):
+        out = np.zeros(len(s))
+        out[inside] = values
+        return out
+
     # the gaussian member is hard-truncated where it has already decayed to
     # ~1e-7, so its spatial tails clear the sampling window and period seam
     specs = {
-        "gauss": np.exp(-(r / 0.25) ** 2) * (s < 1.0),
-        "offcenter": smooth_plateau(group.quasi_norm(eta - 0.45 * e1), 0.12, 0.38),
+        "gauss": on_support(np.exp(-(r / 0.25) ** 2)),
+        "offcenter": smooth_plateau(_norm_within(group, eta - 0.45 * e1, 0.38), 0.12, 0.38),
         "two_bumps": (
-            smooth_plateau(group.quasi_norm(eta - 0.4 * e1), 0.08, 0.3)
-            + 0.7 * smooth_plateau(group.quasi_norm(eta + 0.5 * e1), 0.08, 0.25)
+            smooth_plateau(_norm_within(group, eta - 0.4 * e1, 0.3), 0.08, 0.3)
+            + 0.7 * smooth_plateau(_norm_within(group, eta + 0.5 * e1, 0.25), 0.08, 0.25)
         ),
-        "random_smooth": cut * (
-            1.0 + sum(a[j] * np.cos((j + 1) * np.pi * np.clip(s, 0, 1)) +
+        "random_smooth": on_support(cut * (
+            1.0 + sum(a[j] * np.cos((j + 1) * np.pi * s_in) +
                       b[j] * np.sin((j + 1) * np.pi * r) for j in range(4))
-        ),
+        )),
     }
     fields = []
     for name, flat in specs.items():
@@ -405,13 +465,20 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     above the theoretical threshold; each (R, c) then transports the symbol
     and the test ensemble by the same affine map, from one solve of
     |delta_(1/R)(xi - c)|_A per ball; the row (1, 0) reuses the certified
-    symbol and its solve.  Every field lives on `grid`, so the weight root
-    is evaluated once for all rows.
+    symbol and its solve.  Only the decay certificate solves a whole
+    lattice (the spatial one).  The per-ball solve covers the box
+    |eta|_inf <= 1 of the unit ball, the profile (which must be pointwise)
+    sees only the points with |eta|_A < 1, and the ensemble's plateau
+    bumps solve only the boxes of their supports.  Inside a support a
+    value may thus differ from that of `from_profile` or
+    `standard_ensemble`, which solve the whole lattice, by the solver's
+    batch dependence (~1e-12 relative).  Every field lives on `grid`, so
+    the weight root is evaluated once for all rows.
     """
     _check_exponent(p)
     M_req = required_decay_order(group, p) + 1.0
     unit_ball = AnisoBall(np.zeros(group.d), 1.0)
-    unit0 = _unit_coordinates(grid, group, unit_ball)
+    unit0 = _unit_coordinates(grid, group, unit_ball, support_only=True)
     phi0 = MultiplierSpec._from_unit(grid, group, profile, unit_ball, unit0)
     K = decay_certificate(phi0, M_req)
     if not np.isfinite(K):
@@ -425,7 +492,7 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
                 # the same symbol and |eta|_A, bitwise: delta_1 is the identity
                 phi, unit = phi0, unit0
             else:
-                unit = _unit_coordinates(grid, group, ball)
+                unit = _unit_coordinates(grid, group, ball, support_only=True)
                 phi = MultiplierSpec._from_unit(grid, group, profile, ball, unit)
             for f in _ensemble(grid, group, ball, unit, N, ensemble_seed):
                 num, err_n = _audited_norm(apply_multiplier(phi, f), root, p)

@@ -154,6 +154,25 @@ class TestBandLimitedField:
             assert tail == _spectral_tail(grid1, G1, f.spectrum, ball)
             assert 0.0 < tail < 1.0
 
+    @pytest.mark.parametrize("case", [
+        "1d", "1d-boundary-on-lattice", "2d", "2d-boundary-on-lattice", "2d-offcenter"])
+    def test_tail_matches_solve(self, grid1, grid2, G1, G2, case):
+        # the sign-rule membership against a solve of |xi - c|_A on the whole
+        # lattice; on the boundary cases 1.05 R is a lattice |xi|_A (1 in
+        # 1-D and at (+-1, 0), (0, +-1) for diag(1, 2)), so _below meets ties
+        grid, G = (grid1, G1) if case.startswith("1d") else (grid2, G2)
+        radius = 1.0 / 1.05 if "boundary" in case else 1.3
+        center = np.full(G.d, 0.7 if "offcenter" in case else 0.0)
+        ball = AnisoBall(center, radius)
+        xi = grid.frequency_points()
+        spec = np.exp(-np.sum((xi - 0.3) ** 2, axis=1)).reshape(grid.shape)
+        dist = G.quasi_norm(xi - ball.center)
+        if "boundary" in case:
+            assert np.any(dist == 1.05 * ball.radius)
+        mass = np.abs(spec.ravel()) ** 2
+        want = float(mass[dist >= 1.05 * ball.radius].sum() / mass.sum())
+        assert _spectral_tail(grid, G, spec[None], ball) == want
+
     def test_spectral_point_evaluation(self, grid1, G1):
         ball = AnisoBall([0.0], 1.0)
         f = standard_ensemble(grid1, G1, ball)[0]
@@ -208,6 +227,25 @@ class TestMultiplier:
         x = grid.x_axis[j]
         rhs = R ** (-G1.nu) * np.exp(-1j * x * (c[0] / R)) * inv_phi[half_idx]
         assert np.max(np.abs(inv_psi[j] - rhs)) < 1e-8
+
+    @pytest.mark.parametrize("profile", [
+        lambda eta: np.ones(len(eta) + 1),
+        lambda eta: np.ones(len(eta) - 1),
+        lambda eta: np.ones((len(eta), 2)),
+    ], ids=["one more", "one fewer", "two per point"])
+    def test_profile_of_wrong_length_raises(self, grid1, G1, profile):
+        with pytest.raises(SizeMismatch, match="profile returned"):
+            MultiplierSpec.from_profile(grid1, G1, profile, AnisoBall([0.0], 1.0))
+
+    def test_ball_without_lattice_points_gives_zero_symbol(self, grid1, G1):
+        # |xi - 0.03| < 0.01 holds no point of the 1/16-spaced lattice
+        def profile(eta):
+            raise AssertionError("profile called on an empty ball")
+
+        phi = MultiplierSpec.from_profile(grid1, G1, profile, AnisoBall([0.03], 0.01))
+        assert phi.symbol.shape == grid1.shape
+        assert phi.symbol.dtype == complex
+        assert not phi.symbol.any()
 
     def test_support_violation(self, grid1, G1):
         big_ball = AnisoBall([0.0], 2 * grid1.xi_max)
@@ -333,6 +371,118 @@ def per_ball_multiplier_rows(W, p, profile, R_set, c_set, grid, group):
     return rows
 
 
+def full_lattice_ensemble(grid, G, ball, seed=0):
+    """The closed-form E_B spectra with |.|_A solved on every lattice point."""
+    eta = G.dilate(1.0 / ball.radius, grid.frequency_points() - ball.center)
+    s = G.quasi_norm(eta)
+    r = np.linalg.norm(eta, axis=1)
+    e1 = np.eye(G.d)[0]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
+    a, b = rng.standard_normal(4), rng.standard_normal(4)
+    wave = sum(a[j] * np.cos((j + 1) * np.pi * np.clip(s, 0, 1))
+               + b[j] * np.sin((j + 1) * np.pi * r) for j in range(4))
+    specs = {
+        "gauss": np.exp(-(r / 0.25) ** 2) * (s < 1.0),
+        "offcenter": smooth_plateau(G.quasi_norm(eta - 0.45 * e1), 0.12, 0.38),
+        "two_bumps": (smooth_plateau(G.quasi_norm(eta - 0.4 * e1), 0.08, 0.3)
+                      + 0.7 * smooth_plateau(G.quasi_norm(eta + 0.5 * e1), 0.08, 0.25)),
+        "random_smooth": smooth_plateau(s, 0.72, 0.94) * (1.0 + wave),
+    }
+    return {name: spec.reshape(grid.shape) for name, spec in specs.items()}
+
+
+RESTRICTED_GROUPS = {
+    "1d": [[1.0]],
+    "diag(1,2)": np.diag([1.0, 2.0]),
+    # the offcenter support, |eta - 0.45 e1|_A < 0.38, leaves the unit ball
+    "diag(0.5,1)": np.diag([0.5, 1.0]),
+    "rotated": [[2.0, 0.3], [0.3, 1.0]],
+}
+RESTRICTED_BALLS = [(0.0, 1.0), (0.3, 2.0), (-1.0, 0.5), (0.0, 3.7)]
+
+
+def restricted_case(group, center, radius):
+    G = DilationGroup(RESTRICTED_GROUPS[group])
+    grid = FourierGrid(1, 1024, 16 * np.pi) if G.d == 1 else FourierGrid(2, 64, 4 * np.pi)
+    return grid, G, AnisoBall(np.full(G.d, center), radius)
+
+
+def assert_matches_full_solve(got, want, support):
+    """Within 1e-11 of the peak inside the support, bitwise 0 outside it."""
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    assert np.array_equal(got[~support], want[~support])
+    assert not got[~support].any()
+
+
+class TestRestrictedSolves:
+    """Symbols and E_B spectra solve |.|_A only where they can be non-zero;
+    the oracle solves every lattice point.  Bisection results depend on the
+    batch (~1e-12), so values inside a support are compared to 1e-11."""
+
+    @pytest.mark.parametrize("center, radius", RESTRICTED_BALLS)
+    @pytest.mark.parametrize("group", list(RESTRICTED_GROUPS))
+    def test_ensemble_matches_full_lattice_solve(self, group, center, radius):
+        grid, G, ball = restricted_case(group, center, radius)
+        want = full_lattice_ensemble(grid, G, ball)
+        # N = 2: the members are (1, 0.4 i) times the scalar spectrum
+        scale = np.array([1.0, 0.4 * np.exp(0.5j * np.pi)])[:, None]
+        for f in standard_ensemble(grid, G, ball, N=2):
+            flat = want[f.field_id].ravel()
+            oracle = BandLimitedField.from_spectrum(
+                grid, G, (scale * flat).reshape(f.spectrum.shape), ball, normalize=True)
+            for got, ref in zip(f.spectrum, oracle.spectrum):
+                assert_matches_full_solve(got.ravel(), ref.ravel(), flat != 0)
+
+    @pytest.mark.parametrize("center, radius", RESTRICTED_BALLS)
+    @pytest.mark.parametrize("group", list(RESTRICTED_GROUPS))
+    def test_symbol_matches_full_lattice_solve(self, group, center, radius):
+        grid, G, ball = restricted_case(group, center, radius)
+        seen = []
+
+        def profile(eta):
+            seen.append(eta)
+            return poly_plateau(G.quasi_norm(eta), 0.5, 0.9) * (1.0 + 0.25j * eta[:, 0])
+
+        phi = MultiplierSpec.from_profile(grid, G, profile, ball)
+        eta = G.dilate(1.0 / ball.radius, grid.frequency_points() - ball.center)
+        s = G.quasi_norm(eta)
+        want = np.where(s < 1.0, poly_plateau(s, 0.5, 0.9) * (1.0 + 0.25j * eta[:, 0]), 0.0)
+        assert_matches_full_solve(phi.symbol.ravel(), want, s < 1.0)
+        # one call, on the support alone: |eta|_2 < 1, but for the rounding of
+        # the rotated eigenbasis, which puts (+-1, 0) and (0, +-1) of ball
+        # (0, 1) at |eta|_A = 1 - 2^-53 in any batch
+        [pts] = seen
+        assert np.array_equal(pts, eta[s < 1.0])
+        assert np.all(np.linalg.norm(pts, axis=1) < 1.0 + 1e-15)
+
+    @pytest.mark.parametrize("center, radius", RESTRICTED_BALLS)
+    @pytest.mark.parametrize("group", list(RESTRICTED_GROUPS))
+    def test_support_only_unit_coordinates(self, group, center, radius):
+        grid, G, ball = restricted_case(group, center, radius)
+        eta, s = spectral._unit_coordinates(grid, G, ball)
+        eta_box, s_box = spectral._unit_coordinates(grid, G, ball, support_only=True)
+        assert np.array_equal(eta_box, eta)
+        inside = s < 1.0
+        assert np.array_equal(s_box < 1.0, inside)
+        assert np.all(np.abs(s_box[inside] - s[inside]) <= 1e-11 * s[inside])
+        # what is not solved reads inf, and the whole-lattice solve has it at 1 or more
+        assert np.all((s_box == np.inf) <= (s >= 1.0))
+
+    @pytest.mark.parametrize("group", ["diag(1,2)", "diag(0.5,1)", "rotated"])
+    def test_experiment_matches_per_ball_rows(self, group):
+        # the experiment solves the unit boxes only, the per-ball oracle the
+        # whole lattice: the rows agree to the solver's batch dependence
+        grid, G, _ = restricted_case(group, 0.0, 1.0)
+        args = (None, 2.0, bump_profile, [1.0, 1.5, 2.0], [np.zeros(2), np.full(2, 0.3)],
+                grid, G)
+        rows = multiplier_bound_experiment(*args)
+        want = per_ball_multiplier_rows(*args)
+        assert [(r.R, r.c, r.field_id) for r in rows] == [(r.R, r.c, r.field_id) for r in want]
+        for row, ref in zip(rows, want):
+            assert row.ratio == pytest.approx(ref.ratio, rel=1e-11)
+            assert row.error == pytest.approx(ref.error, rel=1e-9, abs=1e-15)
+
+
 class TestMultiplierExperiment:
     def test_identity_profile_ratio_one(self, grid1, G1):
         rows = multiplier_bound_experiment(
@@ -359,10 +509,17 @@ class TestMultiplierExperiment:
         calls = []
         quasi_norm = DilationGroup.quasi_norm
         monkeypatch.setattr(DilationGroup, "quasi_norm",
-                            lambda self, x: calls.append(1) or quasi_norm(self, x))
+                            lambda self, x: calls.append(len(x)) or quasi_norm(self, x))
         rows = multiplier_bound_experiment(*args)
         assert len(calls) == 1 + 1 + 3 + (1 + 3)
         assert pickle.dumps(rows) == pickle.dumps(want)
+        # points per call on the 1/16-spaced lattice: only the decay
+        # certificate solves a whole lattice, the 1,024 spatial points.  The
+        # rest solve the lattice points eta = xi / R in the box of a support,
+        # which holds its boundary: |eta| <= 1 (33 at R = 1, 65 at R = 2),
+        # then the ensemble's bumps |eta - 0.45| <= 0.38, |eta - 0.4| <= 0.3
+        # and |eta + 0.5| <= 0.25 (12, 10, 9 at R = 1; 24, 19, 17 at R = 2)
+        assert calls == [33, grid1.n, 12, 10, 9, 65, 24, 19, 17]
 
     def test_required_decay_order(self, G1, G2):
         assert required_decay_order(G1, 2.0) == pytest.approx(1 + 1 * 2)
