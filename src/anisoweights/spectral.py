@@ -245,10 +245,12 @@ def _unit_coordinates(grid: FourierGrid, group: DilationGroup, ball: AnisoBall,
     the call solves only the box |eta|_inf <= 1 of the unit ball
     (`_norm_within`) and |eta|_A reads inf outside it.  A point left out
     has |eta|_2 > 1, so the solve would give it a bisection bracket at or
-    above 1 in any batch: the support |eta|_A < 1 is the same bitwise, and
-    only a value inside it may differ from the whole-lattice solve, by the
-    solver's batch dependence (~1e-12 relative).  The support and the
-    values inside it are all a symbol or an ensemble reads.
+    above 1 in any batch: it can never enter the support |eta|_A < 1.  A
+    point in the box is solved in another batch than the whole lattice, so
+    its value may differ from the whole-lattice solve by the solver's batch
+    dependence (~1e-12 relative), and a point within that distance of
+    |eta|_A = 1 may enter or leave the support.  The support and the values
+    inside it are all a symbol or an ensemble reads.
     """
     eta = group.dilate(1.0 / ball.radius, grid.frequency_points() - ball.center)
     return eta, _norm_within(group, eta, 1.0) if support_only else group.quasi_norm(eta)
@@ -472,7 +474,9 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     bumps solve only the boxes of their supports.  Inside a support a
     value may thus differ from that of `from_profile` or
     `standard_ensemble`, which solve the whole lattice, by the solver's
-    batch dependence (~1e-12 relative).  Every field lives on `grid`, so
+    batch dependence (~1e-12 relative), and a lattice point within that
+    distance of |eta|_A = 1 may enter or leave the support; a point outside
+    the box never enters it.  Every field lives on `grid`, so
     the weight root is evaluated once for all rows.
     """
     _check_exponent(p)

@@ -1,6 +1,6 @@
 """sha256 digests of the benchmark workloads' main-phase outputs.
 
-    python3 tools/output_digest.py [--src DIR] [--workload NAME ...]
+    python3 tools/output_digest.py [--src DIR]
 
 Builds each workload of perfbench/workloads.py at seeds 0-3, runs its main
 phase once, and prints one line per workload and seed: the workload, the
@@ -14,10 +14,8 @@ two trees can be compared on the same workloads:
     python3 tools/output_digest.py --src ../base/src > base.txt
     diff base.txt head.txt
 
-A refactor that keeps outputs bitwise leaves every line the same.
-`--workload NAME`, which may be repeated, limits the digests to the named
-workloads (default: all of them).  BLAS runs single-threaded, as in
-perfbench/run.py.
+A refactor that keeps outputs bitwise leaves every line the same.  BLAS
+runs single-threaded, as in perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the anisoweights package (default: %(default)s)")
-    parser.add_argument("--workload", action="append", metavar="NAME",
-                        help="digest only this workload; repeatable (default: every workload)")
     args = parser.parse_args(argv)
     if not (args.src / "anisoweights" / "__init__.py").is_file():
         print(f"anisoweights sources not found under {args.src}", file=sys.stderr)
@@ -56,14 +52,7 @@ def main(argv=None) -> int:
         def persistent_id(self, obj):
             return ("DilationGroup", obj.A) if isinstance(obj, DilationGroup) else None
 
-    unknown = sorted(set(args.workload or ()) - set(workloads.WORKLOADS))
-    if unknown:
-        print(f"unknown workload(s) {', '.join(unknown)}; choose from "
-              f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
-        return 2
     for name, wl in workloads.WORKLOADS.items():
-        if args.workload and name not in args.workload:
-            continue
         for seed in SEEDS:
             buf = io.BytesIO()
             Pickler(buf, PROTOCOL).dump(wl.main(wl.build(seed)))
