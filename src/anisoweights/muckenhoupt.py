@@ -20,6 +20,7 @@ from .geometry import (
     AnisoBall,
     _lattice,
     _polar_stream,
+    _runs,
     ball_volume,
     compute_r0,
     map_ball,
@@ -241,17 +242,13 @@ class BallQuadrature:
 
     def ball_nodes(self, G: DilationGroup, ball: AnisoBall, level: int,
                    shifted: bool = False, pair: bool = False) -> np.ndarray:
-        return next(self.family_nodes(G, [ball], level, shifted, pair=pair))
+        """The level's reference nodes u mapped to the ball: G.dilate(r, u) + c.
 
-    def family_nodes(self, G: DilationGroup, balls, level: int, shifted: bool = False,
-                     pair: bool = False):
-        """The nodes of each ball in turn, as `ball_nodes` gives them.
-
-        The reference nodes are built once per call, and every ball maps
-        them by its own G.dilate(r, u) + c.
+        `_blocks` places the nodes of a whole block of balls in one
+        dilation, each ball's rows bitwise these.
         """
         u = self.reference_nodes(G, level, shifted, pair=pair)
-        return (G.dilate(ball.radius, u) + ball.center for ball in balls)
+        return G.dilate(ball.radius, u) + ball.center
 
 
 @dataclass
@@ -391,18 +388,16 @@ def _matrix_quantities(Px: np.ndarray, Mt: np.ndarray, p: float, balls: int) -> 
     b n2 ... (b + 1) n2 - 1 of Mt = W^(-1/p)(t), where n1 = len(Px) / balls
     and n2 = len(Mt) / balls.  Its quantity is
     (avg_x (avg_t |Px Mt|^p')^(p/p'))^(1/p) for p > 1 and
-    max_t avg_x |Px Mt|^p for p <= 1.  The balls are walked in spans of
-    _CHUNK // (n1 n2) whole balls, or of one ball when its pairs exceed
-    `_CHUNK` (`_span_norms` then splits it into row tiles), and each span's
-    norms are reduced to its balls' quantities at once: no more norms are
-    held than one span's.
+    max_t avg_x |Px Mt|^p for p <= 1.  The balls are walked in spans, the
+    `_runs` of their n1 n2 pairs under `_CHUNK`: as many whole balls as
+    fit, or one ball when its pairs exceed `_CHUNK` (`_span_norms` then
+    splits it into row tiles).  Each span's norms are reduced to its
+    balls' quantities at once: no more norms are held than one span's.
     """
     n1, n2 = len(Px) // balls, len(Mt) // balls
-    step = max(1, _CHUNK // (n1 * n2))
     return np.concatenate([
-        _reduce_pairs(_span_norms(Px[b * n1:(b + step) * n1], Mt[b * n2:(b + step) * n2],
-                                  min(step, balls - b)), p)
-        for b in range(0, balls, step)])
+        _reduce_pairs(_span_norms(Px[a * n1:b * n1], Mt[a * n2:b * n2], b - a), p)
+        for a, b in _runs(np.full(balls, n1 * n2), _CHUNK)])
 
 
 def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
@@ -536,31 +531,25 @@ def _product_norms(P: np.ndarray, M: np.ndarray) -> np.ndarray:
     return spectral_norms(np.moveaxis(np.einsum("iabr,akbc->ikbrc", P, M), (0, 1), (-2, -1)))
 
 
-def _blocks(G: DilationGroup, balls, sides):
+def _blocks(G: DilationGroup, balls, refs):
     """Blocks of consecutive balls with at most `_CHUNK` nodes per side.
 
-    sides holds one iterable per side that gives each ball's nodes in
-    turn.  A block is yielded as its balls' node counts on the first side
-    and, per side, the block's nodes stacked in one array with each node's
-    ball scale.  A ball with more nodes than `_CHUNK` makes a block of its
-    own.
+    refs holds the level's reference node sets, one per side, so every
+    ball has as many nodes on a side as its set.  The blocks are the
+    `_runs` of the larger count under `_CHUNK`: as many whole balls as
+    fit, or one ball with more nodes than `_CHUNK`.  A block is yielded as
+    its ball count and, per side, its balls' nodes G.dilate(r, u) + c
+    stacked ball by ball from one dilation (each ball's rows bitwise its
+    `ball_nodes`), with each node's ball scale.
     """
-    def stacked(block):
-        scales, nodes = zip(*block)
-        counts = [[len(x) for x in side] for side in zip(*nodes)]
-        return counts[0], [(np.concatenate(side), np.repeat(scales, n))
-                           for side, n in zip(zip(*nodes), counts)]
-
-    block, size = [], 0
-    for B, *nodes in zip(balls, *sides):
-        n = max(map(len, nodes))
-        if block and size + n > _CHUNK:
-            yield stacked(block)
-            block, size = [], 0
-        block.append((G.euclidean_radius_bound(B.radius), nodes))
-        size += n
-    if block:
-        yield stacked(block)
+    radii = np.array([B.radius for B in balls], dtype=float)[:, None]
+    centers = np.array([B.center for B in balls]).reshape(-1, 1, G.d)
+    # one scalar pow per ball, as the ball alone takes it; numpy's array
+    # power can differ in the last bit (see _reduce_pairs)
+    scales = np.array([G.euclidean_radius_bound(B.radius) for B in balls])
+    for a, b in _runs(np.full(len(balls), max(map(len, refs))), _CHUNK):
+        yield b - a, [((G.dilate(radii[a:b], u) + centers[a:b]).reshape(-1, G.d),
+                       np.repeat(scales[a:b], len(u))) for u in refs]
 
 
 def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
@@ -568,11 +557,12 @@ def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
     """A scalar weight at each ball's (unshifted) nodes on one level.
 
     The weight is evaluated once per block of balls (`_blocks`) on the
-    block's stacked nodes, each node nudged by its own ball's scale.
+    block's stacked nodes, which one dilation of the level's reference
+    nodes places, each node nudged by its own ball's scale.
     """
     out = []
-    for counts, [(X, sx)] in _blocks(G, balls, [quad.family_nodes(G, balls, level)]):
-        out += np.split(safe_power_values(w, X, 1.0, sx), np.cumsum(counts)[:-1])
+    for count, [(X, sx)] in _blocks(G, balls, [quad.reference_nodes(G, level)]):
+        out += np.split(safe_power_values(w, X, 1.0, sx), count)
     return out
 
 
@@ -581,18 +571,19 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature,
     """Muckenhoupt ladders of the balls of a family.
 
     Each level runs over blocks of consecutive balls (`_blocks`) with one
-    weight evaluation per side and block; see `estimate_ap_constant`.
+    dilation and one weight evaluation per side and block; see
+    `estimate_ap_constant`.
     """
     _check_exponent(p)
     levels = []
     for level in range(_LEVELS):
         if _is_matrix(W):  # the x and the shifted t nodes of the double integral
-            sides = [quad.family_nodes(G, family, level, shifted, pair=True)
-                     for shifted in (False, True)]
+            refs = [quad.reference_nodes(G, level, shifted, pair=True)
+                    for shifted in (False, True)]
             levels.append(np.concatenate([
                 _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
-                                   safe_power_values(W, T, -1.0 / p, st), p, len(counts))
-                for counts, [(X, sx), (T, st)] in _blocks(G, family, sides)]))
+                                   safe_power_values(W, T, -1.0 / p, st), p, count)
+                for count, [(X, sx), (T, st)] in _blocks(G, family, refs)]))
         else:
             levels.append([_scalar_quantity_at_nodes(w, p)
                            for w in _ball_values(W, family, quad, G, level)])
@@ -646,11 +637,11 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     """Max per-ball quantity over the family; a lower bound of the supremum.
 
     The ladder runs one level at a time over blocks of consecutive balls
-    with at most `_CHUNK` nodes per side (one ball at least).  Each ball's
-    nodes are reference nodes mapped by the ball's own dilation; the grid
-    is built once per level and side (a matrix weight's t side is the
-    shifted grid).  A scalar weight is evaluated once on the block's
-    stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
+    with at most `_CHUNK` nodes per side (one ball at least).  The grid is
+    built once per level and side (a matrix weight's t side is the shifted
+    grid), and one dilation per block and side maps it into every ball of
+    the block, delta_r u + c.  A scalar weight is evaluated once on the
+    block's stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
     each nudge off a singular set is sized by the node's own ball.  Pair
     norms come from the pair kernel (`_span_norms`): each root is squared
     into per-node features once per span of balls, each Gram plane of a

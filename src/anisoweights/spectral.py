@@ -477,7 +477,8 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
     batch dependence (~1e-12 relative), and a lattice point within that
     distance of |eta|_A = 1 may enter or leave the support; a point outside
     the box never enters it.  Every field lives on `grid`, so
-    the weight root is evaluated once for all rows.
+    the weight root is evaluated once for all rows.  A member of E_B with
+    no lattice point in its support has norm 0 and raises `ValueError`.
     """
     _check_exponent(p)
     M_req = required_decay_order(group, p) + 1.0
@@ -501,6 +502,9 @@ def multiplier_bound_experiment(W, p: float, profile, R_set, c_set,
             for f in _ensemble(grid, group, ball, unit, N, ensemble_seed):
                 num, err_n = _audited_norm(apply_multiplier(phi, f), root, p)
                 den, err_d = _audited_norm(f, root, p)
+                if den == 0:
+                    raise ValueError(f"member {f.field_id} of E_B has no lattice point in its "
+                                     f"support at R = {R}, c = {tuple(ball.center.tolist())}")
                 ratio = num / den
                 err = ratio * ((err_n / max(num, 1e-300)) + (err_d / max(den, 1e-300)))
                 rows.append(ExperimentRow(float(R), tuple(np.ravel(c)), f.field_id,
@@ -522,9 +526,9 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     over cells U(B,l) = delta_R^-1(B_A(0,r0) + l) inside the period box,
     divided by ||g||_(L^p(W))^p, with r0 = compute_r0(G).  Every field lives
     on one grid (`SizeMismatch` otherwise), so the cells are built once.
-    The cells that some field needs run in blocks (`_blocks`) with one
-    weight root per block, each node nudged off the singular set by its
-    cell's scale; every field adds its own non-negligible cells from that
+    The cells that some field needs run in blocks (`_blocks`), whose nodes
+    one dilation of the reference nodes places, with one weight root per
+    block, each node nudged off the singular set by its cell's scale; every field adds its own non-negligible cells from that
     root, in cell order.  One grid root serves every denominator.  The
     reconstruction formula of the sampling theorem is checked in
     tests/test_spectral.py.
@@ -550,14 +554,14 @@ def sampling_inequality_experiment(W, p: float, ball: AnisoBall,
     vol = ball_volume(G, cell_radius)
     lhs = [0.0] * len(fields)
     done = 0
-    for counts, [(X, sx)] in _blocks(G, cells, [quad.family_nodes(G, cells, _LEVELS - 1)]):
+    for count, [(X, sx)] in _blocks(G, cells, [quad.reference_nodes(G, _LEVELS - 1)]):
         root = safe_power_values(W, X, 1.0 / p, sx)
-        roots = [None] * len(counts) if root is None else np.split(root, np.cumsum(counts)[:-1])
-        for i, root in zip(used[done:done + len(counts)], roots):
+        roots = [None] * count if root is None else np.split(root, count)
+        for i, root in zip(used[done:done + count], roots):
             for k, (s, keep) in enumerate(zip(samples, kept)):
                 if keep[i]:
                     lhs[k] += vol * float(np.mean(weighted_magnitudes(root, s[:, i]) ** p))
-        done += len(counts)
+        done += count
     root = _grid_root(grid, W, p)
     rows = []
     for g, total in zip(fields, lhs):

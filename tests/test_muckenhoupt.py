@@ -1228,6 +1228,16 @@ def power_calls(monkeypatch):
     return calls, raised
 
 
+@pytest.fixture
+def dilate_calls(monkeypatch):
+    """The shape of t in each `DilationGroup.dilate` call."""
+    calls = []
+    dilate = DilationGroup.dilate
+    monkeypatch.setattr(DilationGroup, "dilate",
+                        lambda self, t, xi: calls.append(np.shape(t)) or dilate(self, t, xi))
+    return calls
+
+
 @pytest.fixture(params=[256, 1024], ids=["mapped_grid", "mapped_grid_1024"])
 def any_quad(request):
     # the tests' grid and the benchmarks' one (2-D pair widths 4, 6, 8 and 6, 8, 12)
@@ -1481,9 +1491,11 @@ class TestFamilyLadder:
             assert (row.discrepancy, row.combined_error) == (
                 abs(la.value - lb.value), la.error + lb.error)
 
-    def test_one_power_call_per_level_side_and_block(self, G2, power_calls):
+    def test_one_power_call_per_level_side_and_block(self, G2, power_calls, dilate_calls):
         # the 92-ball ap-matrix-2d family: hermitian_power runs twice per
-        # level and block, plus the retries after a node hit x1 = 0
+        # level and block, plus the retries after a node hit x1 = 0, and
+        # each block's nodes are placed by one dilation per side (one per
+        # ball, level and side would be 552)
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         blocks = 0
@@ -1497,6 +1509,53 @@ class TestFamilyLadder:
         assert len(calls) - len(raised) == 2 * blocks
         assert 0 < len(raised) <= 2
         assert max(calls) <= muckenhoupt._CHUNK
+        assert len(dilate_calls) == 2 * blocks
+        assert {t[1:] for t in dilate_calls} == {(1,)}  # t of shape (balls, 1)
+        assert sum(t[0] for t in dilate_calls) == 2 * _LEVELS * len(fam)
+
+    def test_one_dilation_per_level_and_block_for_a_scalar_weight(self, G2, dilate_calls):
+        # _ball_values: 52, 208 and 812 nodes per ball put 78, 19 and 5
+        # balls in a block, so the 92 balls make 2, 5 and 19 blocks
+        quad = BallQuadrature("mapped_grid", 64)
+        fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        blocks = [-(-len(fam) // (muckenhoupt._CHUNK // len(quad.reference_nodes(G2, level))))
+                  for level in range(_LEVELS)]
+        estimate_ap_constant(sqrt_weight(), 2.0, fam, quad, G2)
+        assert blocks == [2, 5, 19]
+        assert len(dilate_calls) == sum(blocks)
+
+    @pytest.mark.parametrize("chunk", [23, 104, 150, None])
+    @pytest.mark.parametrize("A", [np.diag([1.0, 2.0]), np.array([[1.5, 0.5], [0.5, 1.5]])],
+                             ids=["diag", "rotated"])
+    def test_blocks_place_nodes_as_ball_nodes(self, monkeypatch, A, chunk):
+        # radius 1 takes the copy branch of dilate.  Nodes per ball: 12-13,
+        # 28-32 and 52 a pair side, 52, 208 and 812 unpaired; 23 makes
+        # one-ball blocks on every side, 150 several balls a block on every
+        # pair side and at level 0 unpaired, and the default on every side;
+        # 104 is a whole number of 13- and 52-node balls, so a block that
+        # would just fit must not be cut
+        G = DilationGroup(A)
+        quad = BallQuadrature("mapped_grid", 64)
+        fam = default_ball_family(G, 1.0, radii=[0.5, 1.0, 3.0])
+        if chunk is not None:
+            monkeypatch.setattr(muckenhoupt, "_CHUNK", chunk)
+        for level in range(_LEVELS):
+            for sides in ([(False, False)], [(False, True), (True, True)]):
+                refs = [quad.reference_nodes(G, level, shifted, pair=pair)
+                        for shifted, pair in sides]
+                per_block = max(1, muckenhoupt._CHUNK // max(map(len, refs)))
+                first = 0
+                for count, placed in muckenhoupt._blocks(G, fam, refs):
+                    assert count == min(per_block, len(fam) - first)
+                    for (shifted, pair), u, (X, s) in zip(sides, refs, placed):
+                        assert X.shape == (count * len(u), G.d) and s.shape == (len(X),)
+                        for k, B in enumerate(fam[first:first + count]):
+                            rows = slice(k * len(u), (k + 1) * len(u))
+                            want = quad.ball_nodes(G, B, level, shifted, pair=pair)
+                            assert X[rows].tobytes() == want.tobytes()
+                            assert s[rows].tolist() == [G.euclidean_radius_bound(B.radius)] * len(u)
+                    first += count
+                assert first == len(fam)
 
 
 class TestHilbertSchmidtBracket:
@@ -1513,10 +1572,10 @@ class TestHilbertSchmidtBracket:
         quad = BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         ladders = muckenhoupt._ap_ladders(W, fam, 2.0, quad, G2)
-        sides = [quad.family_nodes(G2, fam, _LEVELS - 1, shifted, pair=True)
-                 for shifted in (False, True)]
         ratios = []
-        for B, ladder, X, T in zip(fam, ladders, *sides):
+        for B, ladder in zip(fam, ladders):
+            X, T = (quad.ball_nodes(G2, B, _LEVELS - 1, shifted, pair=True)
+                    for shifted in (False, True))
             scale = G2.euclidean_radius_bound(B.radius)
             P = safe_power_values(W, X, 0.5, scale)  # Hermitian, so P @ P = W
             M = safe_power_values(W, T, -0.5, scale)

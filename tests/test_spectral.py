@@ -524,6 +524,13 @@ class TestMultiplierExperiment:
         # and |eta + 0.5| <= 0.25 (12, 10, 9 at R = 1; 24, 19, 17 at R = 2)
         assert calls == [33, grid1.n, 12, 10, 9, 65, 24, 19, 17]
 
+    def test_member_without_support_points_raises(self, G2, grid2):
+        # at R = 0.5 the off-center and two-bump members of E_B around
+        # c = (0.3, 0.3) hold no lattice point, so their norms are 0
+        with pytest.raises(ValueError, match=r"offcenter .* R = 0\.5, c = \(0\.3, 0\.3\)"):
+            multiplier_bound_experiment(MatrixWeightSpec.identity(2), 2.0, bump_profile, [0.5],
+                                        [np.full(2, 0.3)], grid2, G2, N=2)
+
     def test_required_decay_order(self, G1, G2):
         assert required_decay_order(G1, 2.0) == pytest.approx(1 + 1 * 2)
         # nu = 3, p = 1/2: max(nu, (nu + beta)/p) with beta = nu
