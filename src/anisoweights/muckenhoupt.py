@@ -25,7 +25,7 @@ from .geometry import (
     compute_r0,
     map_ball,
 )
-from .weights import SingularWeight
+from .weights import SingularWeight, cholesky_factors
 
 NORM_CONVENTION = "spectral"
 _LEVELS = 3
@@ -50,8 +50,9 @@ class TruncationNotConverged(RuntimeError):
 # complex) GEMM planes per tile, 0.2-0.3 MB, and an ap-matrix-2d pass takes
 # 800-1,000 minor page faults on a 2-core x86 box.  The same number caps the
 # nodes per side of one block of balls in the family ladder (`_ap_ladders`),
-# so a block's weight roots take at most 0.3 MB (real) or 0.6 MB (complex)
-# per side.
+# so a block's weight factors (any F, M with F^H F = W^(2/p) and
+# M M^H = W^(-2/p): the roots W^(+-1/p), or Cholesky factors at p = 2) take
+# at most 0.3 MB (real) or 0.6 MB (complex) per side.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -141,15 +142,16 @@ def _gram_planes(S: np.ndarray) -> np.ndarray:
     return sum(map(row, range(1, N)), row(0))
 
 
-def _top_norms(q, e, g, scale: np.ndarray, flagged) -> np.ndarray:
+def _top_norms(q, e, g, scale: np.ndarray, flagged, squared=False) -> np.ndarray:
     """scale * sqrt(lambda_max) of Hermitian N x N Gram matrices G in planes, N = 2 or 3.
 
-    q is the plane tr G / N, e the (N, ...) planes G_jj - q, and g the
-    planes Re G_jk for each (j, k) in `_UPPER[N]`, followed for complex
-    matrices by the planes Im G_jk; G is the Gram matrix of a matrix scaled
-    to entries of order 1.  lambda_max is q + sqrt(e_0^2 + |G_01|^2) for
-    N = 2 and comes from the trigonometric formula of Smith (1961) for
-    N = 3.  Where the two largest eigenvalues nearly coincide
+    With squared, the squares scale^2 lambda_max, with no square root.  q
+    is the plane tr G / N, e the (N, ...) planes G_jj - q, and g the planes
+    Re G_jk for each (j, k) in `_UPPER[N]`, followed for complex matrices
+    by the planes Im G_jk; G is the Gram matrix of a matrix scaled to
+    entries of order 1.  lambda_max is q + sqrt(e_0^2 + |G_01|^2) for N = 2
+    and comes from the trigonometric formula of Smith (1961) for N = 3.
+    Where the two largest eigenvalues nearly coincide
     (`_NEAR_DOUBLE_TOP`), flagged(near) gives the scaled matrices at the
     True positions of near, in C order, and LAPACK takes their norms.
     Callers ignore invalid floating-point operations: a non-finite matrix
@@ -161,8 +163,11 @@ def _top_norms(q, e, g, scale: np.ndarray, flagged) -> np.ndarray:
         sq = g * g
         return sq[:U] + sq[U:] if len(g) > U else sq
 
+    def norms(lam):
+        return scale * (scale * lam) if squared else scale * np.sqrt(lam)
+
     if N == 2:
-        return scale * np.sqrt(q + np.sqrt(e[0] * e[0] + abs2(g)[0]))
+        return norms(q + np.sqrt(e[0] * e[0] + abs2(g)[0]))
 
     # Smith: lambda_max = q + 2 p cos(acos(r) / 3) with p = |G - q I|_F / sqrt(6)
     # and r = det((G - q I) / p) / 2 = det((G - q I) / (2^(1/3) p))
@@ -179,10 +184,11 @@ def _top_norms(q, e, g, scale: np.ndarray, flagged) -> np.ndarray:
         cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02
     det = e0 * (e1 * e2 - s12) - e1 * s02 - e2 * s01 + 2.0 * cycle
     r = np.clip(det, -1.0, 1.0)
-    out = scale * np.sqrt(q + p2 * np.cos(np.arccos(r) / 3.0))
+    out = norms(q + p2 * np.cos(np.arccos(r) / 3.0))
     if np.fmin.reduce(r, axis=None) < _NEAR_DOUBLE_TOP - 1.0:  # fmin skips NaN pairs
         near = r < _NEAR_DOUBLE_TOP - 1.0
-        out[near] = scale[near] * _svd_norms(flagged(near))
+        top = scale[near] * _svd_norms(flagged(near))
+        out[near] = top * top if squared else top
     return out
 
 
@@ -382,29 +388,36 @@ def _scalar_quantity_at_nodes(w: np.ndarray, p: float) -> float:
 
 
 def _matrix_quantities(Px: np.ndarray, Mt: np.ndarray, p: float, balls: int) -> np.ndarray:
-    """The matrix A_p quantity of each of `balls` balls from their stacked roots.
+    """The matrix A_p quantity of each of `balls` balls from their stacked factors.
 
-    Ball b owns the rows b n1 ... (b + 1) n1 - 1 of Px = W^(1/p)(x) and
-    b n2 ... (b + 1) n2 - 1 of Mt = W^(-1/p)(t), where n1 = len(Px) / balls
-    and n2 = len(Mt) / balls.  Its quantity is
+    Ball b owns the rows b n1 ... (b + 1) n1 - 1 of Px = P(x) and
+    b n2 ... (b + 1) n2 - 1 of Mt = M(t), where n1 = len(Px) / balls and
+    n2 = len(Mt) / balls; P and M are any factors with P^H P = W^(2/p) and
+    M M^H = W^(-2/p), such as the roots W^(+-1/p), so that
+    |P(x) M(t)| = |W^(1/p)(x) W^(-1/p)(t)|.  Its quantity is
     (avg_x (avg_t |Px Mt|^p')^(p/p'))^(1/p) for p > 1 and
     max_t avg_x |Px Mt|^p for p <= 1.  The balls are walked in spans, the
     `_runs` of their n1 n2 pairs under `_CHUNK`: as many whole balls as
     fit, or one ball when its pairs exceed `_CHUNK` (`_span_norms` then
     splits it into row tiles).  Each span's norms are reduced to its
-    balls' quantities at once: no more norms are held than one span's.
+    balls' quantities at once: no more norms are held than one span's.  At
+    p = 2 (p' = 2) the pair kernel hands over squared norms, with no
+    square root to undo.
     """
     n1, n2 = len(Px) // balls, len(Mt) // balls
     return np.concatenate([
-        _reduce_pairs(_span_norms(Px[a * n1:b * n1], Mt[a * n2:b * n2], b - a), p)
+        _reduce_pairs(_span_norms(Px[a * n1:b * n1], Mt[a * n2:b * n2], b - a, p == 2), p)
         for a, b in _runs(np.full(balls, n1 * n2), _CHUNK)])
 
 
 def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
-    """Ball quantities of the pair norms of whole balls, shape (balls, n1, n2)."""
+    """Ball quantities of the pair norms of whole balls, shape (balls, n1, n2).
+
+    At p = 2 the norms come squared.
+    """
     if p > 1:
         pp = p / (p - 1.0)
-        inner = np.mean(norms ** pp, axis=2) ** (p / pp)
+        inner = np.mean(norms if p == 2 else norms ** pp, axis=2) ** (p / pp)
         # the last power in scalar arithmetic (libm pow), as the one-ball
         # form of this reduction takes it; numpy's array power differs from
         # it in the last bit for about 5% of inputs
@@ -413,9 +426,11 @@ def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")
-def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
+def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int, squared=False) -> np.ndarray:
     """Pair norms (balls, n1, n2) of `balls` whole balls stacked as in `_matrix_quantities`.
 
+    Px and Mt hold any factors P(x) and M(t) of the weight (see
+    `_matrix_quantities`); with squared the result is the squared norms.
     For N = 2 and 3 the per-node work (`_node_features`) is done once per
     span and each tile goes to the pair kernel `_tile_norms`; for other N
     `_product_norms` hands each tile's products to `spectral_norms`.
@@ -441,27 +456,29 @@ def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int) -> np.ndarray:
         tiles = [(slice(b, b + 1), slice(i, i + rows), slice(j, j + cols))
                  for b in range(balls) for j in range(0, n2, cols) for i in range(0, n1, rows)]
     for b, i, j in tiles:
-        out[b, i, j] = kernel(*(a[..., b, i] for a in x), *(a[..., b, j] for a in t))
+        out[b, i, j] = kernel(*(a[..., b, i] for a in x), *(a[..., b, j] for a in t), squared)
     return out
 
 
 def _node_features(Px: np.ndarray, Mt: np.ndarray):
-    """Per-node data of the pair kernel for roots Px = P(x) and Mt = M(t), N = 2 or 3.
+    """Per-node data of the pair kernel for factors Px = P(x) and Mt = M(t), N = 2 or 3.
 
-    Each root is divided by its largest |entry| s (`_scaled`).  The Gram
-    matrix of P M is G = M^H A M with A = P^H P, so tr G / N, each
-    G_jj - tr G / N and each G_jk (j < k) is bilinear in the unique entries
-    of A(x) and the products conj(M_aj) M_bk (`_FEATURES`).  Returns
-    [P / s, s, L] for x and [M / s, s, R] for t, nodes on the last axis,
-    with L the planes of A from `_gram_planes` and plane e of G equal to
-    sum_f L[f] R[e, f].  Complex products are spelled out in real
-    arithmetic and every sum runs in a fixed order, so a node's features
-    do not depend on its batch.
+    P and M are any factors of the weight (see `_matrix_quantities`): the
+    roots W^(+-1/p), or at p = 2 the Cholesky factors of
+    `weights.cholesky_factors`.  Each factor is divided by its largest
+    |entry| s (`_scaled`).  The Gram matrix of P M is G = M^H A M with A =
+    P^H P, so tr G / N, each G_jj - tr G / N and each G_jk (j < k) is
+    bilinear in the unique entries of A(x) and the products conj(M_aj) M_bk
+    (`_FEATURES`).  Returns [P / s, s, L] for x and [M / s, s, R] for t,
+    nodes on the last axis, with L the planes of A from `_gram_planes` and
+    plane e of G equal to sum_f L[f] R[e, f].  Complex products are spelled
+    out in real arithmetic and every sum runs in a fixed order, so a node's
+    features do not depend on its batch.
     """
     N, n = Px.shape[-1], len(Px)
     S, s = _scaled(np.concatenate([Px, Mt]))
-    # C[u N^2 + v] = conj(M_u) M_v for the flat entries u, v of each t root,
-    # followed by the imaginary parts for complex roots
+    # C[u N^2 + v] = conj(M_u) M_v for the flat entries u, v of each t factor,
+    # followed by the imaginary parts for complex factors
     f = S[..., n:].reshape(N * N, -1)
     re = f.real
     C = re[:, None] * re[None]
@@ -506,15 +523,16 @@ def _feature_tables(N: int, cplx: bool):
 _FEATURES = {(N, cplx): _feature_tables(N, cplx) for N in (2, 3) for cplx in (False, True)}
 
 
-def _tile_norms(P, sx, L, M, st, R) -> np.ndarray:
+def _tile_norms(P, sx, L, M, st, R, squared) -> np.ndarray:
     """The pair kernel: norms of P[:, :, b, i] @ M[:, :, b, j] times sx[b, i] st[b, j].
 
-    The arguments are a tile's rows of `_node_features` for x and its
-    columns for t, (ball, node) on the last two axes; the result has shape
-    (balls, rows, cols).  Each plane of G is one GEMM per ball,
-    L[:, b].T (rows x F) @ R[e, :, b] (F x cols), and the planes go to the
-    shared tail `_top_norms`, which hands the pairs whose two top singular
-    values nearly coincide to LAPACK as the products P @ M.
+    With squared, their squares (`_top_norms`).  The arguments are a tile's
+    rows of `_node_features` for x and its columns for t, (ball, node) on
+    the last two axes; the result has shape (balls, rows, cols).  Each
+    plane of G is one GEMM per ball, L[:, b].T (rows x F) @ R[e, :, b] (F x
+    cols), and the planes go to the shared tail `_top_norms`, which hands
+    the pairs whose two top singular values nearly coincide to LAPACK as
+    the products P @ M.
     """
     N = len(P)
     G = np.matmul(L.transpose(1, 2, 0)[None], R.transpose(0, 2, 1, 3))  # (plane, ball, row, col)
@@ -523,12 +541,17 @@ def _tile_norms(P, sx, L, M, st, R) -> np.ndarray:
         b, i, j = np.nonzero(near)
         return np.moveaxis(P[:, :, b, i], -1, 0) @ np.moveaxis(M[:, :, b, j], -1, 0)
 
-    return _top_norms(G[0], G[1:1 + N], G[1 + N:], sx[:, :, None] * st[:, None, :], flagged)
+    return _top_norms(G[0], G[1:1 + N], G[1 + N:], sx[:, :, None] * st[:, None, :], flagged,
+                      squared)
 
 
-def _product_norms(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Norms of P[:, :, b, i] @ M[:, :, b, j] for N = 1 and N >= 4, by `spectral_norms`."""
-    return spectral_norms(np.moveaxis(np.einsum("iabr,akbc->ikbrc", P, M), (0, 1), (-2, -1)))
+def _product_norms(P: np.ndarray, M: np.ndarray, squared) -> np.ndarray:
+    """Norms of P[:, :, b, i] @ M[:, :, b, j] for N = 1 and N >= 4, by `spectral_norms`.
+
+    With squared, their squares.
+    """
+    norms = spectral_norms(np.moveaxis(np.einsum("iabr,akbc->ikbrc", P, M), (0, 1), (-2, -1)))
+    return norms * norms if squared else norms
 
 
 def _blocks(G: DilationGroup, balls, refs):
@@ -566,6 +589,24 @@ def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
     return out
 
 
+def _pair_factors(W, pts: np.ndarray, a: float, scale) -> np.ndarray:
+    """Factors of a matrix weight's root W^a at the (m, d) nodes, for `_matrix_quantities`.
+
+    At a = +-1/2 (p = 2) the nodes that `weights.cholesky_factors`
+    certifies take its Cholesky factors, with no eigendecomposition.  The
+    other nodes, and every node at any other a, take `safe_power_values`
+    as they would alone: the same nudges, singular masks and eigenvalue
+    clamps.  A node's factor does not depend on the batch.
+    """
+    if abs(a) != 0.5:
+        return safe_power_values(W, pts, a, scale)
+    out, certified = cholesky_factors(W.values(pts), a)
+    if not certified.all():
+        rest = ~certified
+        out[rest] = safe_power_values(W, pts[rest], a, np.broadcast_to(scale, len(pts))[rest])
+    return out
+
+
 def _ap_ladders(W, family, p: float, quad: BallQuadrature,
                 G: DilationGroup) -> list[LadderValue]:
     """Muckenhoupt ladders of the balls of a family.
@@ -581,8 +622,8 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature,
             refs = [quad.reference_nodes(G, level, shifted, pair=True)
                     for shifted in (False, True)]
             levels.append(np.concatenate([
-                _matrix_quantities(safe_power_values(W, X, 1.0 / p, sx),
-                                   safe_power_values(W, T, -1.0 / p, st), p, count)
+                _matrix_quantities(_pair_factors(W, X, 1.0 / p, sx),
+                                   _pair_factors(W, T, -1.0 / p, st), p, count)
                 for count, [(X, sx), (T, st)] in _blocks(G, family, refs)]))
         else:
             levels.append([_scalar_quantity_at_nodes(w, p)
@@ -641,17 +682,21 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     built once per level and side (a matrix weight's t side is the shifted
     grid), and one dilation per block and side maps it into every ball of
     the block, delta_r u + c.  A scalar weight is evaluated once on the
-    block's stacked nodes, a matrix weight's roots W^(+-1/p) once per side, and
-    each nudge off a singular set is sized by the node's own ball.  Pair
-    norms come from the pair kernel (`_span_norms`): each root is squared
+    block's stacked nodes, and a matrix weight's factors once per side
+    (`_pair_factors`): any F, M with F^H F = W^(2/p) and M M^H = W^(-2/p).
+    These are the roots W^(+-1/p), but at p = 2 the Cholesky factors
+    L^H and L^(-H) of W = L L^H wherever they are certified to equal the
+    roots' products up to rounding, with no eigendecomposition.  Each
+    nudge off a singular set is sized by the node's own ball.  Pair
+    norms come from the pair kernel (`_span_norms`): each factor is squared
     into per-node features once per span of balls, each Gram plane of a
     tile of at most `_CHUNK` pairs is one GEMM, a span holds several whole
     balls when they fit, and each span is reduced to its balls' quantities
-    at once.  Where the weight is evaluated pointwise
-    (its value at a node does not depend on the other nodes of the batch),
-    each value and error is bitwise that of `ap_ball_quantity_ladder` on
-    the ball alone, so the report does not depend on how the family is
-    blocked.
+    at once (from squared norms at p = 2).  Where the weight is evaluated
+    pointwise (its value at a node does not depend on the other nodes of
+    the batch), each value and error is bitwise that of
+    `ap_ball_quantity_ladder` on the ball alone, so the report does not
+    depend on how the family is blocked.
     """
     if not family:
         raise ValueError("family must be nonempty")

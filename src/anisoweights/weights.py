@@ -4,7 +4,10 @@ All weights are positive (definite) off an explicit measure-zero singular
 set.  Evaluation is vectorized over point arrays of shape (m, d); matrix
 values are Hermitian (m, N, N) arrays.  Fractional powers go through the
 eigendecomposition with a relative eigenvalue floor, so quadrature nodes
-that land near a singular set stay usable.
+that land near a singular set stay usable.  Where only the products
+W^(1/2)(x) W^(-1/2)(t) matter (the matrix A_2 pair norms), Cholesky factors
+stand in for the roots at the matrices that are certified to lie above that
+floor, with no eigendecomposition (`cholesky_factors`).
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
     eigenvalue below 1e-300 is singular: then this raises `SingularWeight`
     with every matrix's power, unit eigenvalues for the singular ones.
     Other eigenvalues are clamped to 1e-14 * trace / N before the power,
-    which preserves ball averages to quadrature accuracy.
+    which preserves ball averages to quadrature accuracy.  At a = +-1/2,
+    `cholesky_factors` certifies the matrices where neither can happen, and
+    the matrix A_2 ladders take its factors there instead, with no `eigh`.
     """
     finite = np.isfinite(W).all(axis=(-2, -1))
     if not finite.all():
@@ -193,6 +198,59 @@ def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
     if singular.any():
         raise SingularWeight("weight is singular at an evaluation point", out, singular)
     return out
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def cholesky_factors(W: np.ndarray, a: float):
+    """Cholesky stand-ins for the roots W^(+-1/2) of a batch (m, N, N), and where they hold.
+
+    W = L L^H is factored from the lower triangles (which `eigh` reads) by
+    one loop over the entries, vectorized over the matrices, so a matrix's
+    factor does not depend on its batch.  a = 1/2 gives F = L^H, with
+    F^H F = W, and a = -1/2 gives M = L^(-H), with M M^H = W^(-1); so
+    |F(x) M(t)| = |W^(1/2)(x) W^(-1/2)(t)| for all x and t.  Returns the
+    factors and the mask of the certified matrices.  A certified matrix is
+    finite and proven to have lambda_min >= max(1e-14 tr / N, 1e-300), so
+    the floors of `hermitian_power` cannot act on it beyond rounding, and
+    any product of its factors equals that of its roots up to rounding.
+    The proof: the other eigenvalues multiply to at most
+    (tr / (N - 1))^(N - 1) (AM-GM), so lambda_min / tr >= b =
+    (N - 1)^(N - 1) prod_k (d_k / tr) for the pivots d_k, and b <= 1.  The
+    computed factor is exact for W + E with |E| <= (N + 1) u tr to first
+    order (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3; u the unit roundoff), and b's own rounding is below
+    2 (N + 1)^2 u.  So b above the floor by 4 (N + 1)(2N + 3) u, a factor
+    4 over both for complex arithmetic, proves the floor for W.  The other
+    matrices' factors are arbitrary, non-finite after a zero or negative
+    pivot.
+    """
+    n = W.shape[-1]
+    tr = np.real(np.trace(W, axis1=-2, axis2=-1))
+    bound = float((n - 1) ** (n - 1))
+    L = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            s = W[:, i, j]
+            for k in range(j):
+                s = s - L[i][k] * L[j][k].conj()
+            if i == j:
+                bound = bound * (s.real / tr)
+                L[j][j] = np.sqrt(s.real)
+            else:
+                L[i][j] = s / L[j][j]
+    if a < 0:  # L^(-1) by forward substitution, column by column, in place of L
+        for j in range(n):
+            L[j][j] = 1.0 / L[j][j]
+            for i in range(j + 1, n):
+                s = sum((L[i][k] * L[k][j] for k in range(j + 1, i)), L[i][j] * L[j][j])
+                L[i][j] = -s / L[i][i]
+    out = np.zeros_like(W)
+    for i in range(n):
+        for j in range(i + 1):
+            out[:, j, i] = L[i][j].conj()
+    margin = 4 * (n + 1) * (2 * n + 3) * np.finfo(float).eps / 2
+    floor = np.maximum(EIGEN_FLOOR_SCALE / n, HARD_FLOOR / tr)
+    return out, np.isfinite(W).all(axis=(-2, -1)) & (bound >= floor + margin)
 
 
 class MatrixWeightSpec:

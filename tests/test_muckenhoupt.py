@@ -270,6 +270,8 @@ class TestPairNorms:
         ours, ref = _span_norms(Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
         assert ours.shape == ref.shape and ours.dtype == np.float64
         assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
+        squares = _span_norms(Px, Mt, 1, squared=True)[0]  # p = 2: no square root
+        assert np.all(np.abs(squares - ref * ref) <= 2e-13 * ref * ref)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_repeated_top_singular_value_goes_to_lapack(self, monkeypatch, kind):
@@ -969,21 +971,22 @@ def oracle_power_values(spec, pts, a, scale):
 
 
 def loop_matrix_quantity(Px, Mt, p):
-    """One ball's matrix quantity from all of its pair norms at once."""
-    return loop_reduce_pairs(_span_norms(Px, Mt, 1)[0], p)
+    """One ball's matrix quantity from all of its pair norms at once, squared at p = 2."""
+    return loop_reduce_pairs(_span_norms(Px, Mt, 1, p == 2)[0], p, p == 2)
 
 
-def loop_reduce_pairs(norms, p):
+def loop_reduce_pairs(norms, p, squared=False):
     if p > 1:
         pp = p / (p - 1.0)
-        inner = np.mean(norms ** pp, axis=1) ** (p / pp)
+        inner = np.mean(norms if squared else norms ** pp, axis=1) ** (p / pp)
         return float(np.mean(inner) ** (1.0 / p))
     return float(np.max(np.mean(norms ** p, axis=0)))
 
 
 def loop_ap_ladder(W, B, p, quad, G):
     """One ball's ladder, level by level, from nodes built for this ball
-    alone: the x nodes of a pair unshifted and the t nodes shifted."""
+    alone: the x nodes of a pair unshifted and the t nodes shifted, with
+    the factors of the family ladder (`_pair_factors`)."""
     scale = G.euclidean_radius_bound(B.radius)
 
     def nodes(level, shifted, pair=False):
@@ -992,8 +995,8 @@ def loop_ap_ladder(W, B, p, quad, G):
     levels = []
     for level in range(_LEVELS):
         if hasattr(W, "power_values"):
-            Px = safe_power_values(W, nodes(level, False, pair=True), 1.0 / p, scale)
-            Mt = safe_power_values(W, nodes(level, True, pair=True), -1.0 / p, scale)
+            Px = muckenhoupt._pair_factors(W, nodes(level, False, pair=True), 1.0 / p, scale)
+            Mt = muckenhoupt._pair_factors(W, nodes(level, True, pair=True), -1.0 / p, scale)
             levels.append(loop_matrix_quantity(Px, Mt, p))
         else:
             w = oracle_scalar_values(W, nodes(level, False), scale)
@@ -1491,11 +1494,16 @@ class TestFamilyLadder:
             assert (row.discrepancy, row.combined_error) == (
                 abs(la.value - lb.value), la.error + lb.error)
 
-    def test_one_power_call_per_level_side_and_block(self, G2, power_calls, dilate_calls):
-        # the 92-ball ap-matrix-2d family: hermitian_power runs twice per
-        # level and block, plus the retries after a node hit x1 = 0, and
-        # each block's nodes are placed by one dilation per side (one per
-        # ball, level and side would be 552)
+    def test_one_power_call_per_level_side_and_block(self, G2, monkeypatch, power_calls,
+                                                     dilate_calls):
+        # the 92-ball ap-matrix-2d family: the weight is factored once per
+        # level, side and block; hermitian_power sees only the 84 level-0 x
+        # nodes on x1 = 0, which the certificate leaves out, where they are
+        # singular and then nudged; each block's nodes are placed by one
+        # dilation per side (one per ball, level and side would be 552)
+        factored, factor = [], muckenhoupt.cholesky_factors
+        monkeypatch.setattr(muckenhoupt, "cholesky_factors",
+                            lambda M, a: factored.append(len(M)) or factor(M, a))
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         blocks = 0
@@ -1506,9 +1514,8 @@ class TestFamilyLadder:
         calls, raised = power_calls
         estimate_ap_constant(W, 2.0, fam, quad, G2)
         assert len(fam) == 92 and blocks == 6
-        assert len(calls) - len(raised) == 2 * blocks
-        assert 0 < len(raised) <= 2
-        assert max(calls) <= muckenhoupt._CHUNK
+        assert len(factored) == 2 * blocks and max(factored) <= muckenhoupt._CHUNK
+        assert calls == [84, 84] and raised == [84]
         assert len(dilate_calls) == 2 * blocks
         assert {t[1:] for t in dilate_calls} == {(1,)}  # t of shape (balls, 1)
         assert sum(t[0] for t in dilate_calls) == 2 * _LEVELS * len(fam)
@@ -1582,6 +1589,101 @@ class TestHilbertSchmidtBracket:
             hs = np.trace(np.mean(P @ P, axis=0) @ np.mean(M @ M, axis=0)).real
             ratios.append(ladder.levels[-1] ** 2 / hs)
         assert 1.0 / W.N - 1e-12 <= min(ratios) and max(ratios) <= 1.0 + 1e-12
+
+
+def edge_weight(kind):
+    """diag(|x1|^(1/2), |x|^(-1/2), 2) coupled: singular on x1 = 0, non-finite at 0.
+
+    "real" couples it as the benchmark weight is coupled (diag_dominant),
+    "complex" turns it into a random complex frame (conjugated).
+    """
+    S = ScalarWeightSpec
+    scalars = [S.poly_abs_power({(1, 0): 1.0}, 0.5), S.radial_power(-0.5), S.constant(2.0)]
+    if kind == "real":
+        return MatrixWeightSpec.diag_dominant(
+            scalars, {(0, 1): {(0, 1): 1.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}}, 0.5)
+    return MatrixWeightSpec.conjugated(random_unitaries(np.random.default_rng(50), 1, 3)[0],
+                                       scalars)
+
+
+def relative_gap(ours, ref):
+    return np.max(np.abs(ours - ref) / np.abs(ref).max(axis=(-2, -1), keepdims=True))
+
+
+class TestPairFactors:
+    """`_pair_factors`: Cholesky factors where certified, and the roots elsewhere."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_left_out_nodes_take_the_roots(self, monkeypatch, kind):
+        # nodes 0-2 are non-finite (and on x1 = 0), singular, and just under
+        # the certificate (lambda_min / tr between the floor 1e-14 / 3 and
+        # the margin above it); nodes 3 and 4 are certified
+        W = edge_weight(kind)
+        floor, margin = 1e-14 / 3, 4 * (3 + 1) * (2 * 3 + 3) * np.finfo(float).eps / 2
+
+        def rel(x1):  # lambda_min / tr at (x1, 0.3), which grows as sqrt(x1)
+            vals = np.linalg.eigvalsh(W.values([x1, 0.3]))
+            return vals[0] / vals.sum()
+
+        x1 = 1e-24 * ((floor + margin / 2) / rel(1e-24)) ** 2
+        assert floor < rel(x1) < floor + margin
+        pts = np.array([[0.0, 0.0], [0.0, 0.7], [x1, 0.3], [0.5, 0.5], [-1.2, 0.4]])
+        scale = np.array([1.0, 2.0, 1.0, 1.0, 3.0])
+        masks, power = [], weights.hermitian_power
+
+        def recorded(M, a):
+            try:
+                return power(M, a)
+            except SingularWeight as exc:
+                masks.append(exc.singular.tolist())
+                raise
+
+        monkeypatch.setattr(weights, "hermitian_power", recorded)
+        values = W.values(pts[3:])
+        for a, want in ((0.5, values), (-0.5, np.linalg.inv(values))):
+            masks.clear()
+            roots = safe_power_values(W, pts, a, scale)
+            ours = muckenhoupt._pair_factors(W, pts, a, scale)
+            assert masks == [[True, True, False, False, False], [True, True, False]]
+            assert ours[:3].tobytes() == roots[:3].tobytes()
+            F = ours[3:]
+            gram = F.conj().swapaxes(-1, -2) @ F if a > 0 else F @ F.conj().swapaxes(-1, -2)
+            assert relative_gap(gram, want) <= 1e-14
+
+    @pytest.mark.parametrize("variant", [0, 5])
+    def test_pair_norms_match_svd_of_the_roots(self, G2, variant):
+        # the level-0 x nodes of ball (1, 0) of radius 2, 6 of them nudged
+        # off x1 = 0, against t nodes of a ball on x1 = 0 and nodes up to
+        # 1e-8 from it, where W(t) is ill-conditioned
+        W, quad = (ap_matrix_weight() if variant == 0 else benchmark_variant(variant),
+                   BallQuadrature("mapped_grid", 1024))
+        X = quad.ball_nodes(G2, AnisoBall([1.0, 0.0], 2.0), 0, pair=True)
+        T = np.concatenate([quad.ball_nodes(G2, AnisoBall([0.0, 1.0], 0.25), 0, True, pair=True),
+                            [[1e-8, 0.3], [-1e-6, -0.5], [1e-4, 1.0], [-0.01, 0.0]]])
+        assert (X[:, 0] == 0.0).sum() == 6
+        scale = G2.euclidean_radius_bound(2.0)
+        Px, Mt = (muckenhoupt._pair_factors(W, Y, a, scale) for Y, a in ((X, 0.5), (T, -0.5)))
+        ref = loop_pair_norms(safe_power_values(W, X, 0.5, scale),
+                              safe_power_values(W, T, -0.5, scale))
+        squares = _span_norms(Px, Mt, 1, squared=True)[0]
+        assert np.all(np.abs(np.sqrt(squares) - ref) <= 1e-13 * ref)
+        assert np.all(np.abs(_span_norms(Px, Mt, 1)[0] - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 1.0])
+    def test_other_exponents_take_the_roots(self, G2, monkeypatch, p):
+        # p != 2: the ladders take safe_power_values' roots and never factor
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 256)
+        X = quad.ball_nodes(G2, AnisoBall([1.0, 0.0], 2.0), 1, pair=True)
+        for a in (1.0 / p, -1.0 / p):
+            assert (muckenhoupt._pair_factors(W, X, a, 1.0).tobytes()
+                    == safe_power_values(W, X, a, 1.0).tobytes())
+        factored = count_calls(monkeypatch, muckenhoupt, "cholesky_factors")
+        fam = default_ball_family(G2, 1.0, radii=[1.0, 2.0])
+        try:
+            estimate_ap_constant(W, p, fam, quad, G2)
+        except NonIntegrable:
+            pass
+        assert factored == []
 
 
 class TestCalderon:
@@ -1676,8 +1778,10 @@ class TestNudge:
         assert np.isfinite(got).all()
 
     def test_ap_matrix_pass(self, G2, monkeypatch, power_calls):
-        # the ap-matrix-2d pass: 35,780 matrices, of which the level-0 x
-        # block's 84 nodes on x1 = 0 are the only ones evaluated twice
+        # the ap-matrix-2d pass: the certified Cholesky factors cover every
+        # node but the level-0 x block's 84 on x1 = 0, which alone go to
+        # safe_power_values, singular there and then nudged: 168 matrices
+        # through hermitian_power, where every node's root took 35,780
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         blocks = []
@@ -1690,10 +1794,9 @@ class TestNudge:
         monkeypatch.setattr(muckenhoupt, "safe_power_values", recorded)
         calls, raised = power_calls
         estimate_ap_constant(W, 2.0, fam, quad, G2)
-        assert sum(calls) == 35_780 and raised == [2_944]
-        assert calls[:2] == [2_944, 84]
-        X, a, sx = blocks[0]
-        assert (len(X), a) == (2_944, 0.5)
+        assert calls == [84, 84] and raised == [84]
+        [(X, a, sx)] = blocks
+        assert (len(X), a) == (84, 0.5) and not X[:, 0].any()
         assert inner(W, X, a, sx).tobytes() == oracle_power_values(W, X, a, sx).tobytes()
 
     def test_slice_weight(self, monkeypatch):

@@ -9,6 +9,7 @@ from anisoweights.weights import (
     MatrixWeightSpec,
     ScalarWeightSpec,
     SingularWeight,
+    cholesky_factors,
     hermitian_power,
 )
 
@@ -262,6 +263,58 @@ class TestHermitianPower:
         assert np.isfinite(info.value.values).all()
         for i in (0, 5):
             assert info.value.values[i].tobytes() == hermitian_power(W[i:i + 1], -0.5)[0].tobytes()
+
+
+def relative_error(ours, ref):
+    return np.max(np.abs(ours - ref) / np.abs(ref).max(axis=(-2, -1), keepdims=True))
+
+
+def adjoint(M):
+    return M.conj().swapaxes(-1, -2)
+
+
+class TestCholeskyFactors:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_certified_factors_give_w_and_its_inverse(self, n, kind):
+        W = hermitian_stack(np.random.default_rng(30 + n), 300, n, kind)
+        F, x_ok = cholesky_factors(W, 0.5)
+        M, t_ok = cholesky_factors(W, -0.5)
+        assert x_ok.all() and t_ok.all()
+        assert F.dtype == M.dtype == W.dtype
+        assert relative_error(adjoint(F) @ F, W) <= 1e-14
+        assert relative_error(M @ adjoint(M), np.linalg.inv(W)) <= 1e-14
+        # upper triangular, as L^H and L^(-H) are
+        assert not np.tril(F, -1).any() and not np.tril(M, -1).any()
+        alone = np.concatenate([cholesky_factors(w[None], -0.5)[0] for w in W[:5]])
+        assert alone.tobytes() == M[:5].tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_left_out_where_the_floor_may_act(self, n, kind):
+        # eigenvalues (lam, 1, ..., 1) in a random frame with lam / tr = c:
+        # certified at c = 1e-12, but not between the floor 1e-14 / n and
+        # the margin above it, nor below the floor, nor where the matrix is
+        # singular or has a NaN entry; a 1 x 1 matrix (c = 1) is left out
+        # below the singular floor 1e-300
+        u = np.finfo(float).eps / 2
+        floor, margin = 1e-14 / n, 4 * (n + 1) * (2 * n + 3) * u
+        c = np.array([1e-12, floor + margin / 2, floor / 2, 0.0, 1e-12])
+        lam = c * (n - 1) / (1 - c) if n > 1 else np.array([1.0, 1e-310, 1e-310, 0.0, 1.0])
+        Q = np.linalg.eigh(hermitian_stack(np.random.default_rng(40 + n), 5, n, kind))[1]
+        d = np.ones((5, n))
+        d[:, 0] = lam
+        W = (Q * d[:, None, :]) @ adjoint(Q)
+        W[4, -1, 0] = np.nan
+        if n > 1:
+            vals = np.linalg.eigvalsh(W[1:3])
+            assert floor / 4 < vals[1, 0] / vals[1].sum() < floor < vals[0, 0] / vals[0].sum()
+            assert vals[0, 0] / vals[0].sum() < floor + margin
+        for a in (0.5, -0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, ok = cholesky_factors(W, a)
+            assert ok.tolist() == [True, False, False, False, False]
 
 
 def matrix_norm_equivalence_check(M, r: float) -> bool:

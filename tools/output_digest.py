@@ -4,18 +4,22 @@
 
 Builds each workload of perfbench/workloads.py at seeds 0-3, runs its main
 phase once, and prints one line per workload and seed: the workload, the
-seed and the sha256 of the pickled output.  A DilationGroup in an output
-is pickled as its generator A alone: the group is fixed by A, so a change
-to the attributes it keeps beside A is not an output change.  DIR holds
-the anisoweights package to run (default: src/ of this checkout), so that
-two trees can be compared on the same workloads:
+seed, the sha256 of the pickled output, and failed/attempted items of the
+workload's own check of that output against perfbench/reference.json.  A
+DilationGroup in an output is pickled as its generator A alone: the group
+is fixed by A, so a change to the attributes it keeps beside A is not an
+output change.  DIR holds the anisoweights package to run (default: src/
+of this checkout), so that two trees can be compared on the same
+workloads:
 
     python3 tools/output_digest.py > head.txt
     python3 tools/output_digest.py --src ../base/src > base.txt
     diff base.txt head.txt
 
-A refactor that keeps outputs bitwise leaves every line the same.  BLAS
-runs single-threaded, as in perfbench/run.py.
+A refactor that keeps outputs bitwise leaves every line the same; a change
+that moves outputs on purpose still shows 0 failed items on every line.
+The exit status is 1 if any item fails.  BLAS runs single-threaded, as in
+perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -52,12 +56,20 @@ def main(argv=None) -> int:
         def persistent_id(self, obj):
             return ("DilationGroup", obj.A) if isinstance(obj, DilationGroup) else None
 
+    refs = workloads.load_references()
+    failed = 0
     for name, wl in workloads.WORKLOADS.items():
         for seed in SEEDS:
+            state = wl.build(seed)
+            out = wl.main(state)
             buf = io.BytesIO()
-            Pickler(buf, PROTOCOL).dump(wl.main(wl.build(seed)))
-            print(f"{name} {seed} {hashlib.sha256(buf.getvalue()).hexdigest()}", flush=True)
-    return 0
+            Pickler(buf, PROTOCOL).dump(out)
+            tally = workloads.Tally()
+            wl.check(state, out, refs.get(name, {}).get(str(seed % workloads.VARIANTS)), tally)
+            failed += tally.failed
+            print(f"{name} {seed} {hashlib.sha256(buf.getvalue()).hexdigest()} "
+                  f"{tally.failed}/{tally.attempted}", flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
