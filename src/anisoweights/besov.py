@@ -456,16 +456,20 @@ def norm_equivalence_experiment(ensemble, W, params_list, bapu: Bapu,
     r1 = ||c||_b / ||f||_B with c = analyze(f) per ensemble member; r2 =
     ||synthesize(c')||_B / ||c'||_b for c' = c and for the scalar multiple
     c' = (0.5 - 0.25i) c, the row tagged "*".  r1 and the plain r2 share
-    the one value ||c||_b.
+    the one value ||c||_b.  A field with ||f||_B = 0 or ||c||_b = 0 (the
+    zero field) has no ratio and raises `ValueError` naming it.
     """
     rows = []
     for params in params_list:
         for f in ensemble:
             c = analyze(f, sqrt_bapu)
             b = discrete_b_norm(c, W, params)
+            norm = besov_norm(f, W, params, bapu)
+            if norm == 0 or b == 0:
+                raise ValueError(f"field {f.field_id} has Besov norm {norm:g} and b-norm {b:g} "
+                                 f"at (s, p, q) = ({params.s:g}, {params.p:g}, {params.q:g})")
             rows.append(EquivalenceRow("coefficient", f.field_id, params.s,
-                                       params.p, params.q,
-                                       float(b / besov_norm(f, W, params, bapu))))
+                                       params.p, params.q, float(b / norm)))
             scaled = c.scaled(0.5 - 0.25j)
             for tag, cc, b_cc in (("", c, b),
                                   ("*", scaled, discrete_b_norm(scaled, W, params))):
@@ -479,7 +483,13 @@ def norm_equivalence_experiment(ensemble, W, params_list, bapu: Bapu,
 
 def bapu_independence_check(f: BandLimitedField, W, params: BesovParams,
                             bapu1: Bapu, bapu2: Bapu) -> float:
-    """Ratio of the Besov norms computed with two partitions."""
+    """Ratio of the Besov norms computed with two partitions.
+
+    A field of Besov norm 0 under bapu2 (the zero field) has no ratio and
+    raises `ValueError` naming it.
+    """
     n1 = besov_norm(f, W, params, bapu1)
     n2 = besov_norm(f, W, params, bapu2)
+    if n2 == 0:
+        raise ValueError(f"field {f.field_id} has Besov norm 0 under the second partition")
     return float(n1 / n2)

@@ -356,26 +356,40 @@ def weighted_magnitudes(root, v) -> np.ndarray:
     """|W^a(x) v| at every node, for a root returned by `safe_power_values`.
 
     v is one vector per node, shape (m, N), a stack of such arrays,
-    shape (..., m, N), or one vector shared by all nodes, shape (N,).  A
-    scalar root w^a gives w^a |v| and a matrix root the Euclidean norm of
-    the product, shape (..., m) either way; each (m, N) slice of a stack
-    gives bitwise what it gives alone.  Without a weight (root None) the
+    shape (..., m, N), or one vector shared by all nodes, shape (N,); a
+    stack with m = 1 gives each of its vectors to every node.  A scalar
+    root w^a gives w^a |v| and a matrix root the Euclidean norm of the
+    product, shape (..., m) either way.  Without a weight (root None) the
     result is |v|: shape (..., m) for per-node vectors and a single number
     for a shared one.  A matrix root of size N needs vectors of N entries;
     other sizes raise `ValueError`.
+
+    A matrix root is read one (m,) plane root[:, i, j] at a time:
+    y_i = sum_j root[:, i, j] v[..., j] in order of j, then
+    |y|^2 = sum_i (Re y_i^2 + Im y_i^2) in order of i.  Every step is
+    elementwise, so each (m, N) slice of a stack gives bitwise what it gives
+    alone, and the memory layout of root and v does not change a bit; a
+    root stored node-last (`spectral._grid_root`) has contiguous planes.
+    A real root is not copied to complex for complex vectors; the result
+    is bitwise that of its complex cast.
     """
     v = np.asarray(v)
     if root is None:
         return np.linalg.norm(v, axis=-1)
     if root.ndim == 1:
         return root * np.linalg.norm(v, axis=-1)
-    if v.shape[-1] != root.shape[-1]:
-        raise ValueError(f"a weight of size N = {root.shape[-1]} needs vectors of "
-                         f"{root.shape[-1]} entries, got {v.shape[-1]}")
-    if np.iscomplexobj(v) and not np.iscomplexobj(root):
-        root = root.astype(v.dtype)  # einsum on mixed real and complex runs 2-3x slower
-    return np.linalg.norm(np.einsum("mij,j->mi" if v.ndim == 1 else "mij,...mj->...mi",
-                                    root, v), axis=-1)
+    N = root.shape[-1]
+    if v.shape[-1] != N:
+        raise ValueError(f"a weight of size N = {N} needs vectors of "
+                         f"{N} entries, got {v.shape[-1]}")
+    sq = None
+    for i in range(N):
+        y = root[:, i, 0] * v[..., 0]
+        for j in range(1, N):
+            y += root[:, i, j] * v[..., j]
+        term = y.real ** 2 + y.imag ** 2 if np.iscomplexobj(y) else y * y
+        sq = term if sq is None else sq + term
+    return np.sqrt(sq)
 
 
 # -- per-ball quantities ---------------------------------------------------------
@@ -969,9 +983,8 @@ def _fit_reducing(root: np.ndarray, dirs: np.ndarray, exponent: float):
     distortion.  If eta^2 is a quadratic form (p = 2 and the Gram
     identity), the first pass recovers it.
     """
-    # (m, N, N) @ (K, N) -> (m, K, N)
-    mags = np.linalg.norm(np.einsum("mij,kj->mki", root, dirs), axis=2)
-    eta = np.mean(mags ** exponent, axis=0) ** (1.0 / exponent)
+    mags = weighted_magnitudes(root, dirs[:, None, :])  # (K, m)
+    eta = np.mean(mags ** exponent, axis=1) ** (1.0 / exponent)
     rows = (dirs.conj()[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
     target = eta ** 2
     fit = target

@@ -307,13 +307,18 @@ def decay_certificate(phi: MultiplierSpec, M: float) -> float:
 def _grid_root(grid: FourierGrid, W, p: float):
     """W^(1/p) at the spatial grid points, as `safe_power_values` returns it.
 
-    A matrix root comes back complex: the fields it weighs are complex, and
-    `weighted_magnitudes` would otherwise cast a real root on every call.
+    A matrix root comes back complex and node-last in memory: an (m, N, N)
+    view of an (N, N, m) C-order array.  The fields it weighs are complex,
+    and `weighted_magnitudes` reads the root one contiguous (m,) plane
+    root[:, i, j] at a time.  The values are bitwise the cast of
+    `safe_power_values`.
     """
     _check_exponent(p)
     pts = grid.spatial_points()
     root = safe_power_values(W, pts, 1.0 / p, 1.0 + grid.L)  # 1 + max |x| on the grid
-    return root.astype(complex, copy=False) if root is not None and root.ndim == 3 else root
+    if root is None or root.ndim == 1:
+        return root
+    return np.ascontiguousarray(root.transpose(1, 2, 0), dtype=complex).transpose(2, 0, 1)
 
 
 def _riemann_norm(mags: np.ndarray, p: float, cell: float) -> np.ndarray:

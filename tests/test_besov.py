@@ -559,3 +559,19 @@ def test_field_off_the_partition_lattice_raises(benchmark_pass, G1, grid):
     c = dataclasses.replace(analyze(fields[0], sqrt_bapu), grid=grid)
     with pytest.raises(SizeMismatch):
         synthesize(c, sqrt_bapu)
+
+
+@pytest.mark.parametrize("entry", ["norm_equivalence_experiment", "bapu_independence_check"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_zero_field_raises_naming_it(benchmark_pass, entry, weighted):
+    # both norms of the zero field are 0, so neither ratio exists
+    fields, W, bapu, sqrt_bapu = benchmark_pass
+    W = W if weighted else None
+    f = fields[0]
+    zero = BandLimitedField.from_values(f.grid, f.group, np.zeros_like(f.values), f.ball,
+                                        field_id="zero")
+    with pytest.raises(ValueError, match="field zero has Besov norm 0"):
+        if entry == "norm_equivalence_experiment":
+            norm_equivalence_experiment([fields[1], zero], W, [PARAMS], bapu, sqrt_bapu)
+        else:
+            bapu_independence_check(zero, W, PARAMS, bapu, bapu)

@@ -1912,11 +1912,45 @@ def test_vectors_of_another_size_than_the_weight_raise(entry, grid1, G2):
             weighted_lp_norm(field_of_size(int(entry[2])), W, 2.0)
 
 
+def node_last(root):
+    """root with the same values, stored as an (N, N, m) C-order array."""
+    return np.ascontiguousarray(root.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("root_kind", ["real", "complex"])
+@pytest.mark.parametrize("v_kind", ["real", "complex"])
+def test_magnitudes_match_per_node_products(N, root_kind, v_kind):
+    # oracle: |root[k] @ v[k]| node by node, for per-node vectors (m, N),
+    # stacks (K, m, N), one vector shared by all nodes (N,), and a (K, 1, N)
+    # stack whose K vectors each go to every node (as _fit_reducing uses it)
+    K, m = 3, 50
+    rng = np.random.default_rng(N)
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    root = draw((m, N, N), root_kind)
+    stack, shared = draw((K, m, N), v_kind), draw(N, v_kind)
+    want = np.array([[np.linalg.norm(root[k] @ v[k]) for k in range(m)] for v in stack])
+    for got, expected in ((weighted_magnitudes(root, stack), want),
+                          (weighted_magnitudes(root, stack[1]), want[1]),
+                          (weighted_magnitudes(root, shared),
+                           [np.linalg.norm(root[k] @ shared) for k in range(m)]),
+                          (weighted_magnitudes(root, stack[:, :1]),
+                           [[np.linalg.norm(root[k] @ u[0]) for k in range(m)] for u in stack])):
+        assert np.shape(got) == np.shape(expected)
+        assert np.all(np.abs(got - expected) <= 8 * np.spacing(np.asarray(expected)))
+
+
 @pytest.mark.parametrize("root", ["none", "scalar", "real matrix", "complex matrix"])
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
 def test_stacked_magnitudes_equal_per_slice_calls(root, layout):
     # the Besov norms weigh a block of K patches' fields in one call; the
-    # transposed layout is how besov_norm hands over its (K, N, m) pieces
+    # transposed layout is how besov_norm hands over its (K, N, m) pieces.
+    # A matrix root stored node-last (as spectral._grid_root stores it)
+    # gives bitwise the magnitudes of its C-order copy.
     K, m, N = 5, 64, 3
     rng = np.random.default_rng(11)
     v = rng.standard_normal((K, m, N)) + 1j * rng.standard_normal((K, m, N))
@@ -1931,6 +1965,11 @@ def test_stacked_magnitudes_equal_per_slice_calls(root, layout):
     stacked = weighted_magnitudes(roots[root], v)
     assert stacked.shape == (K, m)
     assert np.array_equal(stacked, [weighted_magnitudes(roots[root], v[k]) for k in range(K)])
+    if root.endswith("matrix"):
+        # node-last storage and a real root's complex cast change no bit
+        cast = roots[root].astype(complex)
+        for other in (node_last(roots[root]), cast, node_last(cast)):
+            assert np.array_equal(weighted_magnitudes(other, v), stacked)
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.nan])

@@ -311,6 +311,29 @@ class TestWeightedNorm:
         # the grid root nudges by 1 + L, the largest |coordinate| on the grid
         assert np.abs(FourierGrid(d, n, L).spatial_points()).max() == L
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_root_is_the_node_last_complex_cast(self, d, p):
+        # bitwise safe_power_values cast to complex, each (m,) plane
+        # root[:, i, j] contiguous; scalar weights and None pass through
+        grid = FourierGrid(d, 32, 4 * np.pi)
+        S = ScalarWeightSpec
+        if d == 1:
+            W = MatrixWeightSpec.diagonal([S.radial_power(0.5), S.constant(1.0)])
+        else:
+            W = MatrixWeightSpec.diag_dominant(
+                [S.poly_abs_power({(1, 0): 1.0}, 0.5), S.radial_power(0.5), S.constant(2.0)],
+                {(0, 1): {(0, 1): 1.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}}, 0.5)
+        root = spectral._grid_root(grid, W, p)
+        want = safe_power_values(W, grid.spatial_points(), 1.0 / p, 1.0 + grid.L)
+        assert root.dtype == complex and root.shape == want.shape
+        assert np.array_equal(root, want.astype(complex))
+        assert root.transpose(1, 2, 0).flags.c_contiguous
+        scalar = S.radial_power(0.5)
+        assert np.array_equal(spectral._grid_root(grid, scalar, p), safe_power_values(
+            scalar, grid.spatial_points(), 1.0 / p, 1.0 + grid.L))
+        assert spectral._grid_root(grid, None, p) is None
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_riemann_norm_per_row_of_a_stack(self, p):
         # each row's norm as a lone row's: its own sum and a scalar p-th root
