@@ -79,9 +79,8 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     ill-conditioned, are handed to LAPACK.  Against LAPACK SVD the
     relative error is below 1e-14, and M is left unchanged.  For every
     N >= 2 a matrix with a non-finite entry gives NaN (which
-    `ladder_estimate` reports as `NonIntegrable`, and `safe_power_values`
-    nudges off a `NormWeight`'s nodes); for N >= 4 only the finite
-    matrices go to LAPACK, which raises `LinAlgError` on the others.
+    `ladder_estimate` reports as `NonIntegrable`); for N >= 4 only the
+    finite matrices go to LAPACK, which raises `LinAlgError` on the others.
     """
     N = M.shape[-1]
     if N == 1:
@@ -604,13 +603,16 @@ def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
 
 
 def _pair_factors(W, pts: np.ndarray, a: float, scale) -> np.ndarray:
-    """Factors of a matrix weight's root W^a at the (m, d) nodes, for `_matrix_quantities`.
+    """Factors of a matrix weight's root W^a at the (m, d) nodes.
 
-    At a = +-1/2 (p = 2) the nodes that `weights.cholesky_factors`
-    certifies take its Cholesky factors, with no eigendecomposition.  The
-    other nodes, and every node at any other a, take `safe_power_values`
-    as they would alone: the same nudges, singular masks and eigenvalue
-    clamps.  A node's factor does not depend on the batch.
+    a = 1/p gives F = U W^(1/p) and a = -1/p gives M = W^(-1/p) V (U, V
+    unitary), so a consumer reads F u and |F| (`_shadows`, the fit of A_B),
+    M^H u (the fit of A_B^#; M^H, not M, has Gram matrix W^(-2/p)) or
+    products F(x) M(t), F A, A M (pair kernel, dual slice, q-sweep).  At
+    p = 2 the nodes that `weights.cholesky_factors` certifies take its
+    Cholesky factors, with no eigendecomposition.  The others, and every
+    node at other p, take the roots of `safe_power_values` (U = V = I) as
+    they would alone.  A node's factor does not depend on the batch.
     """
     if abs(a) != 0.5:
         return safe_power_values(W, pts, a, scale)
@@ -714,10 +716,13 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     """
     if not family:
         raise ValueError("family must be nonempty")
-    ladders = _ap_ladders(W, family, p, quad, G)
+    return _ap_report(getattr(W, "label", "weight"), p, family,
+                      _ap_ladders(W, family, p, quad, G), quad)
+
+
+def _ap_report(label: str, p: float, family, ladders, quad: BallQuadrature) -> ApReport:
     values = np.array([l.value for l in ladders])
     errors = np.array([l.error for l in ladders])
-    label = getattr(W, "label", "weight")
     return ApReport(label, p, list(family), values, errors, float(values.max()),
                     family_descriptor(family), quad.describe())
 
@@ -750,7 +755,7 @@ def averaging_operator_check(W, B: AnisoBall, p: float, quad: BallQuadrature,
     return float(best)
 
 
-# -- scalar slices ------------------------------------------------------------------
+# -- matrix shadows -----------------------------------------------------------------
 
 
 def _node_scales(pts: np.ndarray) -> np.ndarray:
@@ -759,69 +764,61 @@ def _node_scales(pts: np.ndarray) -> np.ndarray:
     return 1.0 + np.max(np.abs(pts), axis=1, initial=0.0)
 
 
-@dataclass(frozen=True)
-class SliceWeight:
-    """Scalar weight t -> |W^(1/p)(t) v|^p extracted from a matrix weight."""
+def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, v=None):
+    """Yield (level, ball index, {name: values at its unshifted nodes}), level by level.
 
-    W: object
-    p: float
-    v: np.ndarray
-    label: str = ""
-
-    def values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        root = safe_power_values(self.W, pts, 1.0 / self.p, _node_scales(pts))
-        return weighted_magnitudes(root, self.v) ** self.p
-
-
-@dataclass(frozen=True)
-class NormWeight:
-    """Scalar weight t -> ||W(t)|| (spectral norm)."""
-
-    W: object
-    label: str = "||W||"
-
-    def values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return spectral_norms(self.W.values(pts))
-
-
-@dataclass(frozen=True)
-class DualSliceWeight:
-    """Scalar weight t -> ||W^(1/p)(x0) W^(-1/p)(t)||^p' for fixed x0.
-
-    The left factor is evaluated once, with x0 nudged off the singular set
-    if needed.
+    Each level runs through `_blocks` once.  A scalar weight gives "scalar",
+    w nudged by each ball's scale as in `_ball_values`.  A matrix weight is
+    factored once per block and side (`_pair_factors`), each node nudged by
+    its own `_node_scales` so that no value depends on the batch, and gives
+    the "slice" |F v|^p = |W^(1/p) v|^p and, if named, the "norm" |F|^p =
+    |W| and the "dual-slice" |F(c) M|^p' = |W^(1/p)(c) W^(-1/p)|^p' (p > 1)
+    with F(c) taken once per ball, at its centre c.
     """
-
-    W: object
-    p: float
-    x0: np.ndarray
-    label: str = "dual-slice"
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        left = safe_power_values(self.W, x0[None, :], 1.0 / self.p,
-                                 _node_scales(x0[None, :]))[0]
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "_left", left)
-
-    def values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        pp = self.p / (self.p - 1.0)
-        right = safe_power_values(self.W, pts, -1.0 / self.p, _node_scales(pts))
-        return spectral_norms(np.einsum("ij,mjk->mik", self._left, right)) ** pp
+    if "dual-slice" in names:
+        centres = np.array([B.center for B in balls], dtype=float)
+        left = _pair_factors(W, centres, 1.0 / p, _node_scales(centres))
+    for level in range(_LEVELS):
+        first = 0
+        for count, [(X, sx)] in _blocks(G, balls, [quad.reference_nodes(G, level)]):
+            if not _is_matrix(W):
+                out = {"scalar": safe_power_values(W, X, 1.0, sx)}
+            else:
+                scales = _node_scales(X)
+                F = _pair_factors(W, X, 1.0 / p, scales)
+                out = {"slice": weighted_magnitudes(F, v) ** p}
+                if "norm" in names:
+                    out["norm"] = spectral_norms(F) ** p
+                if "dual-slice" in names:
+                    Fc = np.repeat(left[first:first + count], len(X) // count, axis=0)
+                    M = _pair_factors(W, X, -1.0 / p, scales)
+                    out["dual-slice"] = spectral_norms(Fc @ M) ** (p / (p - 1.0))
+            for b, values in enumerate(zip(*(np.split(s, count) for s in out.values()))):
+                yield level, first + b, dict(zip(out, values))
+            first += count
 
 
 def scalar_slice_ap(W, p: float, v, family: list[AnisoBall],
                     quad: BallQuadrature, G: DilationGroup) -> ApReport:
-    """A_p report for the scalar slice |W^(1/p)(.) v|^p (A_1 when p <= 1)."""
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        raise ValueError("direction v must be nonzero")
-    label = f"slice[{getattr(W, 'label', 'W')}]"
-    sl = SliceWeight(W, p, v, label=label)
-    return estimate_ap_constant(sl, p, family, quad, G)
+    """A_p report for the scalar slice |W^(1/p)(.) v|^p (A_1 when p <= 1).
+
+    The slice values come from `_shadows`.  W must be a matrix weight and v
+    a finite, nonzero 1-D vector of W.N real or complex entries, or
+    `ValueError`.
+    """
+    _check_exponent(p)
+    if not _is_matrix(W):
+        raise ValueError("scalar slices need a matrix weight")
+    v = np.asarray(v)
+    if (v.ndim != 1 or not np.issubdtype(v.dtype, np.number) or not np.isfinite(v).all()
+            or not v.any()):
+        raise ValueError(f"direction v must be a finite, nonzero 1-D vector, got {v!r}")
+    if not family:
+        raise ValueError("family must be nonempty")
+    levels = [[] for _ in range(_LEVELS)]
+    for level, _, values in _shadows(W, p, family, quad, G, ["slice"], v):
+        levels[level].append(_scalar_quantity_at_nodes(values["slice"], p))
+    return _ap_report(f"slice[{getattr(W, 'label', 'W')}]", p, family, _ladders(levels), quad)
 
 
 # -- doubling -----------------------------------------------------------------------
@@ -848,52 +845,49 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
                    bound_constant: float | None = None) -> DoublingReport:
     """Mass ratios w(lambda B) / w(B) for the weight and its scalar shadows.
 
-    A matrix weight's shadows are its slice along e_1, its spectral norm
-    and, for p > 1, its dual slice at each ball's center.  B and every
-    lambda B make one family per shadow, evaluated once per level
-    (`_ball_values`).  Without a bound_constant the bound is the
-    A_max(1,p) constant of the probe (a scalar weight, or the e_1 slice),
-    each ball's quantity taken from the values of B on its levels.
-    Fitting beta needs some lambda > 1.
+    A matrix weight's shadows (`_shadows`) are its slice along e_1, its
+    spectral norm and, for p > 1, its dual slice at each ball's centre.
+    Every B and lambda B make one family.  Without a bound_constant the
+    bound is the A_max(1,p) constant of the probe (a scalar weight, or the
+    e_1 slice), each ball's quantity taken from the values of B on its
+    levels.  W must be a weight, and fitting beta needs some lambda > 1;
+    `ValueError` otherwise.
     """
     _check_exponent(p)
+    if not hasattr(W, "values"):
+        raise ValueError(f"W must be a scalar or matrix weight, got {W!r}")
     if not len(family):
         raise ValueError("family must be nonempty")
     if not all(lam >= 1 for lam in lambdas) or not any(lam > 1 for lam in lambdas):
         raise ValueError("lambdas must be >= 1, and some > 1")
     if _is_matrix(W):
-        comps = {"slice": SliceWeight(W, p, np.eye(W.N)[0]),
-                 "norm": NormWeight(W)}
-        if p > 1:
-            comps["dual-slice"] = None  # per-ball, needs the center
+        names, v = ["slice", "norm"] + ["dual-slice"] * (p > 1), np.eye(W.N)[0]
     else:
-        comps = {"scalar": W}
-    quantities = []  # per ball, the probe's A_max(1,p) quantity on each level
+        names, v = ["scalar"], None
+    k = 1 + len(lambdas)  # B of the family's ball i is ball i k, its dilates follow it
+    balls = [b for B in family
+             for b in [B] + [AnisoBall(B.center, lam * B.radius) for lam in lambdas]]
+    masses = [{name: [] for name in names} for _ in range(_LEVELS)]
+    quantities = [[] for _ in range(_LEVELS)]  # per level, the probe's quantity of each B
+    for level, b, values in _shadows(W, p, balls, quad, G, names, v):
+        for name in names:
+            masses[level][name].append(ball_volume(G, balls[b].radius) * np.mean(values[name]))
+        if bound_constant is None and b % k == 0:
+            quantities[level].append(_scalar_quantity_at_nodes(values[names[0]], max(1.0, p)))
+    ladders = {name: _ladders([m[name] for m in masses]) for name in names}
     rows = []
-    logs = {name: ([], []) for name in comps}
-    for i, B in enumerate(family):
-        balls = [B] + [AnisoBall(B.center, lam * B.radius) for lam in lambdas]
-        vols = [ball_volume(G, b.radius) for b in balls]
-        for name, comp in comps.items():
-            if comp is None:
-                comp = DualSliceWeight(W, p, B.center)
-            levels = [_ball_values(comp, balls, quad, G, level) for level in range(_LEVELS)]
-            if bound_constant is None and name in ("scalar", "slice"):
-                quantities.append([_scalar_quantity_at_nodes(vals[0], max(1.0, p))
-                                   for vals in levels])
-            base, *grown = _ladders([[vol * np.mean(v) for vol, v in zip(vols, vals)]
-                                     for vals in levels])
-            for lam, mass in zip(lambdas, grown):
-                ratio = mass.value / base.value
-                rows.append((i, name, float(lam), float(ratio)))
-                logs[name][0].append(np.log(lam))
-                logs[name][1].append(np.log(max(ratio, 1e-300)))
+    for i in range(len(family)):
+        for name in names:
+            base, *grown = ladders[name][i * k:(i + 1) * k]
+            rows += [(i, name, float(lam), mass.value / base.value)
+                     for lam, mass in zip(lambdas, grown)]
     fitted = {}
-    for name, (lx, ly) in logs.items():
-        lx, ly = np.asarray(lx), np.asarray(ly)
+    for name in names:
+        lx, ly = np.array([(np.log(lam), np.log(max(r, 1e-300)))
+                           for _, n, lam, r in rows if n == name]).T
         fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
     if bound_constant is None:
-        bound_constant = max(l.value for l in _ladders(zip(*quantities)))
+        bound_constant = max(l.value for l in _ladders(quantities))
     return DoublingReport(getattr(W, "label", "weight"), p, G.nu,
                           float(bound_constant), rows, fitted)
 
@@ -971,7 +965,7 @@ def _directions(N: int, n: int, complex_: bool) -> np.ndarray:
 
 
 def _fit_reducing(root: np.ndarray, dirs: np.ndarray, exponent: float):
-    """Fit |A u| to eta(u) = (avg |W^a(t) u|^exponent)^(1/exponent), root = W^a.
+    """Fit |A u| to eta(u) = (avg |R(t) u|^exponent)^(1/exponent), R = root, R^H R = W^(2a).
 
     Returns the Hermitian A, its distortion max/min of |A u| / eta(u) over
     the directions, and whether M = A^H A came out positive definite.
@@ -1003,26 +997,31 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
                        G: DilationGroup, q_grid=None) -> ReducingPair:
     """Fit positive definite A_B with |A_B u| ~ (avg_B |W^(1/p) u|^p)^(1/p).
 
-    M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`)
-    on max(2 N^2, 8) directions; at p = 2 this is the Gram identity
-    A_B = (avg_B W)^(1/2).  Directions are complex when the root W^(1/p) at
-    the nodes is.  The companion A_B^# uses the dual exponent and W^(-1/p)
-    (p > 1 only).  The fit counts as degenerate when M is not positive
-    definite or its distortion exceeds 1.05 sqrt(N).
+    M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`) to
+    |F u| on max(2 N^2, 8) directions, complex when F is, with F and M from
+    `_pair_factors` nudged by the ball's scale; at p = 2 this is the Gram
+    identity A_B = (avg_B W)^(1/2).  A_B^# is fitted to |M^H u| with the
+    dual exponent (p > 1 only).  The fit is degenerate when M is not
+    positive definite or its distortion exceeds 1.05 sqrt(N).  For p > 1 the
+    q-sweep takes |F(x) A_B^#| and |A_B M(t)| to each q of q_grid, p < q <
+    inf (or `ValueError`).
     """
     _check_exponent(p)
     if not _is_matrix(W):
         raise ValueError("reducing operators need a matrix weight")
+    if q_grid is not None and not all(p < q < np.inf for q in q_grid):
+        raise ValueError(f"q_grid must hold exponents q with p < q < inf, got {list(q_grid)}")
     N = W.N
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)
-    root = safe_power_values(W, nodes, 1.0 / p, scale)
-    complex_ = bool(np.max(np.abs(root.imag)) > 1e-14 * np.max(np.abs(root)))
+    F = _pair_factors(W, nodes, 1.0 / p, scale)
+    complex_ = bool(np.max(np.abs(F.imag)) > 1e-14 * np.max(np.abs(F)))
     dirs = _directions(N, max(2 * N * N, 8), complex_)
-    A_B, distortion, positive = _fit_reducing(root, dirs, p)
+    A_B, distortion, positive = _fit_reducing(F, dirs, p)
     if p > 1:
+        M = _pair_factors(W, nodes, -1.0 / p, scale)
         A_sharp, sharp_distortion, sharp_positive = _fit_reducing(
-            safe_power_values(W, nodes, -1.0 / p, scale), dirs, p / (p - 1.0))
+            M.conj().swapaxes(-1, -2), dirs, p / (p - 1.0))
         positive &= sharp_positive
         product_norm = float(np.linalg.norm(A_B @ A_sharp, 2))
     else:
@@ -1032,13 +1031,12 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
     if p > 1 and q_grid is None:
         q_grid = [p + 0.25, p + 0.5, p + 0.75, p + 1.0]
     if p > 1 and len(q_grid):  # a fit-only call (q_grid = []) evaluates no more roots
-        # the per-level norms |W^(1/p)(x) A_B^#| and |A_B W^(-1/p)(t)| are
-        # shared by every q; the finest x level is the fit's root
-        roots = [safe_power_values(W, quad.ball_nodes(G, B, level), 1.0 / p, scale)
-                 for level in range(_LEVELS - 1)] + [root]
-        left = [spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp)) for Wp in roots]
-        right = [spectral_norms(np.einsum("ij,mjk->mik", A_B, safe_power_values(
-            W, quad.ball_nodes(G, B, level, shifted=True), -1.0 / p, scale)))
+        # the per-level norms |F(x) A_B^#| and |A_B M(t)| are shared by
+        # every q; the finest x level is the fit's F
+        left = [spectral_norms(f @ A_sharp) for f in [_pair_factors(
+            W, quad.ball_nodes(G, B, level), 1.0 / p, scale) for level in range(_LEVELS - 1)] + [F]]
+        right = [spectral_norms(A_B @ _pair_factors(
+            W, quad.ball_nodes(G, B, level, shifted=True), -1.0 / p, scale))
             for level in range(_LEVELS)]
         for q in q_grid:
             try:

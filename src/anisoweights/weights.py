@@ -4,10 +4,10 @@ All weights are positive (definite) off an explicit measure-zero singular
 set.  Evaluation is vectorized over point arrays of shape (m, d); matrix
 values are Hermitian (m, N, N) arrays.  Fractional powers go through the
 eigendecomposition with a relative eigenvalue floor, so quadrature nodes
-that land near a singular set stay usable.  Where only the products
-W^(1/2)(x) W^(-1/2)(t) matter (the matrix A_2 pair norms), Cholesky factors
-stand in for the roots at the matrices that are certified to lie above that
-floor, with no eigendecomposition (`cholesky_factors`).
+that land near a singular set stay usable.  Where a root W^(+-1/2) matters
+only up to a unitary factor (the A_2 ladders, shadows and reducing
+operators), Cholesky factors stand in for it at the matrices that are
+certified to lie above that floor, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -180,7 +180,8 @@ def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
     Other eigenvalues are clamped to 1e-14 * trace / N before the power,
     which preserves ball averages to quadrature accuracy.  At a = +-1/2,
     `cholesky_factors` certifies the matrices where neither can happen, and
-    the matrix A_2 ladders take its factors there instead, with no `eigh`.
+    the p = 2 roots of `muckenhoupt._pair_factors` (A_2 ladders, shadows,
+    reducing operators) take its factors there instead, with no `eigh`.
     """
     finite = np.isfinite(W).all(axis=(-2, -1))
     if not finite.all():

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -638,6 +639,28 @@ class TestSlices:
         assert consts.max() / consts.min() <= 4.0
         assert consts.max() <= 4.0 * matrix_const ** p
 
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 0.0], [[1.0, 0.0]], [0.0, 0.0],
+                                   ["a", "b"], [True, False]],
+                             ids=["nan", "inf", "row", "zero", "str", "bool"])
+    def test_direction_must_be_a_finite_nonzero_vector(self, G2, v):
+        with pytest.raises(ValueError, match="direction v must be"):
+            scalar_slice_ap(MatrixWeightSpec.identity(2), 2.0, v, [AnisoBall([0.0, 0.0], 1.0)],
+                            BallQuadrature("mapped_grid", 64), G2)
+
+    def test_complex_direction(self, G2):
+        # |F (i e_1)| = |F e_1| for the complex weight's factors F
+        W, quad = conjugated_weight(), BallQuadrature("mapped_grid", 64)
+        fam = [AnisoBall([0.2, -0.1], 0.7), AnisoBall([-0.6, 0.5], 0.3)]
+        real = scalar_slice_ap(W, 2.0, [1.0, 0.0], fam, quad, G2)
+        cplx = scalar_slice_ap(W, 2.0, [1j, 0.0], fam, quad, G2)
+        assert cplx.values.tolist() == real.values.tolist()
+
+    @pytest.mark.parametrize("W", [sqrt_weight(), None], ids=["scalar", "none"])
+    def test_non_matrix_weight_rejected(self, G1, W):
+        with pytest.raises(ValueError, match="matrix weight"):
+            scalar_slice_ap(W, 2.0, [1.0], [AnisoBall([0.0], 1.0)],
+                            BallQuadrature("mapped_grid", 64), G1)
+
 
 class TestDoubling:
     def test_lebesgue_exact(self, G2, grid1):
@@ -682,6 +705,10 @@ class TestDoubling:
     def test_empty_family_rejected(self, G1, grid1):
         with pytest.raises(ValueError):
             doubling_check(sqrt_weight(), 2.0, [], [2.0], grid1, G1, bound_constant=2.0)
+
+    def test_missing_weight_rejected(self, G1, grid1):
+        with pytest.raises(ValueError, match="W must be a scalar or matrix weight"):
+            doubling_check(None, 2.0, [AnisoBall([0.0], 1.0)], [2.0], grid1, G1)
 
     def test_empty_lambdas_rejected(self, G1, grid1):
         fam = [AnisoBall([0.0], 1.0)]
@@ -779,6 +806,20 @@ class TestReducing:
         assert pair.distortion <= np.sqrt(2) * 1.05
         assert not pair.fit_degenerate
 
+    @pytest.mark.parametrize("weight", ["ap-matrix", "conjugated"])
+    def test_p2_gram_identity_of_both_operators(self, G2, grid1, weight):
+        # A_B = (avg W)^(1/2) and A_B^# = (avg W^(-1))^(1/2); the sharp fit
+        # reads |M^H u| = |W^(-1/2) u|, where |M u| would fit another form
+        W = ap_matrix_weight() if weight == "ap-matrix" else conjugated_weight()
+        B = AnisoBall([0.2, -0.1], 0.7)
+        pair = reducing_operators(W, B, 2.0, grid1, G2, q_grid=[])
+        values = W.values(grid1.ball_nodes(G2, B, _LEVELS - 1))
+        for A, gram in ((pair.A_B, values.mean(axis=0)),
+                        (pair.A_B_sharp, np.linalg.inv(values).mean(axis=0))):
+            assert np.max(np.abs(A - hermitian_power(gram[None], 0.5)[0])) <= 1e-6 * np.abs(A).max()
+        assert pair.product_norm == pytest.approx(
+            np.linalg.norm(pair.A_B @ pair.A_B_sharp, 2), rel=1e-15)
+
     def test_optimizer_recovers_gram_at_p2(self, G1, grid1):
         # feed the reweighted least squares the p = 2 data; it must land on
         # the Gram square root, which represents eta exactly
@@ -799,6 +840,13 @@ class TestReducing:
     def test_non_matrix_weight_rejected(self, G1, grid1, W):
         with pytest.raises(ValueError, match="matrix weight"):
             reducing_operators(W, AnisoBall([0.0], 1.0), 2.0, grid1, G1)
+
+    @pytest.mark.parametrize("q_grid", [[1.0, np.nan], [2.5, 2.0], [np.inf]],
+                             ids=["below-p-and-nan", "equal-to-p", "inf"])
+    def test_q_grid_above_p_only(self, G1, grid1, q_grid):
+        with pytest.raises(ValueError, match="q_grid must hold exponents q with p < q < inf"):
+            reducing_operators(sqrt_matrix_weight(), AnisoBall([0.3], 1.0), 2.0, grid1, G1,
+                               q_grid=q_grid)
 
     def test_p_not_two_fit(self, G1, grid1):
         W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
@@ -1039,7 +1087,9 @@ def loop_reverse_holder(w, family, r_grid, quad, G):
     return best[0], best[1], table
 
 
-def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid):
+def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid, roots=muckenhoupt._pair_factors):
+    """The q-sweep of `reducing_operators`, one q and one level at a time, from
+    fresh `roots` (`_pair_factors`, or the Hermitian roots of `safe_power_values`)."""
     scale = G.euclidean_radius_bound(B.radius)
     q_values, largest_q = {}, None
     for q in q_grid:
@@ -1047,15 +1097,13 @@ def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid):
             levels = []
             for level in range(_LEVELS):
                 nds = quad.ball_nodes(G, B, level, shifted=False)
-                Wp = safe_power_values(W, nds, 1.0 / p, scale)
-                vals = spectral_norms(np.einsum("mij,jk->mik", Wp, A_sharp))
+                vals = spectral_norms(roots(W, nds, 1.0 / p, scale) @ A_sharp)
                 levels.append(np.mean(vals ** q))
             lv = ladder_estimate(levels)
             levels2 = []
             for level in range(_LEVELS):
                 nds = quad.ball_nodes(G, B, level, shifted=True)
-                Wm = safe_power_values(W, nds, -1.0 / p, scale)
-                vals = spectral_norms(np.einsum("ij,mjk->mik", A_B, Wm))
+                vals = spectral_norms(A_B @ roots(W, nds, -1.0 / p, scale))
                 levels2.append(np.mean(vals ** q))
             lv2 = ladder_estimate(levels2)
             q_values[float(q)] = (lv.value, lv2.value)
@@ -1068,34 +1116,84 @@ def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid):
 def loop_mass_ladder(w, B, quad, G):
     """One ball's mass ladder, level by level, from nodes built for this ball alone."""
     scale = G.euclidean_radius_bound(B.radius)
+    return loop_shadow_ladder(lambda nodes: safe_power_values(w, nodes, 1.0, scale), B, quad, G)
+
+
+def loop_shadow_ladder(values, B, quad, G, reduce=None):
+    """One ball's ladder of vol * avg values(nodes), or of reduce(values(nodes)),
+    level by level on its unshifted nodes."""
     vol = ball_volume(G, B.radius)
-    return ladder_estimate([vol * np.mean(safe_power_values(
-        w, quad.ball_nodes(G, B, level, shifted=False), 1.0, scale))
-        for level in range(_LEVELS)])
+    return ladder_estimate([
+        vol * np.mean(v) if reduce is None else reduce(v)
+        for v in (values(quad.ball_nodes(G, B, level)) for level in range(_LEVELS))])
 
 
-def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None):
+def loop_shadow(W, p, name, center, nodes, v=None):
+    """One matrix shadow of `doubling_check` at the nodes of one ball with the
+    given centre, from `_pair_factors` and the engine's formulas."""
+    scales = muckenhoupt._node_scales(nodes)
+    F = muckenhoupt._pair_factors(W, nodes, 1.0 / p, scales)
+    if name == "slice":
+        return weighted_magnitudes(F, np.eye(W.N)[0] if v is None else v) ** p
+    if name == "norm":
+        return spectral_norms(F) ** p
+    c = np.array([center], dtype=float)
+    Fc = muckenhoupt._pair_factors(W, c, 1.0 / p, muckenhoupt._node_scales(c))
+    M = muckenhoupt._pair_factors(W, nodes, -1.0 / p, scales)
+    return spectral_norms(np.repeat(Fc, len(nodes), axis=0) @ M) ** (p / (p - 1.0))
+
+
+@dataclass(frozen=True)
+class NormOfW:
+    """Scalar weight |W(x)|, the spectral norm of W.values, with no root."""
+
+    W: object
+
+    def values(self, pts):
+        return spectral_norms(self.W.values(pts))
+
+
+def root_shadow(W, p, name, center, nodes, v=None):
+    """One matrix shadow from the Hermitian roots of `safe_power_values` and,
+    for the norm, `W.values` and `spectral_norms`: the formulas that the
+    factors of `_pair_factors` stand in for."""
+    scales = muckenhoupt._node_scales(nodes)
+    if name == "slice":
+        return weighted_magnitudes(safe_power_values(W, nodes, 1.0 / p, scales),
+                                   np.eye(W.N)[0] if v is None else v) ** p
+    if name == "norm":
+        return NormOfW(W).values(nodes)
+    c = np.array([center], dtype=float)
+    left = safe_power_values(W, c, 1.0 / p, muckenhoupt._node_scales(c))[0]
+    right = safe_power_values(W, nodes, -1.0 / p, scales)
+    return spectral_norms(np.einsum("ij,mjk->mik", left, right)) ** (p / (p - 1.0))
+
+
+def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None, shadow=loop_shadow):
     """Rows, fitted beta and bound constant of `doubling_check`, one mass
-    ladder per ball, shadow and lambda."""
-    if hasattr(W, "power_values"):
-        comps = {"slice": muckenhoupt.SliceWeight(W, p, np.eye(W.N)[0]),
-                 "norm": muckenhoupt.NormWeight(W)}
-        if p > 1:
-            comps["dual-slice"] = None
-    else:
-        comps = {"scalar": W}
-    if bound_constant is None:
-        probe = comps.get("scalar") or comps["slice"]
-        bound_constant = estimate_ap_constant(probe, max(1.0, p), family, quad, G).constant
+    ladder per ball, shadow and lambda, each from nodes built for its ball
+    alone; a matrix weight's shadows from `shadow` (`loop_shadow` or `root_shadow`)."""
+    names = (["slice", "norm"] + (["dual-slice"] if p > 1 else [])
+             if hasattr(W, "power_values") else ["scalar"])
+
+    def values(name, B):
+        if name == "scalar":
+            scale = G.euclidean_radius_bound(B.radius)
+            return lambda nodes: safe_power_values(W, nodes, 1.0, scale)
+        return lambda nodes: shadow(W, p, name, B.center, nodes)
+
+    if bound_constant is None:  # the probe's A_max(1,p) constant
+        bound_constant = max(loop_shadow_ladder(
+            values(names[0], B), B, quad, G,
+            lambda v: _scalar_quantity_at_nodes(v, max(1.0, p))).value for B in family)
     rows = []
-    logs = {name: ([], []) for name in comps}
+    logs = {name: ([], []) for name in names}
     for i, B in enumerate(family):
-        for name, comp in comps.items():
-            if comp is None:
-                comp = muckenhoupt.DualSliceWeight(W, p, B.center)
-            base = loop_mass_ladder(comp, B, quad, G).value
+        for name in names:
+            base = loop_shadow_ladder(values(name, B), B, quad, G).value
             for lam in lambdas:
-                grown = loop_mass_ladder(comp, AnisoBall(B.center, lam * B.radius), quad, G).value
+                grown_ball = AnisoBall(B.center, lam * B.radius)
+                grown = loop_shadow_ladder(values(name, grown_ball), grown_ball, quad, G).value
                 ratio = grown / base
                 rows.append((i, name, float(lam), float(ratio)))
                 logs[name][0].append(np.log(lam))
@@ -1105,6 +1203,14 @@ def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None):
         lx, ly = np.asarray(lx), np.asarray(ly)
         fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
     return rows, fitted, float(bound_constant)
+
+
+def loop_slice_ap(W, p, v, family, quad, G, shadow=loop_shadow):
+    """Values and errors of `scalar_slice_ap`, one ball and one level at a time."""
+    ladders = [loop_shadow_ladder(lambda nodes: shadow(W, p, "slice", B.center, nodes, v),
+                                  B, quad, G, lambda s: _scalar_quantity_at_nodes(s, p))
+               for B in family]
+    return np.array([l.value for l in ladders]), np.array([l.error for l in ladders])
 
 
 def conjugated_weight():
@@ -1338,6 +1444,12 @@ class TestOneLadder:
                 continue
             assert (pair.q_values, pair.largest_q) == loop_q_sweep(
                 W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp, q_grid)
+            # against the Hermitian roots (no node of these balls is nudged)
+            roots, largest = loop_q_sweep(W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp,
+                                          q_grid, safe_power_values)
+            assert largest == pair.largest_q and roots.keys() == pair.q_values.keys()
+            for q, values in pair.q_values.items():
+                assert np.allclose(values, roots[q], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("weight", ["sqrt", "ap-matrix", "conjugated"])
@@ -1371,14 +1483,16 @@ class TestOneLadder:
         assert len(fam) == 10 and len(calls) == 23
 
     def test_doubling_evaluates_each_level_once(self, G1, grid1, monkeypatch):
-        # per ball, B, 2B and 4B make one family: one block at level 0 and
-        # three at levels 1 and 2; the default bound reads B's values
+        # every B, 2B and 4B of the 10 balls make one family of 30: 1,024
+        # nodes a ball put 4 balls in a block at level 0 (8 blocks), and
+        # 4,096 and 16,384 one (30 blocks each); the default bound reads B's
+        # values
         fam = default_ball_family(G1, 2.0, radii=[0.5, 1.0])
         calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
         for bound in (2.0, None):
             calls.clear()
             doubling_check(sqrt_weight(), 2.0, fam, [2.0, 4.0], grid1, G1, bound_constant=bound)
-            assert len(calls) == 10 * 7
+            assert len(calls) == 8 + 30 + 30
 
     def test_q_sweep_evaluates_each_level_once(self, G1, grid1, monkeypatch):
         calls = count_calls(monkeypatch, muckenhoupt, "spectral_norms")
@@ -1389,6 +1503,108 @@ class TestOneLadder:
         # the two fitted roots, then x levels 0 and 1 and the three t levels:
         # the finest x level is the root W^(1/p) of the fit
         assert len(roots) == 2 + (_LEVELS - 1) + _LEVELS
+
+
+def shadow_case(weight, G1, G2):
+    """A matrix weight, its group and a ball whose B and 2B have no node on
+    the weight's singular set on either grid of `any_quad`."""
+    return {"sqrt": (sqrt_matrix_weight(), G1, AnisoBall([0.3], 1.0)),
+            "ap-matrix": (ap_matrix_weight(), G2, AnisoBall([0.2, -0.1], 0.7)),
+            "conjugated": (conjugated_weight(), G2, AnisoBall([0.2, -0.1], 0.7))}[weight]
+
+
+def assert_no_node_is_nudged(W, B, lambdas, quad, G):
+    """W is finite and positive definite at B's centre and at the unshifted
+    nodes of B and every lambda B, so no evaluation of W there nudges a node."""
+    values = W.values(np.concatenate([np.atleast_2d(B.center)] + [
+        quad.ball_nodes(G, AnisoBall(B.center, lam * B.radius), level)
+        for lam in [1.0, *lambdas] for level in range(_LEVELS)]))
+    assert np.isfinite(values).all()
+    assert np.linalg.eigvalsh(values)[:, 0].min() > 1e-250
+
+
+class TestShadows:
+    """The matrix shadows of `doubling_check` and `scalar_slice_ap` (`_shadows`)."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("weight", ["sqrt", "ap-matrix", "conjugated"])
+    def test_match_hermitian_roots(self, G1, G2, any_quad, weight, p):
+        # the factors of `_pair_factors` against the Hermitian roots and the
+        # norm of W itself, where no node is nudged
+        W, G, B = shadow_case(weight, G1, G2)
+        fam, lambdas = [B], [2.0]
+        assert_no_node_is_nudged(W, B, lambdas, any_quad, G)
+        rep = doubling_check(W, p, fam, lambdas, any_quad, G, 1.0)
+        rows, fitted, _ = loop_doubling(W, p, fam, lambdas, any_quad, G, 1.0, root_shadow)
+        assert [r[:3] for r in rep.rows] == [r[:3] for r in rows]
+        assert np.allclose([r[3] for r in rep.rows], [r[3] for r in rows], rtol=1e-13, atol=0)
+        assert np.allclose(list(rep.fitted_beta.values()), list(fitted.values()),
+                           rtol=1e-13, atol=0)
+        v = np.eye(W.N)[0]
+        try:
+            want = loop_slice_ap(W, p, v, fam, any_quad, G, root_shadow)
+        except NonIntegrable:  # the A_1 quantity of the slice is unbounded
+            with pytest.raises(NonIntegrable):
+                scalar_slice_ap(W, p, v, fam, any_quad, G)
+            return
+        slices = scalar_slice_ap(W, p, v, fam, any_quad, G)
+        assert np.allclose(slices.values, want[0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_ball_rows_do_not_depend_on_the_family(self, G1, p):
+        # on the 256-node grid 2B of B(1/512, 1) has a level-1 node at the
+        # singular point 0 of diag(|x|^1/2, 1), nudged by its own scale.  At
+        # level 1 a block holds four balls: B, 2B and 4B alone, or with the
+        # far ball, which would widen a nudge scale taken over the block
+        W, quad = sqrt_matrix_weight(), BallQuadrature("mapped_grid", 256)
+        B, far = AnisoBall([1 / 512], 1.0), AnisoBall([40.0], 8.0)
+        assert not quad.ball_nodes(G1, AnisoBall(B.center, 2.0), 1).all()
+        alone = doubling_check(W, p, [B], [2.0, 4.0], quad, G1)
+        both = doubling_check(W, p, [B, far], [2.0, 4.0], quad, G1)
+        assert [r for r in both.rows if r[0] == 0] == alone.rows
+
+        def slice_rows(fam):
+            rep = scalar_slice_ap(W, p, [1.0, 0.0], fam, quad, G1)
+            return rep.values[:2].tobytes(), rep.errors[:2].tobytes()
+
+        assert slice_rows([B, AnisoBall(B.center, 2.0), far]) == slice_rows(
+            [B, AnisoBall(B.center, 2.0)])
+
+    def test_certified_weight_takes_no_eigendecomposition_at_p2(self, G2, grid1, power_calls):
+        # a constant diagonal makes W certified at every node, so every
+        # shadow and reducing operator at p = 2 takes Cholesky factors
+        S = ScalarWeightSpec
+        W = MatrixWeightSpec.diag_dominant(
+            [S.constant(1.0), S.constant(2.0), S.constant(3.0)],
+            {(0, 1): {(0, 1): 1.0}, (1, 2): {(1, 0): 1.0, (0, 0): 0.5}}, 0.5)
+        fam = [AnisoBall([0.2, -0.1], 0.7), AnisoBall([1.0, 0.0], 2.0)]
+        calls, _ = power_calls
+        rep = doubling_check(W, 2.0, fam, [2.0, 4.0], grid1, G2)
+        pair = reducing_operators(W, fam[1], 2.0, grid1, G2)
+        assert calls == []
+        assert {r[1] for r in rep.rows} == {"slice", "norm", "dual-slice"}
+        assert len(pair.q_values) == 4 and not pair.fit_degenerate
+
+    @pytest.mark.parametrize("N, norm_row", [(3, 9.144401968036961), (4, 9.193078278516086)])
+    def test_norm_of_an_infinite_node_is_nudged_by_its_own_scale(self, G1, N, norm_row):
+        # on the 256-node grid 2B of B(1/2048, 1) has a level-2 node at 0,
+        # where W has the entry |x|^(-1/2) = inf.  The norm is read from the
+        # factor F, nudged by the node's own scale as the slice is, so the
+        # norm row lies near the slice row (9.168).  The norm of W nudged by
+        # 2B's scale instead reads 6.910 (N = 3) or 6.941 (N = 4): either
+        # value is set by the size of the nudge.
+        S = ScalarWeightSpec
+        W = MatrixWeightSpec.diag_dominant([S.radial_power(-0.5)] + [S.constant(1.0)] * (N - 1),
+                                           {(0, 1): {(1,): 1.0}}, 0.5)
+        quad, B = BallQuadrature("mapped_grid", 256), AnisoBall([1 / 2048], 1.0)
+        assert not quad.ball_nodes(G1, AnisoBall(B.center, 2.0), 2).all()
+        rows = {r[1]: r[3] for r in doubling_check(W, 2.0, [B], [2.0], quad, G1).rows}
+        assert rows["norm"] == pytest.approx(norm_row, rel=1e-12)
+        assert rows["slice"] == pytest.approx(9.16809144902692, rel=1e-12)
+        ball_scaled = (loop_mass_ladder(NormOfW(W), AnisoBall(B.center, 2.0), quad, G1).value
+                       / loop_mass_ladder(NormOfW(W), B, quad, G1).value)
+        assert ball_scaled == pytest.approx({3: 6.910043387711428, 4: 6.940535208571172}[N],
+                                            rel=1e-12)
 
 
 def offset_sqrt_weight():
@@ -1472,10 +1688,10 @@ class TestFamilyLadder:
     def test_slices_match_per_ball_loop(self, G2):
         quad = BallQuadrature("mapped_grid", 64)
         fam = self.family(G2)
-        for W in (ap_matrix_weight(), conjugated_weight()):
-            sl = muckenhoupt.SliceWeight(W, 2.0, np.eye(W.N)[0])
-            rep = scalar_slice_ap(W, 2.0, np.eye(W.N)[0], fam, quad, G2)
-            want = loop_estimate_ap_constant(sl, 2.0, fam, quad, G2)
+        for W, p in itertools.product((ap_matrix_weight(), conjugated_weight()), (1.5, 2.0, 3.0)):
+            v = np.eye(W.N)[0]
+            rep = scalar_slice_ap(W, p, v, fam, quad, G2)
+            want = loop_slice_ap(W, p, v, fam, quad, G2)
             assert rep.values.tobytes() == want[0].tobytes()
             assert rep.errors.tobytes() == want[1].tobytes()
 
@@ -1798,29 +2014,6 @@ class TestNudge:
         [(X, a, sx)] = blocks
         assert (len(X), a) == (84, 0.5) and not X[:, 0].any()
         assert inner(W, X, a, sx).tobytes() == oracle_power_values(W, X, a, sx).tobytes()
-
-    def test_slice_weight(self, monkeypatch):
-        # a scalar weight that nudges its matrix root itself; the oracle
-        # runs both loops of the parent, the inner one through the module
-        W = ap_matrix_weight()
-        sl = muckenhoupt.SliceWeight(W, 2.0, np.eye(3)[0])
-        pts = np.concatenate([multiplier_grid()[::97], [[0.0, 0.0], [0.0, 1.5]]])
-        scale = 1.0 + np.abs(pts).max(axis=1)
-        got = safe_power_values(sl, pts, 1.0, scale)
-        monkeypatch.setattr(muckenhoupt, "safe_power_values", oracle_power_values)
-        want = oracle_power_values(sl, pts, 1.0, scale)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("kind, v_or_x0", [(muckenhoupt.SliceWeight, [1.0, 0.0]),
-                                               (muckenhoupt.DualSliceWeight, [0.3, 0.2])],
-                             ids=["slice", "dual-slice"])
-    def test_slice_value_does_not_depend_on_the_batch(self, kind, v_or_x0):
-        # the singular node (0, 0.5) of diag(|x1|^1/2, 1), alone and beside
-        # (10, 10), which would widen a nudge scale taken over the batch
-        sl = kind(sqrt_matrix_weight(), 2.0, np.array(v_or_x0))
-        alone = sl.values([[0.0, 0.5]])
-        batch = sl.values([[0.0, 0.5], [10.0, 10.0]])
-        assert batch[0].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("kind", [BandWeight, BandMatrixWeight])
     def test_three_nudges_return(self, kind):

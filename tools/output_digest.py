@@ -1,6 +1,6 @@
-"""sha256 digests of the benchmark workloads' main-phase outputs.
+"""sha256 digests of the benchmark workloads' and the experiments' outputs.
 
-    python3 tools/output_digest.py [--src DIR]
+    python3 tools/output_digest.py [--src DIR] [--write-record]
 
 Builds each workload of perfbench/workloads.py at seeds 0-3, runs its main
 phase once, and prints one line per workload and seed: the workload, the
@@ -21,6 +21,19 @@ on the same workloads:
 A refactor that keeps outputs bitwise leaves every line the same; a change
 that moves outputs on purpose still shows 0 failed items on every line, and
 the deviation column shows how far it moved them.
+
+Then come the experiments that no workload runs (`doubling_check`,
+`reducing_operators`, `scalar_slice_ap`), each on a small fixture per weight
+(the ap-matrix-2d weight of variant 0 and a complex conjugated weight) and
+exponent, with the same columns: the experiment, the fixture, the sha256 of
+the pickled output, `-` (an experiment has no check), and the largest
+relative deviation of the output's record from experiment_record.json
+beside this tool.  --write-record writes that file from DIR's outputs
+instead; write it from the parent tree, so that a change's lines show how
+far it moved each experiment:
+
+    python3 tools/output_digest.py --src ../base/src --write-record
+
 The exit status is 1 if any item fails.  BLAS runs single-threaded, as in
 perfbench/run.py.
 """
@@ -30,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import json
 import math
 import os
 import pickle
@@ -37,6 +51,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RECORD = Path(__file__).resolve().with_name("experiment_record.json")
 SEEDS = range(4)
 PROTOCOL = 4  # fixed, so that digests do not move with the default protocol
 
@@ -65,10 +80,58 @@ def deviation(got, want) -> float:
                 for k, w in want.items()), default=0.0)
 
 
+def experiments():
+    """(experiment, fixture, run, record) for each experiment fixture."""
+    import numpy as np
+    import workloads
+    from anisoweights.dilation import DilationGroup
+    from anisoweights.geometry import AnisoBall
+    from anisoweights.muckenhoupt import (BallQuadrature, doubling_check, reducing_operators,
+                                          scalar_slice_ap)
+    from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
+
+    G, quad = DilationGroup(np.diag([1.0, 2.0])), BallQuadrature("mapped_grid", 256)
+    # two balls whose B, 2B and 4B put no node on either weight's singular set
+    family = [AnisoBall([0.2, -0.1], 0.7), AnisoBall([-0.6, 0.5], 0.3)]
+    th = 0.4
+    U = np.array([[np.cos(th), 1j * np.sin(th)], [1j * np.sin(th), np.cos(th)]])
+    weights = {"ap-matrix": workloads.matrix_weight_2d(0),
+               "conjugated": MatrixWeightSpec.conjugated(U, [
+                   ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
+                   ScalarWeightSpec.radial_power(-0.3)])}
+    out = []
+    for label, W in weights.items():
+        for p in (1.5, 2.0, 3.0):
+            out.append(("doubling_check", f"{label}:p={p:g}",
+                        lambda W=W, p=p: doubling_check(W, p, family, [2.0, 4.0], quad, G),
+                        lambda rep: {"rows": {f"{i} {name} {lam:g}": ratio
+                                              for i, name, lam, ratio in rep.rows},
+                                     "fitted_beta": rep.fitted_beta,
+                                     "bound_constant": rep.bound_constant}))
+        for p in (1.5, 2.0):
+            out.append(("reducing_operators", f"{label}:p={p:g}",
+                        lambda W=W, p=p: reducing_operators(W, family[0], p, quad, G),
+                        # eigenvalues, not entries: an entry that is 0 up to
+                        # rounding has no relative deviation to speak of
+                        lambda pair: {"A_B": np.linalg.eigvalsh(pair.A_B).tolist(),
+                                      "A_B_sharp": np.linalg.eigvalsh(pair.A_B_sharp).tolist(),
+                                      "distortion": pair.distortion,
+                                      "sharp_distortion": pair.sharp_distortion,
+                                      "product_norm": pair.product_norm,
+                                      "q_values": {f"{q:g}": list(v)
+                                                   for q, v in pair.q_values.items()}}))
+        out.append(("scalar_slice_ap", f"{label}:p=2",
+                    lambda W=W: scalar_slice_ap(W, 2.0, [1.0, 0.0, 0.0][:W.N], family, quad, G),
+                    lambda rep: {"values": rep.values.tolist(), "constant": rep.constant}))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the anisoweights package (default: %(default)s)")
+    parser.add_argument("--write-record", action="store_true",
+                        help=f"write the experiments' records to {RECORD.name}")
     args = parser.parse_args(argv)
     if not (args.src / "anisoweights" / "__init__.py").is_file():
         print(f"anisoweights sources not found under {args.src}", file=sys.stderr)
@@ -100,6 +163,18 @@ def main(argv=None) -> int:
                    else f"{deviation(wl.reference(state, out), ref):.2e}")
             print(f"{name} {seed} {hashlib.sha256(buf.getvalue()).hexdigest()} "
                   f"{tally.failed}/{tally.attempted} {dev}", flush=True)
+    saved = {} if args.write_record else json.loads(RECORD.read_text())
+    records = {}
+    for name, fixture, run, record in experiments():
+        out = run()
+        buf = io.BytesIO()
+        Pickler(buf, PROTOCOL).dump(out)
+        key = f"{name} {fixture}"
+        records[key] = record(out)
+        dev = f"{deviation(records[key], saved[key]):.2e}" if key in saved else "-"
+        print(f"{key} {hashlib.sha256(buf.getvalue()).hexdigest()} - {dev}", flush=True)
+    if args.write_record:
+        RECORD.write_text(json.dumps(records, indent=1) + "\n")
     return 1 if failed else 0
 
 
