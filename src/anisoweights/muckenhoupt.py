@@ -262,9 +262,6 @@ class LadderValue:
     error: float
     levels: tuple
 
-    def __float__(self):
-        return self.value
-
 
 def ladder_estimate(levels) -> LadderValue:
     """Collapse a 3-level refinement into a value and an error estimate.
@@ -322,7 +319,10 @@ def safe_power_values(spec, pts: np.ndarray, a: float, scale):
     1e-9 * scale * k / sqrt(d) in every coordinate at nudge k and evaluated
     again, at most three times before this raises `SingularWeight`.  scale
     is one number, or one per node, shape (m,): a node's value does not
-    depend on the rest of the batch.
+    depend on the rest of the batch.  Every caller sizes it by one rule: a
+    node is nudged by the scale of the ball or grid it was placed for (a
+    ball's `euclidean_radius_bound`, a grid's 1 + L), and a ball centre by
+    its own scale, 1 + its largest |coordinate| (`_node_scales`).
     """
     if spec is None:
         return None
@@ -588,20 +588,6 @@ def _blocks(G: DilationGroup, balls, refs):
                        np.repeat(scales[a:b], len(u))) for u in refs]
 
 
-def _ball_values(w, balls, quad: BallQuadrature, G: DilationGroup,
-                 level: int) -> list[np.ndarray]:
-    """A scalar weight at each ball's (unshifted) nodes on one level.
-
-    The weight is evaluated once per block of balls (`_blocks`) on the
-    block's stacked nodes, which one dilation of the level's reference
-    nodes places, each node nudged by its own ball's scale.
-    """
-    out = []
-    for count, [(X, sx)] in _blocks(G, balls, [quad.reference_nodes(G, level)]):
-        out += np.split(safe_power_values(w, X, 1.0, sx), count)
-    return out
-
-
 def _pair_factors(W, pts: np.ndarray, a: float, scale) -> np.ndarray:
     """Factors of a matrix weight's root W^a at the (m, d) nodes.
 
@@ -628,22 +614,20 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature,
     """Muckenhoupt ladders of the balls of a family.
 
     Each level runs over blocks of consecutive balls (`_blocks`) with one
-    dilation and one weight evaluation per side and block; see
-    `estimate_ap_constant`.
+    dilation and one weight evaluation per side and block (a scalar weight
+    through `_per_ball`); see `estimate_ap_constant`.
     """
     _check_exponent(p)
+    if not _is_matrix(W):
+        return _ladders(_per_ball(W, p, family, quad, G, ["scalar"], lambda b, values: [
+            _scalar_quantity_at_nodes(values["scalar"], p)])[0])
     levels = []
-    for level in range(_LEVELS):
-        if _is_matrix(W):  # the x and the shifted t nodes of the double integral
-            refs = [quad.reference_nodes(G, level, shifted, pair=True)
-                    for shifted in (False, True)]
-            levels.append(np.concatenate([
-                _matrix_quantities(_pair_factors(W, X, 1.0 / p, sx),
-                                   _pair_factors(W, T, -1.0 / p, st), p, count)
-                for count, [(X, sx), (T, st)] in _blocks(G, family, refs)]))
-        else:
-            levels.append([_scalar_quantity_at_nodes(w, p)
-                           for w in _ball_values(W, family, quad, G, level)])
+    for level in range(_LEVELS):  # the x and the shifted t nodes of the double integral
+        refs = [quad.reference_nodes(G, level, shifted, pair=True) for shifted in (False, True)]
+        levels.append(np.concatenate([
+            _matrix_quantities(_pair_factors(W, X, 1.0 / p, sx),
+                               _pair_factors(W, T, -1.0 / p, st), p, count)
+            for count, [(X, sx), (T, st)] in _blocks(G, family, refs)]))
     return _ladders(levels)
 
 
@@ -759,21 +743,23 @@ def averaging_operator_check(W, B: AnisoBall, p: float, quad: BallQuadrature,
 
 
 def _node_scales(pts: np.ndarray) -> np.ndarray:
-    """A nudge scale per node, 1 + its largest |coordinate|, so that a
-    node's value does not depend on the batch it is evaluated in."""
+    """A nudge scale per point, 1 + its largest |coordinate|, so that a
+    point's value does not depend on the batch it is evaluated in."""
     return 1.0 + np.max(np.abs(pts), axis=1, initial=0.0)
 
 
 def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, v=None):
     """Yield (level, ball index, {name: values at its unshifted nodes}), level by level.
 
-    Each level runs through `_blocks` once.  A scalar weight gives "scalar",
-    w nudged by each ball's scale as in `_ball_values`.  A matrix weight is
-    factored once per block and side (`_pair_factors`), each node nudged by
-    its own `_node_scales` so that no value depends on the batch, and gives
-    the "slice" |F v|^p = |W^(1/p) v|^p and, if named, the "norm" |F|^p =
-    |W| and the "dual-slice" |F(c) M|^p' = |W^(1/p)(c) W^(-1/p)|^p' (p > 1)
-    with F(c) taken once per ball, at its centre c.
+    This is the one per-ball family pass: each level runs through `_blocks`
+    once, and every node is nudged off a singular set by the scale of its
+    own ball.  A scalar weight gives "scalar", w itself.  A matrix weight is
+    factored once per block and side (`_pair_factors`) and gives the
+    "slice" |F v|^p = |W^(1/p) v|^p and, if named, the "norm" |F|^p = |W|
+    and the "dual-slice" |F(c) M|^p' = |W^(1/p)(c) W^(-1/p)|^p' (p > 1).
+    F(c) is taken once per ball, at its centre c, nudged by the centre's
+    own `_node_scales`, so that balls with one centre (B and lambda B)
+    share one F(c).
     """
     if "dual-slice" in names:
         centres = np.array([B.center for B in balls], dtype=float)
@@ -784,18 +770,31 @@ def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, 
             if not _is_matrix(W):
                 out = {"scalar": safe_power_values(W, X, 1.0, sx)}
             else:
-                scales = _node_scales(X)
-                F = _pair_factors(W, X, 1.0 / p, scales)
+                F = _pair_factors(W, X, 1.0 / p, sx)
                 out = {"slice": weighted_magnitudes(F, v) ** p}
                 if "norm" in names:
                     out["norm"] = spectral_norms(F) ** p
                 if "dual-slice" in names:
                     Fc = np.repeat(left[first:first + count], len(X) // count, axis=0)
-                    M = _pair_factors(W, X, -1.0 / p, scales)
+                    M = _pair_factors(W, X, -1.0 / p, sx)
                     out["dual-slice"] = spectral_norms(Fc @ M) ** (p / (p - 1.0))
             for b, values in enumerate(zip(*(np.split(s, count) for s in out.values()))):
                 yield level, first + b, dict(zip(out, values))
             first += count
+
+
+def _per_ball(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, stat,
+              v=None) -> list:
+    """Columns of per-ball statistics on every level of `_shadows`.
+
+    stat(ball index, values) lists a ball's statistics on a level, as many
+    for every ball; column k holds the k-th as `_ladders` reads them,
+    levels[level][ball].
+    """
+    levels = [[] for _ in range(_LEVELS)]
+    for level, b, values in _shadows(W, p, balls, quad, G, names, v):
+        levels[level].append(stat(b, values))
+    return [[[s[k] for s in level] for level in levels] for k in range(len(levels[0][0]))]
 
 
 def scalar_slice_ap(W, p: float, v, family: list[AnisoBall],
@@ -815,9 +814,8 @@ def scalar_slice_ap(W, p: float, v, family: list[AnisoBall],
         raise ValueError(f"direction v must be a finite, nonzero 1-D vector, got {v!r}")
     if not family:
         raise ValueError("family must be nonempty")
-    levels = [[] for _ in range(_LEVELS)]
-    for level, _, values in _shadows(W, p, family, quad, G, ["slice"], v):
-        levels[level].append(_scalar_quantity_at_nodes(values["slice"], p))
+    [levels] = _per_ball(W, p, family, quad, G, ["slice"], lambda b, values: [
+        _scalar_quantity_at_nodes(values["slice"], p)], v)
     return _ap_report(f"slice[{getattr(W, 'label', 'W')}]", p, family, _ladders(levels), quad)
 
 
@@ -867,14 +865,15 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     k = 1 + len(lambdas)  # B of the family's ball i is ball i k, its dilates follow it
     balls = [b for B in family
              for b in [B] + [AnisoBall(B.center, lam * B.radius) for lam in lambdas]]
-    masses = [{name: [] for name in names} for _ in range(_LEVELS)]
-    quantities = [[] for _ in range(_LEVELS)]  # per level, the probe's quantity of each B
-    for level, b, values in _shadows(W, p, balls, quad, G, names, v):
-        for name in names:
-            masses[level][name].append(ball_volume(G, balls[b].radius) * np.mean(values[name]))
-        if bound_constant is None and b % k == 0:
-            quantities[level].append(_scalar_quantity_at_nodes(values[names[0]], max(1.0, p)))
-    ladders = {name: _ladders([m[name] for m in masses]) for name in names}
+
+    def stat(b, values):  # each shadow's mass, then the probe's quantity if b is a B
+        vol = ball_volume(G, balls[b].radius)
+        return [vol * np.mean(values[name]) for name in names] + [
+            _scalar_quantity_at_nodes(values[names[0]], max(1.0, p))
+            if bound_constant is None and b % k == 0 else None]
+
+    *masses, quantities = _per_ball(W, p, balls, quad, G, names, stat, v)
+    ladders = {name: _ladders(m) for name, m in zip(names, masses)}
     rows = []
     for i in range(len(family)):
         for name in names:
@@ -887,7 +886,7 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
                            for _, n, lam, r in rows if n == name]).T
         fitted[name] = float((lx * ly).sum() / (lx * lx).sum())
     if bound_constant is None:
-        bound_constant = max(l.value for l in _ladders(quantities))
+        bound_constant = max(l.value for l in _ladders([q[::k] for q in quantities]))
     return DoublingReport(getattr(W, "label", "weight"), p, G.nu,
                           float(bound_constant), rows, fitted)
 
@@ -906,26 +905,28 @@ def reverse_holder_search(w, family: list[AnisoBall], r_grid,
                           quad: BallQuadrature, G: DilationGroup) -> ReverseHolderResult:
     """Largest grid r with (avg w^r)^(1/r) <= c1 * avg w across the family.
 
-    w is evaluated once per level and block of balls (`_ball_values`), and
-    every r reuses those values.  The avg w ladder also checks that w
-    itself is integrable, which must hold before any r > 1 makes sense: it
-    raises `NonIntegrable` if not.  A matrix weight raises `ValueError`.
+    w is evaluated once per level and block of balls (`_per_ball`), each
+    node nudged off the singular set by its ball's scale, and every r
+    reuses those values.  The avg w ladder also checks that w itself is
+    integrable, which must hold before any r > 1 makes sense: it raises
+    `NonIntegrable` if not.  A matrix weight, an empty family, or an r of
+    r_grid outside 1 < r < inf raises `ValueError`.
     """
     if _is_matrix(w):
         raise ValueError("reverse Hoelder search needs a scalar weight")
     if not family:
         raise ValueError("family must be nonempty")
+    if not all(1 < r < np.inf for r in r_grid):
+        raise ValueError(f"r_grid must hold exponents r with 1 < r < inf, got {list(r_grid)}")
     r_grid = sorted(r_grid)
-    stats = []  # per level: avg w, then (avg w^r)^(1/r) for each r, per ball
-    for level in range(_LEVELS):
-        vals = _ball_values(w, family, quad, G, level)
-        stats.append([[np.mean(v) for v in vals]]
-                     + [[np.mean(v ** r) ** (1.0 / r) for v in vals] for r in r_grid])
-    lo = [lv.value for lv in _ladders([s[0] for s in stats])]
+    # avg w, then (avg w^r)^(1/r) for each r
+    means, *powers = _per_ball(w, 1.0, family, quad, G, ["scalar"], lambda b, values: [
+        np.mean(values["scalar"])] + [np.mean(values["scalar"] ** r) ** (1.0 / r) for r in r_grid])
+    lo = [lv.value for lv in _ladders(means)]
     table = []
-    for k, r in enumerate(r_grid, 1):
+    for r, stats in zip(r_grid, powers):
         try:
-            hi = _ladders([s[k] for s in stats])
+            hi = _ladders(stats)
             worst = float(max(h.value / low for h, low in zip(hi, lo)))
         except NonIntegrable:  # r diverges on some ball
             worst = None
@@ -1069,8 +1070,11 @@ def invariance_report(W, p: float, T: AffineMap, family: list[AnisoBall],
     """Quantity of W∘T on B against the quantity of W on T(B), per ball.
 
     B and T(B) are dilates of one unit ball and share its reference nodes,
-    so each side is the other after the change of variables y = T(x).
+    so each side is the other after the change of variables y = T(x).  An
+    empty family gives no rows.
     """
+    if not family:
+        return []
     composed = _ap_ladders(W.compose(T), family, p, quad, G)
     transported = _ap_ladders(W, [map_ball(G, T, B) for B in family], p, quad, G)
     return [InvarianceRow(B, la.value, lb.value, abs(la.value - lb.value), la.error + lb.error)
@@ -1106,33 +1110,35 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
     of the sum, or for `_TAIL_DEPTH` annuli followed by the geometric
     remainder of the last terms; the result is compared with the geometric
     bound implied by the measured doubling constant of w at exponent beta.
-    A matrix weight raises `ValueError`.
+    Annulus m takes the nodes of its ball B(x_jl, 2^m r0 / t_j), each
+    nudged off the singular set by that ball's scale.  A matrix weight,
+    or numbers outside 0 < t_j < inf, finite beta and beta < L < inf,
+    raise `ValueError`.
     """
     if _is_matrix(w):
         raise ValueError("weighted tail bound needs a scalar weight")
-    if L <= beta:
-        raise ValueError("need L > beta")
+    if not 0 < t_j < np.inf:
+        raise ValueError(f"t_j must satisfy 0 < t_j < inf, got {t_j}")
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if not beta < L < np.inf:
+        raise ValueError(f"L must satisfy beta < L < inf, got L = {L} with beta = {beta}")
     r0 = compute_r0(G)
     center = G.dilate(1.0 / t_j, np.asarray(ell, dtype=float))
     rho = r0 / t_j
-    scale = G.euclidean_radius_bound(rho)
 
     def annulus_integral(m):
         """Integral over the dyadic annulus m (m = 0 is the core cell)."""
         R = AnisoBall(center, 2.0 ** m * rho)
         nodes = quad.ball_nodes(G, R, _LEVELS - 1)
         qn = G.quasi_norm(nodes - center)
-        if m > 0:
-            sel = qn >= 2.0 ** (m - 1) * rho
-            vol = ball_volume(G, R.radius) - ball_volume(G, R.radius / 2)
-            frac_nodes = nodes[sel]
-            qn = qn[sel]
-        else:
-            vol = ball_volume(G, R.radius)
-            frac_nodes = nodes
-        if len(frac_nodes) == 0:
+        vol = ball_volume(G, R.radius)
+        if m > 0:  # R less its inner half
+            keep = qn >= 2.0 ** (m - 1) * rho
+            vol, nodes, qn = vol - ball_volume(G, R.radius / 2), nodes[keep], qn[keep]
+        if not len(nodes):
             return 0.0, 0.0
-        vals = safe_power_values(w, frac_nodes, 1.0, scale)
+        vals = safe_power_values(w, nodes, 1.0, G.euclidean_radius_bound(R.radius))
         decay = (1.0 + t_j * qn) ** (-L)
         return vol * np.mean(vals * decay), vol * np.mean(vals)
 

@@ -428,20 +428,11 @@ def _ensemble(grid, group, ball, unit, N, seed):
                       b[j] * np.sin((j + 1) * np.pi * r) for j in range(4))
         )),
     }
-    fields = []
-    for name, flat in specs.items():
-        base = flat.reshape(grid.shape)
-        if N == 1:
-            spec = base[None]
-        else:
-            weights = np.linspace(1.0, 0.4, N)[:, None]
-            phases = np.exp(1j * np.pi * np.arange(N) / max(N, 1))[:, None]
-            spec = (weights * phases) * flat[None, :]
-            spec = spec.reshape((N,) + grid.shape)
-        fields.append(BandLimitedField.from_spectrum(
-            grid, group, spec, ball, field_id=name, normalize=True
-        ))
-    return fields
+    # component k of a member is its spectrum times w_k e^(i pi k / N), w_k from 1 to 0.4
+    mix = (np.linspace(1.0, 0.4, N) * np.exp(1j * np.pi * np.arange(N) / N))[:, None]
+    return [BandLimitedField.from_spectrum(grid, group, (mix * flat).reshape((N,) + grid.shape),
+                                           ball, field_id=name, normalize=True)
+            for name, flat in specs.items()]
 
 
 # -- multiplier experiment -----------------------------------------------------------------

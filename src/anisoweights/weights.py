@@ -351,9 +351,10 @@ class MatrixWeightSpec:
         pts, single = _as_points(x)
         if self.mode == "diagonal":
             # entrywise closed form, exact for diagonal specs; a node is
-            # singular unless all its entries are finite and above 1e-300
+            # singular unless all its entries are finite and at least
+            # 1e-300, the eigenvalue test of `hermitian_power`
             diag = np.stack([s._values(pts) for s in self.scalars], axis=1)
-            singular = ~((diag > HARD_FLOOR) & (diag < np.inf)).all(axis=1)
+            singular = ~((diag >= HARD_FLOOR) & (diag < np.inf)).all(axis=1)
             diag[singular] = 1.0
             floors = EIGEN_FLOOR_SCALE * diag.sum(axis=1, keepdims=True) / self.N
             diag = np.maximum(diag, floors)

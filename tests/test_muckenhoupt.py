@@ -765,6 +765,17 @@ class TestReverseHolder:
         with pytest.raises(ValueError):
             reverse_holder_search(sqrt_weight(), [], [1.5, 2.0], grid1, G1)
 
+    @pytest.mark.parametrize("r_grid", [[0.0], [-1.0, 1.5], [0.5], [1.0], [np.nan, 2.0],
+                                        [1.5, np.inf]])
+    def test_exponents_outside_one_to_inf_rejected(self, monkeypatch, G1, r_grid):
+        # r = 0 divided by zero, r <= 1 could come back as r_best, nan gave a
+        # silent row and inf came back as r_best; no weight is evaluated
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        with pytest.raises(ValueError, match="r_grid"):
+            reverse_holder_search(sqrt_weight(), [AnisoBall([0.3], 1.0)], r_grid,
+                                  BallQuadrature("mapped_grid", 64), G1)
+        assert calls == []
+
     def test_matrix_weight_rejected(self, monkeypatch, G1, grid1):
         # averaging the entries of W, zeros included, would pass r = 2 here
         W = MatrixWeightSpec.diagonal([sqrt_weight(), ScalarWeightSpec.constant(1.0)])
@@ -886,6 +897,12 @@ class TestInvariance:
         for row in rows:
             assert row.discrepancy <= 2 * row.combined_error
 
+    @pytest.mark.parametrize("kind", ["scalar", "matrix"])
+    def test_empty_family_gives_no_rows(self, G2, kind):
+        W = sqrt_weight() if kind == "scalar" else ap_matrix_weight()
+        T = AffineMap(G2, 2.0, np.array([1.0, 0.0]))
+        assert invariance_report(W, 2.0, T, [], BallQuadrature("mapped_grid", 64), G2) == []
+
     def test_change_of_variables_at_rounding(self, G2, grid1):
         # B and T(B) share the reference nodes, so W∘T on B and W on T(B)
         # are one average after y = T(x), up to rounding in the dilations.
@@ -968,6 +985,33 @@ class TestTailBound:
         with pytest.raises(ValueError, match="scalar weight"):
             weighted_tail_bound(W, G1, 1.0, [0.0], 3.0, grid1, beta=1.5)
         assert calls == []
+
+    @pytest.mark.parametrize("t_j, L, beta, name", [
+        (0.0, 3.0, 1.5, "t_j"), (-1.0, 3.0, 1.5, "t_j"), (np.inf, 3.0, 1.5, "t_j"),
+        (np.nan, 3.0, 1.5, "t_j"), (1.0, 3.0, np.nan, "beta"), (1.0, 3.0, -np.inf, "beta"),
+        (1.0, np.inf, 1.5, "L"), (1.0, np.nan, 1.5, "L"), (1.0, 1.5, 1.5, "L")])
+    def test_numbers_out_of_range_rejected(self, monkeypatch, G1, t_j, L, beta, name):
+        # t_j = 0 divided by zero, beta = nan gave a nan bound, L = inf
+        # overflowed and L = nan raised TruncationNotConverged
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            weighted_tail_bound(sqrt_weight(), G1, t_j, [0.0], L,
+                                BallQuadrature("mapped_grid", 64), beta=beta)
+        assert calls == []
+
+    def test_each_annulus_is_nudged_by_its_own_ball(self, monkeypatch, G1):
+        # annulus m takes the nodes of B(x_jl, 2^m r0 / t_j) and that ball's scale
+        scales, inner = [], muckenhoupt.safe_power_values
+
+        def recorded(w, pts, a, scale):
+            scales.append(scale)
+            return inner(w, pts, a, scale)
+
+        monkeypatch.setattr(muckenhoupt, "safe_power_values", recorded)
+        res = weighted_tail_bound(sqrt_weight(), G1, 2.0, [1.0], 3.0,
+                                  BallQuadrature("mapped_grid", 64), beta=1.5)
+        rho = compute_r0(G1) / 2.0
+        assert scales == [G1.euclidean_radius_bound(2.0 ** m * rho) for m in range(len(res.terms))]
 
 
 # The two nudge loops that `safe_power_values` replaced, kept as oracles.  The
@@ -1553,7 +1597,7 @@ class TestShadows:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_ball_rows_do_not_depend_on_the_family(self, G1, p):
         # on the 256-node grid 2B of B(1/512, 1) has a level-1 node at the
-        # singular point 0 of diag(|x|^1/2, 1), nudged by its own scale.  At
+        # singular point 0 of diag(|x|^1/2, 1), nudged by 2B's scale.  At
         # level 1 a block holds four balls: B, 2B and 4B alone, or with the
         # far ball, which would widen a nudge scale taken over the block
         W, quad = sqrt_matrix_weight(), BallQuadrature("mapped_grid", 256)
@@ -1585,26 +1629,58 @@ class TestShadows:
         assert {r[1] for r in rep.rows} == {"slice", "norm", "dual-slice"}
         assert len(pair.q_values) == 4 and not pair.fit_degenerate
 
-    @pytest.mark.parametrize("N, norm_row", [(3, 9.144401968036961), (4, 9.193078278516086)])
-    def test_norm_of_an_infinite_node_is_nudged_by_its_own_scale(self, G1, N, norm_row):
+    def test_one_weight_gives_one_row_however_wrapped(self, G1):
         # on the 256-node grid 2B of B(1/2048, 1) has a level-2 node at 0,
-        # where W has the entry |x|^(-1/2) = inf.  The norm is read from the
-        # factor F, nudged by the node's own scale as the slice is, so the
-        # norm row lies near the slice row (9.168).  The norm of W nudged by
-        # 2B's scale instead reads 6.910 (N = 3) or 6.941 (N = 4): either
-        # value is set by the size of the nudge.
+        # where |x|^(-1/2) = inf.  Every node is nudged by its ball's scale,
+        # so the scalar weight and its 1 x 1 diagonal give one row
+        w = ScalarWeightSpec.radial_power(-0.5)
+        quad, B = BallQuadrature("mapped_grid", 256), AnisoBall([1 / 2048], 1.0)
+        assert not quad.ball_nodes(G1, AnisoBall(B.center, 2.0), 2).all()
+        [(_, _, _, scalar)] = doubling_check(w, 2.0, [B], [2.0], quad, G1).rows
+        rows = {r[1]: r[3] for r in doubling_check(MatrixWeightSpec.diagonal([w]), 2.0, [B],
+                                                   [2.0], quad, G1).rows}
+        assert scalar == rows["slice"] == rows["norm"]
+        assert scalar == pytest.approx(6.892867613611662, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_norm_of_an_infinite_node_is_nudged_by_its_ball_scale(self, G1, N):
+        # the node of the last test, now with W's entry |x|^(-1/2) = inf in
+        # a 3 x 3 or 4 x 4 weight: the norm read from the factor F equals the
+        # norm of W itself nudged by 2B's scale
         S = ScalarWeightSpec
         W = MatrixWeightSpec.diag_dominant([S.radial_power(-0.5)] + [S.constant(1.0)] * (N - 1),
                                            {(0, 1): {(1,): 1.0}}, 0.5)
         quad, B = BallQuadrature("mapped_grid", 256), AnisoBall([1 / 2048], 1.0)
-        assert not quad.ball_nodes(G1, AnisoBall(B.center, 2.0), 2).all()
         rows = {r[1]: r[3] for r in doubling_check(W, 2.0, [B], [2.0], quad, G1).rows}
-        assert rows["norm"] == pytest.approx(norm_row, rel=1e-12)
-        assert rows["slice"] == pytest.approx(9.16809144902692, rel=1e-12)
         ball_scaled = (loop_mass_ladder(NormOfW(W), AnisoBall(B.center, 2.0), quad, G1).value
                        / loop_mass_ladder(NormOfW(W), B, quad, G1).value)
         assert ball_scaled == pytest.approx({3: 6.910043387711428, 4: 6.940535208571172}[N],
                                             rel=1e-12)
+        assert rows["norm"] == pytest.approx(ball_scaled, rel=1e-12)
+        assert rows["slice"] == pytest.approx(6.892867613611662, rel=1e-12)
+
+    def test_balls_with_one_singular_centre_share_one_factor(self, G1):
+        # W is infinite at 0, the centre of B, 2B and 4B, so F(c) is nudged;
+        # by the centre's own scale, so that all three take one F(c), where
+        # the scale of 2B or 4B would give another
+        S = ScalarWeightSpec
+        W = MatrixWeightSpec.diagonal([S.radial_power(-0.5), S.constant(1.0)])
+        quad = BallQuadrature("mapped_grid", 64)
+        balls = [AnisoBall([0.0], r) for r in (1.0, 2.0, 4.0)]
+        c = np.zeros((1, 1))
+        Fc = muckenhoupt._pair_factors(W, c, 0.5, muckenhoupt._node_scales(c))
+        assert np.isfinite(Fc).all()
+        assert Fc.tobytes() != muckenhoupt._pair_factors(W, c, 0.5, 2.0).tobytes()
+        seen = set()
+        for level, b, values in muckenhoupt._shadows(W, 2.0, balls, quad, G1,
+                                                     ["slice", "dual-slice"], np.eye(2)[0]):
+            nodes = quad.ball_nodes(G1, balls[b], level)
+            scale = G1.euclidean_radius_bound(balls[b].radius)
+            M = muckenhoupt._pair_factors(W, nodes, -0.5, scale)
+            want = spectral_norms(np.repeat(Fc, len(nodes), axis=0) @ M) ** 2
+            assert values["dual-slice"].tobytes() == want.tobytes()
+            seen.add(b)
+        assert seen == {0, 1, 2}
 
 
 def offset_sqrt_weight():
@@ -1737,7 +1813,7 @@ class TestFamilyLadder:
         assert sum(t[0] for t in dilate_calls) == 2 * _LEVELS * len(fam)
 
     def test_one_dilation_per_level_and_block_for_a_scalar_weight(self, G2, dilate_calls):
-        # _ball_values: 52, 208 and 812 nodes per ball put 78, 19 and 5
+        # _shadows: 52, 208 and 812 nodes per ball put 78, 19 and 5
         # balls in a block, so the 92 balls make 2, 5 and 19 blocks
         quad = BallQuadrature("mapped_grid", 64)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])

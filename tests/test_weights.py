@@ -196,6 +196,18 @@ class TestMatrix:
         for i in (0, 2):
             assert info.value.values[i].tobytes() == W.power_values(x[i], -0.5).tobytes()
 
+    @pytest.mark.parametrize("a", [0.5, -0.5])
+    def test_diagonal_and_conjugated_share_the_singular_threshold(self, a):
+        # an eigenvalue of exactly 1e-300 is not singular for hermitian_power,
+        # so the diagonal closed form takes the entry as it is (and floors it)
+        S = ScalarWeightSpec
+        scalars = [S.constant(1e-300), S.constant(1.0)]
+        x = np.array([[0.3, -0.2], [2.0, 1.0]])
+        diag = MatrixWeightSpec.diagonal(scalars).power_values(x, a)
+        conj = MatrixWeightSpec.conjugated(np.eye(2), scalars).power_values(x, a)
+        assert np.allclose(diag, conj, rtol=1e-14, atol=0)
+        assert diag[:, 0, 0] == pytest.approx([(1e-14 / 2) ** a] * 2, rel=1e-14)
+
 
 def einsum_hermitian_power(W, a):
     """W^a with the three-operand einsum V diag(lambda^a) V^H."""

@@ -22,15 +22,21 @@ A refactor that keeps outputs bitwise leaves every line the same; a change
 that moves outputs on purpose still shows 0 failed items on every line, and
 the deviation column shows how far it moved them.
 
-Then come the experiments that no workload runs (`doubling_check`,
-`reducing_operators`, `scalar_slice_ap`), each on a small fixture per weight
-(the ap-matrix-2d weight of variant 0 and a complex conjugated weight) and
-exponent, with the same columns: the experiment, the fixture, the sha256 of
-the pickled output, `-` (an experiment has no check), and the largest
-relative deviation of the output's record from experiment_record.json
-beside this tool.  --write-record writes that file from DIR's outputs
-instead; write it from the parent tree, so that a change's lines show how
-far it moved each experiment:
+Then come the public experiments that no workload runs, each on a small
+fixture: `doubling_check`, `reducing_operators` and `scalar_slice_ap` per
+weight (the ap-matrix-2d weight of variant 0 and a complex conjugated
+weight) and exponent; `estimate_ap_constant` and `reverse_holder_search` on
+a scalar weight whose singular line the grid meets, so that nudged nodes
+show; `invariance_report` on a scalar and a matrix weight;
+`averaging_operator_check`, `sampling_inequality_experiment`,
+`weighted_tail_bound`, `covering_intersection_stats` and
+`bapu_independence_check`.  Their lines have the same columns: the
+experiment, the fixture, the sha256 of the pickled output, `-` (an
+experiment has no check), and the largest relative deviation of the
+output's record from experiment_record.json beside this tool.
+--write-record writes that whole file from DIR's outputs instead; write it
+from the parent tree, so that a change's lines show how far it moved each
+experiment:
 
     python3 tools/output_digest.py --src ../base/src --write-record
 
@@ -84,10 +90,17 @@ def experiments():
     """(experiment, fixture, run, record) for each experiment fixture."""
     import numpy as np
     import workloads
+    from anisoweights.besov import BesovParams, bapu_independence_check, build_bapu, mollifier_bump
     from anisoweights.dilation import DilationGroup
-    from anisoweights.geometry import AnisoBall
-    from anisoweights.muckenhoupt import (BallQuadrature, doubling_check, reducing_operators,
-                                          scalar_slice_ap)
+    from anisoweights.geometry import (AffineMap, AnisoBall, build_structured_covering,
+                                       covering_intersection_stats)
+    from anisoweights.muckenhoupt import (BallQuadrature, averaging_operator_check,
+                                          default_ball_family, doubling_check,
+                                          estimate_ap_constant, invariance_report,
+                                          reducing_operators, reverse_holder_search,
+                                          scalar_slice_ap, weighted_tail_bound)
+    from anisoweights.spectral import (FourierGrid, sampling_inequality_experiment,
+                                       standard_ensemble)
     from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
 
     G, quad = DilationGroup(np.diag([1.0, 2.0])), BallQuadrature("mapped_grid", 256)
@@ -123,6 +136,57 @@ def experiments():
         out.append(("scalar_slice_ap", f"{label}:p=2",
                     lambda W=W: scalar_slice_ap(W, 2.0, [1.0, 0.0, 0.0][:W.N], family, quad, G),
                     lambda rep: {"values": rep.values.tolist(), "constant": rep.constant}))
+
+    S, q64 = ScalarWeightSpec, BallQuadrature("mapped_grid", 64)
+    # |x1 - 1/8|^(1/2): the 64-node grid puts nodes of these ten balls on
+    # x1 = 1/8, where the weight is 0, at levels 0 and 1
+    offset, ladder_family = (S.poly_abs_power({(1, 0): 1.0, (0, 0): -0.125}, 0.5),
+                             default_ball_family(G, 1.0, radii=[1.0, 2.0]))
+    out.append(("estimate_ap_constant", "offset-sqrt:p=2",
+                lambda: estimate_ap_constant(offset, 2.0, ladder_family, q64, G),
+                lambda rep: {"values": rep.values.tolist(), "errors": rep.errors.tolist()}))
+    out.append(("reverse_holder_search", "offset-sqrt",
+                lambda: reverse_holder_search(offset, ladder_family, [1.5, 2.0, 3.0], q64, G),
+                lambda res: {"r_best": res.r_best, "c1": res.c1,
+                             "table": [ratio for _, ratio in res.table]}))
+    T = AffineMap(G, 2.0, np.array([1.0, 0.0]))
+    for label, W in {"radial": S.radial_power(-0.3), "ap-matrix": weights["ap-matrix"]}.items():
+        out.append(("invariance_report", f"{label}:p=2",
+                    lambda W=W: invariance_report(W, 2.0, T, family, quad, G),
+                    lambda rows: {"composed": [r.composed for r in rows],
+                                  "transported": [r.transported for r in rows],
+                                  "combined_error": [r.combined_error for r in rows]}))
+    fields = [lambda x: np.stack([1.0 + x[:, 0], x[:, 1] ** 2], axis=1),
+              lambda x: np.stack([np.sin(3.0 * x[:, 0]), np.cos(x[:, 1])], axis=1)]
+    out.append(("averaging_operator_check", "conjugated:p=2",
+                lambda: averaging_operator_check(weights["conjugated"], family[0], 2.0, quad, G,
+                                                 fields),
+                lambda ratio: {"ratio": ratio}))
+    G1, grid = DilationGroup([[1.0]]), FourierGrid(1, 128, 4 * np.pi)
+    ball = AnisoBall([0.0], 1.0)
+    out.append(("sampling_inequality_experiment", "sqrt:p=2",
+                lambda: sampling_inequality_experiment(
+                    S.radial_power(0.5), 2.0, ball, standard_ensemble(grid, G1, ball), q64, G1),
+                lambda rows: {"ratio": [r.ratio for r in rows], "error": [r.error for r in rows]}))
+    out.append(("weighted_tail_bound", "sqrt:L=3",
+                lambda: weighted_tail_bound(S.radial_power(0.5), G1, 2.0, [1.0], 3.0, q64, 1.5),
+                lambda res: {"ratio": res.ratio, "bound": res.bound, "terms": res.terms,
+                             "doubling_constant": res.doubling_constant}))
+    out.append(("covering_intersection_stats", "c=0.5,0.8",
+                lambda: covering_intersection_stats(
+                    build_structured_covering(G1, 0.5, 8.0, seed=11),
+                    build_structured_covering(G1, 0.8, 8.0, seed=13)),
+                lambda stats: {"neighbors": stats[0], "ratio": stats[1]}))
+
+    def bapu_ratio():
+        cov = build_structured_covering(G1, 0.5, 12.0, seed=0, candidates_per_shell=256)
+        f = standard_ensemble(grid, G1, AnisoBall([0.0], 8.0), N=2)[0]
+        return bapu_independence_check(f, S.radial_power(0.5), BesovParams(0.5, 2, 2),
+                                       build_bapu(grid, cov),
+                                       build_bapu(grid, cov, bump=mollifier_bump(cov.c)))
+
+    out.append(("bapu_independence_check", "sqrt:mollifier", bapu_ratio,
+                lambda ratio: {"ratio": ratio}))
     return out
 
 
