@@ -191,6 +191,8 @@ class BesovParams:
     def __post_init__(self):
         if not (0 < self.p < np.inf and self.q > 0):  # nan fails; q = inf is the sup
             raise ValueError("need 0 < p < inf and q > 0")
+        if not np.isfinite(self.s):
+            raise ValueError(f"smoothness s must be finite, got {self.s}")
 
 
 def _check_grid(grid: FourierGrid, bapu: Bapu) -> None:

@@ -71,6 +71,8 @@ class DilationGroup:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NonSymmetric(f"generator must be square, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise NonFiniteInput(f"generator must be finite, got {A.tolist()}")
         defect = np.max(np.abs(A - A.T)) if A.size else 0.0
         scale = max(1.0, np.max(np.abs(A))) if A.size else 1.0
         if defect > _SYMMETRY_TOL * scale:

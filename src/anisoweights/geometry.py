@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dilation import DilationGroup, triangle_constant_estimate
+from .dilation import DilationGroup, NonFiniteInput, triangle_constant_estimate
 
 
 class NonPositiveRadius(ValueError):
@@ -42,6 +42,9 @@ class AnisoBall:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
         if not self.radius > 0:
             raise NonPositiveRadius(f"radius must be > 0, got {self.radius}")
+        if not (self.radius < np.inf and np.isfinite(self.center).all()):
+            raise NonFiniteInput(f"ball needs a finite centre and radius, got "
+                                 f"{self.center.tolist()} and {self.radius}")
 
     def contains(self, G: DilationGroup, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -531,8 +534,8 @@ def build_structured_covering(
     """
     if not 0 < c <= 1:
         raise ValueError("require 0 < c <= 1")
-    if max_norm < 1:
-        raise ValueError("require max_norm >= 1")
+    if not 1 <= max_norm < np.inf:
+        raise ValueError(f"max_norm must satisfy 1 <= max_norm < inf, got {max_norm}")
     c_est = max(1.0, triangle_constant_estimate(G, 2000, seed))
     sep = c / (4.0 * c_est)
 

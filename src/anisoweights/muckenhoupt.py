@@ -10,6 +10,7 @@ convention is the spectral norm throughout.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,9 @@ class TruncationNotConverged(RuntimeError):
 # complex) GEMM planes per tile, 0.2-0.3 MB, and an ap-matrix-2d pass takes
 # 800-1,000 minor page faults on a 2-core x86 box.  The same number caps the
 # nodes per side of one block of balls in the family ladder (`_ap_ladders`),
-# so a block's weight factors (any F, M with F^H F = W^(2/p) and
-# M M^H = W^(-2/p): the roots W^(+-1/p), or Cholesky factors at p = 2) take
-# at most 0.3 MB (real) or 0.6 MB (complex) per side.
+# so a block's weight factors (F, M with F^H F = W^(2/p) and
+# M M^H = W^(-2/p), from `_pair_factors`) take at most 0.3 MB (real) or
+# 0.6 MB (complex) per side.
 _CHUNK = 1 << 12
 # Below this value of 1 + r the two largest Gram eigenvalues are nearly equal
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
@@ -216,8 +217,8 @@ class BallQuadrature:
     def __post_init__(self):
         if self.rule != "mapped_grid":
             raise ValueError(f"unknown rule {self.rule!r}")
-        if self.n_nodes < 64:
-            raise ValueError("need at least 64 nodes")
+        if not (isinstance(self.n_nodes, numbers.Integral) and self.n_nodes >= 64):
+            raise ValueError(f"n_nodes must be an integer >= 64, got {self.n_nodes!r}")
 
     def describe(self) -> str:
         return f"{self.rule}(n={self.n_nodes})"
@@ -406,7 +407,7 @@ def _matrix_quantities(Px: np.ndarray, Mt: np.ndarray, p: float, balls: int) -> 
     Ball b owns the rows b n1 ... (b + 1) n1 - 1 of Px = P(x) and
     b n2 ... (b + 1) n2 - 1 of Mt = M(t), where n1 = len(Px) / balls and
     n2 = len(Mt) / balls; P and M are any factors with P^H P = W^(2/p) and
-    M M^H = W^(-2/p), such as the roots W^(+-1/p), so that
+    M M^H = W^(-2/p), such as L^H and L^(-H) of W^(2/p) = L L^H, so that
     |P(x) M(t)| = |W^(1/p)(x) W^(-1/p)(t)|.  Its quantity is
     (avg_x (avg_t |Px Mt|^p')^(p/p'))^(1/p) for p > 1 and
     max_t avg_x |Px Mt|^p for p <= 1.  The balls are walked in spans, the
@@ -476,17 +477,16 @@ def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int, squared=False) -> np
 def _node_features(Px: np.ndarray, Mt: np.ndarray):
     """Per-node data of the pair kernel for factors Px = P(x) and Mt = M(t), N = 2 or 3.
 
-    P and M are any factors of the weight (see `_matrix_quantities`): the
-    roots W^(+-1/p), or at p = 2 the Cholesky factors of
-    `weights.cholesky_factors`.  Each factor is divided by its largest
-    |entry| s (`_scaled`).  The Gram matrix of P M is G = M^H A M with A =
-    P^H P, so tr G / N, each G_jj - tr G / N and each G_jk (j < k) is
-    bilinear in the unique entries of A(x) and the products conj(M_aj) M_bk
-    (`_FEATURES`).  Returns [P / s, s, L] for x and [M / s, s, R] for t,
-    nodes on the last axis, with L the planes of A from `_gram_planes` and
-    plane e of G equal to sum_f L[f] R[e, f].  Complex products are spelled
-    out in real arithmetic and every sum runs in a fixed order, so a node's
-    features do not depend on its batch.
+    P and M are any factors of the weight (see `_matrix_quantities`), such
+    as the two of one factorization of W^(2/p) (`_pair_factors`).  Each is
+    divided by its largest |entry| s (`_scaled`).  The Gram matrix of P M
+    is G = M^H A M with A = P^H P, so tr G / N, each G_jj - tr G / N and
+    each G_jk (j < k) is bilinear in the unique entries of A(x) and the
+    products conj(M_aj) M_bk (`_FEATURES`).  Returns [P / s, s, L] for x
+    and [M / s, s, R] for t, nodes on the last axis, with L the planes of A
+    from `_gram_planes` and plane e of G equal to sum_f L[f] R[e, f].
+    Complex products are spelled out in real arithmetic and every sum runs
+    in a fixed order, so a node's features do not depend on its batch.
     """
     N, n = Px.shape[-1], len(Px)
     S, s = _scaled(np.concatenate([Px, Mt]))
@@ -588,25 +588,27 @@ def _blocks(G: DilationGroup, balls, refs):
                        np.repeat(scales[a:b], len(u))) for u in refs]
 
 
-def _pair_factors(W, pts: np.ndarray, a: float, scale) -> np.ndarray:
-    """Factors of a matrix weight's root W^a at the (m, d) nodes.
+def _pair_factors(W, pts: np.ndarray, p: float, scale):
+    """Factors F and M of a matrix weight at the (m, d) nodes, from one factorization.
 
-    a = 1/p gives F = U W^(1/p) and a = -1/p gives M = W^(-1/p) V (U, V
-    unitary), so a consumer reads F u and |F| (`_shadows`, the fit of A_B),
-    M^H u (the fit of A_B^#; M^H, not M, has Gram matrix W^(-2/p)) or
-    products F(x) M(t), F A, A M (pair kernel, dual slice, q-sweep).  At
-    p = 2 the nodes that `weights.cholesky_factors` certifies take its
-    Cholesky factors, with no eigendecomposition.  The others, and every
-    node at other p, take the roots of `safe_power_values` (U = V = I) as
-    they would alone.  A node's factor does not depend on the batch.
+    F^H F = W^(2/p) and M M^H = W^(-2/p), so F = U W^(1/p) and
+    M = W^(-1/p) V (U, V unitary): a consumer reads F u and |F| (`_shadows`,
+    the fit of A_B), M^H u (the fit of A_B^#; M^H, not M, has Gram matrix
+    W^(-2/p)) or products F(x) M(t), F A, A M (pair kernel, dual slice,
+    q-sweep).  B = W^(2/p) is evaluated once, as `W.values` at p = 2 and by
+    `safe_power_values` elsewhere, and the nodes that
+    `weights.cholesky_factors` certifies take F = L^H and M = L^(-H) of
+    B = L L^H.  The others take both roots of `safe_power_values`
+    (U = V = I) as they would alone.  A node's factors do not depend on the
+    batch.
     """
-    if abs(a) != 0.5:
-        return safe_power_values(W, pts, a, scale)
-    out, certified = cholesky_factors(W.values(pts), a)
+    B = W.values(pts) if p == 2 else safe_power_values(W, pts, 2.0 / p, scale)
+    F, M, certified = cholesky_factors(B)
     if not certified.all():
         rest = ~certified
-        out[rest] = safe_power_values(W, pts[rest], a, np.broadcast_to(scale, len(pts))[rest])
-    return out
+        scale = np.broadcast_to(scale, len(pts))[rest]
+        F[rest], M[rest] = (safe_power_values(W, pts[rest], a, scale) for a in (1 / p, -1 / p))
+    return F, M
 
 
 def _ap_ladders(W, family, p: float, quad: BallQuadrature,
@@ -625,8 +627,8 @@ def _ap_ladders(W, family, p: float, quad: BallQuadrature,
     for level in range(_LEVELS):  # the x and the shifted t nodes of the double integral
         refs = [quad.reference_nodes(G, level, shifted, pair=True) for shifted in (False, True)]
         levels.append(np.concatenate([
-            _matrix_quantities(_pair_factors(W, X, 1.0 / p, sx),
-                               _pair_factors(W, T, -1.0 / p, st), p, count)
+            _matrix_quantities(_pair_factors(W, X, p, sx)[0], _pair_factors(W, T, p, st)[1],
+                               p, count)
             for count, [(X, sx), (T, st)] in _blocks(G, family, refs)]))
     return _ladders(levels)
 
@@ -660,6 +662,9 @@ class ApReport:
 def default_ball_family(G: DilationGroup, max_center_norm: float = 8.0,
                         radii=None) -> list[AnisoBall]:
     """Integer lattice centers inside {|c|_A <= max_center_norm} with dyadic radii."""
+    if not 0 <= max_center_norm < np.inf:
+        raise ValueError(f"max_center_norm must satisfy 0 <= max_center_norm < inf, "
+                         f"got {max_center_norm}")
     if radii is None:
         radii = [2.0 ** m for m in range(-3, 4)]
     reach = G.euclidean_radius_bound(max_center_norm)
@@ -682,12 +687,12 @@ def estimate_ap_constant(W, p: float, family: list[AnisoBall],
     built once per level and side (a matrix weight's t side is the shifted
     grid), and one dilation per block and side maps it into every ball of
     the block, delta_r u + c.  A scalar weight is evaluated once on the
-    block's stacked nodes, and a matrix weight's factors once per side
-    (`_pair_factors`): any F, M with F^H F = W^(2/p) and M M^H = W^(-2/p).
-    These are the roots W^(+-1/p), but at p = 2 the Cholesky factors
-    L^H and L^(-H) of W = L L^H wherever they are certified to equal the
-    roots' products up to rounding, with no eigendecomposition.  Each
-    nudge off a singular set is sized by the node's own ball.  Pair
+    block's stacked nodes, and a matrix weight once per side
+    (`_pair_factors`): F on the x side and M on the t side, with
+    F^H F = W^(2/p) and M M^H = W^(-2/p), are L^H and L^(-H) of one
+    factorization W^(2/p) = L L^H wherever it is certified to give the
+    roots' products up to rounding, and the roots W^(+-1/p) elsewhere.
+    Each nudge off a singular set is sized by the node's own ball.  Pair
     norms come from the pair kernel (`_span_norms`): each factor is squared
     into per-node features once per span of balls, each Gram plane of a
     tile of at most `_CHUNK` pairs is one GEMM, a span holds several whole
@@ -754,7 +759,7 @@ def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, 
     This is the one per-ball family pass: each level runs through `_blocks`
     once, and every node is nudged off a singular set by the scale of its
     own ball.  A scalar weight gives "scalar", w itself.  A matrix weight is
-    factored once per block and side (`_pair_factors`) and gives the
+    factored once per block (`_pair_factors`), F and M together, and gives the
     "slice" |F v|^p = |W^(1/p) v|^p and, if named, the "norm" |F|^p = |W|
     and the "dual-slice" |F(c) M|^p' = |W^(1/p)(c) W^(-1/p)|^p' (p > 1).
     F(c) is taken once per ball, at its centre c, nudged by the centre's
@@ -763,20 +768,19 @@ def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, 
     """
     if "dual-slice" in names:
         centres = np.array([B.center for B in balls], dtype=float)
-        left = _pair_factors(W, centres, 1.0 / p, _node_scales(centres))
+        left = _pair_factors(W, centres, p, _node_scales(centres))[0]
     for level in range(_LEVELS):
         first = 0
         for count, [(X, sx)] in _blocks(G, balls, [quad.reference_nodes(G, level)]):
             if not _is_matrix(W):
                 out = {"scalar": safe_power_values(W, X, 1.0, sx)}
             else:
-                F = _pair_factors(W, X, 1.0 / p, sx)
+                F, M = _pair_factors(W, X, p, sx)
                 out = {"slice": weighted_magnitudes(F, v) ** p}
                 if "norm" in names:
                     out["norm"] = spectral_norms(F) ** p
                 if "dual-slice" in names:
                     Fc = np.repeat(left[first:first + count], len(X) // count, axis=0)
-                    M = _pair_factors(W, X, -1.0 / p, sx)
                     out["dual-slice"] = spectral_norms(Fc @ M) ** (p / (p - 1.0))
             for b, values in enumerate(zip(*(np.split(s, count) for s in out.values()))):
                 yield level, first + b, dict(zip(out, values))
@@ -1000,12 +1004,12 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
 
     M = A_B^H A_B is fitted by reweighted least squares (`_fit_reducing`) to
     |F u| on max(2 N^2, 8) directions, complex when F is, with F and M from
-    `_pair_factors` nudged by the ball's scale; at p = 2 this is the Gram
-    identity A_B = (avg_B W)^(1/2).  A_B^# is fitted to |M^H u| with the
-    dual exponent (p > 1 only).  The fit is degenerate when M is not
-    positive definite or its distortion exceeds 1.05 sqrt(N).  For p > 1 the
-    q-sweep takes |F(x) A_B^#| and |A_B M(t)| to each q of q_grid, p < q <
-    inf (or `ValueError`).
+    one `_pair_factors` call nudged by the ball's scale; at p = 2 this is
+    the Gram identity A_B = (avg_B W)^(1/2).  A_B^# is fitted to |M^H u|
+    with the dual exponent (p > 1 only).  The fit is degenerate when M is
+    not positive definite or its distortion exceeds 1.05 sqrt(N).  For p > 1
+    the q-sweep takes |F(x) A_B^#| and |A_B M(t)| to each q of q_grid,
+    p < q < inf (or `ValueError`).
     """
     _check_exponent(p)
     if not _is_matrix(W):
@@ -1015,12 +1019,11 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
     N = W.N
     scale = G.euclidean_radius_bound(B.radius)
     nodes = quad.ball_nodes(G, B, _LEVELS - 1)
-    F = _pair_factors(W, nodes, 1.0 / p, scale)
+    F, M = _pair_factors(W, nodes, p, scale)
     complex_ = bool(np.max(np.abs(F.imag)) > 1e-14 * np.max(np.abs(F)))
     dirs = _directions(N, max(2 * N * N, 8), complex_)
     A_B, distortion, positive = _fit_reducing(F, dirs, p)
     if p > 1:
-        M = _pair_factors(W, nodes, -1.0 / p, scale)
         A_sharp, sharp_distortion, sharp_positive = _fit_reducing(
             M.conj().swapaxes(-1, -2), dirs, p / (p - 1.0))
         positive &= sharp_positive
@@ -1035,9 +1038,9 @@ def reducing_operators(W, B: AnisoBall, p: float, quad: BallQuadrature,
         # the per-level norms |F(x) A_B^#| and |A_B M(t)| are shared by
         # every q; the finest x level is the fit's F
         left = [spectral_norms(f @ A_sharp) for f in [_pair_factors(
-            W, quad.ball_nodes(G, B, level), 1.0 / p, scale) for level in range(_LEVELS - 1)] + [F]]
+            W, quad.ball_nodes(G, B, level), p, scale)[0] for level in range(_LEVELS - 1)] + [F]]
         right = [spectral_norms(A_B @ _pair_factors(
-            W, quad.ball_nodes(G, B, level, shifted=True), -1.0 / p, scale))
+            W, quad.ball_nodes(G, B, level, shifted=True), p, scale)[1])
             for level in range(_LEVELS)]
         for q in q_grid:
             try:

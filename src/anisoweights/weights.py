@@ -4,10 +4,10 @@ All weights are positive (definite) off an explicit measure-zero singular
 set.  Evaluation is vectorized over point arrays of shape (m, d); matrix
 values are Hermitian (m, N, N) arrays.  Fractional powers go through the
 eigendecomposition with a relative eigenvalue floor, so quadrature nodes
-that land near a singular set stay usable.  Where a root W^(+-1/2) matters
-only up to a unitary factor (the A_2 ladders, shadows and reducing
-operators), Cholesky factors stand in for it at the matrices that are
-certified to lie above that floor, with no eigendecomposition.
+that land near a singular set stay usable.  Where the roots W^(+-1/p)
+matter only up to a unitary factor (the A_p ladders, shadows and reducing
+operators), the two factors of one Cholesky factorization of W^(2/p) stand
+in for both at the matrices that are certified to lie above that floor.
 """
 
 from __future__ import annotations
@@ -178,10 +178,11 @@ def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
     eigenvalue below 1e-300 is singular: then this raises `SingularWeight`
     with every matrix's power, unit eigenvalues for the singular ones.
     Other eigenvalues are clamped to 1e-14 * trace / N before the power,
-    which preserves ball averages to quadrature accuracy.  At a = +-1/2,
-    `cholesky_factors` certifies the matrices where neither can happen, and
-    the p = 2 roots of `muckenhoupt._pair_factors` (A_2 ladders, shadows,
-    reducing operators) take its factors there instead, with no `eigh`.
+    which preserves ball averages to quadrature accuracy.  The pairs of
+    roots W^(+-1/p) of `muckenhoupt._pair_factors` (A_p ladders, shadows,
+    reducing operators) are the factors of one Cholesky factorization of
+    W^(2/p) (`cholesky_factors`) wherever it certifies that neither can
+    happen; at p = 2 those nodes take no `eigh`.
     """
     finite = np.isfinite(W).all(axis=(-2, -1))
     if not finite.all():
@@ -202,36 +203,35 @@ def hermitian_power(W: np.ndarray, a: float) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def cholesky_factors(W: np.ndarray, a: float):
-    """Cholesky stand-ins for the roots W^(+-1/2) of a batch (m, N, N), and where they hold.
+def cholesky_factors(B: np.ndarray):
+    """Factors F = L^H and M = L^(-H) of B = L L^H for a batch (m, N, N), and where they hold.
 
-    W = L L^H is factored from the lower triangles (which `eigh` reads) by
-    one loop over the entries, vectorized over the matrices, so a matrix's
-    factor does not depend on its batch.  a = 1/2 gives F = L^H, with
-    F^H F = W, and a = -1/2 gives M = L^(-H), with M M^H = W^(-1); so
-    |F(x) M(t)| = |W^(1/2)(x) W^(-1/2)(t)| for all x and t.  Returns the
-    factors and the mask of the certified matrices.  A certified matrix is
-    finite and proven to have lambda_min >= max(1e-14 tr / N, 1e-300), so
-    the floors of `hermitian_power` cannot act on it beyond rounding, and
-    any product of its factors equals that of its roots up to rounding.
-    The proof: the other eigenvalues multiply to at most
-    (tr / (N - 1))^(N - 1) (AM-GM), so lambda_min / tr >= b =
-    (N - 1)^(N - 1) prod_k (d_k / tr) for the pivots d_k, and b <= 1.  The
-    computed factor is exact for W + E with |E| <= (N + 1) u tr to first
-    order (Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.3; u the unit roundoff), and b's own rounding is below
-    2 (N + 1)^2 u.  So b above the floor by 4 (N + 1)(2N + 3) u, a factor
-    4 over both for complex arithmetic, proves the floor for W.  The other
-    matrices' factors are arbitrary, non-finite after a zero or negative
-    pivot.
+    B is factored from its lower triangles (which `eigh` reads) by one loop
+    over the entries, vectorized over the matrices, so a matrix's factors
+    do not depend on its batch; L^(-1) follows by forward substitution.
+    F^H F = B and M M^H = B^(-1), so for B = W^(2/p), |F(x) M(t)| =
+    |W^(1/p)(x) W^(-1/p)(t)| for all x and t.  Returns F, M and the mask of
+    the certified matrices.  A certified matrix is finite and proven to
+    have lambda_min >= max(1e-14 tr / N, 1e-300), so the floors of
+    `hermitian_power` cannot act on it beyond rounding, and any product of
+    its factors equals that of its roots up to rounding.  The proof: the
+    other eigenvalues multiply to at most (tr / (N - 1))^(N - 1) (AM-GM),
+    so lambda_min / tr >= b = (N - 1)^(N - 1) prod_k (d_k / tr) for the
+    pivots d_k, and b <= 1.  The computed factor is exact for B + E with
+    |E| <= (N + 1) u tr to first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3; u the unit roundoff), and b's own
+    rounding is below 2 (N + 1)^2 u.  So b above the floor by
+    4 (N + 1)(2N + 3) u, a factor 4 over both for complex arithmetic,
+    proves the floor for B.  The other matrices' factors are arbitrary,
+    non-finite after a zero or negative pivot.
     """
-    n = W.shape[-1]
-    tr = np.real(np.trace(W, axis1=-2, axis2=-1))
+    n = B.shape[-1]
+    tr = np.real(np.trace(B, axis1=-2, axis2=-1))
     bound = float((n - 1) ** (n - 1))
     L = [[None] * n for _ in range(n)]
     for j in range(n):
         for i in range(j, n):
-            s = W[:, i, j]
+            s = B[:, i, j]
             for k in range(j):
                 s = s - L[i][k] * L[j][k].conj()
             if i == j:
@@ -239,19 +239,19 @@ def cholesky_factors(W: np.ndarray, a: float):
                 L[j][j] = np.sqrt(s.real)
             else:
                 L[i][j] = s / L[j][j]
-    if a < 0:  # L^(-1) by forward substitution, column by column, in place of L
-        for j in range(n):
-            L[j][j] = 1.0 / L[j][j]
-            for i in range(j + 1, n):
-                s = sum((L[i][k] * L[k][j] for k in range(j + 1, i)), L[i][j] * L[j][j])
-                L[i][j] = -s / L[i][i]
-    out = np.zeros_like(W)
+    inv = [[None] * n for _ in range(n)]  # L^(-1), column by column
+    for j in range(n):
+        inv[j][j] = 1.0 / L[j][j]
+        for i in range(j + 1, n):
+            s = sum((L[i][k] * inv[k][j] for k in range(j + 1, i)), L[i][j] * inv[j][j])
+            inv[i][j] = -s / L[i][i]
+    F, M = np.zeros_like(B), np.zeros_like(B)
     for i in range(n):
         for j in range(i + 1):
-            out[:, j, i] = L[i][j].conj()
+            F[:, j, i], M[:, j, i] = L[i][j].conj(), inv[i][j].conj()
     margin = 4 * (n + 1) * (2 * n + 3) * np.finfo(float).eps / 2
     floor = np.maximum(EIGEN_FLOOR_SCALE / n, HARD_FLOOR / tr)
-    return out, np.isfinite(W).all(axis=(-2, -1)) & (bound >= floor + margin)
+    return F, M, np.isfinite(B).all(axis=(-2, -1)) & (bound >= floor + margin)
 
 
 class MatrixWeightSpec:

@@ -277,6 +277,12 @@ class TestBesovNorms:
             BesovParams(0.5, p, q)
         assert BesovParams(0.5, 2, np.inf).q == np.inf
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_smoothness_rejected(self, s):
+        # NaN was accepted, and made every term t_j^s NaN
+        with pytest.raises(ValueError, match="smoothness s must be finite"):
+            BesovParams(s, 2, 2)
+
     def test_identity_weight_matches_unweighted(self, ensemble, coefficients, bapu):
         W = MatrixWeightSpec.identity(2)
         for f, c in two_members(ensemble, coefficients):

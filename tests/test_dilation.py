@@ -94,6 +94,14 @@ class TestConstruction:
         with pytest.raises(NonPositiveSpectrum):
             DilationGroup(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_generator(self, bad):
+        # a NaN generator gave nu = nan, and inf gave nu = inf after a warning
+        with pytest.raises(NonFiniteInput, match="generator must be finite"):
+            DilationGroup([[bad]])
+        with pytest.raises(NonFiniteInput):
+            DilationGroup([[1.0, 0.0], [0.0, bad]])
+
     def test_symmetrizes_roundoff(self):
         A = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
         G = DilationGroup(A)

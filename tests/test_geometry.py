@@ -6,7 +6,7 @@ from scipy.special import gammaln, ndtri
 from scipy.stats import qmc
 
 from anisoweights import dilation, geometry
-from anisoweights.dilation import DilationGroup
+from anisoweights.dilation import DilationGroup, NonFiniteInput
 from anisoweights.geometry import (
     AffineMap,
     AnisoBall,
@@ -84,6 +84,13 @@ class TestBallVolume:
             ball_volume(Giso, np.nan)
         with pytest.raises(NonPositiveRadius):
             AnisoBall([0.0], np.nan)
+
+    @pytest.mark.parametrize("center, radius", [([0.0, 0.0], np.inf), ([np.nan, 0.0], 1.0),
+                                                ([0.0, -np.inf], 1.0)])
+    def test_ball_rejects_non_finite_centre_or_radius(self, center, radius):
+        # both were accepted
+        with pytest.raises(NonFiniteInput, match="finite centre and radius"):
+            AnisoBall(center, radius)
 
     def test_euclidean_exact_on_line_and_plane(self):
         assert euclidean_ball_volume(1) == 2.0
@@ -635,6 +642,12 @@ class TestGreedyNet:
 
 
 class TestStructuredCovering:
+
+    @pytest.mark.parametrize("max_norm", [np.nan, np.inf, 0.5])
+    def test_max_norm_outside_one_to_inf_rejected(self, G1, max_norm):
+        # NaN raised "cannot convert float NaN to integer" and inf OverflowError
+        with pytest.raises(ValueError, match="max_norm must satisfy 1 <= max_norm < inf"):
+            build_structured_covering(G1, 0.5, max_norm, seed=0)
 
     def test_radii_by_construction(self, cov8, G1):
         assert np.allclose(cov8.radii, cov8.c * (1.0 + np.abs(cov8.centers[:, 0])))

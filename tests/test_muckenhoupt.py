@@ -40,7 +40,8 @@ from anisoweights.spectral import (
     sampling_inequality_experiment,
     weighted_lp_norm,
 )
-from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec, SingularWeight, hermitian_power
+from anisoweights.weights import (MatrixWeightSpec, ScalarWeightSpec, SingularWeight,
+                                  cholesky_factors, hermitian_power)
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +359,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             BallQuadrature(rule, n)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 100.5, 1024.0, "1024"])
+    def test_node_count_must_be_an_integer(self, n):
+        # NaN was accepted (failing only at first use), and 100.5 gave 112
+        # level-0 nodes
+        with pytest.raises(ValueError, match="n_nodes must be an integer >= 64"):
+            BallQuadrature("mapped_grid", n)
+        assert BallQuadrature("mapped_grid", np.int64(64)).n_nodes == 64
+
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_every_level_refines(self, d, n):
@@ -534,6 +543,13 @@ class TestFamilyEstimate:
         c_small = estimate_ap_constant(w, 2.0, small, grid1, G1).constant
         c_big = estimate_ap_constant(w, 2.0, big, grid1, G1).constant
         assert c_big >= c_small
+
+    @pytest.mark.parametrize("norm", [np.nan, np.inf, -1.0])
+    def test_center_norm_outside_zero_to_inf_rejected(self, G1, norm):
+        # NaN and inf raised numpy's arange errors
+        with pytest.raises(ValueError, match="max_center_norm must satisfy"):
+            default_ball_family(G1, norm)
+        assert len(default_ball_family(G1, 0.0, radii=[1.0])) == 1
 
     def test_benchmark_family_pins_solver_round_off(self):
         # (+-2, 0) and (0, +-4) lie exactly on |c|_A = 2 for diag(1, 2); the
@@ -831,6 +847,18 @@ class TestReducing:
         assert pair.product_norm == pytest.approx(
             np.linalg.norm(pair.A_B @ pair.A_B_sharp, 2), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_both_fits_take_one_factorization(self, G2, grid1, monkeypatch, p):
+        # F for A_B and M for A_B^# come from one `_pair_factors` call
+        calls, inner = [], muckenhoupt._pair_factors
+        monkeypatch.setattr(muckenhoupt, "_pair_factors", lambda W, pts, p, scale: (
+            calls.append(pts) or inner(W, pts, p, scale)))
+        B = AnisoBall([0.2, -0.1], 0.7)
+        pair = reducing_operators(ap_matrix_weight(), B, p, grid1, G2, q_grid=[])
+        assert pair.A_B_sharp is not None
+        [nodes] = calls
+        assert nodes.tobytes() == grid1.ball_nodes(G2, B, _LEVELS - 1).tobytes()
+
     def test_optimizer_recovers_gram_at_p2(self, G1, grid1):
         # feed the reweighted least squares the p = 2 data; it must land on
         # the Gram square root, which represents eta exactly
@@ -1087,8 +1115,8 @@ def loop_ap_ladder(W, B, p, quad, G):
     levels = []
     for level in range(_LEVELS):
         if hasattr(W, "power_values"):
-            Px = muckenhoupt._pair_factors(W, nodes(level, False, pair=True), 1.0 / p, scale)
-            Mt = muckenhoupt._pair_factors(W, nodes(level, True, pair=True), -1.0 / p, scale)
+            Px = muckenhoupt._pair_factors(W, nodes(level, False, pair=True), p, scale)[0]
+            Mt = muckenhoupt._pair_factors(W, nodes(level, True, pair=True), p, scale)[1]
             levels.append(loop_matrix_quantity(Px, Mt, p))
         else:
             w = oracle_scalar_values(W, nodes(level, False), scale)
@@ -1131,9 +1159,15 @@ def loop_reverse_holder(w, family, r_grid, quad, G):
     return best[0], best[1], table
 
 
-def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid, roots=muckenhoupt._pair_factors):
+def hermitian_roots(W, pts, p, scale):
+    """The roots W^(1/p) and W^(-1/p) of `safe_power_values`, which the
+    factors of `_pair_factors` stand in for."""
+    return safe_power_values(W, pts, 1.0 / p, scale), safe_power_values(W, pts, -1.0 / p, scale)
+
+
+def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid, factors=muckenhoupt._pair_factors):
     """The q-sweep of `reducing_operators`, one q and one level at a time, from
-    fresh `roots` (`_pair_factors`, or the Hermitian roots of `safe_power_values`)."""
+    fresh `factors` (`_pair_factors`, or `hermitian_roots`)."""
     scale = G.euclidean_radius_bound(B.radius)
     q_values, largest_q = {}, None
     for q in q_grid:
@@ -1141,13 +1175,13 @@ def loop_q_sweep(W, B, p, quad, G, A_B, A_sharp, q_grid, roots=muckenhoupt._pair
             levels = []
             for level in range(_LEVELS):
                 nds = quad.ball_nodes(G, B, level, shifted=False)
-                vals = spectral_norms(roots(W, nds, 1.0 / p, scale) @ A_sharp)
+                vals = spectral_norms(factors(W, nds, p, scale)[0] @ A_sharp)
                 levels.append(np.mean(vals ** q))
             lv = ladder_estimate(levels)
             levels2 = []
             for level in range(_LEVELS):
                 nds = quad.ball_nodes(G, B, level, shifted=True)
-                vals = spectral_norms(A_B @ roots(W, nds, -1.0 / p, scale))
+                vals = spectral_norms(A_B @ factors(W, nds, p, scale)[1])
                 levels2.append(np.mean(vals ** q))
             lv2 = ladder_estimate(levels2)
             q_values[float(q)] = (lv.value, lv2.value)
@@ -1172,18 +1206,17 @@ def loop_shadow_ladder(values, B, quad, G, reduce=None):
         for v in (values(quad.ball_nodes(G, B, level)) for level in range(_LEVELS))])
 
 
-def loop_shadow(W, p, name, center, nodes, v=None):
-    """One matrix shadow of `doubling_check` at the nodes of one ball with the
-    given centre, from `_pair_factors` and the engine's formulas."""
-    scales = muckenhoupt._node_scales(nodes)
-    F = muckenhoupt._pair_factors(W, nodes, 1.0 / p, scales)
+def loop_shadow(W, p, name, B, G, nodes, v=None):
+    """One matrix shadow of `doubling_check` at the nodes of the ball B, from
+    `_pair_factors` and the engine's formulas: each node nudged by B's
+    scale, the centre by its own."""
+    F, M = muckenhoupt._pair_factors(W, nodes, p, G.euclidean_radius_bound(B.radius))
     if name == "slice":
         return weighted_magnitudes(F, np.eye(W.N)[0] if v is None else v) ** p
     if name == "norm":
         return spectral_norms(F) ** p
-    c = np.array([center], dtype=float)
-    Fc = muckenhoupt._pair_factors(W, c, 1.0 / p, muckenhoupt._node_scales(c))
-    M = muckenhoupt._pair_factors(W, nodes, -1.0 / p, scales)
+    c = np.array([B.center], dtype=float)
+    Fc = muckenhoupt._pair_factors(W, c, p, muckenhoupt._node_scales(c))[0]
     return spectral_norms(np.repeat(Fc, len(nodes), axis=0) @ M) ** (p / (p - 1.0))
 
 
@@ -1197,19 +1230,19 @@ class NormOfW:
         return spectral_norms(self.W.values(pts))
 
 
-def root_shadow(W, p, name, center, nodes, v=None):
+def root_shadow(W, p, name, B, G, nodes, v=None):
     """One matrix shadow from the Hermitian roots of `safe_power_values` and,
     for the norm, `W.values` and `spectral_norms`: the formulas that the
-    factors of `_pair_factors` stand in for."""
-    scales = muckenhoupt._node_scales(nodes)
+    factors of `_pair_factors` stand in for, with `loop_shadow`'s nudges."""
+    scale = G.euclidean_radius_bound(B.radius)
     if name == "slice":
-        return weighted_magnitudes(safe_power_values(W, nodes, 1.0 / p, scales),
+        return weighted_magnitudes(safe_power_values(W, nodes, 1.0 / p, scale),
                                    np.eye(W.N)[0] if v is None else v) ** p
     if name == "norm":
-        return NormOfW(W).values(nodes)
-    c = np.array([center], dtype=float)
+        return safe_power_values(NormOfW(W), nodes, 1.0, scale)
+    c = np.array([B.center], dtype=float)
     left = safe_power_values(W, c, 1.0 / p, muckenhoupt._node_scales(c))[0]
-    right = safe_power_values(W, nodes, -1.0 / p, scales)
+    right = safe_power_values(W, nodes, -1.0 / p, scale)
     return spectral_norms(np.einsum("ij,mjk->mik", left, right)) ** (p / (p - 1.0))
 
 
@@ -1224,7 +1257,7 @@ def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None, shadow=lo
         if name == "scalar":
             scale = G.euclidean_radius_bound(B.radius)
             return lambda nodes: safe_power_values(W, nodes, 1.0, scale)
-        return lambda nodes: shadow(W, p, name, B.center, nodes)
+        return lambda nodes: shadow(W, p, name, B, G, nodes)
 
     if bound_constant is None:  # the probe's A_max(1,p) constant
         bound_constant = max(loop_shadow_ladder(
@@ -1251,7 +1284,7 @@ def loop_doubling(W, p, family, lambdas, quad, G, bound_constant=None, shadow=lo
 
 def loop_slice_ap(W, p, v, family, quad, G, shadow=loop_shadow):
     """Values and errors of `scalar_slice_ap`, one ball and one level at a time."""
-    ladders = [loop_shadow_ladder(lambda nodes: shadow(W, p, "slice", B.center, nodes, v),
+    ladders = [loop_shadow_ladder(lambda nodes: shadow(W, p, "slice", B, G, nodes, v),
                                   B, quad, G, lambda s: _scalar_quantity_at_nodes(s, p))
                for B in family]
     return np.array([l.value for l in ladders]), np.array([l.error for l in ladders])
@@ -1490,24 +1523,30 @@ class TestOneLadder:
                 W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp, q_grid)
             # against the Hermitian roots (no node of these balls is nudged)
             roots, largest = loop_q_sweep(W, B, p, any_quad, G, pair.A_B, pair.A_B_sharp,
-                                          q_grid, safe_power_values)
+                                          q_grid, hermitian_roots)
             assert largest == pair.largest_q and roots.keys() == pair.q_values.keys()
             for q, values in pair.q_values.items():
                 assert np.allclose(values, roots[q], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("weight", ["sqrt", "ap-matrix", "conjugated"])
+    @pytest.mark.parametrize("weight", ["sqrt", "ap-matrix", "conjugated", "ap-matrix-nudged"])
     def test_doubling_matches_loop(self, G1, G2, any_quad, weight, p):
         # on the grid, 2B of the ball at 1/2048 has a finest-level node at
-        # the singular point 0, nudged by 2B's own scale inside B's family
+        # the singular point 0, nudged by 2B's own scale inside B's family;
+        # B((1/8, 0), 1) puts nodes of 2B (level 0) and 4B (level 1) of the
+        # 256-node grid, and of 4B (level 0) of the 1,024-node one, on
+        # x1 = 0, where the ap-matrix weight is singular
         W, G, fam = {
             "sqrt": (sqrt_weight(), G1, [AnisoBall([1 / 2048], 1.0), AnisoBall([-1.0], 0.5)]),
             "ap-matrix": (ap_matrix_weight(), G2,
                           [AnisoBall([0.2, -0.1], 0.7), AnisoBall([1.0, 0.0], 2.0)]),
             "conjugated": (conjugated_weight(), G2,
                            [AnisoBall([0.2, -0.1], 0.7), AnisoBall([0.0, 0.0], 1.0)]),
+            "ap-matrix-nudged": (ap_matrix_weight(), G2, [AnisoBall([1 / 8, 0.0], 1.0)]),
         }[weight]
         lambdas, bound = [2.0, 4.0], None
+        if weight == "ap-matrix-nudged":
+            assert singular_node_count(W, fam[0], lambdas, any_quad, G) > 0
         try:
             want = loop_doubling(W, p, fam, lambdas, any_quad, G)
         except NonIntegrable:  # the probe's A_1 quantity is unbounded
@@ -1544,9 +1583,9 @@ class TestOneLadder:
         pair = reducing_operators(sqrt_matrix_weight(), AnisoBall([0.3], 1.0), 1.5, grid1, G1)
         assert len(pair.q_values) == 4
         assert len(calls) == 2 * _LEVELS
-        # the two fitted roots, then x levels 0 and 1 and the three t levels:
-        # the finest x level is the root W^(1/p) of the fit
-        assert len(roots) == 2 + (_LEVELS - 1) + _LEVELS
+        # W^(2/p) once for both fits (every node is certified), then x levels
+        # 0 and 1 and the three t levels: the finest x level is the fit's F
+        assert len(roots) == 1 + (_LEVELS - 1) + _LEVELS
 
 
 def shadow_case(weight, G1, G2):
@@ -1555,6 +1594,16 @@ def shadow_case(weight, G1, G2):
     return {"sqrt": (sqrt_matrix_weight(), G1, AnisoBall([0.3], 1.0)),
             "ap-matrix": (ap_matrix_weight(), G2, AnisoBall([0.2, -0.1], 0.7)),
             "conjugated": (conjugated_weight(), G2, AnisoBall([0.2, -0.1], 0.7))}[weight]
+
+
+def singular_node_count(W, B, lambdas, quad, G):
+    """The unshifted nodes of B and every lambda B where W is not finite or
+    has an eigenvalue below 1e-300: every evaluation of W there nudges them."""
+    values = W.values(np.concatenate([
+        quad.ball_nodes(G, AnisoBall(B.center, lam * B.radius), level)
+        for lam in [1.0, *lambdas] for level in range(_LEVELS)]))
+    finite = np.isfinite(values).all(axis=(1, 2))
+    return int((~finite).sum() + (np.linalg.eigvalsh(values[finite])[:, 0] < 1e-300).sum())
 
 
 def assert_no_node_is_nudged(W, B, lambdas, quad, G):
@@ -1629,6 +1678,26 @@ class TestShadows:
         assert {r[1] for r in rep.rows} == {"slice", "norm", "dual-slice"}
         assert len(pair.q_values) == 4 and not pair.fit_degenerate
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_dual_slice_evaluates_each_block_once(self, G2, monkeypatch, p):
+        # no node of these balls is nudged, so F and M of a block come from
+        # one evaluation of W (p = 2) or of W^(2/p) by safe_power_values,
+        # and F(c) from one at the centres
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 256)
+        balls = [AnisoBall([0.2, -0.1], 0.7), AnisoBall([0.2, -0.1], 1.4),
+                 AnisoBall([-0.6, 0.5], 0.3)]
+        for B in balls:
+            assert_no_node_is_nudged(W, B, [], quad, G2)
+        blocks = sum(len(list(muckenhoupt._blocks(G2, balls, [quad.reference_nodes(G2, level)])))
+                     for level in range(_LEVELS))
+        values = count_calls(monkeypatch, MatrixWeightSpec, "_values")
+        roots = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        for _ in muckenhoupt._shadows(W, p, balls, quad, G2, ["slice", "norm", "dual-slice"],
+                                      np.eye(3)[0]):
+            pass
+        assert blocks == 5 and len(values) == 1 + blocks
+        assert len(roots) == (0 if p == 2 else 1 + blocks)
+
     def test_one_weight_gives_one_row_however_wrapped(self, G1):
         # on the 256-node grid 2B of B(1/2048, 1) has a level-2 node at 0,
         # where |x|^(-1/2) = inf.  Every node is nudged by its ball's scale,
@@ -1668,15 +1737,15 @@ class TestShadows:
         quad = BallQuadrature("mapped_grid", 64)
         balls = [AnisoBall([0.0], r) for r in (1.0, 2.0, 4.0)]
         c = np.zeros((1, 1))
-        Fc = muckenhoupt._pair_factors(W, c, 0.5, muckenhoupt._node_scales(c))
+        Fc = muckenhoupt._pair_factors(W, c, 2.0, muckenhoupt._node_scales(c))[0]
         assert np.isfinite(Fc).all()
-        assert Fc.tobytes() != muckenhoupt._pair_factors(W, c, 0.5, 2.0).tobytes()
+        assert Fc.tobytes() != muckenhoupt._pair_factors(W, c, 2.0, 2.0)[0].tobytes()
         seen = set()
         for level, b, values in muckenhoupt._shadows(W, 2.0, balls, quad, G1,
                                                      ["slice", "dual-slice"], np.eye(2)[0]):
             nodes = quad.ball_nodes(G1, balls[b], level)
             scale = G1.euclidean_radius_bound(balls[b].radius)
-            M = muckenhoupt._pair_factors(W, nodes, -0.5, scale)
+            M = muckenhoupt._pair_factors(W, nodes, 2.0, scale)[1]
             want = spectral_norms(np.repeat(Fc, len(nodes), axis=0) @ M) ** 2
             assert values["dual-slice"].tobytes() == want.tobytes()
             seen.add(b)
@@ -1790,12 +1859,12 @@ class TestFamilyLadder:
                                                      dilate_calls):
         # the 92-ball ap-matrix-2d family: the weight is factored once per
         # level, side and block; hermitian_power sees only the 84 level-0 x
-        # nodes on x1 = 0, which the certificate leaves out, where they are
-        # singular and then nudged; each block's nodes are placed by one
+        # nodes on x1 = 0, which the certificate leaves out, where both roots
+        # are singular and then nudged; each block's nodes are placed by one
         # dilation per side (one per ball, level and side would be 552)
         factored, factor = [], muckenhoupt.cholesky_factors
         monkeypatch.setattr(muckenhoupt, "cholesky_factors",
-                            lambda M, a: factored.append(len(M)) or factor(M, a))
+                            lambda M: factored.append(len(M)) or factor(M))
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         blocks = 0
@@ -1807,7 +1876,7 @@ class TestFamilyLadder:
         estimate_ap_constant(W, 2.0, fam, quad, G2)
         assert len(fam) == 92 and blocks == 6
         assert len(factored) == 2 * blocks and max(factored) <= muckenhoupt._CHUNK
-        assert calls == [84, 84] and raised == [84]
+        assert calls == [84, 84, 84, 84] and raised == [84, 84]
         assert len(dilate_calls) == 2 * blocks
         assert {t[1:] for t in dilate_calls} == {(1,)}  # t of shape (balls, 1)
         assert sum(t[0] for t in dilate_calls) == 2 * _LEVELS * len(fam)
@@ -1902,8 +1971,12 @@ def relative_gap(ours, ref):
     return np.max(np.abs(ours - ref) / np.abs(ref).max(axis=(-2, -1), keepdims=True))
 
 
+def adjoint(M):
+    return M.conj().swapaxes(-1, -2)
+
+
 class TestPairFactors:
-    """`_pair_factors`: Cholesky factors where certified, and the roots elsewhere."""
+    """`_pair_factors`: both Cholesky factors of W^(2/p) where certified, both roots elsewhere."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_left_out_nodes_take_the_roots(self, monkeypatch, kind):
@@ -1931,19 +2004,20 @@ class TestPairFactors:
                 raise
 
         monkeypatch.setattr(weights, "hermitian_power", recorded)
+        roots = [safe_power_values(W, pts, a, scale) for a in (0.5, -0.5)]
+        assert masks == [[True, True, False, False, False]] * 2
+        masks.clear()
+        F, M = muckenhoupt._pair_factors(W, pts, 2.0, scale)
+        assert masks == [[True, True, False]] * 2  # both roots of the left-out nodes
+        assert F[:3].tobytes() == roots[0][:3].tobytes()
+        assert M[:3].tobytes() == roots[1][:3].tobytes()
         values = W.values(pts[3:])
-        for a, want in ((0.5, values), (-0.5, np.linalg.inv(values))):
-            masks.clear()
-            roots = safe_power_values(W, pts, a, scale)
-            ours = muckenhoupt._pair_factors(W, pts, a, scale)
-            assert masks == [[True, True, False, False, False], [True, True, False]]
-            assert ours[:3].tobytes() == roots[:3].tobytes()
-            F = ours[3:]
-            gram = F.conj().swapaxes(-1, -2) @ F if a > 0 else F @ F.conj().swapaxes(-1, -2)
-            assert relative_gap(gram, want) <= 1e-14
+        assert relative_gap(adjoint(F[3:]) @ F[3:], values) <= 1e-14
+        assert relative_gap(M[3:] @ adjoint(M[3:]), np.linalg.inv(values)) <= 1e-14
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("variant", [0, 5])
-    def test_pair_norms_match_svd_of_the_roots(self, G2, variant):
+    def test_pair_norms_match_svd_of_the_roots(self, G2, variant, p):
         # the level-0 x nodes of ball (1, 0) of radius 2, 6 of them nudged
         # off x1 = 0, against t nodes of a ball on x1 = 0 and nodes up to
         # 1e-8 from it, where W(t) is ill-conditioned
@@ -1954,28 +2028,43 @@ class TestPairFactors:
                             [[1e-8, 0.3], [-1e-6, -0.5], [1e-4, 1.0], [-0.01, 0.0]]])
         assert (X[:, 0] == 0.0).sum() == 6
         scale = G2.euclidean_radius_bound(2.0)
-        Px, Mt = (muckenhoupt._pair_factors(W, Y, a, scale) for Y, a in ((X, 0.5), (T, -0.5)))
-        ref = loop_pair_norms(safe_power_values(W, X, 0.5, scale),
-                              safe_power_values(W, T, -0.5, scale))
+        Px = muckenhoupt._pair_factors(W, X, p, scale)[0]
+        Mt = muckenhoupt._pair_factors(W, T, p, scale)[1]
+        ref = loop_pair_norms(safe_power_values(W, X, 1.0 / p, scale),
+                              safe_power_values(W, T, -1.0 / p, scale))
         squares = _span_norms(Px, Mt, 1, squared=True)[0]
         assert np.all(np.abs(np.sqrt(squares) - ref) <= 1e-13 * ref)
         assert np.all(np.abs(_span_norms(Px, Mt, 1)[0] - ref) <= 1e-13 * ref)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 1.0])
-    def test_other_exponents_take_the_roots(self, G2, monkeypatch, p):
-        # p != 2: the ladders take safe_power_values' roots and never factor
+    def test_other_exponents_take_one_factorization(self, G2, monkeypatch, p):
+        # p != 2: F and M are the Cholesky factors of W^(2/p), with the
+        # Gram matrices of the roots W^(+-1/p) to 1e-14; M M^H inverts
+        # W^(2/p), so at the level-1 x nodes on x1 = 0, where W^(2/p) and
+        # the roots are nudged alike, to 1e-14 times its condition number
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 256)
         X = quad.ball_nodes(G2, AnisoBall([1.0, 0.0], 2.0), 1, pair=True)
-        for a in (1.0 / p, -1.0 / p):
-            assert (muckenhoupt._pair_factors(W, X, a, 1.0).tobytes()
-                    == safe_power_values(W, X, a, 1.0).tobytes())
+        line = X[:, 0] == 0.0
+        assert line.any()
+        F, M = muckenhoupt._pair_factors(W, X, p, 1.0)
+        assert cholesky_factors(safe_power_values(W, X, 2.0 / p, 1.0))[2].all()
+        up, down = hermitian_roots(W, X, p, 1.0)
+        assert relative_gap(adjoint(F) @ F, up @ up) <= 1e-14
+        eig = np.linalg.eigvalsh(up @ up)
+        cond = np.where(line, eig[:, -1] / eig[:, 0], 1.0)
+        gaps = [relative_gap(a, b) for a, b in zip(M @ adjoint(M), down @ down)]
+        assert np.all(np.array(gaps) <= 1e-14 * cond)
+        # one factorization per level, side and block of the ladder
         factored = count_calls(monkeypatch, muckenhoupt, "cholesky_factors")
         fam = default_ball_family(G2, 1.0, radii=[1.0, 2.0])
+        refs = [[quad.reference_nodes(G2, level, shifted, pair=True) for shifted in (False, True)]
+                for level in range(_LEVELS)]
+        blocks = sum(len(list(muckenhoupt._blocks(G2, fam, r))) for r in refs)
         try:
             estimate_ap_constant(W, p, fam, quad, G2)
         except NonIntegrable:
             pass
-        assert factored == []
+        assert len(factored) == 2 * blocks
 
 
 class TestCalderon:
@@ -2072,8 +2161,9 @@ class TestNudge:
     def test_ap_matrix_pass(self, G2, monkeypatch, power_calls):
         # the ap-matrix-2d pass: the certified Cholesky factors cover every
         # node but the level-0 x block's 84 on x1 = 0, which alone go to
-        # safe_power_values, singular there and then nudged: 168 matrices
-        # through hermitian_power, where every node's root took 35,780
+        # safe_power_values for both roots, singular there and then nudged:
+        # 336 matrices through hermitian_power, where every node's root took
+        # 35,780
         W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 1024)
         fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
         blocks = []
@@ -2086,10 +2176,11 @@ class TestNudge:
         monkeypatch.setattr(muckenhoupt, "safe_power_values", recorded)
         calls, raised = power_calls
         estimate_ap_constant(W, 2.0, fam, quad, G2)
-        assert calls == [84, 84] and raised == [84]
-        [(X, a, sx)] = blocks
-        assert (len(X), a) == (84, 0.5) and not X[:, 0].any()
-        assert inner(W, X, a, sx).tobytes() == oracle_power_values(W, X, a, sx).tobytes()
+        assert calls == [84, 84, 84, 84] and raised == [84, 84]
+        assert [(len(X), a) for X, a, _ in blocks] == [(84, 0.5), (84, -0.5)]
+        for X, a, sx in blocks:
+            assert not X[:, 0].any()
+            assert inner(W, X, a, sx).tobytes() == oracle_power_values(W, X, a, sx).tobytes()
 
     @pytest.mark.parametrize("kind", [BandWeight, BandMatrixWeight])
     def test_three_nudges_return(self, kind):

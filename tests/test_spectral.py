@@ -628,8 +628,7 @@ class TestSamplingRepresentation:
 
 def loop_sampling(W, p, ball, fields, quad, G):
     """Rows of `sampling_inequality_experiment`, field by field and cell by
-    cell: a weight root per kept cell and field, nudged by 1 + the largest
-    |coordinate| of the cell's nodes."""
+    cell: a weight root per kept cell and field, nudged by the cell's scale."""
     R = ball.radius
     rows = []
     for g in fields:
@@ -644,11 +643,11 @@ def loop_sampling(W, p, ball, fields, quad, G):
         centers, samples = centers[big], samples[:, big]
         cell_radius = compute_r0(G) / R
         vol = ball_volume(G, cell_radius)
+        scale = G.euclidean_radius_bound(cell_radius)
         lhs = 0.0
         for idx in range(len(centers)):
             cell = AnisoBall(centers[idx], cell_radius)
             nodes = quad.ball_nodes(G, cell, _LEVELS - 1, shifted=False)
-            scale = 1.0 + float(np.max(np.abs(nodes), initial=0.0))
             root = safe_power_values(W, nodes, 1.0 / p, scale)
             lhs += vol * float(np.mean(weighted_magnitudes(root, samples[:, idx]) ** p))
         den, err = weighted_lp_norm_with_audit(g, W, p)
@@ -682,21 +681,36 @@ class TestSamplingInequality:
         assert sampling_inequality_experiment(None, 2.0, ball, [], quad, G1) == []
 
     # every field keeps every cell or none: in 2-D at R = 1/2 the offcenter
-    # and two_bumps members miss the 16 x 16 frequency lattice and are 0
-    @pytest.mark.parametrize("case", ["1d-0.5", "1d-1", "2d-0.5", "2d-1"])
+    # and two_bumps members miss the 16 x 16 frequency lattice and are 0.
+    # "singular" moves the weight's singular line x1 = 0 to x1 = s, the
+    # largest x1 of a node of the cell at 0, so that its nodes there are
+    # nudged
+    @pytest.mark.parametrize("case", ["1d-0.5", "1d-1", "2d-0.5", "2d-1", "2d-1-singular"])
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    def test_matches_per_cell_loop(self, grid1, G1, G2, case, p):
-        dim, R = case.split("-")
+    def test_matches_per_cell_loop(self, grid1, G1, G2, monkeypatch, case, p):
+        dim, R, *singular = case.split("-")
+        quad = BallQuadrature("mapped_grid", 64)
         if dim == "1d":
             W, grid, G, N = ScalarWeightSpec.radial_power(0.5), grid1, G1, 1
         else:
-            W = MatrixWeightSpec.diagonal([ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
-                                           ScalarWeightSpec.radial_power(-0.3)])
             grid, G, N = FourierGrid(2, 16, 2 * np.pi if R == "1" else 4 * np.pi), G2, 2
-        quad = BallQuadrature("mapped_grid", 64)
+            line = {(1, 0): 1.0}
+            if singular:
+                cell = AnisoBall(np.zeros(2), compute_r0(G) / float(R))
+                s = quad.ball_nodes(G, cell, _LEVELS - 1)[:, 0].max()
+                line[0, 0] = -s
+            W = MatrixWeightSpec.diagonal([ScalarWeightSpec.poly_abs_power(line, 0.5),
+                                           ScalarWeightSpec.radial_power(-0.3)])
         ball = AnisoBall(np.zeros(G.d), float(R))
         fields = standard_ensemble(grid, G, ball, N=N)
+        evaluated = []
+        inner = spectral.safe_power_values
+        monkeypatch.setattr(spectral, "safe_power_values",
+                            lambda spec, pts, a, scale: evaluated.append(pts) or inner(
+                                spec, pts, a, scale))
         rows = sampling_inequality_experiment(W, p, ball, fields, quad, G)
+        if singular:
+            assert any((pts[:, 0] == s).any() for pts in evaluated)
         assert rows == loop_sampling(W, p, ball, fields, quad, G)
         assert all(np.isfinite(r.ratio) for r in rows)
 

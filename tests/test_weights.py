@@ -289,17 +289,20 @@ class TestCholeskyFactors:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_certified_factors_give_w_and_its_inverse(self, n, kind):
+        # F and M come from one factorization W = L L^H
         W = hermitian_stack(np.random.default_rng(30 + n), 300, n, kind)
-        F, x_ok = cholesky_factors(W, 0.5)
-        M, t_ok = cholesky_factors(W, -0.5)
-        assert x_ok.all() and t_ok.all()
+        F, M, ok = cholesky_factors(W)
+        assert ok.all()
         assert F.dtype == M.dtype == W.dtype
         assert relative_error(adjoint(F) @ F, W) <= 1e-14
         assert relative_error(M @ adjoint(M), np.linalg.inv(W)) <= 1e-14
+        assert relative_error(F @ M, np.broadcast_to(np.eye(n), W.shape)) <= 1e-13
         # upper triangular, as L^H and L^(-H) are
         assert not np.tril(F, -1).any() and not np.tril(M, -1).any()
-        alone = np.concatenate([cholesky_factors(w[None], -0.5)[0] for w in W[:5]])
-        assert alone.tobytes() == M[:5].tobytes()
+        for k, w in enumerate(W[:5]):
+            alone = cholesky_factors(w[None])
+            assert alone[0].tobytes() == F[k:k + 1].tobytes()
+            assert alone[1].tobytes() == M[k:k + 1].tobytes()
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -322,11 +325,10 @@ class TestCholeskyFactors:
             vals = np.linalg.eigvalsh(W[1:3])
             assert floor / 4 < vals[1, 0] / vals[1].sum() < floor < vals[0, 0] / vals[0].sum()
             assert vals[0, 0] / vals[0].sum() < floor + margin
-        for a in (0.5, -0.5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _, ok = cholesky_factors(W, a)
-            assert ok.tolist() == [True, False, False, False, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, ok = cholesky_factors(W)
+        assert ok.tolist() == [True, False, False, False, False]
 
 
 def matrix_norm_equivalence_check(M, r: float) -> bool:

@@ -25,7 +25,9 @@ the deviation column shows how far it moved them.
 Then come the public experiments that no workload runs, each on a small
 fixture: `doubling_check`, `reducing_operators` and `scalar_slice_ap` per
 weight (the ap-matrix-2d weight of variant 0 and a complex conjugated
-weight) and exponent; `estimate_ap_constant` and `reverse_holder_search` on
+weight) and exponent; `doubling_check` of the ap-matrix-2d weight on a ball
+whose B, 2B and 4B put nodes on its singular line, so that nudged matrix
+nodes show; `estimate_ap_constant` and `reverse_holder_search` on
 a scalar weight whose singular line the grid meets, so that nudged nodes
 show; `invariance_report` on a scalar and a matrix weight;
 `averaging_operator_check`, `sampling_inequality_experiment`,
@@ -138,6 +140,16 @@ def experiments():
                     lambda rep: {"values": rep.values.tolist(), "constant": rep.constant}))
 
     S, q64 = ScalarWeightSpec, BallQuadrature("mapped_grid", 64)
+    # B((1/8, 0), 1), 2B and 4B put 8, 16 and 32 nodes of the 64-node grid
+    # on x1 = 0, where the ap-matrix weight is singular, at levels 0, 1, 2
+    for p in (1.5, 2.0, 3.0):
+        out.append(("doubling_check", f"ap-matrix-nudged:p={p:g}",
+                    lambda p=p: doubling_check(weights["ap-matrix"], p,
+                                               [AnisoBall([0.125, 0.0], 1.0)], [2.0, 4.0], q64, G),
+                    lambda rep: {"rows": {f"{i} {name} {lam:g}": ratio
+                                          for i, name, lam, ratio in rep.rows},
+                                 "fitted_beta": rep.fitted_beta,
+                                 "bound_constant": rep.bound_constant}))
     # |x1 - 1/8|^(1/2): the 64-node grid puts nodes of these ten balls on
     # x1 = 1/8, where the weight is 0, at levels 0 and 1
     offset, ladder_family = (S.poly_abs_power({(1, 0): 1.0, (0, 0): -0.125}, 0.5),
