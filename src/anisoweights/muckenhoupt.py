@@ -48,8 +48,10 @@ class TruncationNotConverged(RuntimeError):
 # matrices (node pairs) per kernel call.  `spectral_norms` scales a chunk
 # into N^2 planes of 32 kB, which `_gram_planes` multiplies into the Gram
 # planes of the chunk.  The pair kernel (`_tile_norms`) writes 7 real (10
-# complex) GEMM planes per tile, 0.2-0.3 MB, and an ap-matrix-2d pass takes
-# 800-1,000 minor page faults on a 2-core x86 box.  The same number caps the
+# complex) GEMM planes per tile, 0.2-0.3 MB, and its tail (`_top_norms`)
+# works in place on a few more.  A seed-7 ap-matrix-2d pass takes about
+# 1,280 minor page faults with the library compiled from source and 1,090
+# with cached bytecode, on a 2-core x86 box.  The same number caps the
 # nodes per side of one block of balls in the family ladder (`_ap_ladders`),
 # so a block's weight factors (F, M with F^H F = W^(2/p) and
 # M M^H = W^(-2/p), from `_pair_factors`) take at most 0.3 MB (real) or
@@ -59,20 +61,29 @@ _CHUNK = 1 << 12
 # and cos(acos(r) / 3) loses digits (relative error ~ 1e-16 / sqrt(1 + r),
 # 4e-9 at a repeated top singular value); such matrices go to LAPACK.
 _NEAR_DOUBLE_TOP = 1e-3
+# Below this value of 2 p = |G - q I|_F sqrt(2/3) the cubic terms of
+# det(G - q I), of order (2 p)^3, could underflow; `_top_norms` normalizes
+# such Gram matrices before it forms the determinant.
+_SMALL_SPREAD = 1e-90
 # the entries (j, k), j < k, above the diagonal of an N x N matrix
 _UPPER = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")
 def spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., N, N) stack.
 
-    N = 1 is |M|, and N >= 4 uses LAPACK SVD throughout.  N = 2 and N = 3
-    use a closed form on chunks of `_CHUNK` matrices: `_scaled` divides
-    each matrix by its largest |entry|, `_gram_planes` forms the planes of
-    its Gram matrix S^H S, and the tail `_top_norms`, which the pair kernel
-    shares, takes the largest eigenvalue from the quadratic formula (N = 2)
-    or the trigonometric formula of Smith (1961) (N = 3); the norm is
+    M is anything `np.asarray` takes; an array with fewer than two axes,
+    or whose last two differ or are 0, raises `ValueError`.  N = 1 is |M|,
+    and N >= 4 uses LAPACK SVD throughout.  N = 2 and N = 3 use a closed
+    form on chunks of `_CHUNK` matrices: `_scaled` divides each matrix by
+    its largest |entry|, `_gram_planes` forms the planes of its Gram
+    matrix S^H S, q = tr(S^H S) / N is subtracted from the diagonal planes
+    in place, and the tail `_top_norms`, which the pair kernel shares,
+    takes the largest eigenvalue from the quadratic formula (N = 2) or the
+    trigonometric formula of Smith (1961) (N = 3), whose cubic it forms
+    on these unscaled planes (normalized first only where the spread of
+    the eigenvalues lies below `_SMALL_SPREAD`); the norm is
     scale * sqrt(lambda_max).  A real stack takes the real path, which has
     no imaginary plane.  The scaling keeps entries from 1e-300 to 1e300 in
     range.  For N = 3 the few scaled matrices whose two largest singular
@@ -83,6 +94,10 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
     `ladder_estimate` reports as `NonIntegrable`); for N >= 4 only the
     finite matrices go to LAPACK, which raises `LinAlgError` on the others.
     """
+    M = np.asarray(M)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or not M.shape[-1]:
+        raise ValueError(f"need a stack of square matrices, shape (..., N, N) with N >= 1, "
+                         f"got shape {M.shape}")
     N = M.shape[-1]
     if N == 1:
         return np.abs(M[..., 0, 0])
@@ -97,8 +112,8 @@ def spectral_norms(M: np.ndarray) -> np.ndarray:
         S, s = _scaled(flat[i:i + _CHUNK])
         G = _gram_planes(S)
         q = sum(G[1:N], G[0]) / N
-        out[i:i + _CHUNK] = _top_norms(q, G[:N] - q, G[N:], s,
-                                       lambda near: np.moveaxis(S[:, :, near], -1, 0))
+        G[:N] -= q
+        out[i:i + _CHUNK] = _top_norms(q, G, s, lambda near: np.moveaxis(S[:, :, near], -1, 0))
     return out.reshape(M.shape[:-2])
 
 
@@ -142,54 +157,115 @@ def _gram_planes(S: np.ndarray) -> np.ndarray:
     return sum(map(row, range(1, N)), row(0))
 
 
-def _top_norms(q, e, g, scale: np.ndarray, flagged, squared=False) -> np.ndarray:
-    """scale * sqrt(lambda_max) of Hermitian N x N Gram matrices G in planes, N = 2 or 3.
+def _top_norms(q, G, scale: np.ndarray, flagged, squared=False) -> np.ndarray:
+    """scale * sqrt(lambda_max) of Hermitian N x N Gram matrices in planes, N = 2 or 3.
 
     With squared, the squares scale^2 lambda_max, with no square root.  q
-    is the plane tr G / N, e the (N, ...) planes G_jj - q, and g the planes
-    Re G_jk for each (j, k) in `_UPPER[N]`, followed for complex matrices
-    by the planes Im G_jk; G is the Gram matrix of a matrix scaled to
-    entries of order 1.  lambda_max is q + sqrt(e_0^2 + |G_01|^2) for N = 2
-    and comes from the trigonometric formula of Smith (1961) for N = 3.
-    Where the two largest eigenvalues nearly coincide
-    (`_NEAR_DOUBLE_TOP`), flagged(near) gives the scaled matrices at the
-    True positions of near, in C order, and LAPACK takes their norms.
-    Callers ignore invalid floating-point operations: a non-finite matrix
-    gives NaN.
+    is the plane tr G / N of each Gram matrix G, and G holds the N planes
+    G_jj - q, then the planes Re G_jk for each (j, k) in `_UPPER[N]`,
+    followed for complex matrices by the planes Im G_jk (3 or 4 planes
+    for N = 2, 6 or 9 for N = 3); G is the Gram matrix of a matrix scaled
+    to entries of order 1.  lambda_max is q + sqrt(e_0^2 + |G_01|^2) for
+    N = 2 and comes from the trigonometric formula of Smith (1961) for
+    N = 3: q + 2 p cos(acos(r) / 3), with 2 p = |G - q I|_F sqrt(2/3) and
+    r = det(G - q I) / (2 p^3).  The Frobenius norm and the determinant
+    are formed on the unscaled planes, each off-diagonal plane squared
+    once, and r takes one division.  A pair whose 2 p lies below
+    `_SMALL_SPREAD`, where the cubic terms could underflow, takes r from
+    its planes divided by 2^(1/3) p instead, so that no pair's norm
+    depends on the others of the call.  Where the two largest eigenvalues
+    nearly coincide (`_NEAR_DOUBLE_TOP`), flagged(near) gives the scaled
+    matrices at the True positions of near, in C order, and LAPACK takes
+    their norms.  Callers ignore invalid and divide-by-zero floating-point
+    operations: a non-finite matrix gives NaN.
     """
-    N, U = len(e), len(_UPPER[len(e)])
+    N = 2 if len(G) < 6 else 3
+    U = len(_UPPER[N])
+    e, g = G[:N], G[N:]
 
-    def abs2(g):  # |G_jk|^2 for each (j, k)
+    def abs2(g):  # |G_jk|^2 for each (j, k), each plane squared once
         sq = g * g
-        return sq[:U] + sq[U:] if len(g) > U else sq
+        if len(g) > U:
+            sq[:U] += sq[U:]
+        return sq[:U]
 
-    def norms(lam):
-        return scale * (scale * lam) if squared else scale * np.sqrt(lam)
+    def norms(lam):  # scale sqrt(lam), or scale (scale lam), in place
+        if squared:
+            lam *= scale
+        else:
+            np.sqrt(lam, out=lam)
+        lam *= scale
+        return lam
 
     if N == 2:
         return norms(q + np.sqrt(e[0] * e[0] + abs2(g)[0]))
 
-    # Smith: lambda_max = q + 2 p cos(acos(r) / 3) with p = |G - q I|_F / sqrt(6)
-    # and r = det((G - q I) / p) / 2 = det((G - q I) / (2^(1/3) p))
-    p2 = np.sqrt(((e * e).sum(axis=0) + 2.0 * abs2(g).sum(axis=0)) * (2.0 / 3.0))  # 2 p
-    # normalize before the cubic terms, which could underflow otherwise
-    inv = 2.0 ** (2.0 / 3.0) / np.maximum(p2, 1e-300)
-    (e0, e1, e2), g = e * inv, g * inv
-    s01, s02, s12 = abs2(g)
-    r01, r02, r12 = g[:U]
-    if len(g) == U:  # Re(G_01 G_12 G_20)
-        cycle = r01 * r12 * r02
-    else:
-        i01, i02, i12 = g[U:]
-        cycle = (r01 * r12 - i01 * i12) * r02 + (r01 * i12 + i01 * r12) * i02
-    det = e0 * (e1 * e2 - s12) - e1 * s02 - e2 * s01 + 2.0 * cycle
-    r = np.clip(det, -1.0, 1.0)
-    out = norms(q + p2 * np.cos(np.arccos(r) / 3.0))
-    if np.fmin.reduce(r, axis=None) < _NEAR_DOUBLE_TOP - 1.0:  # fmin skips NaN pairs
-        near = r < _NEAR_DOUBLE_TOP - 1.0
+    # |G - q I|_F^2 = sum_j e_j^2 + 2 sum_jk |G_jk|^2, each sum in index order
+    s = abs2(g)
+    f, t = e[0] * e[0], e[1] * e[1]
+    f += t
+    f += np.multiply(e[2], e[2], out=t)
+    t = np.add(s[0], s[1], out=t)
+    t += s[2]
+    t *= 2.0
+    f += t
+    f *= 2.0 / 3.0
+    p2 = np.sqrt(f)  # 2 p
+    f *= p2
+    f *= 0.25  # 2 p^3
+    lam = _det3(e, g, s)
+    lam /= f  # r
+    if np.fmin.reduce(p2, axis=None) < _SMALL_SPREAD:  # fmin skips NaN pairs
+        small = p2 < _SMALL_SPREAD
+        # r = det((G - q I) / (2^(1/3) p)), from planes of order 1
+        tiny = G[:, small] * (2.0 ** (2.0 / 3.0) / np.maximum(p2[small], 1e-300))
+        lam[small] = _det3(tiny[:N], tiny[N:], abs2(tiny[N:]))
+    np.clip(lam, -1.0, 1.0, out=lam)
+    near = None
+    if np.fmin.reduce(lam, axis=None) < _NEAR_DOUBLE_TOP - 1.0:
+        near = lam < _NEAR_DOUBLE_TOP - 1.0
+    np.arccos(lam, out=lam)
+    lam /= 3.0
+    np.cos(lam, out=lam)
+    lam *= p2
+    lam += q
+    norms(lam)
+    if near is not None:
         top = scale[near] * _svd_norms(flagged(near))
-        out[near] = top * top if squared else top
-    return out
+        lam[near] = top * top if squared else top
+    return lam
+
+
+def _det3(e, g, s) -> np.ndarray:
+    """det of Hermitian 3 x 3 matrices in planes, in a fresh plane.
+
+    e holds the diagonal planes, g the planes Re G_jk for (j, k) in
+    `_UPPER[3]` and, for complex matrices, Im G_jk, and s the planes
+    |G_jk|^2.  The terms are summed in one fixed order.
+    """
+    (e0, e1, e2), (s01, s02, s12) = e, s
+    r01, r02, r12 = g[:3]
+    det = e1 * e2
+    det -= s12
+    det *= e0
+    w = e1 * s02
+    det -= w
+    det -= np.multiply(e2, s01, out=w)
+    cycle = np.multiply(r01, r12, out=w)  # Re(G_01 G_12 G_20)
+    if len(g) > 3:
+        i01, i02, i12 = g[3:]
+        v = i01 * i12
+        cycle -= v
+        cycle *= r02
+        np.multiply(r01, i12, out=v)
+        v += i01 * r12
+        v *= i02
+        cycle += v
+    else:
+        cycle *= r02
+    cycle *= 2.0
+    det += cycle
+    return det
 
 
 # -- quadrature ----------------------------------------------------------------
@@ -251,8 +327,10 @@ class BallQuadrature:
         """The level's reference nodes u mapped to the ball: G.dilate(r, u) + c.
 
         `_blocks` places the nodes of a whole block of balls in one
-        dilation, each ball's rows bitwise these.
+        dilation, each ball's rows bitwise these.  A ball whose centre is
+        not in R^d of G raises `ValueError`.
         """
+        _check_dimension(G, [ball])
         u = self.reference_nodes(G, level, shifted, pair=pair)
         return G.dilate(ball.radius, u) + ball.center
 
@@ -439,7 +517,7 @@ def _reduce_pairs(norms: np.ndarray, p: float) -> np.ndarray:
     return np.mean(norms ** p, axis=1).max(axis=1)
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")
 def _span_norms(Px: np.ndarray, Mt: np.ndarray, balls: int, squared=False) -> np.ndarray:
     """Pair norms (balls, n1, n2) of `balls` whole balls stacked as in `_matrix_quantities`.
 
@@ -547,15 +625,13 @@ def _tile_norms(P, sx, L, M, st, R, squared) -> np.ndarray:
     the pairs whose two top singular values nearly coincide to LAPACK as
     the products P @ M.
     """
-    N = len(P)
     G = np.matmul(L.transpose(1, 2, 0)[None], R.transpose(0, 2, 1, 3))  # (plane, ball, row, col)
 
     def flagged(near):
         b, i, j = np.nonzero(near)
         return np.moveaxis(P[:, :, b, i], -1, 0) @ np.moveaxis(M[:, :, b, j], -1, 0)
 
-    return _top_norms(G[0], G[1:1 + N], G[1 + N:], sx[:, :, None] * st[:, None, :], flagged,
-                      squared)
+    return _top_norms(G[0], G[1:], sx[:, :, None] * st[:, None, :], flagged, squared)
 
 
 def _product_norms(P: np.ndarray, M: np.ndarray, squared) -> np.ndarray:
@@ -576,16 +652,26 @@ def _blocks(G: DilationGroup, balls, refs):
     fit, or one ball with more nodes than `_CHUNK`.  A block is yielded as
     its ball count and, per side, its balls' nodes G.dilate(r, u) + c
     stacked ball by ball from one dilation (each ball's rows bitwise its
-    `ball_nodes`), with each node's ball scale.
+    `ball_nodes`), with each node's ball scale.  A ball whose centre is
+    not in R^d of G raises `ValueError` at the call, before any block.
     """
+    _check_dimension(G, balls)
     radii = np.array([B.radius for B in balls], dtype=float)[:, None]
     centers = np.array([B.center for B in balls]).reshape(-1, 1, G.d)
     # one scalar pow per ball, as the ball alone takes it; numpy's array
     # power can differ in the last bit (see _reduce_pairs)
     scales = np.array([G.euclidean_radius_bound(B.radius) for B in balls])
-    for a, b in _runs(np.full(len(balls), max(map(len, refs))), _CHUNK):
-        yield b - a, [((G.dilate(radii[a:b], u) + centers[a:b]).reshape(-1, G.d),
-                       np.repeat(scales[a:b], len(u))) for u in refs]
+    return ((b - a, [((G.dilate(radii[a:b], u) + centers[a:b]).reshape(-1, G.d),
+                      np.repeat(scales[a:b], len(u))) for u in refs])
+            for a, b in _runs(np.full(len(balls), max(map(len, refs))), _CHUNK))
+
+
+def _check_dimension(G: DilationGroup, balls) -> None:
+    """`ValueError` naming the first ball whose centre is not in R^d of G."""
+    for i, B in enumerate(balls):
+        if len(B.center) != G.d:
+            raise ValueError(f"ball {i} (centre {B.center.tolist()}, radius {B.radius}) has a "
+                             f"centre in R^{len(B.center)}, but G.d = {G.d}")
 
 
 def _pair_factors(W, pts: np.ndarray, p: float, scale):
@@ -766,12 +852,13 @@ def _shadows(W, p: float, balls, quad: BallQuadrature, G: DilationGroup, names, 
     own `_node_scales`, so that balls with one centre (B and lambda B)
     share one F(c).
     """
+    levels = [_blocks(G, balls, [quad.reference_nodes(G, level)]) for level in range(_LEVELS)]
     if "dual-slice" in names:
         centres = np.array([B.center for B in balls], dtype=float)
         left = _pair_factors(W, centres, p, _node_scales(centres))[0]
-    for level in range(_LEVELS):
+    for level, blocks in enumerate(levels):
         first = 0
-        for count, [(X, sx)] in _blocks(G, balls, [quad.reference_nodes(G, level)]):
+        for count, [(X, sx)] in blocks:
             if not _is_matrix(W):
                 out = {"scalar": safe_power_values(W, X, 1.0, sx)}
             else:
@@ -852,16 +939,18 @@ def doubling_check(W, p: float, family: list[AnisoBall], lambdas,
     Every B and lambda B make one family.  Without a bound_constant the
     bound is the A_max(1,p) constant of the probe (a scalar weight, or the
     e_1 slice), each ball's quantity taken from the values of B on its
-    levels.  W must be a weight, and fitting beta needs some lambda > 1;
-    `ValueError` otherwise.
+    levels.  W must be a weight, every lambda finite and >= 1, and fitting
+    beta needs some lambda > 1; `ValueError` otherwise, as for a ball not
+    in R^d of G, numbered in the family of every B and its dilates.
     """
     _check_exponent(p)
     if not hasattr(W, "values"):
         raise ValueError(f"W must be a scalar or matrix weight, got {W!r}")
     if not len(family):
         raise ValueError("family must be nonempty")
-    if not all(lam >= 1 for lam in lambdas) or not any(lam > 1 for lam in lambdas):
-        raise ValueError("lambdas must be >= 1, and some > 1")
+    if not all(1 <= lam < np.inf for lam in lambdas) or not any(lam > 1 for lam in lambdas):
+        raise ValueError(f"lambdas must satisfy 1 <= lambda < inf, and some > 1, "
+                         f"got {list(lambdas)}")
     if _is_matrix(W):
         names, v = ["slice", "norm"] + ["dual-slice"] * (p > 1), np.eye(W.N)[0]
     else:

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -226,6 +227,21 @@ class TestSpectralNorms:
         spectral_norms(M)
         assert M.tobytes() == before.tobytes()
 
+    def test_takes_a_list(self):
+        # a list raised AttributeError
+        M = [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]]
+        assert spectral_norms(M).tobytes() == spectral_norms(np.array(M)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (3,), (), (3, 0, 0)])
+    def test_rejects_a_stack_of_non_square_matrices(self, monkeypatch, shape):
+        # (4, 3, 2) took the norms of six reinterpreted 2 x 2 matrices and
+        # then failed to reshape them into (4,); a 1-D array and a stack of
+        # 0 x 0 matrices failed to reshape
+        calls = count_calls(monkeypatch, muckenhoupt, "_scaled")
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            spectral_norms(np.ones(shape))
+        assert not calls
+
 
 def loop_pair_norms(Px, Mt):
     return np.array([[np.linalg.norm(P @ M, 2) for M in Mt] for P in Px])
@@ -351,6 +367,125 @@ class TestPairNorms:
                                         a, scale) for shifted, a in ((False, 0.5), (True, -0.5)))
             ours, ref = _span_norms(Px, Mt, 1)[0], loop_pair_norms(Px, Mt)
             assert np.all(np.abs(ours - ref) <= 1e-13 * ref)
+
+
+# a unitary whose conjugation is exact in floating point: a permutation
+# with the phases 1, -1 and i
+EXACT_UNITARY = np.array([[0, 0, 1j], [1, 0, 0], [0, -1, 0]])
+
+
+def tiny_product_factors(kind):
+    """P = diag(1e-60, 1, 1) and M = diag(1, 2e-60, 3e-60), |P M| = 3e-60.
+
+    kind "conjugated" takes U P U^H and U M U^H for `EXACT_UNITARY` U.
+    """
+    P, M = np.diag([1e-60, 1.0, 1.0]), np.diag([1.0, 2e-60, 3e-60])
+    if kind == "conjugated":
+        U = EXACT_UNITARY
+        P, M = U @ P @ U.conj().T, U @ M @ U.conj().T
+    return P, M
+
+
+class TestTopNorms:
+    """The N = 3 tail of the pair kernel: Smith's cubic on the unscaled planes."""
+
+    @pytest.mark.parametrize("kind", ["real", "conjugated"])
+    def test_tiny_product_takes_the_normalized_cubic(self, monkeypatch, kind):
+        # G = diag(1e-120, 4e-120, 9e-120) up to the permutation: 2 p is
+        # about 1e-120 and the cubic terms underflow, so r comes from the
+        # normalized planes; without that rule the cubic reads 0 / 0
+        P, M = tiny_product_factors(kind)
+        assert np.iscomplexobj(P) == (kind == "conjugated")
+        assert _span_norms(P[None], M[None], 1)[0, 0, 0] == 3e-60
+        assert _matrix_quantities(P[None], M[None], 2.0, 1)[0] == 3e-60
+        monkeypatch.setattr(muckenhoupt, "_SMALL_SPREAD", 0.0)
+        assert np.isnan(_span_norms(P[None], M[None], 1)[0, 0, 0])
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_pair_norm_does_not_depend_on_its_tile(self, monkeypatch, kind, squared):
+        # a tile of 6 x 5 pairs: rows 1, 4 and columns 0, 3 hold the tiny
+        # factors (four pairs take the normalized cubic), and pair (2, 2)
+        # has a repeated top singular value (the LAPACK hand-off); each
+        # pair's tail alone gives its norm in the tile bitwise
+        rng = np.random.default_rng(21)
+        Px, Mt = pair_factors(rng, 6, 5, 3, kind)
+        P, M = tiny_product_factors("real")
+        Px[[1, 4]], Mt[[0, 3]] = P, M
+        U = random_orthogonal(rng, 1, 3, kind)[0]
+        Px[2], Mt[2] = U @ np.diag([2.0, 2.0, 1.0]) @ U.conj().T, 0.5 * np.eye(3)
+        seen, tail = [], muckenhoupt._top_norms
+        monkeypatch.setattr(muckenhoupt, "_top_norms", lambda *a: seen.append(a) or tail(*a))
+        handed = count_calls(monkeypatch, muckenhoupt, "_svd_norms")
+        whole = _span_norms(Px, Mt, 1, squared)
+        assert len(handed) == 1 and np.isfinite(whole).all()
+        assert (np.sqrt(whole[0, 1, 0]) if squared else whole[0, 1, 0]) == 3e-60
+        [(q, G, scale, flagged, _)] = seen
+        for b, i, j in np.ndindex(q.shape):
+            one = np.s_[b:b + 1, i:i + 1, j:j + 1]
+
+            def alone(near, one=one):  # the pair's matrix, if it is handed off
+                mask = np.zeros(q.shape, dtype=bool)
+                mask[one] = near
+                return flagged(mask)
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = tail(q[one], G[(slice(None),) + one], scale[one], alone, squared)
+            assert got.tobytes() == whole[one].tobytes()
+
+    @pytest.mark.parametrize("planes", [6, 9])
+    def test_multiple_of_the_identity_gives_q(self, planes):
+        # G = q I exactly (6 real or 9 complex planes): 2 p = 0, where the
+        # cubic on the unscaled planes reads 0 / 0
+        q = np.array([1.0, 0.25, 3.0, 1e-300, 0.0])
+        G, scale = np.zeros((planes, len(q))), np.ones(len(q))
+        with np.errstate(divide="ignore", invalid="ignore"):  # as the callers run it
+            squares = muckenhoupt._top_norms(q, G, scale, None, squared=True)
+            norms = muckenhoupt._top_norms(q, G, scale, None)
+        assert squares.tobytes() == q.tobytes()
+        assert norms.tobytes() == np.sqrt(q).tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_product_a_multiple_of_the_identity(self, kind):
+        # P M = c d I: the Gram matrix of the scaled product is q I with
+        # q = 1 up to rounding
+        c, d = np.array([1.0, 0.5, 3.0, 1e-200]), np.array([2.0, 0.7, 1e150])
+        phase = 1j if kind == "complex" else 1.0
+        Px = (phase * c)[:, None, None] * np.eye(3)
+        Mt = d[:, None, None] * np.eye(3)
+        scale = c[:, None] * d[None]
+        assert np.all(np.abs(_span_norms(Px, Mt, 1)[0] - scale) <= 2e-16 * scale)
+        squares = _span_norms(Px, Mt, 1, squared=True)[0]
+        assert np.all(np.abs(squares - scale * scale) <= 4e-16 * scale * scale)
+
+    def test_constant_weight(self, G2):
+        # W = 2 I: every pair's Gram matrix is a multiple of the identity
+        W = MatrixWeightSpec.diagonal([ScalarWeightSpec.constant(2.0)] * 3)
+        fam = [AnisoBall([0.0, 0.0], 1.0), AnisoBall([0.5, -1.0], 0.25)]
+        rep = estimate_ap_constant(W, 2.0, fam, BallQuadrature("mapped_grid", 64), G2)
+        assert np.all(np.abs(rep.values - 1.0) <= 1e-15)
+
+    def test_benchmark_pass_hand_off(self, G2, monkeypatch):
+        # the ap-matrix-2d pass at seed 7 (variant 7): 1,485,248 pairs in 483
+        # tiles, of which 1,602 pairs in 77 tiles have nearly equal top
+        # singular values and go to LAPACK
+        W, quad = benchmark_variant(7), BallQuadrature("mapped_grid", 1024)
+        fam = default_ball_family(G2, 2.0, radii=[0.25, 0.5, 1.0, 2.0])
+        handed, tiles = [], []
+        svd, kernel = muckenhoupt._svd_norms, muckenhoupt._tile_norms
+
+        def tile(*args):
+            before = len(handed)
+            norms = kernel(*args)
+            tiles.append((norms.size, len(handed) > before))
+            return norms
+
+        monkeypatch.setattr(muckenhoupt, "_svd_norms",
+                            lambda flat: handed.append(len(flat)) or svd(flat))
+        monkeypatch.setattr(muckenhoupt, "_tile_norms", tile)
+        estimate_ap_constant(W, 2.0, fam, quad, G2)
+        assert len(tiles) == 483 and sum(size for size, _ in tiles) == 1_485_248
+        assert sum(handed) == 1_602 and sum(h for _, h in tiles) == 77
 
 
 class TestGrid:
@@ -737,6 +872,49 @@ class TestDoubling:
         fam = [AnisoBall([0.0], 1.0)]
         with pytest.raises(ValueError, match="some > 1"):
             doubling_check(sqrt_weight(), 2.0, fam, lambdas, grid1, G1, bound_constant=2.0)
+
+    def test_infinite_lambda_rejected(self, G1, grid1):
+        # inf raised NonFiniteInput about the radius of the ball inf B
+        fam = [AnisoBall([0.0], 1.0)]
+        with pytest.raises(ValueError, match=re.escape("1 <= lambda < inf, and some > 1, "
+                                                       "got [2.0, inf]")):
+            doubling_check(sqrt_weight(), 2.0, fam, [2.0, np.inf], grid1, G1, bound_constant=2.0)
+
+
+class TestBallDimension:
+    """A ball whose centre is not in R^d of G is named before any work."""
+
+    @pytest.mark.parametrize("entry", [
+        "doubling_check", "estimate_ap_constant", "ap_ball_quantity_ladder", "scalar_slice_ap",
+        "reducing_operators", "averaging_operator_check", "reverse_holder_search",
+        "invariance_report", "ball_nodes"])
+    def test_rejected(self, G2, entry):
+        # doubling_check returned a report from mis-reshaped centres; the
+        # others raised numpy's reshape, broadcast or inhomogeneous-shape errors
+        W, quad = ap_matrix_weight(), BallQuadrature("mapped_grid", 64)
+        good, bad = AnisoBall([0.2, -0.1], 0.7), AnisoBall([0.0, 0.0, 0.0], 1.0)
+        T = AffineMap(G2, 2.0, np.array([1.0, 0.0]))
+        index, call = {
+            # bad is ball 2 of the family of every B and its dilate 2 B
+            "doubling_check": (2, lambda: doubling_check(W, 2.0, [good, bad], [2.0], quad, G2)),
+            "estimate_ap_constant": (1, lambda: estimate_ap_constant(W, 2.0, [good, bad],
+                                                                     quad, G2)),
+            "ap_ball_quantity_ladder": (0, lambda: ap_ball_quantity_ladder(W, bad, 2.0, quad,
+                                                                           G2)),
+            "scalar_slice_ap": (1, lambda: scalar_slice_ap(W, 2.0, [1.0, 0.0, 0.0], [good, bad],
+                                                           quad, G2)),
+            "reducing_operators": (0, lambda: reducing_operators(W, bad, 2.0, quad, G2)),
+            "averaging_operator_check": (0, lambda: averaging_operator_check(
+                W, bad, 2.0, quad, G2, [lambda x: np.ones((len(x), 3))])),
+            "reverse_holder_search": (1, lambda: reverse_holder_search(
+                sqrt_weight(), [good, bad], [2.0], quad, G2)),
+            "invariance_report": (1, lambda: invariance_report(W, 2.0, T, [good, bad], quad, G2)),
+            "ball_nodes": (0, lambda: quad.ball_nodes(G2, bad, 0)),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape(
+                f"ball {index} (centre [0.0, 0.0, 0.0], radius 1.0) has a centre in R^3, "
+                f"but G.d = 2")):
+            call()
 
 
 class TestReverseHolder:

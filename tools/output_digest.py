@@ -23,13 +23,16 @@ that moves outputs on purpose still shows 0 failed items on every line, and
 the deviation column shows how far it moved them.
 
 Then come the public experiments that no workload runs, each on a small
-fixture: `doubling_check`, `reducing_operators` and `scalar_slice_ap` per
-weight (the ap-matrix-2d weight of variant 0 and a complex conjugated
-weight) and exponent; `doubling_check` of the ap-matrix-2d weight on a ball
-whose B, 2B and 4B put nodes on its singular line, so that nudged matrix
-nodes show; `estimate_ap_constant` and `reverse_holder_search` on
-a scalar weight whose singular line the grid meets, so that nudged nodes
-show; `invariance_report` on a scalar and a matrix weight;
+fixture: `spectral_norms` on seeded real and complex 2 x 2 and 3 x 3
+stacks at the scales 1e-150, 1 and 1e150 and on matrices whose two top
+singular values nearly coincide; `doubling_check`, `reducing_operators`
+and `scalar_slice_ap` per weight (the ap-matrix-2d weight of variant 0
+and a complex conjugated weight) and exponent; `doubling_check` of the
+ap-matrix-2d weight on a ball whose B, 2B and 4B put nodes on its
+singular line, so that nudged matrix nodes show; `estimate_ap_constant`
+and `reverse_holder_search` on a scalar weight whose singular line the
+grid meets, so that nudged nodes show; `invariance_report` on a scalar
+and a matrix weight;
 `averaging_operator_check`, `sampling_inequality_experiment`,
 `weighted_tail_bound`, `covering_intersection_stats` and
 `bapu_independence_check`.  Their lines have the same columns: the
@@ -100,11 +103,29 @@ def experiments():
                                           default_ball_family, doubling_check,
                                           estimate_ap_constant, invariance_report,
                                           reducing_operators, reverse_holder_search,
-                                          scalar_slice_ap, weighted_tail_bound)
+                                          scalar_slice_ap, spectral_norms, weighted_tail_bound)
     from anisoweights.spectral import (FourierGrid, sampling_inequality_experiment,
                                        standard_ensemble)
     from anisoweights.weights import MatrixWeightSpec, ScalarWeightSpec
 
+    # seeded real and complex 2 x 2 and 3 x 3 stacks at three scales, then
+    # matrices U diag(1, 1 - gap, 1/2) V^H whose top singular values nearly
+    # coincide (the 3 x 3 closed form hands the closest to LAPACK)
+    rng, stacks = np.random.default_rng(34), []
+
+    def draw(k, N, kind):  # k standard normal N x N matrices
+        M = rng.standard_normal((k, N, N))
+        return M + 1j * rng.standard_normal((k, N, N)) if kind == "complex" else M
+
+    for N in (2, 3):
+        for kind in ("real", "complex"):
+            M = draw(64, N, kind)
+            stacks += [(f"{N} {kind} {scale:g}", scale * M) for scale in (1e-150, 1.0, 1e150)]
+            left, right = (np.linalg.qr(draw(8, N, kind))[0] for _ in range(2))
+            s = np.tile([1.0, 1.0, 0.5][:N], (8, 1))
+            s[:, 1] -= 10.0 ** -np.arange(1.0, 17.0, 2.0)
+            stacks.append((f"{N} {kind} near-double",
+                           np.einsum("kij,kj,klj->kil", left, s, right.conj())))
     G, quad = DilationGroup(np.diag([1.0, 2.0])), BallQuadrature("mapped_grid", 256)
     # two balls whose B, 2B and 4B put no node on either weight's singular set
     family = [AnisoBall([0.2, -0.1], 0.7), AnisoBall([-0.6, 0.5], 0.3)]
@@ -114,7 +135,8 @@ def experiments():
                "conjugated": MatrixWeightSpec.conjugated(U, [
                    ScalarWeightSpec.poly_abs_power({(1, 0): 1.0}, 0.5),
                    ScalarWeightSpec.radial_power(-0.3)])}
-    out = []
+    out = [("spectral_norms", "stacks", lambda: {key: spectral_norms(M) for key, M in stacks},
+            lambda norms: {key: n.tolist() for key, n in norms.items()})]
     for label, W in weights.items():
         for p in (1.5, 2.0, 3.0):
             out.append(("doubling_check", f"{label}:p={p:g}",
