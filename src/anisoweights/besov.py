@@ -8,8 +8,9 @@ exactly.  Frame coefficients are exact lattice inner products, indexed so
 that coefficient (k, l) pairs with the cell
 U(k, l) = B_A(delta_{t_k}^{-1} l, r0 / t_k) around the atom's location.
 Each patch's sample lattice is rounded so that its modulations are a
-discrete Fourier basis, so `analyze` and `synthesize` take one FFT per
-patch on the support folded modulo the per-axis sample counts.
+discrete Fourier basis, so `analyze` and `synthesize` fold the supports of
+a block of patches, modulo the per-axis sample counts, into one flat
+buffer of DFT boxes: one FFT per box, every other step once per block.
 
 Truncation policy: patches cover {|xi|_A <= max_norm} of the covering,
 coefficient lattices cover the measured spatial extent of the analyzed
@@ -26,7 +27,6 @@ from .dilation import DilationGroup
 from .geometry import (
     AnisoBall,
     StructuredCovering,
-    _lattice,
     _runs,
     ball_pairs,
     ball_volume,
@@ -217,8 +217,7 @@ def besov_norm(f: BandLimitedField, W, params: BesovParams, bapu: Bapu) -> float
     _check_grid(grid, bapu)
     flat_spec = f.spectrum.reshape(f.N, -1)
     covered = np.zeros(flat_spec.shape[1], dtype=bool)
-    for idx in bapu.supports:
-        covered[idx] = True
+    covered[np.concatenate(bapu.supports)] = True
     mass = np.abs(flat_spec) ** 2
     total = mass.sum()
     outside = float(mass[:, ~covered].sum() / total) if total > 0 else 0.0
@@ -299,23 +298,58 @@ class CoefficientArray:
         out.patches = {k: (ls.copy(), factor * c) for k, (ls, c) in self.patches.items()}
         return out
 
-    def spacing(self, k: int) -> np.ndarray:
-        return 2 * self.grid.L / self.counts[k]
 
-    def positions(self, k: int, ls=None) -> np.ndarray:
-        if ls is None:
-            ls = self.patches[k][0]
-        return np.asarray(ls, dtype=float) * self.spacing(k)
-
-
-def _full_window(counts: np.ndarray) -> np.ndarray:
-    return _lattice([np.arange(-(m // 2), m - m // 2) for m in counts])
+def _columns(j: np.ndarray, lens, m: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Box column of each row's j mod m_k, lens[k] rows per box k (see _patch_blocks)."""
+    m, col = np.repeat(m, lens, axis=0), np.zeros(len(j), dtype=int)
+    for axis in range(j.shape[1]):
+        col = col * m[:, axis] + j[:, axis] % m[:, axis]
+    return col + np.repeat(start, lens)
 
 
-def _frequency_indices(grid: FourierGrid) -> np.ndarray:
-    """Integer j with xi = j * pi / L, one row per flat lattice index."""
-    flat = np.arange(np.prod(grid.shape))
-    return np.stack(np.unravel_index(flat, grid.shape), axis=1) - grid.n // 2
+def _patch_blocks(bapu: Bapu, keys, counts: dict, N: int):
+    """The patches keys in _runs blocks of at most _BLOCK entries of their
+    DFT boxes, which hold the m_k = counts[k] residues in row-major order
+    side by side in one (N, sum prod(m_k)) buffer.  Yields per block the
+    keys, counts (K, d), box starts, and the supports joined with their
+    values and the column of each support point's j mod m_k.  A patch
+    missing from counts takes _patch_counts."""
+    grid = bapu.grid
+    m = np.array([counts[k] if k in counts else _patch_counts(bapu.group, float(bapu.t[k]), grid.L)
+                  for k in keys], dtype=int).reshape(len(keys), grid.d)
+    for first, last in _runs(N * m.prod(axis=1), _BLOCK):
+        ks, mb = keys[first:last], m[first:last]
+        start = np.cumsum(mb.prod(axis=1)) - mb.prod(axis=1)
+        idx = np.concatenate([bapu.supports[k] for k in ks])
+        yield (ks, mb, start, idx, np.concatenate([bapu.values[k] for k in ks]),
+               _columns(np.stack(np.unravel_index(idx, grid.shape), axis=1) - grid.n // 2,
+                        [len(bapu.supports[k]) for k in ks], mb, start))
+
+
+def _dft_boxes(fft, values, at, m) -> np.ndarray:
+    """The boxes of shapes m, zero but for values (N, n) added in order at
+    columns `at`, each transformed by fft(box, axis=axis) as fftn does."""
+    ends = np.cumsum(m.prod(axis=1))
+    buf = np.zeros((len(values), ends[-1]), dtype=complex)
+    for row, v in zip(buf, values):
+        np.add.at(row, at, v)
+    out = []
+    for a, b, shape in zip(ends - m.prod(axis=1), ends, m):
+        box = buf[:, a:b].reshape(len(buf), *shape)
+        for axis in reversed(range(1, m.shape[1] + 1)):
+            box = fft(box, axis=axis)
+        out.append(box.reshape(len(buf), -1))
+    return np.concatenate(out, axis=1)
+
+
+def _phases(sign: float, ls, lens, m, centers, L: float) -> np.ndarray:
+    """e^(sign i pos_l . xi_k), lens[k] rows ls per patch k: pos_l . xi_k
+    summed axis by axis is in 1-D bitwise (ls * 2L / m_k) @ xi_k."""
+    pos, c = ls * np.repeat(2 * L / m, lens, axis=0), np.repeat(centers, lens, axis=0)
+    arg = pos[:, 0] * c[:, 0]
+    for axis in range(1, ls.shape[1]):
+        arg += pos[:, axis] * c[:, axis]
+    return np.exp(sign * 1j * arg)
 
 
 def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
@@ -326,36 +360,39 @@ def analyze(f: BandLimitedField, sqrt_bapu: Bapu) -> CoefficientArray:
     pos_l . xi_j = 2 pi l . j / m_k (see _patch_counts), folding the
     weighted spectrum onto the residues j mod m_k and taking one unscaled
     inverse DFT gives the sum for every l of the period at once, exactly;
-    the phase e^(-i pos_l . xi_k) follows.
+    the phase e^(-i pos_l . xi_k) follows.  Per block of patches
+    (_patch_blocks) the DFTs are the only per-patch calls: the supports are
+    folded, the full windows read, phased, normalized and floored at once.
 
     l runs over the full rounded period per patch; entries below
-    _COEF_FLOOR * ||f||_2 are dropped.  The cells U(k, l) take
-    r0 = compute_r0(group).  Raises `SizeMismatch` unless f lives on the
-    partition's lattice (shape and L).
+    _COEF_FLOOR * ||f||_2 are dropped, and `counts` has every patch.  The
+    cells U(k, l) take r0 = compute_r0(group).  Raises `SizeMismatch`
+    unless f lives on the partition's lattice (shape and L).
     """
     grid, group = f.grid, f.group
     _check_grid(grid, sqrt_bapu)
-    r0 = compute_r0(group)
     flat_spec = f.spectrum.reshape(f.N, -1)
-    norm2 = f.l2_norm()
-    out = CoefficientArray(group, grid, sqrt_bapu.t, r0)
+    floor = _COEF_FLOOR * max(f.l2_norm(), 1e-300)
+    out = CoefficientArray(group, grid, sqrt_bapu.t, compute_r0(group))
+    out.counts = {k: _patch_counts(group, float(t), grid.L) for k, t in enumerate(sqrt_bapu.t)}
     lattice_measure = (np.pi / grid.L) ** grid.d
-    freq = _frequency_indices(grid)
-    axes = tuple(range(1, grid.d + 1))
-    for k in range(len(sqrt_bapu)):
-        counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
-        out.counts[k] = counts
-        idx = sqrt_bapu.supports[k]
-        folded = np.zeros((f.N, *counts), dtype=complex)
-        np.add.at(folded, (slice(None), *(freq[idx] % counts).T),
-                  flat_spec[:, idx] * sqrt_bapu.values[k])
-        ls = _full_window(counts)
-        sums = np.fft.ifftn(folded, axes=axes, norm="forward")[(slice(None), *(ls % counts).T)]
-        phase = np.exp(-1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
-        coef = lattice_measure * _patch_normalizer(grid, counts) * phase[:, None] * sums.T
-        keep = np.linalg.norm(coef, axis=1) > _COEF_FLOOR * max(norm2, 1e-300)
-        if keep.any():
-            out.patches[k] = (ls[keep], coef[keep])
+    for ks, m, start, idx, psi, fold in _patch_blocks(sqrt_bapu, range(len(sqrt_bapu)),
+                                                      out.counts, f.N):
+        size = m.prod(axis=1)
+        digits, ls = np.arange(size.sum()) - np.repeat(start, size), np.repeat(m, size, axis=0)
+        for axis in reversed(range(grid.d)):  # the full windows of l, stacked
+            digits, l_axis = np.divmod(digits, ls[:, axis])
+            ls[:, axis] = l_axis - ls[:, axis] // 2
+        sums = _dft_boxes(lambda a, axis: np.fft.ifft(a, axis=axis, norm="forward"),
+                          flat_spec.take(idx, axis=1) * psi, fold, m)
+        scale = np.repeat([lattice_measure * _patch_normalizer(grid, c) for c in m], size)
+        coef = ((scale * _phases(-1, ls, size, m, sqrt_bapu.centers[ks], grid.L))[:, None]
+                * sums.take(_columns(ls, size, m, start), axis=1).T)
+        kept = np.flatnonzero(np.linalg.norm(coef, axis=1) > floor)
+        ls, coef, ends = ls.take(kept, axis=0), coef.take(kept, axis=0), kept.searchsorted(start)
+        for k, a, b in zip(ks, ends, [*ends[1:], len(kept)]):
+            if b > a:
+                out.patches[k] = (ls[a:b], coef[a:b])
     return out
 
 
@@ -365,28 +402,30 @@ def synthesize(coeffs: CoefficientArray, sqrt_bapu: Bapu) -> BandLimitedField:
     The adjoint of `analyze`, one DFT per patch: c_(k,l) e^(i pos_l . xi_k)
     is placed at the residue l mod m_k, and one forward DFT read at
     j mod m_k gives sum_l c_(k,l) e^(-i pos_l . (xi_j - xi_k)) on the
-    support, exactly, since pos_l . xi_j = 2 pi l . j / m_k.  Raises
+    support, exactly, since pos_l . xi_j = 2 pi l . j / m_k.  Per block of
+    patches (_patch_blocks) the DFTs are the only per-patch calls: the
+    coefficients are placed, the supports read and added at once, each
+    frequency adding its patches in ascending order as a per-patch loop
+    does.  A patch missing from `counts` takes _patch_counts.  Raises
     `SizeMismatch` unless the coefficients live on the partition's lattice
     (shape and L).
     """
     grid, group = coeffs.grid, sqrt_bapu.group
     _check_grid(grid, sqrt_bapu)
-    N = next(iter(coeffs.patches.values()))[1].shape[1] if coeffs.patches else 1
+    keys = sorted(coeffs.patches)
+    N = coeffs.patches[keys[0]][1].shape[1] if keys else 1
     spec = np.zeros((N, np.prod(grid.shape)), dtype=complex)
-    freq = _frequency_indices(grid)
-    axes = tuple(range(1, grid.d + 1))
     touched = np.zeros(spec.shape[1], dtype=bool)
-    for k in sorted(coeffs.patches):
-        ls, coef = coeffs.patches[k]
-        counts = coeffs.counts.get(k)
-        if counts is None:
-            counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
-        idx = sqrt_bapu.supports[k]
-        phase = np.exp(1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
-        placed = np.zeros((N, *counts), dtype=complex)
-        np.add.at(placed, (slice(None), *(ls % counts).T), (phase[:, None] * coef).T)
-        sums = np.fft.fftn(placed, axes=axes)[(slice(None), *(freq[idx] % counts).T)]
-        spec[:, idx] += _patch_normalizer(grid, counts) * sqrt_bapu.values[k] * sums
+    for ks, m, start, idx, psi, fold in _patch_blocks(sqrt_bapu, keys, coeffs.counts, N):
+        ls, lens = (np.concatenate([coeffs.patches[k][0] for k in ks]),
+                    [len(coeffs.patches[k][0]) for k in ks])
+        placed = (_phases(1, ls, lens, m, sqrt_bapu.centers[ks], grid.L)[:, None]
+                  * np.concatenate([coeffs.patches[k][1] for k in ks])).T
+        sums = _dft_boxes(np.fft.fft, placed, _columns(ls, lens, m, start), m).take(fold, axis=1)
+        norms = np.repeat([_patch_normalizer(grid, c) for c in m],
+                          [len(sqrt_bapu.supports[k]) for k in ks])
+        for row, v in zip(spec, norms * psi * sums):
+            np.add.at(row, idx, v)
         touched[idx] = True
     max_q = group.quasi_norm(grid.frequency_points())[touched].max(initial=0.0)
     ball = AnisoBall(np.zeros(group.d), max(max_q, 1e-6) * 1.001)
@@ -402,14 +441,15 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams) -> float:
     """(sum_k [t_k^s || sum_l |U|^(-1/2) c_(k,l) 1_U ||_(L^p(W))]^q)^(1/q).
 
     The patches are taken in blocks of consecutive ones (at most _BLOCK
-    stacked entries): one `ball_pairs` call finds the grid points of every
-    cell U(k, l) of the block, with radius r0 / t_k per cell, one scatter
-    adds the coefficients into the block's fields, and one weight product
-    weighs them.  A point adds its cells in the order of a per-patch loop,
-    so each term equals that loop's bitwise as long as the cells hold the
-    same points.  They do, except that a point within `ball_pairs`' tie
-    band is decided by one quasi-norm solve per batch of candidate pairs,
-    and a block's batches mix the cells of several patches.
+    stacked entries): the block's cell centres, radii r0 / t_k and scaled
+    values come from its coefficients joined, one `ball_pairs` call finds
+    the grid points of every cell U(k, l), one scatter per component adds
+    the coefficients into the block's fields, and one weight product weighs
+    them.  A point adds its cells in the order of a per-patch loop, so each
+    term equals that loop's bitwise as long as the cells hold the same
+    points.  They do, except that a point within `ball_pairs`' tie band is
+    decided by one quasi-norm solve per batch of candidate pairs, and a
+    block's batches mix the cells of several patches.
     """
     grid, group = coeffs.grid, coeffs.group
     pts = grid.spatial_points()
@@ -421,17 +461,16 @@ def discrete_b_norm(coeffs: CoefficientArray, W, params: BesovParams) -> float:
     terms = []
     for first, last in _runs(np.full(len(keys), N * len(pts)), _BLOCK):
         ks = keys[first:last]
-        centers, radii, owner, values = [], [], [], []
-        for i, k in enumerate(ks):
-            ls, coef = coeffs.patches[k]
-            rho = coeffs.r0 / float(coeffs.t[k])
-            centers.append(coeffs.positions(k, ls))
-            radii.append(np.full(len(ls), rho))
-            owner.append(np.full(len(ls), i))
-            values.append(coef / np.sqrt(ball_volume(group, rho)))
-        cells, at = ball_pairs(group, np.concatenate(centers), np.concatenate(radii), pts)
+        lens, rho = [len(coeffs.patches[k][0]) for k in ks], coeffs.r0 / coeffs.t[ks]
+        centers = np.concatenate([coeffs.patches[k][0] for k in ks]) * np.repeat(
+            2 * grid.L / np.array([coeffs.counts[k] for k in ks]), lens, axis=0)
+        values = np.concatenate([coeffs.patches[k][1] for k in ks]) / np.repeat(
+            np.sqrt([ball_volume(group, float(r)) for r in rho]), lens)[:, None]
+        cells, at = ball_pairs(group, centers, np.repeat(rho, lens), pts)
         fields = np.zeros((len(ks), len(pts), N), dtype=complex)
-        np.add.at(fields, (np.concatenate(owner)[cells], at), np.concatenate(values)[cells])
+        at += np.repeat(np.arange(len(ks)) * len(pts), lens)[cells]
+        for component, v in zip(fields.reshape(-1, N).T, values[cells].T):
+            np.add.at(component, at, v)
         mags = weighted_magnitudes(root, fields)
         for k, norm_k in zip(ks, _riemann_norm(mags, params.p, grid.h ** grid.d)):
             terms.append(float(coeffs.t[k]) ** params.s * norm_k)

@@ -1203,9 +1203,9 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
     remainder of the last terms; the result is compared with the geometric
     bound implied by the measured doubling constant of w at exponent beta.
     Annulus m takes the nodes of its ball B(x_jl, 2^m r0 / t_j), each
-    nudged off the singular set by that ball's scale.  A matrix weight,
-    or numbers outside 0 < t_j < inf, finite beta and beta < L < inf,
-    raise `ValueError`.
+    nudged off the singular set by that ball's scale.  A matrix weight, an
+    ell that is not a point of R^d (shape (d,)), or numbers outside
+    0 < t_j < inf, finite beta and beta < L < inf, raise `ValueError`.
     """
     if _is_matrix(w):
         raise ValueError("weighted tail bound needs a scalar weight")
@@ -1215,8 +1215,11 @@ def weighted_tail_bound(w, G: DilationGroup, t_j: float, ell, L: float,
         raise ValueError(f"beta must be finite, got {beta}")
     if not beta < L < np.inf:
         raise ValueError(f"L must satisfy beta < L < inf, got L = {L} with beta = {beta}")
+    ell = np.asarray(ell, dtype=float)
+    if ell.shape != (G.d,):
+        raise ValueError(f"ell must be a point of R^d, got shape {ell.shape} with G.d = {G.d}")
     r0 = compute_r0(G)
-    center = G.dilate(1.0 / t_j, np.asarray(ell, dtype=float))
+    center = G.dilate(1.0 / t_j, ell)
     rho = r0 / t_j
 
     def annulus_integral(m):

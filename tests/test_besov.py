@@ -10,7 +10,6 @@ from anisoweights.besov import (
     CoefficientArray,
     DenominatorVanishes,
     EquivalenceRow,
-    _full_window,
     _patch_counts,
     _patch_normalizer,
     analyze,
@@ -26,6 +25,7 @@ from anisoweights.besov import (
 from anisoweights.dilation import DilationGroup
 from anisoweights.geometry import (
     AnisoBall,
+    _lattice,
     ball_pairs,
     ball_volume,
     build_structured_covering,
@@ -144,7 +144,7 @@ def per_coefficient_terms(coeffs, W, params):
         vol_root = np.sqrt(ball_volume(group, rho))
         field_k = np.zeros((coef.shape[1], len(pts)), dtype=complex)
         reach = group.euclidean_radius_bound(rho)
-        centers = coeffs.positions(k, ls)
+        centers = ls * (2 * grid.L / coeffs.counts[k])  # the sample positions
         for i in range(len(ls)):
             near = np.flatnonzero(np.max(np.abs(pts - centers[i]), axis=1) <= reach)
             cells = near[group.quasi_norm(pts[near] - centers[i]) < rho]
@@ -185,7 +185,7 @@ def dense_analyze(f, sqrt_bapu):
         idx = sqrt_bapu.supports[k]
         weighted = flat_spec[:, idx] * sqrt_bapu.values[k]
         xi = grid.frequency_points()[idx]
-        ls = _full_window(counts)
+        ls = full_window(counts)
         pos = ls.astype(float) * (2 * grid.L / counts)
         E = np.exp(1j * (pos @ (xi - c_k).T))
         coef = lattice_measure * _patch_normalizer(grid, counts) * (E @ weighted.T)
@@ -210,6 +210,58 @@ def dense_synthesis_spectrum(coeffs, sqrt_bapu):
         E = np.exp(-1j * ((xi - c_k) @ pos.T))
         spec[:, idx] += (_patch_normalizer(grid, counts)
                          * sqrt_bapu.values[k] * (E @ coef).T)
+    return spec
+
+
+def full_window(counts):
+    """Every l of one period of a patch's sample lattice, last axis fastest."""
+    return _lattice([np.arange(-(m // 2), m - m // 2) for m in counts])
+
+
+def per_patch_analyze(f, sqrt_bapu):
+    """analyze by one fold, inverse DFT, window read and floor test per patch."""
+    grid, group = f.grid, f.group
+    flat_spec = f.spectrum.reshape(f.N, -1)
+    norm2 = f.l2_norm()
+    out = CoefficientArray(group, grid, sqrt_bapu.t, compute_r0(group))
+    lattice_measure = (np.pi / grid.L) ** grid.d
+    freq = frequency_indices(grid)
+    axes = tuple(range(1, grid.d + 1))
+    for k in range(len(sqrt_bapu)):
+        counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
+        out.counts[k] = counts
+        idx = sqrt_bapu.supports[k]
+        folded = np.zeros((f.N, *counts), dtype=complex)
+        np.add.at(folded, (slice(None), *(freq[idx] % counts).T),
+                  flat_spec[:, idx] * sqrt_bapu.values[k])
+        ls = full_window(counts)
+        sums = np.fft.ifftn(folded, axes=axes, norm="forward")[(slice(None), *(ls % counts).T)]
+        phase = np.exp(-1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
+        coef = lattice_measure * _patch_normalizer(grid, counts) * phase[:, None] * sums.T
+        keep = np.linalg.norm(coef, axis=1) > besov._COEF_FLOOR * max(norm2, 1e-300)
+        if keep.any():
+            out.patches[k] = (ls[keep], coef[keep])
+    return out
+
+
+def per_patch_synthesize(coeffs, sqrt_bapu):
+    """Flat (N, n^d) spectrum of synthesize by one placement, DFT and sum per patch."""
+    grid, group = coeffs.grid, sqrt_bapu.group
+    N = next(iter(coeffs.patches.values()))[1].shape[1] if coeffs.patches else 1
+    spec = np.zeros((N, np.prod(grid.shape)), dtype=complex)
+    freq = frequency_indices(grid)
+    axes = tuple(range(1, grid.d + 1))
+    for k in sorted(coeffs.patches):
+        ls, coef = coeffs.patches[k]
+        counts = coeffs.counts.get(k)
+        if counts is None:
+            counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
+        idx = sqrt_bapu.supports[k]
+        phase = np.exp(1j * ((ls * (2 * grid.L / counts)) @ sqrt_bapu.centers[k]))
+        placed = np.zeros((N, *counts), dtype=complex)
+        np.add.at(placed, (slice(None), *(ls % counts).T), (phase[:, None] * coef).T)
+        sums = np.fft.fftn(placed, axes=axes)[(slice(None), *(freq[idx] % counts).T)]
+        spec[:, idx] += _patch_normalizer(grid, counts) * sqrt_bapu.values[k] * sums
     return spec
 
 
@@ -354,7 +406,7 @@ class TestPhiTransform:
         coeffs = [analyze(f, sqrt_bapu) for f in fields]
         for k in range(len(sqrt_bapu)):
             counts = coeffs[0].counts[k]
-            window = _full_window(counts)[::stride]
+            window = full_window(counts)[::stride]
             atoms = np.stack([frame_atom(k, l, sqrt_bapu).values.reshape(-1)
                               for l in window])
             inner = grid.h ** grid.d * (values @ atoms.conj().T)
@@ -381,7 +433,7 @@ class TestPhiTransform:
         sqrt_bapu, _ = phi_case
         grid, group = sqrt_bapu.grid, sqrt_bapu.group
         for k in range(len(sqrt_bapu)):
-            ls = _full_window(_patch_counts(group, float(sqrt_bapu.t[k]), grid.L))
+            ls = full_window(_patch_counts(group, float(sqrt_bapu.t[k]), grid.L))
             for i in (0, len(ls) // 3, len(ls) - 1):
                 one_hot = CoefficientArray(group, grid, sqrt_bapu.t, 1.0)
                 one_hot.patches[k] = (ls[i:i + 1], np.ones((1, 1)))
@@ -545,11 +597,132 @@ def test_block_split_changes_nothing(norm_case, split, monkeypatch):
                 for f, c in zip(fields, coeffs)
                 for params in (PARAMS, BesovParams(0.5, 1.5, np.inf))]
 
-    default = norms()
+    def transforms():
+        out = [analyze(f, sqrt_bapu) for f in fields]
+        return out, [synthesize(c, sqrt_bapu).spectrum for c in out]
+
+    default, (default_coeffs, default_spectra) = norms(), transforms()
     per_patch = fields[0].spectrum.size  # N components of every grid point
     per_block = 1 if split == "one patch" else (len(bapu) + 1) // 2
     monkeypatch.setattr(besov, "_BLOCK", per_block * per_patch)
     assert norms() == default
+    # analyze and synthesize count the entries of the patches' DFT boxes:
+    # one patch a block, or the first half of the patches in one block
+    boxes = [fields[0].N * counts.prod() for counts in coeffs[0].counts.values()]
+    first_half = sum(boxes[:(len(boxes) + 1) // 2])
+    monkeypatch.setattr(besov, "_BLOCK", 1 if split == "one patch" else first_half)
+    got_coeffs, got_spectra = transforms()
+    for got, want in zip(got_coeffs, default_coeffs):
+        assert_same_coefficients(got, want)
+    for got, want in zip(got_spectra, default_spectra):
+        assert np.array_equal(got, want)
+
+
+def assert_same_coefficients(got, want, rel=0.0):
+    """Same r0, counts, patches and l; coefficients bitwise, or within rel
+    of the largest one."""
+    assert got.r0 == want.r0
+    assert got.counts.keys() == want.counts.keys()
+    for k, counts in want.counts.items():
+        assert np.array_equal(got.counts[k], counts)
+    assert got.patches.keys() == want.patches.keys()
+    scale = max((np.abs(c).max() for _, c in want.patches.values()), default=0.0)
+    for k, (ls, coef) in want.patches.items():
+        assert np.array_equal(got.patches[k][0], ls)
+        assert got.patches[k][1].flags.c_contiguous
+        if rel:
+            assert np.abs(got.patches[k][1] - coef).max() <= rel * scale
+        else:
+            assert np.array_equal(got.patches[k][1], coef)
+
+
+@pytest.fixture(scope="module", params=["besov-1d", "1d"])
+def phi_1d(request):
+    """(sqrt partition, fields): the besov-1d inputs and the 1-D fixture."""
+    if request.param == "besov-1d":
+        fields, _, _, sqrt_bapu = request.getfixturevalue("benchmark_pass")
+        return sqrt_bapu, fields
+    return request.getfixturevalue("sqrt_bapu"), request.getfixturevalue("ensemble")
+
+
+def test_phi_transform_matches_per_patch_loops_bitwise(phi_1d):
+    # in 1-D the phase argument is the one product of the per-patch loop
+    sqrt_bapu, fields = phi_1d
+    assert len(fields) == 4
+    for f in fields:
+        c = analyze(f, sqrt_bapu)
+        assert_same_coefficients(c, per_patch_analyze(f, sqrt_bapu))
+        for cc in (c, c.scaled(0.5 - 0.25j)):
+            got = synthesize(cc, sqrt_bapu).spectrum.reshape(f.N, -1)
+            assert np.array_equal(got, per_patch_synthesize(cc, sqrt_bapu))
+
+
+@pytest.mark.parametrize("name", ["sqrt_bapu_2d", "besov_2d", "sqrt_bapu_282"])
+def test_phi_transform_matches_per_patch_loops_2d(request, G2, name):
+    # pos_l . xi_k is summed axis by axis, where the per-patch loop's
+    # (ls * spacing) @ xi_k is a BLAS product that may fuse its multiply-add:
+    # measured at most 1.45e-15 of the largest coefficient and 2.6e-16 of
+    # the largest spectral entry (the random field on 74 patches); l, counts
+    # and the kept coefficients are the loop's exactly
+    if name == "besov_2d":
+        fields, _, _, sqrt_bapu = request.getfixturevalue(name)
+    elif name == "sqrt_bapu_2d":
+        sqrt_bapu = request.getfixturevalue(name)
+        fields = [request.getfixturevalue("random_field_2d")]
+    else:
+        sqrt_bapu = request.getfixturevalue(name)
+        fields = standard_ensemble(sqrt_bapu.grid, G2, AnisoBall([0.0, 0.0], 1.0), N=2)[3::3]
+    for f in fields:
+        c = analyze(f, sqrt_bapu)
+        assert_same_coefficients(c, per_patch_analyze(f, sqrt_bapu), rel=4e-15)
+        got = synthesize(c, sqrt_bapu).spectrum.reshape(f.N, -1)
+        want = per_patch_synthesize(c, sqrt_bapu)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestPhiTransformEdges:
+    """Coefficient arrays that `analyze` of a nonzero field does not make."""
+
+    def test_empty_array(self, benchmark_pass):
+        fields, _, _, sqrt_bapu = benchmark_pass
+        f = fields[0]
+        zero = BandLimitedField.from_values(f.grid, f.group, np.zeros_like(f.values), f.ball,
+                                            field_id="zero")
+        c = analyze(zero, sqrt_bapu)
+        assert_same_coefficients(c, per_patch_analyze(zero, sqrt_bapu))
+        assert c.patches == {} and len(c.counts) == len(sqrt_bapu)
+        for cc in (c, CoefficientArray(f.group, f.grid, sqrt_bapu.t, 1.0)):
+            g = synthesize(cc, sqrt_bapu)
+            assert g.spectrum.shape == (1,) + f.grid.shape and not g.spectrum.any()
+            assert np.array_equal(g.spectrum.reshape(1, -1), per_patch_synthesize(cc, sqrt_bapu))
+            assert g.ball.radius == 1e-6 * 1.001
+            assert discrete_b_norm(cc, None, PARAMS) == 0.0
+
+    def test_counts_missing_a_patch(self, benchmark_pass):
+        # a patch without counts takes _patch_counts, which analyze stored
+        fields, _, _, sqrt_bapu = benchmark_pass
+        c = analyze(fields[3], sqrt_bapu)
+        full = synthesize(c, sqrt_bapu).spectrum
+        keys = sorted(c.patches)
+        for k in (keys[0], keys[len(keys) // 2], keys[-1]):
+            del c.counts[k]
+        got = synthesize(c, sqrt_bapu).spectrum
+        assert np.array_equal(got, full)
+        assert np.array_equal(got.reshape(fields[3].N, -1), per_patch_synthesize(c, sqrt_bapu))
+
+    @pytest.mark.parametrize("counted", [True, False], ids=["counts", "no counts"])
+    def test_one_hot(self, benchmark_pass, counted):
+        _, _, _, sqrt_bapu = benchmark_pass
+        grid, group = sqrt_bapu.grid, sqrt_bapu.group
+        for k in (0, 21, len(sqrt_bapu) - 1):
+            counts = _patch_counts(group, float(sqrt_bapu.t[k]), grid.L)
+            ls = full_window(counts)
+            for i in (0, len(ls) // 3, len(ls) - 1):
+                one_hot = CoefficientArray(group, grid, sqrt_bapu.t, 1.0,
+                                           {k: counts} if counted else {})
+                one_hot.patches[k] = (ls[i:i + 1], np.full((1, 1), 0.5 - 0.25j))
+                got = synthesize(one_hot, sqrt_bapu).spectrum.reshape(1, -1)
+                assert np.array_equal(got, per_patch_synthesize(one_hot, sqrt_bapu))
 
 
 @pytest.mark.parametrize("grid", [FourierGrid(1, 512, 4 * np.pi), FourierGrid(1, 256, 8 * np.pi)],

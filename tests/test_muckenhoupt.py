@@ -1205,6 +1205,19 @@ class TestTailBound:
                                 BallQuadrature("mapped_grid", 64), beta=beta)
         assert calls == []
 
+    @pytest.mark.parametrize("ell", [[1.0, 0.0, 0.0], [1.0], 1.0, [[1.0, 0.0]]],
+                             ids=["R^3", "R^1", "scalar", "(1, 2)"])
+    def test_ell_outside_r_d_rejected(self, monkeypatch, ell):
+        # on diag(1, 2), [1, 0, 0] raised numpy's matmul core-dimension error
+        # from G.dilate, and [[1, 0]] ran 40 annuli to TruncationNotConverged
+        G = DilationGroup(np.diag([1.0, 2.0]))
+        calls = count_calls(monkeypatch, muckenhoupt, "safe_power_values")
+        with pytest.raises(ValueError, match=rf"^ell must be a point of R\^d, got shape "
+                                             rf"{re.escape(str(np.shape(ell)))} with G.d = 2$"):
+            weighted_tail_bound(sqrt_weight(), G, 2.0, ell, 3.0,
+                                BallQuadrature("mapped_grid", 64), beta=1.5)
+        assert calls == []
+
     def test_each_annulus_is_nudged_by_its_own_ball(self, monkeypatch, G1):
         # annulus m takes the nodes of B(x_jl, 2^m r0 / t_j) and that ball's scale
         scales, inner = [], muckenhoupt.safe_power_values

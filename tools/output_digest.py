@@ -34,8 +34,11 @@ and `reverse_holder_search` on a scalar weight whose singular line the
 grid meets, so that nudged nodes show; `invariance_report` on a scalar
 and a matrix weight;
 `averaging_operator_check`, `sampling_inequality_experiment`,
-`weighted_tail_bound`, `covering_intersection_stats` and
-`bapu_independence_check`.  Their lines have the same columns: the
+`weighted_tail_bound`, `covering_intersection_stats`,
+`bapu_independence_check`, and `analyze` then `synthesize` on the 74-patch
+square-root partition of diag(1, 2) (the d >= 2 path of the
+phi-transform, which besov-1d does not take: its coefficients, counts and
+synthesized spectrum).  Their lines have the same columns: the
 experiment, the fixture, the sha256 of the pickled output, `-` (an
 experiment has no check), and the largest relative deviation of the
 output's record from experiment_record.json beside this tool.
@@ -95,7 +98,8 @@ def experiments():
     """(experiment, fixture, run, record) for each experiment fixture."""
     import numpy as np
     import workloads
-    from anisoweights.besov import BesovParams, bapu_independence_check, build_bapu, mollifier_bump
+    from anisoweights.besov import (BesovParams, analyze, bapu_independence_check, build_bapu,
+                                    build_sqrt_bapu, mollifier_bump, synthesize)
     from anisoweights.dilation import DilationGroup
     from anisoweights.geometry import (AffineMap, AnisoBall, build_structured_covering,
                                        covering_intersection_stats)
@@ -221,6 +225,18 @@ def experiments():
 
     out.append(("bapu_independence_check", "sqrt:mollifier", bapu_ratio,
                 lambda ratio: {"ratio": ratio}))
+
+    def phi_transform():  # the d >= 2 path of analyze and synthesize
+        cov = build_structured_covering(G, 1.0, 1.0, seed=0, candidates_per_shell=256)
+        sqrt_bapu = build_sqrt_bapu(FourierGrid(2, 16, np.pi), cov)
+        f = standard_ensemble(sqrt_bapu.grid, G, AnisoBall([0.0, 0.0], 1.0), N=2)[3]
+        c = analyze(f, sqrt_bapu)
+        return c.counts, c.patches, synthesize(c, sqrt_bapu).spectrum
+
+    out.append(("analyze+synthesize", "diag(1,2):74-patches", phi_transform,
+                lambda res: {"coefficients": {str(k): float(np.linalg.norm(coef))
+                                              for k, (_, coef) in res[1].items()},
+                             "spectrum": np.linalg.norm(res[2].reshape(2, -1), axis=1).tolist()}))
     return out
 
 
